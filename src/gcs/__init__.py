@@ -56,12 +56,17 @@ from .metrics import (
 from .prior import (
     MarkovGridPrior,
     PriorModel,
-    exact_sequence_distribution,
     load_model,
     save_model,
     train_markov_prior,
 )
-from .sampler import SamplingConfig, batch_sample, sample_grid, step_posterior
+from .sampler import (
+    SamplingConfig,
+    batch_sample,
+    exact_sequence_distribution,
+    sample_grid,
+    step_posterior,
+)
 from .world import (
     BenchmarkConfig,
     LayoutSpec,

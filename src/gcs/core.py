@@ -93,6 +93,34 @@ class TokenGrid:
         )
 
 
+def token_grids(tokens: np.ndarray, codebook_size: int) -> list[TokenGrid]:
+    """`TokenGrid`s for each leading index of an (n, height, width) array.
+
+    Equal to constructing each grid, but a valid array is range-checked
+    once in total rather than once per grid; an invalid one goes through
+    the constructor, so the error names the offending token.
+    """
+    height, width = tokens.shape[1:]
+    if (
+        tokens.size == 0
+        or codebook_size < 2
+        or tokens.min() < 0
+        or tokens.max() >= codebook_size
+    ):
+        return [TokenGrid(height, width, codebook_size, block) for block in tokens]
+    grids = []
+    for block in tokens:
+        grid = object.__new__(TokenGrid)
+        grid.__dict__.update(
+            height=height,
+            width=width,
+            codebook_size=codebook_size,
+            tokens=_readonly(block.astype(np.int64)),
+        )
+        grids.append(grid)
+    return grids
+
+
 @dataclass(frozen=True, eq=False)
 class SemanticGrid:
     """An immutable height x width grid of semantic labels (row-major)."""

@@ -63,6 +63,9 @@ class RegionalDistributions:
                 f"{self.label_count} labels"
             )
         object.__setattr__(self, "per_label", tuple(self.per_label))
+        sizes = {dist.codebook_size for dist in self.per_label if dist is not None}
+        if len(sizes) > 1:
+            raise ValidationError(f"per-label distributions mix codebook sizes {sorted(sizes)}")
         object.__setattr__(
             self, "per_label_mass", tuple(float(m) for m in self.per_label_mass)
         )
@@ -128,7 +131,11 @@ class SpatialDistributions:
 def cell_of_position(
     row: int, col: int, height: int, width: int, cell_rows: int, cell_cols: int
 ) -> tuple[int, int]:
-    """Map a grid position to its cell under the floor-partition tiling."""
+    """Map a grid position to its cell under the floor-partition tiling.
+
+    Works elementwise on integer arrays too; statistics, guidance and
+    `spatial_divergence` all place positions through this one rule.
+    """
     return (row * cell_rows) // height, (col * cell_cols) // width
 
 
@@ -201,26 +208,6 @@ def _regional_from_counts(counts: np.ndarray, alpha: float) -> RegionalDistribut
     )
 
 
-def regional_histogram_from_corpus(
-    pairs: Sequence[tuple[TokenGrid, SemanticGrid]],
-    smoothing_alpha: float = DEFAULT_ALPHA,
-) -> RegionalDistributions:
-    """Pooled per-region counts over many (grid, semantics) pairs."""
-    alpha = _check_alpha(smoothing_alpha)
-    if not pairs:
-        raise ValidationError("empty corpus")
-    first_grid, first_sem = pairs[0]
-    total = np.zeros((first_sem.label_count, first_grid.codebook_size), dtype=np.int64)
-    for grid, sem in pairs:
-        require_same_shape(grid, sem)
-        if grid.codebook_size != first_grid.codebook_size:
-            raise ValidationError("corpus mixes codebook sizes")
-        if sem.label_count != first_sem.label_count:
-            raise ValidationError("corpus mixes label counts")
-        total += _regional_counts(grid, sem)
-    return _regional_from_counts(total, alpha)
-
-
 def histogram_by_cell(
     grids: Sequence[TokenGrid],
     cell_rows: int,
@@ -244,8 +231,10 @@ def histogram_by_cell(
             f"tiling {cell_rows}x{cell_cols} is finer than the "
             f"{first.height}x{first.width} grid"
         )
-    rows = np.arange(first.height)[:, None] * cell_rows // first.height
-    cols = np.arange(first.width)[None, :] * cell_cols // first.width
+    rows, cols = cell_of_position(
+        np.arange(first.height)[:, None], np.arange(first.width)[None, :],
+        first.height, first.width, cell_rows, cell_cols,
+    )
     cell_index = (rows * cell_cols + cols).reshape(-1)
     n_cells = cell_rows * cell_cols
     counts = np.zeros((n_cells, first.codebook_size), dtype=np.int64)

@@ -141,17 +141,6 @@ def distribution_from_dict(payload: dict) -> CategoricalDistribution:
         raise FormatError(f"distribution JSON violates invariants: {exc}") from exc
 
 
-def write_distribution(path: str | Path, dist: CategoricalDistribution) -> None:
-    dump_json(path, distribution_to_dict(dist))
-
-
-def read_distribution(path: str | Path) -> CategoricalDistribution:
-    payload = load_json(path)
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    return distribution_from_dict(payload)
-
-
 def regional_to_dict(regional: "RegionalDistributions") -> dict:
     return {
         "kind": "regional",

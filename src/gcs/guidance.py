@@ -7,9 +7,12 @@ sampling.  Weight vectors are defined up to positive scale; canonical
 storage normalizes the maximum entry to 1 so large exponents cannot
 overflow.
 
-Three table modes mirror the three ways statistics can be collected:
-one global vector, one vector per semantic label (with a global fallback
-for labels the style never showed), or one vector per spatial cell.
+A `LikelihoodTable` is one global vector plus a flat tuple of per-scope
+vectors, mirroring the three ways statistics can be collected: no scopes
+(global), one scope per semantic label (labels the style never showed
+hold the global vector itself), or one scope per spatial cell in
+row-major order.  Its mode follows from those fields, and
+`select_likelihood` resolves each step to one scope index.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ import numpy as np
 
 from .core import CategoricalDistribution, SemanticGrid, ValidationError, _readonly
 from .distributions import RegionalDistributions, SpatialDistributions, cell_of_position
-
-MODE_GLOBAL = "global"
-MODE_REGIONAL = "regional"
-MODE_SPATIAL = "spatial"
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,75 +126,42 @@ def rebalance_prior(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SpatialVectors:
-    """Guidance vectors per cell of a fixed tiling."""
-
-    cell_rows: int
-    cell_cols: int
-    cells: tuple[tuple[LikelihoodVector, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.cell_rows < 1 or self.cell_cols < 1:
-            raise ValidationError("cell tiling must be positive")
-        rows = tuple(tuple(row) for row in self.cells)
-        if len(rows) != self.cell_rows or any(len(r) != self.cell_cols for r in rows):
-            raise ValidationError(
-                f"cells must form a {self.cell_rows}x{self.cell_cols} grid"
-            )
-        object.__setattr__(self, "cells", rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpatialVectors):
-            return NotImplemented
-        return (
-            self.cell_rows == other.cell_rows
-            and self.cell_cols == other.cell_cols
-            and self.cells == other.cells
-        )
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LikelihoodTable:
-    """Guidance weights plus the dispatch rule for picking one per step."""
+    """Guidance weights plus the rule for picking one per step.
 
-    mode: str
+    ``scopes`` holds one vector per semantic label, or, when ``cells`` gives
+    a (rows, cols) tiling, one per cell in row-major order.  With no scopes
+    the global vector governs every step.
+    """
+
     exponent: float
     global_vector: LikelihoodVector
-    regional: tuple[LikelihoodVector | None, ...] | None = None
-    spatial: SpatialVectors | None = None
+    scopes: tuple[LikelihoodVector, ...] = ()
+    cells: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_GLOBAL, MODE_REGIONAL, MODE_SPATIAL):
-            raise ValidationError(f"unknown guidance mode {self.mode!r}")
         _check_exponent(self.exponent)
-        if self.mode == MODE_GLOBAL and (
-            self.regional is not None or self.spatial is not None
-        ):
-            raise ValidationError("global mode carries only the global vector")
-        if self.mode == MODE_REGIONAL:
-            if self.regional is None or self.spatial is not None:
-                raise ValidationError("regional mode requires per-label vectors only")
-            object.__setattr__(self, "regional", tuple(self.regional))
-        if self.mode == MODE_SPATIAL and (
-            self.spatial is None or self.regional is not None
-        ):
-            raise ValidationError("spatial mode requires per-cell vectors only")
+        object.__setattr__(self, "scopes", tuple(self.scopes))
+        if self.cells is not None:
+            rows, cols = self.cells
+            if rows < 1 or cols < 1:
+                raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
+            if len(self.scopes) != rows * cols:
+                raise ValidationError(
+                    f"a {rows}x{cols} tiling needs {rows * cols} cell vectors, "
+                    f"got {len(self.scopes)}"
+                )
+
+    @property
+    def mode(self) -> str:
+        if self.cells is not None:
+            return "spatial"
+        return "regional" if self.scopes else "global"
 
     @property
     def codebook_size(self) -> int:
         return self.global_vector.codebook_size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LikelihoodTable):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.exponent == other.exponent
-            and self.global_vector == other.global_vector
-            and self.regional == other.regional
-            and self.spatial == other.spatial
-        )
 
 
 def global_likelihood_table(
@@ -204,11 +170,7 @@ def global_likelihood_table(
     exponent: float = 1.0,
 ) -> LikelihoodTable:
     """One guidance vector applied at every step."""
-    return LikelihoodTable(
-        mode=MODE_GLOBAL,
-        exponent=float(exponent),
-        global_vector=style_likelihood(style, dataset, exponent),
-    )
+    return LikelihoodTable(float(exponent), style_likelihood(style, dataset, exponent))
 
 
 def regional_likelihoods(
@@ -221,8 +183,7 @@ def regional_likelihoods(
     """Per-label guidance vectors with a global fallback.
 
     A label gets its own vector only where both the style and the dataset
-    observed it; every other label falls back to the global vector at
-    selection time.
+    observed it; every other label's scope holds the global vector itself.
     """
     if style_regional.label_count != dataset_regional.label_count:
         raise ValidationError(
@@ -230,20 +191,11 @@ def regional_likelihoods(
             f"dataset {dataset_regional.label_count}"
         )
     fallback = style_likelihood(style_global, dataset_global, exponent)
-    vectors: list[LikelihoodVector | None] = []
-    for j in range(style_regional.label_count):
-        s = style_regional.per_label[j]
-        d = dataset_regional.per_label[j]
-        if s is None or d is None:
-            vectors.append(None)
-        else:
-            vectors.append(style_likelihood(s, d, exponent))
-    return LikelihoodTable(
-        mode=MODE_REGIONAL,
-        exponent=float(exponent),
-        global_vector=fallback,
-        regional=tuple(vectors),
+    vectors = tuple(
+        fallback if s is None or d is None else style_likelihood(s, d, exponent)
+        for s, d in zip(style_regional.per_label, dataset_regional.per_label)
     )
+    return LikelihoodTable(float(exponent), fallback, vectors)
 
 
 def spatial_likelihoods(
@@ -254,35 +206,19 @@ def spatial_likelihoods(
     exponent: float = 1.0,
 ) -> LikelihoodTable:
     """Per-cell guidance vectors for aligned spatial statistics."""
-    if (style_spatial.cell_rows, style_spatial.cell_cols) != (
-        dataset_spatial.cell_rows,
-        dataset_spatial.cell_cols,
-    ):
+    tiling = (style_spatial.cell_rows, style_spatial.cell_cols)
+    if tiling != (dataset_spatial.cell_rows, dataset_spatial.cell_cols):
         raise ValidationError(
             f"cell tiling mismatch: style "
             f"{style_spatial.cell_rows}x{style_spatial.cell_cols} vs dataset "
             f"{dataset_spatial.cell_rows}x{dataset_spatial.cell_cols}"
         )
+    vectors = tuple(
+        style_likelihood(s, d, exponent)
+        for s, d in zip(style_spatial.cells_flat(), dataset_spatial.cells_flat())
+    )
     fallback = style_likelihood(style_global, dataset_global, exponent)
-    cells = tuple(
-        tuple(
-            style_likelihood(
-                style_spatial.per_cell[r][c], dataset_spatial.per_cell[r][c], exponent
-            )
-            for c in range(style_spatial.cell_cols)
-        )
-        for r in range(style_spatial.cell_rows)
-    )
-    return LikelihoodTable(
-        mode=MODE_SPATIAL,
-        exponent=float(exponent),
-        global_vector=fallback,
-        spatial=SpatialVectors(
-            cell_rows=style_spatial.cell_rows,
-            cell_cols=style_spatial.cell_cols,
-            cells=cells,
-        ),
-    )
+    return LikelihoodTable(float(exponent), fallback, vectors, tiling)
 
 
 def select_likelihood(
@@ -293,97 +229,33 @@ def select_likelihood(
 ) -> LikelihoodVector:
     """The guidance vector governing one generation step.
 
-    Regional mode reads the semantic label at ``position``; spatial mode
-    maps ``position`` into the cell tiling, which requires the full grid
-    shape.
+    The scope is the semantic label at ``position`` for per-label tables,
+    or the cell holding ``position`` for tiled tables, which requires the
+    full grid shape.
     """
-    row, col = position
-    if table.mode == MODE_GLOBAL:
+    if not table.scopes:
         return table.global_vector
-    if table.mode == MODE_REGIONAL:
+    row, col = position
+    if table.cells is None:
         if semantics is None:
             raise ValidationError("regional guidance requires a semantic map")
-        if not (0 <= row < semantics.height and 0 <= col < semantics.width):
-            raise ValidationError(
-                f"position ({row}, {col}) outside the "
-                f"{semantics.height}x{semantics.width} semantic map"
-            )
-        label = int(semantics.labels[row, col])
-        if label >= len(table.regional):
-            raise ValidationError(
-                f"label {label} outside the table's {len(table.regional)} labels"
-            )
-        vector = table.regional[label]
-        return vector if vector is not None else table.global_vector
-    # spatial
-    if grid_shape is None:
+        height, width = semantics.height, semantics.width
+    elif grid_shape is None:
         raise ValidationError("spatial guidance requires the generated grid's shape")
-    height, width = grid_shape
+    else:
+        height, width = grid_shape
     if not (0 <= row < height and 0 <= col < width):
         raise ValidationError(
             f"position ({row}, {col}) outside the {height}x{width} grid"
         )
-    sp = table.spatial
-    cr, cc = cell_of_position(row, col, height, width, sp.cell_rows, sp.cell_cols)
-    return sp.cells[cr][cc]
-
-
-def table_to_dict(table: LikelihoodTable) -> dict:
-    """JSON-ready payload: {"mode", "exponent", "global", "regional", "spatial"}."""
-    payload: dict = {
-        "mode": table.mode,
-        "exponent": float(table.exponent),
-        "global": [float(w) for w in table.global_vector.weights],
-        "regional": None,
-        "spatial": None,
-    }
-    if table.regional is not None:
-        payload["regional"] = [
-            None if v is None else [float(w) for w in v.weights]
-            for v in table.regional
-        ]
-    if table.spatial is not None:
-        payload["spatial"] = {
-            "cell_rows": table.spatial.cell_rows,
-            "cell_cols": table.spatial.cell_cols,
-            "cells": [
-                [[float(w) for w in v.weights] for v in row]
-                for row in table.spatial.cells
-            ],
-        }
-    return payload
-
-
-def table_from_dict(payload: dict) -> LikelihoodTable:
-    try:
-        mode = payload["mode"]
-        exponent = float(payload["exponent"])
-        size = len(payload["global"])
-        g = LikelihoodVector(codebook_size=size, weights=np.asarray(payload["global"]))
-        regional = None
-        if payload.get("regional") is not None:
-            regional = tuple(
-                None
-                if v is None
-                else LikelihoodVector(codebook_size=size, weights=np.asarray(v))
-                for v in payload["regional"]
+    if table.cells is None:
+        scope = int(semantics.labels[row, col])
+        if scope >= len(table.scopes):
+            raise ValidationError(
+                f"label {scope} outside the table's {len(table.scopes)} labels"
             )
-        spatial = None
-        if payload.get("spatial") is not None:
-            sp = payload["spatial"]
-            spatial = SpatialVectors(
-                cell_rows=int(sp["cell_rows"]),
-                cell_cols=int(sp["cell_cols"]),
-                cells=tuple(
-                    tuple(
-                        LikelihoodVector(codebook_size=size, weights=np.asarray(v))
-                        for v in row
-                    )
-                    for row in sp["cells"]
-                ),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed likelihood table payload: {exc}") from exc
-    return LikelihoodTable(
-        mode=mode, exponent=exponent, global_vector=g, regional=regional, spatial=spatial
-    )
+    else:
+        cell_rows, cell_cols = table.cells
+        cr, cc = cell_of_position(row, col, height, width, cell_rows, cell_cols)
+        scope = cr * cell_cols + cc
+    return table.scopes[scope]

@@ -9,10 +9,8 @@ the semantic label at the current position.  Out-of-grid template slots map
 to a reserved boundary marker so border statistics never mix with token
 statistics.
 
-`exact_sequence_distribution` is the brute-force companion: it enumerates
-every possible grid and multiplies the per-step (optionally guided)
-probabilities, which gives an exact target for empirical sampling checks
-on tiny instances.
+Turning a prior row into a step posterior (guidance, temperature, top-k)
+and the exact chain enumeration built on it live in `sampler.py`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .core import (
     require_same_shape,
 )
 from .distributions import smoothed_distribution
-from .guidance import LikelihoodTable, rebalance_prior, select_likelihood
 
 BOUNDARY = -1
 
@@ -43,8 +40,6 @@ OFFSET_NAMES = {
     "above-right": (-1, 1),
 }
 DEFAULT_CONTEXT = (OFFSET_NAMES["left"], OFFSET_NAMES["above"])
-
-EXACT_STATE_LIMIT = 10**6
 
 
 @runtime_checkable
@@ -329,49 +324,6 @@ def _count_tables_slow(
                     counts[key] = vec
                 vec[int(flat[row * grid.width + col])] += 1
     return counts
-
-
-def exact_sequence_distribution(
-    model: PriorModel,
-    height: int,
-    width: int,
-    semantics: SemanticGrid | None = None,
-    guidance: LikelihoodTable | None = None,
-) -> dict[tuple[int, ...], float]:
-    """Exact probability of every possible grid under the (guided) chain.
-
-    Walks the prefix tree depth-first, multiplying each step's prior (after
-    guidance rebalancing, when given) along the way.  Restricted to
-    codebook_size ** (height * width) <= 10^6 states.
-    """
-    states = model.codebook_size ** (height * width)
-    if states > EXACT_STATE_LIMIT:
-        raise ValidationError(
-            f"state space {states} exceeds the exact-enumeration limit "
-            f"{EXACT_STATE_LIMIT}"
-        )
-    total_positions = height * width
-    result: dict[tuple[int, ...], float] = {}
-    prefix: list[int] = []
-
-    def visit(prob: float) -> None:
-        i = len(prefix)
-        if i == total_positions:
-            result[tuple(prefix)] = prob
-            return
-        row, col = divmod(i, width)
-        dist = model.next_distribution(prefix, height, width, (row, col), semantics)
-        if guidance is not None:
-            vector = select_likelihood(guidance, (row, col), semantics, (height, width))
-            dist = rebalance_prior(dist, vector)
-        for token, p in enumerate(dist.probs):
-            if p > 0.0:
-                prefix.append(token)
-                visit(prob * float(p))
-                prefix.pop()
-
-    visit(1.0)
-    return result
 
 
 def _table_sort_key(item) -> tuple:

@@ -5,6 +5,9 @@ in this order: likelihood rebalancing, temperature, then top-k truncation.
 Each stage returns its input object untouched when it would be a no-op
 (identity likelihood, temperature exactly 1, truncation that removes no
 mass), so a pipeline of no-ops reproduces the raw prior bit for bit.
+`step_posterior` is the one place that runs this pipeline: `sample_grid`,
+the grouped `batch_sample` path and the exact chain enumeration
+`exact_sequence_distribution` all go through it.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  `batch_sample` derives the stream key of sample i
@@ -24,8 +27,9 @@ from .core import (
     SemanticGrid,
     TokenGrid,
     ValidationError,
+    token_grids,
 )
-from .guidance import LikelihoodTable, rebalance_prior, select_likelihood
+from .guidance import LikelihoodTable, LikelihoodVector, rebalance_prior, select_likelihood
 from .prior import MarkovGridPrior, PriorModel
 from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_for_keys
 
@@ -42,7 +46,6 @@ class SamplingConfig:
     temperature: float = 1.0
     top_k: int | None = None
     guidance: LikelihoodTable | None = None
-    truncation_order: str = "guide_then_truncate"
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.temperature) or self.temperature <= 0:
@@ -51,10 +54,6 @@ class SamplingConfig:
             )
         if self.top_k is not None and self.top_k < 1:
             raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
-        if self.truncation_order != "guide_then_truncate":
-            raise ValidationError(
-                f"unsupported truncation order {self.truncation_order!r}"
-            )
 
 
 def index_from_unit(
@@ -130,14 +129,22 @@ def step_posterior(
     grid_shape: tuple[int, int] | None = None,
 ) -> CategoricalDistribution:
     """Prior -> guided -> tempered -> truncated distribution for one step."""
-    dist = prior
+    vector = None
     if config.guidance is not None:
         if position is None:
             raise ValidationError("guided sampling requires the step position")
         vector = select_likelihood(config.guidance, position, semantics, grid_shape)
-        dist = rebalance_prior(dist, vector)
-    dist = apply_temperature(dist, config.temperature)
-    return apply_top_k(dist, config.top_k)
+    return _posterior(prior, vector, config)
+
+
+def _posterior(
+    prior: CategoricalDistribution,
+    vector: LikelihoodVector | None,
+    config: SamplingConfig,
+) -> CategoricalDistribution:
+    """The one guide -> temperature -> top-k pipeline, given the step's vector."""
+    dist = prior if vector is None else rebalance_prior(prior, vector)
+    return apply_top_k(apply_temperature(dist, config.temperature), config.top_k)
 
 
 def _check_sampling_args(
@@ -191,20 +198,20 @@ def batch_sample(
     count: int,
     semantics: SemanticGrid | None = None,
     config: SamplingConfig = SamplingConfig(),
-    vectorized: bool | None = None,
 ) -> list[TokenGrid]:
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
-    The vectorized path (automatic for MarkovGridPrior) groups samples by
-    their context state at each position and produces token sequences
-    identical to `count` independent `sample_grid` calls.
+    A `MarkovGridPrior` whose context states fit one int64 code takes the
+    vectorized path: it groups samples by their context state at each
+    position and produces token sequences identical to `count` independent
+    `sample_grid` calls.  Any other model runs that per-sample loop.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
     _check_sampling_args(model, height, width, semantics, config)
-    if vectorized is None:
-        vectorized = isinstance(model, MarkovGridPrior)
-    if not vectorized or not isinstance(model, MarkovGridPrior):
+    if not isinstance(model, MarkovGridPrior) or (
+        (model.codebook_size + 1) ** len(model.context) > 2**63
+    ):
         return [
             sample_grid(
                 model,
@@ -243,6 +250,7 @@ def _batch_sample_markov(
                 columns.append(grids[:, rr, cc])
             else:
                 columns.append(np.full(count, -1, dtype=np.int64))
+        # batch_sample routes templates whose codes could pass 2**63 elsewhere.
         code = np.zeros(count, dtype=np.int64)
         stride = 1
         for column in columns:
@@ -265,11 +273,7 @@ def _batch_sample_markov(
             memo_key = (id(prior), id(vector))
             cached = posterior_memo.get(memo_key)
             if cached is None:
-                dist = prior
-                if vector is not None:
-                    dist = rebalance_prior(dist, vector)
-                dist = apply_temperature(dist, config.temperature)
-                dist = apply_top_k(dist, config.top_k)
+                dist = _posterior(prior, vector, config)
                 cached = (dist.probs, np.cumsum(dist.probs))
                 posterior_memo[memo_key] = cached
             probs, cumulative = cached
@@ -283,7 +287,50 @@ def _batch_sample_markov(
                     picked[j] = index_from_unit(probs, cumulative, float(us[j]))
             grids[group, row, col] = picked
 
-    return [
-        TokenGrid(height, width, model.codebook_size, grids[i])
-        for i in range(count)
-    ]
+    return token_grids(grids, model.codebook_size)
+
+
+EXACT_STATE_LIMIT = 10**6
+
+
+def exact_sequence_distribution(
+    model: PriorModel,
+    height: int,
+    width: int,
+    semantics: SemanticGrid | None = None,
+    config: SamplingConfig = SamplingConfig(),
+) -> dict[tuple[int, ...], float]:
+    """Exact probability of every possible grid under the sampling chain.
+
+    Walks the prefix tree depth-first, multiplying each step's
+    `step_posterior` (guidance, temperature and top-k as in `config`) along
+    the way; `config.seed` is unused.  Restricted to
+    codebook_size ** (height * width) <= 10^6 states.
+    """
+    _check_sampling_args(model, height, width, semantics, config)
+    states = model.codebook_size ** (height * width)
+    if states > EXACT_STATE_LIMIT:
+        raise ValidationError(
+            f"state space {states} exceeds the exact-enumeration limit "
+            f"{EXACT_STATE_LIMIT}"
+        )
+    shape = (height, width)
+    result: dict[tuple[int, ...], float] = {}
+    prefix: list[int] = []
+
+    def visit(prob: float) -> None:
+        i = len(prefix)
+        if i == height * width:
+            result[tuple(prefix)] = prob
+            return
+        position = divmod(i, width)
+        prior = model.next_distribution(prefix, height, width, position, semantics)
+        dist = step_posterior(prior, config, position, semantics, shape)
+        for token, p in enumerate(dist.probs):
+            if p > 0.0:
+                prefix.append(token)
+                visit(prob * float(p))
+                prefix.pop()
+
+    visit(1.0)
+    return result

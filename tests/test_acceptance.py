@@ -7,6 +7,7 @@ visible under output capture.  Thresholds are part of the package's
 contract; loosening them is not an acceptable fix for a red gate.
 """
 
+import dataclasses
 import statistics
 import subprocess
 import sys
@@ -44,8 +45,8 @@ from gcs.metrics import (
     style_match_rate,
     total_variation,
 )
-from gcs.prior import exact_sequence_distribution, parse_context_template, train_markov_prior
-from gcs.sampler import SamplingConfig, batch_sample, sample_grid
+from gcs.prior import parse_context_template, train_markov_prior
+from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
 from gcs.world import (
     default_landscape_config,
     load_corpus,
@@ -147,6 +148,7 @@ def test_criterion_2_sampler_matches_exact_chain():
     start = time.perf_counter()
     worst = 0.0
     draws = 200_000
+    runs = 0
     for p in range(5):
         size = 3
         model = train_markov_prior([random_grid(rng, 4, 4, size)])
@@ -154,11 +156,15 @@ def test_criterion_2_sampler_matches_exact_chain():
         dataset = normalize(rng.uniform(0.1, 1.0, size))
         tables = [None, global_likelihood_table(style, dataset, 1.0),
                   global_likelihood_table(style, dataset, 2.0)]
-        for v, table in enumerate(tables):
-            exact = exact_sequence_distribution(model, 2, 2, None, table)
+        configs = [SamplingConfig(guidance=table) for table in tables] + [
+            SamplingConfig(guidance=tables[1], temperature=0.6),
+            SamplingConfig(guidance=tables[2], top_k=2),
+        ]
+        for v, config in enumerate(configs):
+            exact = exact_sequence_distribution(model, 2, 2, None, config)
             seed = 5000 + 10 * p + v
             grids = batch_sample(
-                model, 2, 2, draws, None, SamplingConfig(seed=seed, guidance=table)
+                model, 2, 2, draws, None, dataclasses.replace(config, seed=seed)
             )
             codes = np.array([grid.tokens.ravel() for grid in grids])
             codes = codes @ np.array([size**3, size**2, size, 1])
@@ -171,10 +177,11 @@ def test_criterion_2_sampler_matches_exact_chain():
                     idx = idx * size + token
                 exact_vec[idx] = prob
             worst = max(worst, 0.5 * float(np.abs(emp - exact_vec).sum()))
+            runs += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 0.02 and elapsed < 60.0
     verdict(2, "sampler matches exact chain", ok,
-            f"max TV {worst:.5f} over 15 runs, {elapsed:.1f}s")
+            f"max TV {worst:.5f} over {runs} runs (guided, tempered, top-k), {elapsed:.1f}s")
     assert worst <= 0.02
     assert elapsed < 60.0
 

@@ -1,4 +1,7 @@
+import glob
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -828,3 +831,29 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def readme_walkthrough() -> list[list[str]]:
+    """The README's walkthrough commands, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Pipeline walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GCS_SEED", raising=False)
+    commands = readme_walkthrough()
+    assert len(commands) == 7
+    for argv in commands:
+        assert argv[0] == "gcs"
+        args = []
+        for arg in argv[1:]:
+            args.extend(sorted(glob.glob(arg)) if "*" in arg else [arg])
+        try:
+            rc = main(args)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 0, " ".join(argv)
+

@@ -9,6 +9,7 @@ from gcs.core import (
     ValidationError,
     normalize,
     require_same_shape,
+    token_grids,
     uniform_distribution,
     validate_grid,
 )
@@ -67,6 +68,18 @@ class TestTokenGrid:
         assert a == b
         assert a != c
         assert a != TokenGrid(1, 2, 5, [0, 1])
+
+
+    def test_token_grids_match_single_grids(self):
+        tokens = np.arange(12).reshape(3, 2, 2) % 5
+        grids = token_grids(tokens, 5)
+        assert grids == [TokenGrid(2, 2, 5, block) for block in tokens]
+        tokens[0, 0, 0] = 4
+        assert grids[0].tokens[0, 0] == 0
+        with pytest.raises(ValueError):
+            grids[1].tokens[0, 0] = 0
+        with pytest.raises(ValidationError):
+            token_grids(tokens, 4)
 
 
 class TestSemanticGrid:

@@ -19,7 +19,6 @@ from gcs.distributions import (
     monte_carlo_dataset_distribution,
     monte_carlo_regional_distribution,
     monte_carlo_spatial_distribution,
-    regional_histogram_from_corpus,
     smoothed_distribution,
 )
 from gcs.metrics import total_variation
@@ -117,7 +116,8 @@ class TestRegionalFromCorpus:
     def test_pools_counts_across_grids(self):
         a = (TokenGrid(1, 2, 3, [0, 0]), SemanticGrid(1, 2, 2, [0, 0]))
         b = (TokenGrid(1, 2, 3, [1, 2]), SemanticGrid(1, 2, 2, [1, 1]))
-        reg = regional_histogram_from_corpus([a, b], smoothing_alpha=0.0)
+        per_grid = [histogram_by_region(g, s, smoothing_alpha=0.0) for g, s in (a, b)]
+        reg = average_regional(per_grid, "mass")
         assert list(reg.per_label[0].probs) == [1.0, 0.0, 0.0]
         assert list(reg.per_label[1].probs) == [0.0, 0.5, 0.5]
 
@@ -125,12 +125,12 @@ class TestRegionalFromCorpus:
         a = (TokenGrid(1, 2, 3, [0, 0]), SemanticGrid(1, 2, 2, [0, 0]))
         b = (TokenGrid(1, 2, 4, [1, 2]), SemanticGrid(1, 2, 2, [1, 1]))
         with pytest.raises(ValidationError) as exc:
-            regional_histogram_from_corpus([a, b])
-        assert "mixes codebook sizes" in str(exc.value)
+            average_regional([histogram_by_region(g, s) for g, s in (a, b)])
+        assert "mix codebook sizes" in str(exc.value)
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
-            regional_histogram_from_corpus([])
+            monte_carlo_regional_distribution([], 10)
 
 
 class TestCellOfPosition:

@@ -8,14 +8,12 @@ from gcs.formats import (
     distribution_to_dict,
     dump_json,
     load_json,
-    read_distribution,
     read_semantic_grid,
     read_stats,
     read_token_grid,
     semantic_grid_to_bytes,
     token_grid_from_bytes,
     token_grid_to_bytes,
-    write_distribution,
     write_semantic_grid,
     write_stats,
     write_token_grid,
@@ -92,8 +90,8 @@ class TestDistributionJson:
     def test_round_trip_is_bit_exact(self, tmp_path):
         d = CategoricalDistribution(3, np.array([1, 1, 1]) / 3.0, source_mass=9.0)
         path = tmp_path / "d.json"
-        write_distribution(path, d)
-        back = read_distribution(path)
+        write_stats(path, d)
+        back = read_stats(path)
         assert back == d
         assert back.probs.tobytes() == d.probs.tobytes()
 
@@ -113,7 +111,7 @@ class TestDistributionJson:
         path = tmp_path / "d.json"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(FormatError) as exc:
-            read_distribution(path)
+            read_stats(path)
         assert "expected a JSON object" in str(exc.value)
 
     def test_malformed_json(self, tmp_path):
@@ -180,6 +178,30 @@ class TestStatsFiles:
         del payload["kind"]
         dump_json(path, payload)
         assert isinstance(read_stats(path), RegionalDistributions)
+
+    def test_invalid_global_probs(self, tmp_path):
+        path = tmp_path / "stats.json"
+        write_stats(path, CategoricalDistribution(2, [0.5, 0.5]))
+        payload = load_json(path)
+        payload["probs"] = [0.9, 0.5]
+        dump_json(path, payload)
+        with pytest.raises(FormatError) as exc:
+            read_stats(path)
+        assert "violates invariants" in str(exc.value)
+
+    def test_regional_mixed_codebooks_rejected(self, tmp_path):
+        path = tmp_path / "stats.json"
+        per_label = [
+            CategoricalDistribution(2, [0.5, 0.5]),
+            CategoricalDistribution(3, [0.5, 0.25, 0.25]),
+        ]
+        dump_json(path, {
+            "kind": "regional", "label_count": 2, "per_label_mass": [1.0, 1.0],
+            "per_label": [distribution_to_dict(d) for d in per_label],
+        })
+        with pytest.raises(FormatError) as exc:
+            read_stats(path)
+        assert "mix codebook sizes" in str(exc.value)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "stats.json"

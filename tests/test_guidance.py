@@ -6,15 +6,12 @@ from gcs.distributions import RegionalDistributions, SpatialDistributions
 from gcs.guidance import (
     LikelihoodTable,
     LikelihoodVector,
-    SpatialVectors,
     global_likelihood_table,
     rebalance_prior,
     regional_likelihoods,
     select_likelihood,
     spatial_likelihoods,
     style_likelihood,
-    table_from_dict,
-    table_to_dict,
 )
 
 
@@ -133,24 +130,23 @@ class TestRebalancePrior:
 
 
 class TestLikelihoodTable:
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            LikelihoodTable("sideways", 1.0, LikelihoodVector(2, np.ones(2)))
+    def test_mode_is_derived(self):
+        v = LikelihoodVector(2, np.ones(2))
+        assert LikelihoodTable(1.0, v).mode == "global"
+        assert LikelihoodTable(1.0, v, (v, v)).mode == "regional"
+        assert LikelihoodTable(1.0, v, (v, v), (1, 2)).mode == "spatial"
 
     def test_global_mode_rejects_extras(self):
+        # A table without scope vectors cannot carry a cell tiling.
         v = LikelihoodVector(2, np.ones(2))
         with pytest.raises(ValidationError):
-            LikelihoodTable("global", 1.0, v, regional=(v,))
-
-    def test_regional_mode_requires_vectors(self):
-        v = LikelihoodVector(2, np.ones(2))
-        with pytest.raises(ValidationError):
-            LikelihoodTable("regional", 1.0, v)
+            LikelihoodTable(1.0, v, (), (1, 1))
 
     def test_spatial_mode_requires_cells(self):
         v = LikelihoodVector(2, np.ones(2))
-        with pytest.raises(ValidationError):
-            LikelihoodTable("spatial", 1.0, v)
+        with pytest.raises(ValidationError) as exc:
+            LikelihoodTable(1.0, v, (), (0, 2))
+        assert "tiling must be positive" in str(exc.value)
 
 
 class TestSelectLikelihood:
@@ -177,6 +173,7 @@ class TestSelectLikelihood:
         # Label 1 was never observed in the style, so fall back globally.
         at_label1 = select_likelihood(table, (0, 3), semantics=sem)
         assert at_label1 is table.global_vector
+        assert table.scopes[1] is table.global_vector
 
     def test_regional_needs_semantics(self):
         with pytest.raises(ValidationError) as exc:
@@ -209,9 +206,9 @@ class TestSelectLikelihood:
         table = self.build_spatial()
         # On a 4x4 grid with a 2x2 tiling, (3, 3) lands in cell (1, 1).
         v = select_likelihood(table, (3, 3), grid_shape=(4, 4))
-        assert v is table.spatial.cells[1][1]
+        assert v is table.scopes[3]
         v = select_likelihood(table, (0, 2), grid_shape=(4, 4))
-        assert v is table.spatial.cells[0][1]
+        assert v is table.scopes[1]
 
     def test_spatial_needs_grid_shape(self):
         with pytest.raises(ValidationError) as exc:
@@ -230,32 +227,8 @@ class TestSelectLikelihood:
             spatial_likelihoods(a, b, dist([0.5, 0.5]), dist([0.5, 0.5]))
 
 
-class TestTableSerialization:
-    def test_global_round_trip(self):
-        table = global_likelihood_table(STYLE, DATASET, exponent=1.5)
-        assert table_from_dict(table_to_dict(table)) == table
-
-    def test_regional_round_trip(self):
-        table = TestSelectLikelihood().build_regional()
-        payload = table_to_dict(table)
-        assert payload["regional"][1] is None
-        assert table_from_dict(payload) == table
-
-    def test_spatial_round_trip(self):
-        table = TestSelectLikelihood().build_spatial()
-        payload = table_to_dict(table)
-        assert payload["spatial"]["cells"][0][0] == list(
-            table.spatial.cells[0][0].weights
-        )
-        assert table_from_dict(payload) == table
-
-    def test_malformed_payload(self):
-        with pytest.raises(ValidationError) as exc:
-            table_from_dict({"mode": "global"})
-        assert "malformed likelihood table" in str(exc.value)
-
-
 def test_spatial_vectors_shape_checked():
+    # A tiling needs exactly one vector per cell.
     v = LikelihoodVector(2, np.ones(2))
     with pytest.raises(ValidationError):
-        SpatialVectors(2, 2, ((v, v),))
+        LikelihoodTable(1.0, v, (v, v), (2, 2))

@@ -11,7 +11,6 @@ from gcs.prior import (
     PriorModel,
     _count_tables,
     _count_tables_slow,
-    exact_sequence_distribution,
     load_model,
     parse_context_template,
     save_model,
@@ -19,6 +18,7 @@ from gcs.prior import (
     validate_context_template,
 )
 from gcs.core import CategoricalDistribution
+from gcs.sampler import SamplingConfig, exact_sequence_distribution
 
 from conftest import random_grid, random_semantics
 
@@ -219,11 +219,19 @@ class TestExactSequenceDistribution:
 
     def test_guided_two_cells(self):
         model = MarkovGridPrior(codebook_size=2)
-        table = LikelihoodTable(
-            "global", 1.0, LikelihoodVector(2, np.array([1.0, 3.0]))
-        )
-        dist = exact_sequence_distribution(model, 1, 2, guidance=table)
+        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
+        dist = exact_sequence_distribution(model, 1, 2, config=SamplingConfig(guidance=table))
         assert abs(dist[(1, 1)] - 0.5625) < 1e-12
+
+    def test_tempered_and_truncated_chain(self):
+        # The oracle runs the sampler's whole step pipeline: guided to
+        # (0.2, 0.3, 0.5), tempered at 0.5 to (4, 9, 25) / 38, top-2 keeps 1 and 2.
+        model = MarkovGridPrior(codebook_size=3)
+        table = LikelihoodTable(1.0, LikelihoodVector(3, np.array([2.0, 3.0, 5.0])))
+        config = SamplingConfig(guidance=table, temperature=0.5, top_k=2)
+        dist = exact_sequence_distribution(model, 1, 1, config=config)
+        assert dist.keys() == {(1,), (2,)}
+        assert abs(dist[(2,)] - 25 / 34) < 1e-12
 
     def test_total_mass_is_one(self, rng):
         corpus = [random_grid(rng, 2, 2, 3) for _ in range(5)]

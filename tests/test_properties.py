@@ -64,9 +64,9 @@ from gcs.metrics import (
     style_match_rate,
     total_variation,
 )
-from gcs.prior import exact_sequence_distribution, train_markov_prior
+from gcs.prior import train_markov_prior
 from gcs.rng import split_seed
-from gcs.sampler import SamplingConfig, batch_sample, sample_grid
+from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
 from gcs.world import realize_layout
 
 prop = settings(
@@ -537,7 +537,9 @@ class TestPriorChain:
             style = data.draw(full_support_dists(grid.codebook_size))
             dataset = data.draw(full_support_dists(grid.codebook_size))
             guidance = global_likelihood_table(style, dataset)
-        exact = exact_sequence_distribution(model, height, width, None, guidance)
+        exact = exact_sequence_distribution(
+            model, height, width, None, SamplingConfig(guidance=guidance)
+        )
         assert len(exact) == grid.codebook_size ** (height * width)
         assert abs(sum(exact.values()) - 1.0) <= 1e-9
 

@@ -13,7 +13,7 @@ from gcs.guidance import (
     regional_likelihoods,
     spatial_likelihoods,
 )
-from gcs.prior import MarkovGridPrior, train_markov_prior
+from gcs.prior import MarkovGridPrior, parse_context_template, train_markov_prior
 from gcs.rng import split_seed, unit_draw, seed_key
 from gcs.sampler import (
     SamplingConfig,
@@ -46,10 +46,6 @@ class TestSamplingConfig:
     def test_bad_top_k(self):
         with pytest.raises(ValidationError):
             SamplingConfig(top_k=0)
-
-    def test_bad_truncation_order(self):
-        with pytest.raises(ValidationError):
-            SamplingConfig(truncation_order="truncate_then_guide")
 
 
 class TestIndexFromUnit:
@@ -119,7 +115,7 @@ class TestTopK:
 
 class TestStepPosterior:
     def test_guided_step(self):
-        table = LikelihoodTable("global", 1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
+        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
         out = step_posterior(dist([0.5, 0.5]), SamplingConfig(guidance=table), (0, 0))
         assert np.allclose(out.probs, [0.25, 0.75], atol=1e-12)
 
@@ -128,13 +124,13 @@ class TestStepPosterior:
         assert step_posterior(d, SamplingConfig()) is d
 
     def test_guidance_needs_position(self):
-        table = LikelihoodTable("global", 1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
+        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
         with pytest.raises(ValidationError):
             step_posterior(dist([0.5, 0.5]), SamplingConfig(guidance=table))
 
     def test_pipeline_order(self):
         # Guidance first, then temperature, then truncation.
-        table = LikelihoodTable("global", 1.0, LikelihoodVector(3, np.array([1.0, 2.0, 4.0])))
+        table = LikelihoodTable(1.0, LikelihoodVector(3, np.array([1.0, 2.0, 4.0])))
         cfg = SamplingConfig(guidance=table, temperature=2.0, top_k=2)
         out = step_posterior(dist([0.5, 0.3, 0.2]), cfg, (0, 0))
         guided = np.array([0.5, 0.6, 0.8]) / 1.9
@@ -249,9 +245,12 @@ class TestBatchSample:
         # The vectorized path must be bit-identical to per-sample runs.
         for model, sem, cfg in build_guided_configs(rng):
             fast = batch_sample(model, 6, 6, 12, semantics=sem, config=cfg)
-            slow = batch_sample(
-                model, 6, 6, 12, semantics=sem, config=cfg, vectorized=False
-            )
+            slow = [
+                sample_grid(
+                    model, 6, 6, sem, dataclasses.replace(cfg, seed=split_seed(cfg.seed, i))
+                )
+                for i in range(12)
+            ]
             assert fast == slow
 
     def test_first_sample_uses_first_split(self, rng):
@@ -281,6 +280,23 @@ class TestBatchSample:
                 model, 2, 3, config=SamplingConfig(seed=split_seed(1, i))
             )
 
+    def test_wide_context_codes_do_not_alias(self):
+        # (70000 + 1) ** 4 passes 2**64, so packed into one int64 code the
+        # context (776, 56752, 20310, 53778) wraps onto the all-zero context
+        # at position (1, 1); such a model must not be grouped by that code.
+        size = 70000
+        a = TokenGrid(2, 3, size, [[20310, 56752, 53778], [776, 1, 2]])
+        b = TokenGrid(2, 3, size, [[0, 0, 0], [0, 3, 4]])
+        template = parse_context_template("left,above,above-left,above-right")
+        model = train_markov_prior([a, b], context=template, smoothing_alpha=1e-9)
+        cfg = SamplingConfig(seed=4)
+        batch = batch_sample(model, 2, 3, 8, config=cfg)
+        assert {int(g.tokens[1, 0]) for g in batch} == {776, 0}
+        for i, grid in enumerate(batch):
+            assert grid == sample_grid(
+                model, 2, 3, config=dataclasses.replace(cfg, seed=split_seed(4, i))
+            )
+
     def test_count_validated(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 3, 4)])
         with pytest.raises(ValidationError):
@@ -290,9 +306,7 @@ class TestBatchSample:
         # Chi-square independence over paired first tokens: batch samples
         # must behave like independent streams.
         model = FixedModel([0.5, 0.3, 0.2])
-        batch = batch_sample(
-            model, 1, 2, 20000, config=SamplingConfig(seed=13), vectorized=False
-        )
+        batch = batch_sample(model, 1, 2, 20000, config=SamplingConfig(seed=13))
         firsts = np.array([g.tokens[0, 0] for g in batch])
         pairs = firsts.reshape(-1, 2)
         table = np.zeros((3, 3))
