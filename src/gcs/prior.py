@@ -150,22 +150,27 @@ class MarkovGridPrior:
     def distribution_for_context(
         self, context: tuple[int, ...], label: int | None
     ) -> CategoricalDistribution:
-        """Smoothed count ratio for one (context, label) state, memoized."""
+        """Smoothed count ratio for one (context, label) state, memoized.
+
+        Every context absent from `counts` has the same smoothed
+        distribution, so each label caches one shared object for all of them.
+        """
         key = (context, label)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        vec = self.counts.get(key)
-        if vec is None:
+        if key not in self.counts:
             if self.smoothing_alpha == 0.0:
                 raise ValidationError(
                     f"context {context} (label {label}) was never observed and "
                     "smoothing_alpha is 0; the distribution is undefined"
                 )
-            vec = np.zeros(self.codebook_size)
-        dist = smoothed_distribution(vec, self.smoothing_alpha)
-        self._cache[key] = dist
-        return dist
+            key = (None, label)
+        cached = self._cache.get(key)
+        if cached is None:
+            vec = self.counts.get(key)
+            if vec is None:
+                vec = np.zeros(self.codebook_size)
+            cached = smoothed_distribution(vec, self.smoothing_alpha)
+            self._cache[key] = cached
+        return cached
 
     def next_distribution(
         self,

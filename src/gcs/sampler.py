@@ -5,9 +5,16 @@ in this order: likelihood rebalancing, temperature, then top-k truncation.
 Each stage returns its input object untouched when it would be a no-op
 (identity likelihood, temperature exactly 1, truncation that removes no
 mass), so a pipeline of no-ops reproduces the raw prior bit for bit.
-`step_posterior` is the one place that runs this pipeline: `sample_grid`,
-the grouped `batch_sample` path and the exact chain enumeration
-`exact_sequence_distribution` all go through it.
+`_posterior` is the one place that runs this pipeline: `sample_grid` and
+the exact chain enumeration `exact_sequence_distribution` reach it through
+`step_posterior`, and `batch_sample` builds every row of its posterior-row
+table with it.
+
+`batch_sample` on a `MarkovGridPrior` keeps that table for the batch: one
+row per (scope, context state), where a scope is a step's label and
+guidance vector, built on first visit and stored with its cumulative sum.
+Each raster position is then one row lookup and one vectorized inverse-CDF
+pick (`inverse_cdf_rows`) for all samples, with no loop over context groups.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  `batch_sample` derives the stream key of sample i
@@ -30,7 +37,7 @@ from .core import (
     token_grids,
 )
 from .guidance import LikelihoodTable, LikelihoodVector, rebalance_prior, select_likelihood
-from .prior import MarkovGridPrior, PriorModel
+from .prior import BOUNDARY, MarkovGridPrior, PriorModel
 from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_for_keys
 
 
@@ -201,17 +208,16 @@ def batch_sample(
 ) -> list[TokenGrid]:
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
-    A `MarkovGridPrior` whose context states fit one int64 code takes the
-    vectorized path: it groups samples by their context state at each
-    position and produces token sequences identical to `count` independent
-    `sample_grid` calls.  Any other model runs that per-sample loop.
+    A `MarkovGridPrior` takes the vectorized path: a `_RowTable` of step
+    posteriors keyed by (scope, context state) turns each raster position
+    into one row lookup and one inverse-CDF pick for the whole batch, and
+    the token sequences equal `count` independent `sample_grid` calls.
+    Any other model runs that per-sample loop.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
     _check_sampling_args(model, height, width, semantics, config)
-    if not isinstance(model, MarkovGridPrior) or (
-        (model.codebook_size + 1) ** len(model.context) > 2**63
-    ):
+    if not isinstance(model, MarkovGridPrior):
         return [
             sample_grid(
                 model,
@@ -225,6 +231,158 @@ def batch_sample(
     return _batch_sample_markov(model, height, width, count, semantics, config)
 
 
+def inverse_cdf_rows(
+    probs: np.ndarray, cumulative: np.ndarray, rows: np.ndarray, us: np.ndarray
+) -> np.ndarray:
+    """`index_from_unit` for many draws at once: draw j picks from row rows[j].
+
+    `probs` and `cumulative` are (R, K) tables.  A branchless binary search
+    counts the entries of each draw's cumulative row below its draw, which
+    is searchsorted(side="left"), using O(len(us)) memory for any K.  Picks
+    past the end or on a zero-probability entry go through `index_from_unit`.
+    """
+    size = probs.shape[1]
+    flat = cumulative.reshape(-1)
+    first = rows * size
+    base, span = first, size  # each draw's answer lies in base .. base + span
+    while span > 1:
+        half = span // 2
+        probe = base + half
+        base = np.where(flat[probe] < us, probe, base)
+        span -= half
+    below = base - first + (flat[base] < us)  # entries of the row below u
+    picked = np.minimum(below, size - 1)
+    fixup = (below == size) | (probs.reshape(-1)[first + picked] <= 0.0)
+    for j in np.flatnonzero(fixup):
+        row = rows[j]
+        picked[j] = index_from_unit(probs[row], cumulative[row], float(us[j]))
+    return picked
+
+
+# Dense indexes of one batch hold at most this many int64 row ids in total
+# (2 MiB).  A dense lookup costs about 20 us per position at n=2000 against
+# 1.8 ms for the sorted one, but its array spans the whole code space of a
+# scope, and a fine spatial tiling has one scope per cell; scopes past the
+# budget use the sorted index, whose size follows the states it has seen.
+DENSE_INDEX_ENTRIES = 2**18
+
+
+class _DenseIndex:
+    """Context state -> row through an array indexed by the mixed-radix code."""
+
+    def __init__(self, base: int, slots: int) -> None:
+        self.base = base
+        self.rows = np.full(base**slots, -1, dtype=np.int64)
+
+    def keys(self, columns: list[np.ndarray]) -> np.ndarray:
+        code = np.zeros(columns[0].shape[0], dtype=np.int64)
+        for column in reversed(columns):
+            code = code * self.base + (column + 1)
+        return code
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        return self.rows[keys]
+
+    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        self.rows[keys] = rows
+
+
+class _SortedIndex:
+    """Context state -> row through a sorted array of context tuples.
+
+    Keys are the template columns as one structured record per sample, so
+    no template is packed into a single integer that could wrap.
+    """
+
+    def __init__(self, slots: int) -> None:
+        self.dtype = np.dtype([(f"s{i}", np.int64) for i in range(slots)])
+        self.sorted_keys = np.empty(0, dtype=self.dtype)
+        self.rows = np.empty(0, dtype=np.int64)
+
+    def keys(self, columns: list[np.ndarray]) -> np.ndarray:
+        return np.stack(columns, axis=1).view(self.dtype)[:, 0]
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        if self.rows.size == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.sorted_keys, keys), self.rows.size - 1)
+        return np.where(self.sorted_keys[at] == keys, self.rows[at], -1)
+
+    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        at = np.searchsorted(self.sorted_keys, keys)
+        self.sorted_keys = np.insert(self.sorted_keys, at, keys)
+        self.rows = np.insert(self.rows, at, rows)
+
+
+class _RowTable:
+    """Step posteriors of one batch, one row per (scope, context state).
+
+    A scope is a step's label and guidance vector.  Each row is built once,
+    on first visit, by `_posterior`, and holds the same probability vector
+    `sample_grid` would use plus its cumulative sum.  States that share a
+    prior object (every context absent from the counts of a label) share a
+    row.  Row arrays grow by a quarter when full.
+    """
+
+    def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
+        self.model = model
+        self.config = config
+        self.size = 0
+        self.probs = np.empty((0, model.codebook_size))
+        self.cumulative = np.empty((0, model.codebook_size))
+        self.row_of_posterior: dict = {}  # (id(prior), id(vector)) -> row
+        self.indexes: dict = {}  # (label, id(vector)) -> _DenseIndex | _SortedIndex
+        self.dense_entries = 0  # summed size of the dense indexes
+
+    def rows(
+        self,
+        columns: list[np.ndarray],
+        label: int | None,
+        vector: LikelihoodVector | None,
+    ) -> np.ndarray:
+        """Row of each sample's context state, building rows for new states."""
+        index = self.indexes.get((label, id(vector)))
+        if index is None:
+            base, slots = self.model.codebook_size + 1, len(columns)
+            if self.dense_entries + base**slots <= DENSE_INDEX_ENTRIES:
+                self.dense_entries += base**slots
+                index = _DenseIndex(base, slots)
+            else:
+                index = _SortedIndex(slots)
+            self.indexes[(label, id(vector))] = index
+        keys = index.keys(columns)
+        rows = index.find(keys)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            new_keys, first = np.unique(keys[missing], return_index=True)
+            new_rows = [
+                self._row(tuple(int(column[j]) for column in columns), label, vector)
+                for j in missing[first]
+            ]
+            index.add(new_keys, np.array(new_rows, dtype=np.int64))
+            rows[missing] = index.find(keys[missing])
+        return rows
+
+    def _row(
+        self, context: tuple[int, ...], label: int | None, vector: LikelihoodVector | None
+    ) -> int:
+        prior = self.model.distribution_for_context(context, label)
+        memo_key = (id(prior), id(vector))
+        row = self.row_of_posterior.get(memo_key)
+        if row is None:
+            probs = _posterior(prior, vector, self.config).probs
+            if self.size == self.probs.shape[0]:
+                extra = np.empty((max(1, self.size // 4), self.probs.shape[1]))
+                self.probs = np.concatenate((self.probs, extra))
+                self.cumulative = np.concatenate((self.cumulative, extra))
+            row = self.size
+            self.probs[row] = probs
+            self.cumulative[row] = np.cumsum(probs)
+            self.size += 1
+            self.row_of_posterior[memo_key] = row
+        return row
+
+
 def _batch_sample_markov(
     model: MarkovGridPrior,
     height: int,
@@ -236,56 +394,25 @@ def _batch_sample_markov(
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     grids = np.full((count, height, width), -1, dtype=np.int64)
     shape = (height, width)
-    # Posterior pipelines repeat across positions and groups; memoize them on
-    # the identity of the (cached) prior object and selected guidance vector.
-    posterior_memo: dict = {}
+    table = _RowTable(model, config)
+    boundary = np.full(count, BOUNDARY, dtype=np.int64)
 
     for i in range(height * width):
         row, col = divmod(i, width)
-        draws = unit_draws_for_keys(keys, i)
         columns = []
         for dr, dc in model.context:
             rr, cc = row + dr, col + dc
-            if 0 <= rr < height and 0 <= cc < width:
-                columns.append(grids[:, rr, cc])
-            else:
-                columns.append(np.full(count, -1, dtype=np.int64))
-        # batch_sample routes templates whose codes could pass 2**63 elsewhere.
-        code = np.zeros(count, dtype=np.int64)
-        stride = 1
-        for column in columns:
-            code += (column + 1) * stride
-            stride *= model.codebook_size + 1
+            inside = 0 <= rr < height and 0 <= cc < width
+            columns.append(grids[:, rr, cc] if inside else boundary)
         label = None
         if model.conditional:
             label = int(semantics.labels[row, col])
         vector = None
         if config.guidance is not None:
             vector = select_likelihood(config.guidance, (row, col), semantics, shape)
-
-        order = np.argsort(code, kind="stable")
-        sorted_codes = code[order]
-        bounds = np.flatnonzero(np.diff(sorted_codes)) + 1
-        for group in np.split(order, bounds):
-            first = group[0]
-            context = tuple(int(column[first]) for column in columns)
-            prior = model.distribution_for_context(context, label)
-            memo_key = (id(prior), id(vector))
-            cached = posterior_memo.get(memo_key)
-            if cached is None:
-                dist = _posterior(prior, vector, config)
-                cached = (dist.probs, np.cumsum(dist.probs))
-                posterior_memo[memo_key] = cached
-            probs, cumulative = cached
-            us = draws[group]
-            picked = np.searchsorted(cumulative, us, side="left")
-            oob = picked >= probs.shape[0]
-            picked = np.where(oob, probs.shape[0] - 1, picked)
-            needs_scalar = oob | (probs[picked] <= 0.0)
-            if needs_scalar.any():
-                for j in np.flatnonzero(needs_scalar):
-                    picked[j] = index_from_unit(probs, cumulative, float(us[j]))
-            grids[group, row, col] = picked
+        rows = table.rows(columns, label, vector)
+        draws = unit_draws_for_keys(keys, i)
+        grids[:, row, col] = inverse_cdf_rows(table.probs, table.cumulative, rows, draws)
 
     return token_grids(grids, model.codebook_size)
 

@@ -30,7 +30,7 @@ from .core import (
 )
 from .formats import dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 from .rng import seed_key, split_seed, unit_draw, unit_draws_for_counters
-from .sampler import index_from_unit
+from .sampler import index_from_unit, inverse_cdf_rows
 
 LAYOUT_KINDS = ("horizon", "bands", "constant")
 
@@ -168,21 +168,9 @@ def generate_scene(
     u_coherence = unit_draws_for_counters(key, counters * np.uint64(2))
     u_token = unit_draws_for_counters(key, counters * np.uint64(2) + np.uint64(1))
 
-    labels_flat = semantics.flat
-    fresh = np.empty(n, dtype=np.int64)
-    for label in np.unique(labels_flat):
-        dist = style.per_label[int(label)]
-        cumulative = np.cumsum(dist.probs)
-        mask = labels_flat == label
-        picked = np.searchsorted(cumulative, u_token[mask], side="left")
-        oob = picked >= dist.codebook_size
-        picked = np.where(oob, dist.codebook_size - 1, picked)
-        bad = oob | (dist.probs[picked] <= 0.0)
-        if bad.any():
-            us = u_token[mask]
-            for j in np.flatnonzero(bad):
-                picked[j] = index_from_unit(dist.probs, cumulative, float(us[j]))
-        fresh[mask] = picked
+    probs = np.stack([dist.probs for dist in style.per_label])
+    cumulative = np.cumsum(probs, axis=1)
+    fresh = inverse_cdf_rows(probs, cumulative, semantics.flat, u_token)
 
     tokens = fresh.reshape(height, width)
     labels = semantics.labels

@@ -127,6 +127,16 @@ class TestTraining:
             model.distribution_for_context((3,), None)
         assert "never observed" in str(exc.value)
 
+    def test_unseen_contexts_share_one_distribution(self):
+        # One cached object per label covers every unseen context, so the
+        # cache grows with the trained states, not with the contexts asked.
+        model = train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT)
+        a = model.distribution_for_context((2,), None)
+        b = model.distribution_for_context((3,), None)
+        assert a is b
+        assert model.distribution_for_context((0,), None) is not a
+        assert len(model._cache) == 2
+
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
             train_markov_prior([])

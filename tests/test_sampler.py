@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gcs.sampler import (
     apply_top_k,
     batch_sample,
     index_from_unit,
+    inverse_cdf_rows,
     sample_grid,
     step_posterior,
 )
@@ -76,6 +78,30 @@ class TestIndexFromUnit:
         probs = np.array([0.2, 0.0, 0.8])
         seen = {self.run(probs, u) for u in np.linspace(0, 0.999999, 101)}
         assert seen == {0, 2}
+
+
+class TestInverseCdfRows:
+    def test_matches_index_from_unit(self):
+        # Draws on bin edges resolve to the lower index; draws on shared
+        # cumulative values and past the float total of a row with trailing
+        # zeros need the scalar fixup.
+        probs = np.array(
+            [[0.0, 0.5, 0.0, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4, 0.0], [0.2] * 5]
+        )
+        cumulative = np.cumsum(probs, axis=1)
+        cumulative[1, 3:] = 1.0 - 2**-52  # float shortfall at the top
+        rows, us = [], []
+        for row in range(3):
+            for u in [0.0, 0.1, 0.5000001, 0.6, 0.99, 1.0 - 2**-53, *cumulative[row]]:
+                rows.append(row)
+                us.append(u)
+        rows, us = np.array(rows), np.array(us)
+        picked = inverse_cdf_rows(probs, cumulative, rows, us)
+        expected = [
+            index_from_unit(probs[r], cumulative[r], u) for r, u in zip(rows, us)
+        ]
+        assert picked.tolist() == expected
+        assert all(probs[r, j] > 0 for r, j in zip(rows, picked))
 
 
 class TestTemperature:
@@ -295,6 +321,84 @@ class TestBatchSample:
         for i, grid in enumerate(batch):
             assert grid == sample_grid(
                 model, 2, 3, config=dataclasses.replace(cfg, seed=split_seed(4, i))
+            )
+
+    def test_matches_sequential_without_smoothing(self, rng):
+        # Unsmoothed rows are mostly zeros; the row ending [0..7, 0] makes
+        # every left context a trained one, so no step meets an unseen state.
+        corpus = [random_grid(rng, 4, 4, 8) for _ in range(3)]
+        corpus.append(TokenGrid(1, 9, 8, [0, 1, 2, 3, 4, 5, 6, 7, 0]))
+        model = train_markov_prior(corpus, context=((0, -1),), smoothing_alpha=0.0)
+        assert all(((t,), None) in model.counts for t in range(8))
+        assert sum(np.count_nonzero(v == 0) for v in model.counts.values()) > 30
+        for top_k in (None, 2):
+            cfg = SamplingConfig(seed=3, top_k=top_k)
+            batch = batch_sample(model, 3, 5, 40, config=cfg)
+            for i, grid in enumerate(batch):
+                assert grid == sample_grid(
+                    model, 3, 5, config=dataclasses.replace(cfg, seed=split_seed(3, i))
+                )
+
+    def test_unseen_context_without_smoothing_raises(self):
+        # Context (1,) at the third cell was never observed.
+        model = train_markov_prior(
+            [TokenGrid(1, 2, 4, [0, 1])], context=((0, -1),), smoothing_alpha=0.0
+        )
+        with pytest.raises(ValidationError, match="never observed"):
+            sample_grid(model, 1, 3)
+        with pytest.raises(ValidationError, match="never observed"):
+            batch_sample(model, 1, 3, 5)
+
+    def test_large_batch_through_sorted_index_matches_sequential(self, rng):
+        # (600 + 1) ** 2 template codes exceed the dense budget, so rows are
+        # looked up by sorted context tuples; many samples share each row.
+        corpus = [random_grid(rng, 3, 3, 600) for _ in range(40)]
+        model = train_markov_prior(corpus, smoothing_alpha=0.05)
+        d = histogram_from_grid(corpus[0], 0.5)
+        cfg = SamplingConfig(
+            seed=11, guidance=global_likelihood_table(d, histogram_from_grid(corpus[1], 0.5))
+        )
+        batch = batch_sample(model, 3, 3, 1500, config=cfg)
+        assert len({g.tokens.tobytes() for g in batch}) > 1000
+        for i, grid in enumerate(batch):
+            assert grid == sample_grid(
+                model, 3, 3, config=dataclasses.replace(cfg, seed=split_seed(11, i))
+            )
+
+    def test_unseen_contexts_keep_memory_bounded(self, rng):
+        # Nearly every context of a K=4000 batch is unseen; they share one
+        # prior row per label and one posterior row per scope.
+        model = train_markov_prior([random_grid(rng, 3, 3, 4000) for _ in range(2)])
+        tracemalloc.start()
+        try:
+            batch_sample(model, 3, 3, 300, config=SamplingConfig(seed=1))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_fine_tiling_keeps_index_memory_bounded(self, rng):
+        # One scope per cell of a 16x16 grid, each with 256 ** 2 template
+        # codes: dense indexes for every scope would take 128 MiB.
+        corpus = [random_grid(rng, 16, 16, 255) for _ in range(4)]
+        model = train_markov_prior(corpus[:2])
+        table = spatial_likelihoods(
+            histogram_by_cell(corpus[2:3], 16, 16),
+            histogram_by_cell(corpus[3:], 16, 16),
+            histogram_from_grid(corpus[2], 0.5),
+            histogram_from_grid(corpus[3], 0.5),
+        )
+        cfg = SamplingConfig(seed=2, guidance=table)
+        tracemalloc.start()
+        try:
+            batch = batch_sample(model, 16, 16, 20, config=cfg)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for i in (0, 19):
+            assert batch[i] == sample_grid(
+                model, 16, 16, config=dataclasses.replace(cfg, seed=split_seed(2, i))
             )
 
     def test_count_validated(self, rng):
