@@ -15,13 +15,13 @@ from pathlib import Path
 
 from gcs.distributions import (
     average_distributions,
-    collapse_spatial,
+    collapse_scoped,
     histogram_by_cell,
     histogram_from_grid,
     monte_carlo_dataset_distribution,
     monte_carlo_spatial_distribution,
 )
-from gcs.guidance import global_likelihood_table, spatial_likelihoods
+from gcs.guidance import global_likelihood_table, scoped_likelihoods
 from gcs.metrics import relative_reduction, spatial_divergence
 from gcs.prior import train_markov_prior
 from gcs.sampler import SamplingConfig, batch_sample
@@ -60,9 +60,9 @@ def main() -> None:
     dataset_global = monte_carlo_dataset_distribution(grids, args.draws, 0.5, 0)
     dataset_spatial = monte_carlo_spatial_distribution(grids, 2, 1, args.draws, 0.5, 0)
     global_table = global_likelihood_table(style_global, dataset_global)
-    spatial_table = spatial_likelihoods(
+    spatial_table = scoped_likelihoods(
         style_spatial, dataset_spatial,
-        collapse_spatial(style_spatial), collapse_spatial(dataset_spatial),
+        collapse_scoped(style_spatial), collapse_scoped(dataset_spatial),
     )
 
     print(f"{'rep':>3}  {'baseline D':>10}  {'global red.':>11}  {'spatial red.':>12}")

@@ -19,13 +19,10 @@ from .core import (
     validate_grid,
 )
 from .distributions import (
-    RegionalDistributions,
-    SpatialDistributions,
+    ScopedDistributions,
     average_distributions,
-    average_regional,
-    average_spatial,
-    collapse_regional,
-    collapse_spatial,
+    average_scoped,
+    collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
@@ -39,9 +36,8 @@ from .guidance import (
     LikelihoodVector,
     global_likelihood_table,
     rebalance_prior,
-    regional_likelihoods,
+    scoped_likelihoods,
     select_likelihood,
-    spatial_likelihoods,
     style_likelihood,
 )
 from .metrics import (

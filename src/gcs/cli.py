@@ -18,12 +18,9 @@ from pathlib import Path
 
 from .core import CategoricalDistribution, TokenGrid, ValidationError
 from .distributions import (
-    RegionalDistributions,
     average_distributions,
-    average_regional,
-    average_spatial,
-    collapse_regional,
-    collapse_spatial,
+    average_scoped,
+    collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
@@ -40,11 +37,7 @@ from .formats import (
     write_stats,
     write_token_grid,
 )
-from .guidance import (
-    global_likelihood_table,
-    regional_likelihoods,
-    spatial_likelihoods,
-)
+from .guidance import global_likelihood_table, scoped_likelihoods
 from .metrics import StyleReference, guidance_report, write_report, write_report_csv
 from .prior import load_model, parse_context_template, save_model, train_markov_prior
 from .rng import split_seed
@@ -88,11 +81,7 @@ def parse_tiling(text: str) -> tuple[int, int]:
 
 
 def _stats_mode(stats) -> str:
-    if isinstance(stats, CategoricalDistribution):
-        return "global"
-    if isinstance(stats, RegionalDistributions):
-        return "regional"
-    return "spatial"
+    return "global" if isinstance(stats, CategoricalDistribution) else stats.mode
 
 
 def _build_guidance(style_path, dataset_path, exponent, mode_override):
@@ -111,13 +100,9 @@ def _build_guidance(style_path, dataset_path, exponent, mode_override):
         )
     if style_mode == "global":
         table = global_likelihood_table(style, dataset, exponent)
-    elif style_mode == "regional":
-        table = regional_likelihoods(
-            style, dataset, collapse_regional(style), collapse_regional(dataset), exponent
-        )
     else:
-        table = spatial_likelihoods(
-            style, dataset, collapse_spatial(style), collapse_spatial(dataset), exponent
+        table = scoped_likelihoods(
+            style, dataset, collapse_scoped(style), collapse_scoped(dataset), exponent
         )
     return table, style_mode
 
@@ -232,12 +217,10 @@ def cmd_style_stats(args) -> int:
             per_input.append(histogram_from_grid(grid, args.alpha))
     if len(per_input) == 1:
         stats = per_input[0]
-    elif args.by_region:
-        stats = average_regional(per_input)
-    elif args.by_cell is not None:
-        stats = average_spatial(per_input)
-    else:
+    elif isinstance(per_input[0], CategoricalDistribution):
         stats = average_distributions(per_input)
+    else:
+        stats = average_scoped(per_input)
     write_stats(args.out, stats)
     print(f"wrote style statistics from {len(paths)} exemplar(s) to {args.out}")
     return 0
@@ -318,14 +301,7 @@ def cmd_evaluate(args) -> int:
     guided, guided_seeds = _load_samples(args.guided)
     unguided, unguided_seeds = _load_samples(args.unguided)
     stats = read_stats(args.style_stats)
-    name = Path(args.style_stats).stem
-    if isinstance(stats, CategoricalDistribution):
-        target = StyleReference(name, stats)
-    elif isinstance(stats, RegionalDistributions):
-        target = StyleReference(name, collapse_regional(stats), regional=stats)
-    else:
-        # Spatial stats collapse to their global margin for the report.
-        target = StyleReference(name, collapse_spatial(stats))
+    target = StyleReference.from_stats(Path(args.style_stats).stem, stats)
     regions = read_semantic_grid(args.semantics) if args.semantics else None
     report = guidance_report(
         guided,

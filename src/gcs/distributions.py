@@ -1,12 +1,13 @@
 """Codebook-index distribution estimation from token grids.
 
-Counting comes in four flavors, each an estimate of the same kind of object
-(a categorical distribution over the codebook):
-
-* globally over a grid (`histogram_from_grid`),
-* restricted to semantic regions (`histogram_by_region`),
-* bucketed by spatial cell over an aligned grid collection (`histogram_by_cell`),
-* Monte-Carlo averaged over random corpus draws (`monte_carlo_*`).
+Every estimate is a categorical distribution over the codebook, counted
+either globally over a grid (`histogram_from_grid`) or per scope into a
+`ScopedDistributions`: one scope per semantic label (`histogram_by_region`)
+or per cell of a rows x cols tiling over aligned grids
+(`histogram_by_cell`).  Both scoped counts are one bincount over a
+position -> scope index, and one rule averages (`average_scoped`) and
+collapses (`collapse_scoped`) either kind.  Monte-Carlo estimates
+(`monte_carlo_*`) average per-grid estimates over random corpus draws.
 
 All counting supports additive smoothing with a non-negative alpha:
 
@@ -37,95 +38,45 @@ from .rng import draw_indices
 DEFAULT_ALPHA = 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class RegionalDistributions:
-    """Per-semantic-label distributions with their observation masses.
+@dataclass(frozen=True)
+class ScopedDistributions:
+    """Distributions kept per scope: per semantic label, or per spatial cell.
 
-    A label nobody observed (zero area, zero smoothing) is stored as None
-    rather than as an invalid vector.
+    ``scopes`` holds one distribution per semantic label, or, when ``cells``
+    gives a (rows, cols) tiling, one per cell in row-major order.  Position
+    (r, c) of an H x W grid belongs to cell
+    (floor(r * rows / H), floor(c * cols / W)).  A label nobody observed
+    (zero area, zero smoothing) is stored as None rather than as an invalid
+    vector; every cell covers a position, so cells are never None.  A
+    scope's observation mass is its distribution's ``source_mass``.
     """
 
-    label_count: int
-    per_label: tuple[CategoricalDistribution | None, ...]
-    per_label_mass: tuple[float, ...]
+    scopes: tuple[CategoricalDistribution | None, ...]
+    cells: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.label_count < 1:
-            raise ValidationError(f"label count must be >= 1, got {self.label_count}")
-        if len(self.per_label) != self.label_count:
-            raise ValidationError(
-                f"per_label has {len(self.per_label)} entries for "
-                f"{self.label_count} labels"
-            )
-        if len(self.per_label_mass) != self.label_count:
-            raise ValidationError(
-                f"per_label_mass has {len(self.per_label_mass)} entries for "
-                f"{self.label_count} labels"
-            )
-        object.__setattr__(self, "per_label", tuple(self.per_label))
-        sizes = {dist.codebook_size for dist in self.per_label if dist is not None}
+        object.__setattr__(self, "scopes", tuple(self.scopes))
+        if not self.scopes:
+            raise ValidationError("statistics need at least one scope")
+        if self.cells is not None:
+            rows, cols = self.cells
+            if rows < 1 or cols < 1:
+                raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
+            if len(self.scopes) != rows * cols or any(d is None for d in self.scopes):
+                raise ValidationError(
+                    f"a {rows}x{cols} tiling needs {rows * cols} cell distributions"
+                )
+        sizes = {dist.codebook_size for dist in self.scopes if dist is not None}
         if len(sizes) > 1:
-            raise ValidationError(f"per-label distributions mix codebook sizes {sorted(sizes)}")
-        object.__setattr__(
-            self, "per_label_mass", tuple(float(m) for m in self.per_label_mass)
-        )
+            raise ValidationError(f"scopes mix codebook sizes {sorted(sizes)}")
 
     @property
-    def codebook_size(self) -> int:
-        for dist in self.per_label:
-            if dist is not None:
-                return dist.codebook_size
-        raise ValidationError("no label carries a distribution")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RegionalDistributions):
-            return NotImplemented
-        return (
-            self.label_count == other.label_count
-            and self.per_label == other.per_label
-            and self.per_label_mass == other.per_label_mass
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialDistributions:
-    """Distributions bucketed by cell of a fixed rows x cols tiling.
-
-    Position (r, c) of an H x W grid belongs to cell
-    (floor(r * cell_rows / H), floor(c * cell_cols / W)).
-    """
-
-    cell_rows: int
-    cell_cols: int
-    per_cell: tuple[tuple[CategoricalDistribution, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.cell_rows < 1 or self.cell_cols < 1:
-            raise ValidationError(
-                f"cell tiling must be positive, got {self.cell_rows}x{self.cell_cols}"
-            )
-        rows = tuple(tuple(row) for row in self.per_cell)
-        if len(rows) != self.cell_rows or any(len(r) != self.cell_cols for r in rows):
-            raise ValidationError(
-                f"per_cell must be a {self.cell_rows}x{self.cell_cols} grid"
-            )
-        object.__setattr__(self, "per_cell", rows)
+    def mode(self) -> str:
+        return "regional" if self.cells is None else "spatial"
 
     @property
-    def codebook_size(self) -> int:
-        return self.per_cell[0][0].codebook_size
-
-    def cells_flat(self) -> list[CategoricalDistribution]:
-        return [dist for row in self.per_cell for dist in row]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpatialDistributions):
-            return NotImplemented
-        return (
-            self.cell_rows == other.cell_rows
-            and self.cell_cols == other.cell_cols
-            and self.per_cell == other.per_cell
-        )
+    def masses(self) -> tuple[float, ...]:
+        return tuple(0.0 if d is None else d.source_mass for d in self.scopes)
 
 
 def cell_of_position(
@@ -139,13 +90,11 @@ def cell_of_position(
     return (row * cell_rows) // height, (col * cell_cols) // width
 
 
-def smoothed_distribution(
-    counts: np.ndarray, alpha: float, mass: float | None = None
-) -> CategoricalDistribution:
+def smoothed_distribution(counts: np.ndarray, alpha: float) -> CategoricalDistribution:
     """Turn raw per-token counts into an additively smoothed distribution."""
     counts = np.asarray(counts, dtype=np.float64)
     size = counts.size
-    total = float(counts.sum()) if mass is None else float(mass)
+    total = float(counts.sum())
     denom = total + alpha * size
     if denom <= 0.0:
         raise ValidationError(
@@ -176,36 +125,11 @@ def histogram_by_region(
     grid: TokenGrid,
     semantics: SemanticGrid,
     smoothing_alpha: float = DEFAULT_ALPHA,
-) -> RegionalDistributions:
+) -> ScopedDistributions:
     """Token distributions counted separately inside each semantic region."""
     alpha = _check_alpha(smoothing_alpha)
     require_same_shape(grid, semantics)
-    counts = _regional_counts(grid, semantics)
-    return _regional_from_counts(counts, alpha)
-
-
-def _regional_counts(grid: TokenGrid, semantics: SemanticGrid) -> np.ndarray:
-    """Count matrix of shape (label_count, codebook_size)."""
-    joint = semantics.flat * grid.codebook_size + grid.flat
-    flat = np.bincount(joint, minlength=semantics.label_count * grid.codebook_size)
-    return flat.reshape(semantics.label_count, grid.codebook_size)
-
-
-def _regional_from_counts(counts: np.ndarray, alpha: float) -> RegionalDistributions:
-    per_label: list[CategoricalDistribution | None] = []
-    masses: list[float] = []
-    for row in counts:
-        mass = float(row.sum())
-        masses.append(mass)
-        if mass == 0.0 and alpha == 0.0:
-            per_label.append(None)
-        else:
-            per_label.append(smoothed_distribution(row, alpha, mass=mass))
-    return RegionalDistributions(
-        label_count=counts.shape[0],
-        per_label=tuple(per_label),
-        per_label_mass=tuple(masses),
-    )
+    return _count_by_scope([grid], semantics.flat, semantics.label_count, alpha)
 
 
 def histogram_by_cell(
@@ -213,7 +137,7 @@ def histogram_by_cell(
     cell_rows: int,
     cell_cols: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
-) -> SpatialDistributions:
+) -> ScopedDistributions:
     """Pooled per-cell distributions over aligned same-shape grids.
 
     The tiling must be no finer than the grid (cell_rows <= height,
@@ -231,30 +155,41 @@ def histogram_by_cell(
             f"tiling {cell_rows}x{cell_cols} is finer than the "
             f"{first.height}x{first.width} grid"
         )
-    rows, cols = cell_of_position(
-        np.arange(first.height)[:, None], np.arange(first.width)[None, :],
-        first.height, first.width, cell_rows, cell_cols,
-    )
-    cell_index = (rows * cell_cols + cols).reshape(-1)
-    n_cells = cell_rows * cell_cols
-    counts = np.zeros((n_cells, first.codebook_size), dtype=np.int64)
     for grid in grids:
         if (grid.height, grid.width) != (first.height, first.width):
             raise ValidationError("grids must share dimensions")
         if grid.codebook_size != first.codebook_size:
             raise ValidationError("grids must share codebook size")
-        joint = cell_index * grid.codebook_size + grid.flat
-        counts += np.bincount(
-            joint, minlength=n_cells * grid.codebook_size
-        ).reshape(n_cells, grid.codebook_size)
-    cells = tuple(
-        tuple(
-            smoothed_distribution(counts[r * cell_cols + c], alpha)
-            for c in range(cell_cols)
-        )
-        for r in range(cell_rows)
+    rows, cols = cell_of_position(
+        np.arange(first.height)[:, None], np.arange(first.width)[None, :],
+        first.height, first.width, cell_rows, cell_cols,
     )
-    return SpatialDistributions(cell_rows=cell_rows, cell_cols=cell_cols, per_cell=cells)
+    cell_index = (rows * cell_cols + cols).reshape(-1)
+    return _count_by_scope(
+        grids, cell_index, cell_rows * cell_cols, alpha, (cell_rows, cell_cols)
+    )
+
+
+def _count_by_scope(
+    grids: Sequence[TokenGrid],
+    scope_index: np.ndarray,
+    scope_count: int,
+    alpha: float,
+    cells: tuple[int, int] | None = None,
+) -> ScopedDistributions:
+    """Pool token counts per scope: position p of each grid counts toward
+    scope ``scope_index[p]``.  A scope with no observations and no smoothing
+    is None."""
+    size = grids[0].codebook_size
+    counts = np.zeros((scope_count, size), dtype=np.int64)
+    for grid in grids:
+        joint = scope_index * size + grid.flat
+        counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
+    scopes = tuple(
+        None if alpha == 0.0 and not row.any() else smoothed_distribution(row, alpha)
+        for row in counts
+    )
+    return ScopedDistributions(scopes, cells)
 
 
 def average_distributions(
@@ -289,84 +224,66 @@ def average_distributions(
     )
 
 
-def average_regional(
-    regionals: Sequence[RegionalDistributions], weighting: str = "uniform"
-) -> RegionalDistributions:
-    """Per-label average across estimates.
+def average_scoped(
+    estimates: Sequence[ScopedDistributions], weighting: str = "uniform"
+) -> ScopedDistributions:
+    """Scope-wise average across estimates sharing one scope layout.
 
-    For each label only inputs that actually observed it (mass > 0)
-    contribute.  If nobody did, the label stays absent unless some input
+    For each scope only estimates that actually observed it (mass > 0)
+    contribute.  If nobody did, the scope stays absent unless some estimate
     carries a smoothing-only vector, which is passed through with mass 0.
     """
-    if not regionals:
+    if not estimates:
         raise ValidationError("cannot average an empty list")
-    label_count = regionals[0].label_count
-    for reg in regionals:
-        if reg.label_count != label_count:
-            raise ValidationError("label count mismatch across regional estimates")
-    per_label: list[CategoricalDistribution | None] = []
-    masses: list[float] = []
-    for j in range(label_count):
-        observed = [
-            reg.per_label[j]
-            for reg in regionals
-            if reg.per_label[j] is not None and reg.per_label_mass[j] > 0.0
-        ]
+    first = estimates[0]
+    if any((e.cells, len(e.scopes)) != (first.cells, len(first.scopes)) for e in estimates):
+        raise ValidationError("scope layout mismatch across estimates")
+    scopes: list[CategoricalDistribution | None] = []
+    for j in range(len(first.scopes)):
+        present = [est.scopes[j] for est in estimates if est.scopes[j] is not None]
+        observed = [dist for dist in present if dist.source_mass > 0.0]
         if observed:
-            per_label.append(average_distributions(observed, weighting))
-            masses.append(float(sum(reg.per_label_mass[j] for reg in regionals)))
+            scopes.append(average_distributions(observed, weighting))
         else:
-            fillers = [reg.per_label[j] for reg in regionals if reg.per_label[j] is not None]
-            per_label.append(fillers[0] if fillers else None)
-            masses.append(0.0)
-    return RegionalDistributions(
-        label_count=label_count, per_label=tuple(per_label), per_label_mass=tuple(masses)
-    )
+            scopes.append(present[0] if present else None)
+    return ScopedDistributions(tuple(scopes), first.cells)
 
 
-def average_spatial(
-    spatials: Sequence[SpatialDistributions], weighting: str = "uniform"
-) -> SpatialDistributions:
-    """Cell-wise average across spatial estimates sharing one tiling."""
-    if not spatials:
-        raise ValidationError("cannot average an empty list")
-    rows, cols = spatials[0].cell_rows, spatials[0].cell_cols
-    for sp in spatials:
-        if (sp.cell_rows, sp.cell_cols) != (rows, cols):
-            raise ValidationError("cell tiling mismatch across spatial estimates")
-    cells = tuple(
-        tuple(
-            average_distributions([sp.per_cell[r][c] for sp in spatials], weighting)
-            for c in range(cols)
-        )
-        for r in range(rows)
-    )
-    return SpatialDistributions(cell_rows=rows, cell_cols=cols, per_cell=cells)
-
-
-def collapse_regional(regional: RegionalDistributions) -> CategoricalDistribution:
-    """Mass-weighted global distribution implied by regional estimates.
+def collapse_scoped(stats: ScopedDistributions) -> CategoricalDistribution:
+    """Mass-weighted global distribution implied by per-scope estimates.
 
     Used as the fallback reference wherever a per-label vector is missing.
     """
-    observed = [
-        dist
-        for dist, mass in zip(regional.per_label, regional.per_label_mass)
-        if dist is not None and mass > 0.0
-    ]
+    present = [dist for dist in stats.scopes if dist is not None]
+    observed = [dist for dist in present if dist.source_mass > 0.0]
     if observed:
         return average_distributions(observed, "mass")
-    fillers = [dist for dist in regional.per_label if dist is not None]
-    if not fillers:
+    if not present:
         raise ValidationError("no label carries a distribution")
-    return average_distributions(fillers, "uniform")
+    return average_distributions(present, "uniform")
 
 
-def collapse_spatial(spatial: SpatialDistributions) -> CategoricalDistribution:
-    """Mass-weighted global distribution implied by per-cell estimates."""
-    cells = spatial.cells_flat()
-    total = sum(d.source_mass for d in cells)
-    return average_distributions(cells, "mass" if total > 0.0 else "uniform")
+# Names the benchmark harness calls; both scope kinds share one body.
+average_regional = average_spatial = average_scoped
+collapse_regional = collapse_spatial = collapse_scoped
+
+
+def _monte_carlo(corpus, draws, smoothing_alpha, seed, weighting, estimate, average):
+    """Average ``estimate(corpus[i], alpha)`` over ``draws`` indices drawn
+    with replacement, estimating each distinct index once."""
+    alpha = _check_alpha(smoothing_alpha)
+    if draws < 1:
+        raise ValidationError(f"draw count must be >= 1, got {draws}")
+    if not corpus:
+        raise ValidationError("empty corpus")
+    cache: dict = {}
+    selected = []
+    for i in draw_indices(len(corpus), draws, seed):
+        i = int(i)
+        if i not in cache:
+            cache[i] = estimate(corpus[i], alpha)
+        selected.append(cache[i])
+    return average(selected, weighting)
 
 
 def monte_carlo_dataset_distribution(
@@ -381,20 +298,10 @@ def monte_carlo_dataset_distribution(
     Deterministic for a given seed; the uniform average over draws is the
     default, mass weighting pools token counts instead.
     """
-    alpha = _check_alpha(smoothing_alpha)
-    if draws < 1:
-        raise ValidationError(f"draw count must be >= 1, got {draws}")
-    if not corpus:
-        raise ValidationError("empty corpus")
-    picks = draw_indices(len(corpus), draws, seed)
-    cache: dict[int, CategoricalDistribution] = {}
-    selected = []
-    for i in picks:
-        i = int(i)
-        if i not in cache:
-            cache[i] = histogram_from_grid(corpus[i], alpha)
-        selected.append(cache[i])
-    return average_distributions(selected, weighting)
+    return _monte_carlo(
+        corpus, draws, smoothing_alpha, seed, weighting,
+        histogram_from_grid, average_distributions,
+    )
 
 
 def monte_carlo_regional_distribution(
@@ -403,23 +310,12 @@ def monte_carlo_regional_distribution(
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     weighting: str = "uniform",
-) -> RegionalDistributions:
+) -> ScopedDistributions:
     """Monte-Carlo regional variant: per-label averages over sampled pairs."""
-    alpha = _check_alpha(smoothing_alpha)
-    if draws < 1:
-        raise ValidationError(f"draw count must be >= 1, got {draws}")
-    if not corpus:
-        raise ValidationError("empty corpus")
-    picks = draw_indices(len(corpus), draws, seed)
-    cache: dict[int, RegionalDistributions] = {}
-    selected = []
-    for i in picks:
-        i = int(i)
-        if i not in cache:
-            grid, sem = corpus[i]
-            cache[i] = histogram_by_region(grid, sem, alpha)
-        selected.append(cache[i])
-    return average_regional(selected, weighting)
+    return _monte_carlo(
+        corpus, draws, smoothing_alpha, seed, weighting,
+        lambda pair, alpha: histogram_by_region(*pair, alpha), average_scoped,
+    )
 
 
 def monte_carlo_spatial_distribution(
@@ -430,19 +326,10 @@ def monte_carlo_spatial_distribution(
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     weighting: str = "uniform",
-) -> SpatialDistributions:
+) -> ScopedDistributions:
     """Monte-Carlo spatial variant: per-cell averages over sampled grids."""
-    alpha = _check_alpha(smoothing_alpha)
-    if draws < 1:
-        raise ValidationError(f"draw count must be >= 1, got {draws}")
-    if not corpus:
-        raise ValidationError("empty corpus")
-    picks = draw_indices(len(corpus), draws, seed)
-    cache: dict[int, SpatialDistributions] = {}
-    selected = []
-    for i in picks:
-        i = int(i)
-        if i not in cache:
-            cache[i] = histogram_by_cell([corpus[i]], cell_rows, cell_cols, alpha)
-        selected.append(cache[i])
-    return average_spatial(selected, weighting)
+    return _monte_carlo(
+        corpus, draws, smoothing_alpha, seed, weighting,
+        lambda grid, alpha: histogram_by_cell([grid], cell_rows, cell_cols, alpha),
+        average_scoped,
+    )

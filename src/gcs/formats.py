@@ -1,4 +1,4 @@
-"""On-disk formats: binary token/semantic grids and distribution JSON files.
+"""On-disk formats: binary token/semantic grids and statistics JSON files.
 
 Binary grid layout (little-endian throughout):
 
@@ -13,6 +13,11 @@ does not match the header exactly.  JSON files use sorted keys and indent 2
 so that rewriting identical data yields identical bytes; floats are encoded
 with shortest round-trip decimal representation, so probabilities survive a
 save/load cycle bit-exactly.
+
+Statistics files declare their "kind": "global" (one distribution),
+"regional" (one entry per label, None for unobserved labels, with the label
+count and per-label masses repeated alongside) or "spatial" (cell rows of
+entries).  Both scoped kinds read into one `ScopedDistributions`.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .core import (
     TokenGrid,
     ValidationError,
 )
+from .distributions import ScopedDistributions
 
 GRID_VERSION = 1
 _HEADER = struct.Struct("<4sHHIII")
@@ -141,88 +147,70 @@ def distribution_from_dict(payload: dict) -> CategoricalDistribution:
         raise FormatError(f"distribution JSON violates invariants: {exc}") from exc
 
 
-def regional_to_dict(regional: "RegionalDistributions") -> dict:
-    return {
-        "kind": "regional",
-        "label_count": regional.label_count,
-        "per_label": [
-            None if dist is None else distribution_to_dict(dist)
-            for dist in regional.per_label
-        ],
-        "per_label_mass": [float(m) for m in regional.per_label_mass],
-    }
-
-
-def regional_from_dict(payload: dict) -> "RegionalDistributions":
-    from .distributions import RegionalDistributions
-
-    for key in ("label_count", "per_label", "per_label_mass"):
-        if key not in payload:
-            raise FormatError(f"regional stats JSON is missing key {key!r}")
-    try:
-        return RegionalDistributions(
-            label_count=int(payload["label_count"]),
-            per_label=tuple(
-                None if entry is None else distribution_from_dict(entry)
-                for entry in payload["per_label"]
-            ),
-            per_label_mass=tuple(float(m) for m in payload["per_label_mass"]),
-        )
-    except ValidationError as exc:
-        raise FormatError(f"regional stats JSON violates invariants: {exc}") from exc
-
-
-def spatial_to_dict(spatial: "SpatialDistributions") -> dict:
+def scoped_to_dict(stats: ScopedDistributions) -> dict:
+    """The v1 "regional" (per label) or "spatial" (per cell rows) layout."""
+    if stats.cells is None:
+        return {
+            "kind": "regional",
+            "label_count": len(stats.scopes),
+            "per_label": [
+                None if dist is None else distribution_to_dict(dist)
+                for dist in stats.scopes
+            ],
+            "per_label_mass": list(stats.masses),
+        }
+    rows, cols = stats.cells
     return {
         "kind": "spatial",
-        "cell_rows": spatial.cell_rows,
-        "cell_cols": spatial.cell_cols,
+        "cell_rows": rows,
+        "cell_cols": cols,
         "per_cell": [
-            [distribution_to_dict(dist) for dist in row] for row in spatial.per_cell
+            [distribution_to_dict(dist) for dist in stats.scopes[r * cols:(r + 1) * cols]]
+            for r in range(rows)
         ],
     }
 
 
-def spatial_from_dict(payload: dict) -> "SpatialDistributions":
-    from .distributions import SpatialDistributions
-
-    for key in ("cell_rows", "cell_cols", "per_cell"):
-        if key not in payload:
-            raise FormatError(f"spatial stats JSON is missing key {key!r}")
+def scoped_from_dict(payload: dict, kind: str) -> ScopedDistributions:
+    """Read either v1 scoped layout.  Its redundant fields (label count,
+    masses, cell rows) must be exactly what the decoded entries imply."""
     try:
-        return SpatialDistributions(
-            cell_rows=int(payload["cell_rows"]),
-            cell_cols=int(payload["cell_cols"]),
-            per_cell=tuple(
-                tuple(distribution_from_dict(entry) for entry in row)
-                for row in payload["per_cell"]
-            ),
+        if kind == "regional":
+            entries, cells = payload["per_label"], None
+        else:
+            entries = [entry for row in payload["per_cell"] for entry in row]
+            cells = (int(payload["cell_rows"]), int(payload["cell_cols"]))
+        stats = ScopedDistributions(
+            tuple(None if e is None else distribution_from_dict(e) for e in entries), cells
         )
+        for key, value in sorted(scoped_to_dict(stats).items()):
+            if key != "kind" and payload[key] != value:
+                raise ValidationError(f"{key} does not match the entries")
+        return stats
     except ValidationError as exc:
-        raise FormatError(f"spatial stats JSON violates invariants: {exc}") from exc
+        raise FormatError(f"{kind} stats JSON violates invariants: {exc}") from exc
 
 
 def write_stats(path: str | Path, stats) -> None:
-    """Write a global, regional, or spatial statistics file.
+    """Write a global or scoped statistics file.
 
     The payload is self-describing via its "kind" field so consumers can
     infer the guidance mode from the file alone.
     """
-    from .distributions import RegionalDistributions, SpatialDistributions
-
     if isinstance(stats, CategoricalDistribution):
         payload = {"kind": "global", **distribution_to_dict(stats)}
-    elif isinstance(stats, RegionalDistributions):
-        payload = regional_to_dict(stats)
-    elif isinstance(stats, SpatialDistributions):
-        payload = spatial_to_dict(stats)
+    elif isinstance(stats, ScopedDistributions):
+        payload = scoped_to_dict(stats)
     else:
         raise ValidationError(f"cannot serialize statistics of type {type(stats).__name__}")
     dump_json(path, payload)
 
 
 def read_stats(path: str | Path):
-    """Read a statistics file, dispatching on its declared or implied kind."""
+    """Read a statistics file, dispatching on its declared or implied kind.
+
+    Any malformed payload, whatever its shape, is a `FormatError`.
+    """
     payload = load_json(path)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -236,10 +224,15 @@ def read_stats(path: str | Path):
             kind = "global"
         else:
             raise FormatError(f"{path}: cannot tell what kind of statistics this is")
-    if kind == "global":
-        return distribution_from_dict(payload)
-    if kind == "regional":
-        return regional_from_dict(payload)
-    if kind == "spatial":
-        return spatial_from_dict(payload)
-    raise FormatError(f"{path}: unknown statistics kind {kind!r}")
+    if kind not in ("global", "regional", "spatial"):
+        raise FormatError(f"{path}: unknown statistics kind {kind!r}")
+    try:
+        if kind == "global":
+            return distribution_from_dict(payload)
+        return scoped_from_dict(payload, kind)
+    except FormatError:
+        raise
+    except KeyError as exc:
+        raise FormatError(f"{path}: {kind} statistics are missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {kind} statistics ({exc})") from exc

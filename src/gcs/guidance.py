@@ -8,11 +8,11 @@ storage normalizes the maximum entry to 1 so large exponents cannot
 overflow.
 
 A `LikelihoodTable` is one global vector plus a flat tuple of per-scope
-vectors, mirroring the three ways statistics can be collected: no scopes
-(global), one scope per semantic label (labels the style never showed
-hold the global vector itself), or one scope per spatial cell in
-row-major order.  Its mode follows from those fields, and
-`select_likelihood` resolves each step to one scope index.
+vectors, mirroring how statistics are collected: globally (no scopes) or
+as `ScopedDistributions`, whose per-label or per-cell layout
+`scoped_likelihoods` carries over scope for scope (labels either side
+never showed hold the global vector itself).  Its mode follows from those
+fields, and `select_likelihood` resolves each step to one scope index.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CategoricalDistribution, SemanticGrid, ValidationError, _readonly
-from .distributions import RegionalDistributions, SpatialDistributions, cell_of_position
+from .distributions import ScopedDistributions, cell_of_position
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,52 +173,44 @@ def global_likelihood_table(
     return LikelihoodTable(float(exponent), style_likelihood(style, dataset, exponent))
 
 
-def regional_likelihoods(
-    style_regional: RegionalDistributions,
-    dataset_regional: RegionalDistributions,
+def scoped_likelihoods(
+    style: ScopedDistributions,
+    dataset: ScopedDistributions,
     style_global: CategoricalDistribution,
     dataset_global: CategoricalDistribution,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
-    """Per-label guidance vectors with a global fallback.
+    """Per-scope guidance vectors with a global fallback.
 
-    A label gets its own vector only where both the style and the dataset
-    observed it; every other label's scope holds the global vector itself.
+    Style and dataset must share one scope layout.  A scope gets its own
+    vector only where both sides carry a distribution for it; a label
+    either side never observed holds the global vector itself.
     """
-    if style_regional.label_count != dataset_regional.label_count:
+    if style.mode != dataset.mode:
         raise ValidationError(
-            f"label count mismatch: style {style_regional.label_count} vs "
-            f"dataset {dataset_regional.label_count}"
+            f"style stats are {style.mode} but dataset stats are {dataset.mode}"
+        )
+    if style.cells != dataset.cells:
+        raise ValidationError(
+            "cell tiling mismatch: style {}x{} vs dataset {}x{}".format(
+                *style.cells, *dataset.cells
+            )
+        )
+    if len(style.scopes) != len(dataset.scopes):
+        raise ValidationError(
+            f"label count mismatch: style {len(style.scopes)} vs "
+            f"dataset {len(dataset.scopes)}"
         )
     fallback = style_likelihood(style_global, dataset_global, exponent)
     vectors = tuple(
         fallback if s is None or d is None else style_likelihood(s, d, exponent)
-        for s, d in zip(style_regional.per_label, dataset_regional.per_label)
+        for s, d in zip(style.scopes, dataset.scopes)
     )
-    return LikelihoodTable(float(exponent), fallback, vectors)
+    return LikelihoodTable(float(exponent), fallback, vectors, style.cells)
 
 
-def spatial_likelihoods(
-    style_spatial: SpatialDistributions,
-    dataset_spatial: SpatialDistributions,
-    style_global: CategoricalDistribution,
-    dataset_global: CategoricalDistribution,
-    exponent: float = 1.0,
-) -> LikelihoodTable:
-    """Per-cell guidance vectors for aligned spatial statistics."""
-    tiling = (style_spatial.cell_rows, style_spatial.cell_cols)
-    if tiling != (dataset_spatial.cell_rows, dataset_spatial.cell_cols):
-        raise ValidationError(
-            f"cell tiling mismatch: style "
-            f"{style_spatial.cell_rows}x{style_spatial.cell_cols} vs dataset "
-            f"{dataset_spatial.cell_rows}x{dataset_spatial.cell_cols}"
-        )
-    vectors = tuple(
-        style_likelihood(s, d, exponent)
-        for s, d in zip(style_spatial.cells_flat(), dataset_spatial.cells_flat())
-    )
-    fallback = style_likelihood(style_global, dataset_global, exponent)
-    return LikelihoodTable(float(exponent), fallback, vectors, tiling)
+# Names the benchmark harness calls; both scope kinds share one body.
+regional_likelihoods = spatial_likelihoods = scoped_likelihoods
 
 
 def select_likelihood(

@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
 from .distributions import (
-    RegionalDistributions,
-    SpatialDistributions,
+    ScopedDistributions,
+    collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
@@ -58,7 +58,26 @@ class StyleReference:
 
     name: str
     distribution: CategoricalDistribution
-    regional: RegionalDistributions | None = None
+    regional: ScopedDistributions | None = None
+
+    def __post_init__(self) -> None:
+        if self.regional is not None and self.regional.cells is not None:
+            raise ValidationError("regional targets must be per label, not per cell")
+
+    @classmethod
+    def from_stats(
+        cls, name: str, stats: CategoricalDistribution | ScopedDistributions
+    ) -> StyleReference:
+        """A reference for any statistics file: scoped stats collapse to their
+        global margin, and only per-label stats add per-label targets."""
+        if isinstance(stats, CategoricalDistribution):
+            return cls(name, stats)
+        return cls(name, collapse_scoped(stats), stats if stats.cells is None else None)
+
+    def label_target(self, label: int) -> CategoricalDistribution | None:
+        """The target for one label, None where the reference has none."""
+        scopes = () if self.regional is None else self.regional.scopes
+        return scopes[label] if label < len(scopes) else None
 
 
 def _sample_pairs(
@@ -82,25 +101,19 @@ def _regional_score(
     smoothing_alpha: float,
 ) -> float:
     regional = histogram_by_region(grid, semantics, smoothing_alpha)
-    total = sum(regional.per_label_mass)
+    total = sum(regional.masses)
     if total <= 0:
         raise ValidationError("sample has no token mass")
     score = 0.0
-    for label in range(regional.label_count):
-        mass = regional.per_label_mass[label]
-        if mass <= 0 or regional.per_label[label] is None:
+    for label, dist in enumerate(regional.scopes):
+        if dist is None or dist.source_mass <= 0:
             continue
-        if (
-            reference.regional is None
-            or label >= reference.regional.label_count
-            or reference.regional.per_label[label] is None
-        ):
+        ref = reference.label_target(label)
+        if ref is None:
             raise ValidationError(
                 f"reference {reference.name!r} has no distribution for label {label}"
             )
-        score += (mass / total) * kl_divergence(
-            regional.per_label[label], reference.regional.per_label[label]
-        )
+        score += (dist.source_mass / total) * kl_divergence(dist, ref)
     return score
 
 
@@ -228,11 +241,10 @@ def _pooled_regional(
     totals: dict = {}
     for grid, semantics in zip(grids, regions):
         regional = histogram_by_region(grid, semantics, 0.0)
-        for label in range(regional.label_count):
-            dist = regional.per_label[label]
+        for label, dist in enumerate(regional.scopes):
             if dist is None:
                 continue
-            counts = dist.probs * regional.per_label_mass[label]
+            counts = dist.probs * dist.source_mass
             if label in totals:
                 totals[label] = totals[label] + counts
             else:
@@ -260,13 +272,8 @@ def _set_summary(
         kl_labels: dict = {}
         if regions is not None and target.regional is not None:
             regional = histogram_by_region(grid, regions[i], 0.0)
-            for label in range(regional.label_count):
-                dist = regional.per_label[label]
-                ref = (
-                    target.regional.per_label[label]
-                    if label < target.regional.label_count
-                    else None
-                )
+            for label, dist in enumerate(regional.scopes):
+                ref = target.label_target(label)
                 if dist is None or ref is None:
                     continue
                 kl_labels[label] = kl_divergence(dist, ref)
@@ -286,11 +293,7 @@ def _set_summary(
     tv_per_label: dict = {}
     if regions is not None and target.regional is not None:
         for label, dist in _pooled_regional(grids, regions).items():
-            ref = (
-                target.regional.per_label[label]
-                if label < target.regional.label_count
-                else None
-            )
+            ref = target.label_target(label)
             if ref is None:
                 continue
             kl_per_label[label] = kl_divergence(dist, ref)
@@ -352,20 +355,22 @@ def guidance_report(
 
 def spatial_divergence(
     samples: Sequence[TokenGrid],
-    reference: SpatialDistributions,
+    reference: ScopedDistributions,
 ) -> float:
     """Mass-weighted mean per-cell KL of pooled sample counts to a reference.
 
     Sensitive to where tokens sit, not just how often they occur, so it
     separates styles that share a global histogram.
     """
+    if reference.cells is None:
+        raise ValidationError("spatial divergence needs per-cell reference statistics")
     samples = list(samples)
     if not samples:
         raise ValidationError("empty sample set")
-    pooled = histogram_by_cell(samples, reference.cell_rows, reference.cell_cols, 0.0)
+    pooled = histogram_by_cell(samples, *reference.cells, 0.0)
     masses = []
     kls = []
-    for dist, ref in zip(pooled.cells_flat(), reference.cells_flat()):
+    for dist, ref in zip(pooled.scopes, reference.scopes):
         masses.append(dist.source_mass)
         kls.append(kl_divergence(dist, ref))
     total = sum(masses)

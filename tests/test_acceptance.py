@@ -20,11 +20,10 @@ import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, normalize
 from gcs.distributions import (
-    RegionalDistributions,
+    ScopedDistributions,
     average_distributions,
-    average_regional,
-    collapse_regional,
-    collapse_spatial,
+    average_scoped,
+    collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
@@ -32,11 +31,7 @@ from gcs.distributions import (
     monte_carlo_regional_distribution,
     monte_carlo_spatial_distribution,
 )
-from gcs.guidance import (
-    global_likelihood_table,
-    regional_likelihoods,
-    spatial_likelihoods,
-)
+from gcs.guidance import global_likelihood_table, scoped_likelihoods
 from gcs.metrics import (
     StyleReference,
     guidance_report,
@@ -223,31 +218,23 @@ def test_criterion_5_regional_guidance_is_per_label(landscape):
         landscape.corpus, context=parse_context_template("left"), conditional=True
     )
     dataset_reg = monte_carlo_regional_distribution(landscape.corpus, DRAWS, 0.5, 0)
-    style_a = average_regional(
+    style_a = average_scoped(
         [histogram_by_region(g, s, 0.5) for g, s in load_exemplars(landscape.dir, "style0")]
     )
-    style_b = average_regional(
+    style_b = average_scoped(
         [histogram_by_region(g, s, 0.5) for g, s in load_exemplars(landscape.dir, "style2")]
     )
-    mixed = RegionalDistributions(
-        2,
-        (style_a.per_label[0], style_b.per_label[1]),
-        (style_a.per_label_mass[0], style_b.per_label_mass[1]),
+    mixed = ScopedDistributions((style_a.scopes[0], style_b.scopes[1]))
+    label0_only = ScopedDistributions((style_a.scopes[0], dataset_reg.scopes[1]))
+    both_table = scoped_likelihoods(
+        mixed, dataset_reg, collapse_scoped(mixed), collapse_scoped(dataset_reg)
     )
-    label0_only = RegionalDistributions(
-        2,
-        (style_a.per_label[0], dataset_reg.per_label[1]),
-        (style_a.per_label_mass[0], dataset_reg.per_label_mass[1]),
-    )
-    both_table = regional_likelihoods(
-        mixed, dataset_reg, collapse_regional(mixed), collapse_regional(dataset_reg)
-    )
-    label0_table = regional_likelihoods(
+    label0_table = scoped_likelihoods(
         label0_only, dataset_reg,
-        collapse_regional(label0_only), collapse_regional(dataset_reg),
+        collapse_scoped(label0_only), collapse_scoped(dataset_reg),
     )
     semantics = SemanticGrid(32, 32, 2, np.repeat([0, 1], 16)[:, None].repeat(32, axis=1))
-    target = StyleReference("mixed", collapse_regional(mixed), regional=mixed)
+    target = StyleReference("mixed", collapse_scoped(mixed), regional=mixed)
 
     reductions = {0: [], 1: []}
     interference = []
@@ -337,9 +324,9 @@ def test_criterion_7_spatial_partition_ablation(tmp_path):
     dataset_global = monte_carlo_dataset_distribution(grids, DRAWS, 0.5, 0)
     dataset_spatial = monte_carlo_spatial_distribution(grids, 2, 1, DRAWS, 0.5, 0)
     global_table = global_likelihood_table(style_global, dataset_global)
-    spatial_table = spatial_likelihoods(
+    spatial_table = scoped_likelihoods(
         style_spatial, dataset_spatial,
-        collapse_spatial(style_spatial), collapse_spatial(dataset_spatial),
+        collapse_scoped(style_spatial), collapse_scoped(dataset_spatial),
     )
 
     global_reds, spatial_reds, strict_wins = [], [], 0

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 from gcs.cli import main
 from gcs.core import CategoricalDistribution
 from gcs.distributions import (
-    RegionalDistributions,
-    SpatialDistributions,
+    ScopedDistributions,
     average_distributions,
+    histogram_by_cell,
+    histogram_by_region,
     histogram_from_grid,
 )
 from gcs.formats import (
@@ -211,7 +213,8 @@ class TestDatasetStats:
             )
             == 0
         )
-        assert isinstance(read_stats(reg_path), RegionalDistributions)
+        reg = read_stats(reg_path)
+        assert isinstance(reg, ScopedDistributions) and reg.cells is None
         assert (
             main(
                 [
@@ -229,8 +232,8 @@ class TestDatasetStats:
             == 0
         )
         stats = read_stats(spat_path)
-        assert isinstance(stats, SpatialDistributions)
-        assert (stats.cell_rows, stats.cell_cols) == (2, 2)
+        assert isinstance(stats, ScopedDistributions)
+        assert stats.cells == (2, 2)
 
     def test_by_region_needs_semantics(self, tmp_path, rng, capsys):
         bare = tmp_path / "corpus"
@@ -350,7 +353,8 @@ class TestStyleStats:
         exemplar = world / "exemplars" / "low" / "ex_00.tgrd"
         out = tmp_path / "s.json"
         assert main(["style-stats", str(exemplar), "--out", str(out), "--by-region"]) == 0
-        assert isinstance(read_stats(out), RegionalDistributions)
+        stats = read_stats(out)
+        assert isinstance(stats, ScopedDistributions) and stats.cells is None
 
     def test_by_region_missing_sibling(self, tmp_path, rng, capsys):
         lone = tmp_path / "g.tgrd"
@@ -689,6 +693,43 @@ class TestSample:
         assert "disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("regional", "per_label", 5),
+        ("global", "probs", "ab"),
+        ("spatial", "per_cell", [[3]]),
+        ("spatial", "per_cell", 7),
+        ("global", "codebook_size", "x"),
+        ("regional", "per_label_mass", ["x"]),
+        ("regional", "label_count", None),
+        ("regional", "per_label_mass", [99.0, 99.0]),
+    ],
+    ids=["per_label-5", "probs-ab", "per_cell-nested-int", "per_cell-7", "codebook_size-x",
+         "per_label_mass-x", "label_count-null", "per_label_mass-disagrees"],
+)
+def test_malformed_stats_json_is_a_format_error(
+    trained, tmp_path, rng, capsys, kind, key, value
+):
+    grid = random_grid(rng, 4, 4, 4)
+    stats = {
+        "global": lambda: histogram_from_grid(grid),
+        "regional": lambda: histogram_by_region(grid, random_semantics(rng, 4, 4, 2)),
+        "spatial": lambda: histogram_by_cell([grid], 2, 2),
+    }[kind]()
+    bad = tmp_path / "bad.json"
+    write_stats(bad, stats)
+    dump_json(bad, {**load_json(bad), key: value})
+    rc = main(
+        ["sample", "--model", str(trained["model"]), "--out", str(tmp_path / "s"),
+         "--style-stats", str(bad), "--dataset-stats", str(trained["dataset"]),
+         "--height", "4", "--width", "4"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestEvaluate:
     @pytest.fixture()
     def sample_dirs(self, trained, tmp_path):
@@ -857,3 +898,75 @@ def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
             rc = exc.code
         assert rc == 0, " ".join(argv)
 
+
+# sha256 of every artifact one guided CLI run writes on the `world` fixture:
+# files by their bytes, directories by their relative paths and bytes.
+GOLDEN_SHARED = {
+    "bench": "2892b22ce286f8359ee3b8c474041db31ec8ce270ff64de6b9b04d427b9126ad",
+    "model.json": "266e82993ca760af3182b0c2ffb95dfa420bd4f37f7ade90159508e763fd4c0e",
+    "plain": "dc5dee9a8912be0f880a0b7bf953b399a0e9c7429a1b85e165f32b0d2d327af0",
+}
+GOLDEN_SHA256 = {
+    "global": {
+        "dataset.json": "f7bf1e7e1b599269877b402eef801b43994e5a72c8e0bf8ffbfe635727de4fda",
+        "guided": "72943d75758dc5d328ac475978b3ffaa3f1b6ce008b50d832df2e2979f0b32ec",
+        "report.csv": "028ee7629275eaa2b7fb98d0adf050e6d16124c139d83d8b2033d56dbbdd444a",
+        "report.json": "e2cf9c3994beb785e5cb11fbfd97a2e93d6b8c3242d841fe693c172bcb18092d",
+        "style.json": "7df75d006dc0f6ee31df9af2f7067db687918e3f612b36d0237473d4615096ac",
+    },
+    "regional": {
+        "dataset.json": "24ecba89dbdcf187d8fb302b8ac4b769ab9f5e357b8c0ec3401487b96afcead7",
+        "guided": "a7862cb22d16819e190877c908104f76435d664e28843d9dde1314ffc9c9cd1d",
+        "report.csv": "15ec49d1d3c76b981cfb4c5c6b50102996744f2759183785a5a1fedee680e3d0",
+        "report.json": "199ad7d390e299fb604e28e444d917d6a289197167602e2835b332ed1c6557c0",
+        "style.json": "3d7038b86bced02444bae7457791398690cefdee1dd87efa1f5819ff9a4dafc4",
+    },
+    "spatial": {
+        "dataset.json": "68518594469467b902f9a12d0375788651339fc80f115362842ee28626e3b214",
+        "guided": "2a2d47e5533a0e61366dff24fad59141ebc8bd1e50cda8fd5d41ae1a5c84135c",
+        "report.csv": "cd2235d400a35cf22cd7a27d020fb616e857cff10a10e24930f94fe2d5f67b1a",
+        "report.json": "a41ab7a201cd4d793b68f7d1b4835f56c8e8688fc552be958dccc7ec440d387a",
+        "style.json": "bffdfc616b2412d0b1de13e35daedf23795ca304d14a6ded26b8e3900650413b",
+    },
+}
+
+
+def _sha256(path: Path) -> str:
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    for item in sorted(p for p in path.rglob("*") if p.is_file()):
+        digest.update(str(item.relative_to(path)).encode() + b"\0")
+        digest.update(item.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mode, flags",
+    [("global", []), ("regional", ["--by-region"]), ("spatial", ["--by-cell", "2x2"])],
+    ids=["global", "regional", "spatial"],
+)
+def test_golden_artifact_hashes(world, tmp_path, monkeypatch, mode, flags):
+    """The artifacts match the bytes earlier versions wrote, not just a rerun."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GCS_SEED", raising=False)
+    (tmp_path / "bench").symlink_to(world)
+    exemplars = sorted(glob.glob("bench/exemplars/low/*.tgrd"))
+    semantics = "bench/exemplars/low/ex_00.sgrd"
+    shape = ["--semantics", semantics, "--seed", "3"]
+    for argv in (
+        ["train-prior", "--corpus", "bench/corpus", "--out", "model.json"],
+        ["dataset-stats", "--corpus", "bench/corpus", "--out", "dataset.json",
+         "--k", "50", "--seed", "0", *flags],
+        ["style-stats", *exemplars, "--average", "--out", "style.json", *flags],
+        ["sample", "--model", "model.json", "--out", "guided", "--style-stats",
+         "style.json", "--dataset-stats", "dataset.json", *shape],
+        ["sample", "--model", "model.json", "--out", "plain", "--no-guidance", *shape],
+        ["evaluate", "--guided", "guided", "--unguided", "plain", "--style-stats",
+         "style.json", "--semantics", semantics, "--out", "report.json"],
+    ):
+        assert main(argv) == 0, " ".join(argv)
+    expected = {**GOLDEN_SHARED, **GOLDEN_SHA256[mode]}
+    digests = {name: _sha256(tmp_path / name) for name in expected if name != "bench"}
+    digests["bench"] = _sha256(world)
+    assert digests == expected

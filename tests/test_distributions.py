@@ -5,14 +5,11 @@ import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import (
-    RegionalDistributions,
-    SpatialDistributions,
+    ScopedDistributions,
     average_distributions,
-    average_regional,
-    average_spatial,
+    average_scoped,
     cell_of_position,
-    collapse_regional,
-    collapse_spatial,
+    collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
@@ -70,28 +67,42 @@ class TestHistogramFromGrid:
         assert list(d.probs) == [0.0, 0.0, 0.0, 1.0]
 
 
+class TestScopedDistributions:
+    def test_mode_and_masses_follow_the_fields(self):
+        labels = ScopedDistributions((dist([0.5, 0.5], 2.0), None))
+        assert (labels.mode, labels.masses) == ("regional", (2.0, 0.0))
+        cells = ScopedDistributions((dist([0.5, 0.5], 1.0),) * 2, (2, 1))
+        assert (cells.mode, cells.masses) == ("spatial", (1.0, 1.0))
+
+    def test_tiling_needs_one_distribution_per_cell(self):
+        with pytest.raises(ValidationError):
+            ScopedDistributions((dist([0.5, 0.5]),) * 3, (2, 2))
+        with pytest.raises(ValidationError):
+            ScopedDistributions((dist([0.5, 0.5]), None), (1, 2))
+
+
 class TestHistogramByRegion:
     def test_partitioned_counting(self):
         grid = TokenGrid(2, 2, 4, [[0, 1], [2, 3]])
         sem = SemanticGrid(2, 2, 2, [[0, 0], [1, 1]])
         reg = histogram_by_region(grid, sem, smoothing_alpha=0.0)
-        assert list(reg.per_label[0].probs) == [0.5, 0.5, 0.0, 0.0]
-        assert list(reg.per_label[1].probs) == [0.0, 0.0, 0.5, 0.5]
-        assert reg.per_label_mass == (2.0, 2.0)
+        assert list(reg.scopes[0].probs) == [0.5, 0.5, 0.0, 0.0]
+        assert list(reg.scopes[1].probs) == [0.0, 0.0, 0.5, 0.5]
+        assert reg.masses == (2.0, 2.0)
 
     def test_absent_label_unsmoothed(self):
         grid = TokenGrid(1, 2, 3, [0, 1])
         sem = SemanticGrid(1, 2, 2, [0, 0])
         reg = histogram_by_region(grid, sem, smoothing_alpha=0.0)
-        assert reg.per_label[1] is None
-        assert reg.per_label_mass[1] == 0.0
+        assert reg.scopes[1] is None
+        assert reg.masses[1] == 0.0
 
     def test_absent_label_smoothed_is_uniform(self):
         grid = TokenGrid(1, 2, 3, [0, 1])
         sem = SemanticGrid(1, 2, 2, [0, 0])
         reg = histogram_by_region(grid, sem, smoothing_alpha=0.5)
-        assert np.allclose(reg.per_label[1].probs, 1 / 3)
-        assert reg.per_label_mass[1] == 0.0
+        assert np.allclose(reg.scopes[1].probs, 1 / 3)
+        assert reg.masses[1] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -105,7 +116,7 @@ class TestHistogramByRegion:
         sem = SemanticGrid(6, 7, 3, rng.integers(0, 3, (6, 7)))
         reg = histogram_by_region(grid, sem, smoothing_alpha=0.0)
         pooled = np.zeros(5)
-        for d, m in zip(reg.per_label, reg.per_label_mass):
+        for d, m in zip(reg.scopes, reg.masses):
             if d is not None and m > 0:
                 pooled += d.probs * m
         glob = histogram_from_grid(grid, smoothing_alpha=0.0)
@@ -117,15 +128,15 @@ class TestRegionalFromCorpus:
         a = (TokenGrid(1, 2, 3, [0, 0]), SemanticGrid(1, 2, 2, [0, 0]))
         b = (TokenGrid(1, 2, 3, [1, 2]), SemanticGrid(1, 2, 2, [1, 1]))
         per_grid = [histogram_by_region(g, s, smoothing_alpha=0.0) for g, s in (a, b)]
-        reg = average_regional(per_grid, "mass")
-        assert list(reg.per_label[0].probs) == [1.0, 0.0, 0.0]
-        assert list(reg.per_label[1].probs) == [0.0, 0.5, 0.5]
+        reg = average_scoped(per_grid, "mass")
+        assert list(reg.scopes[0].probs) == [1.0, 0.0, 0.0]
+        assert list(reg.scopes[1].probs) == [0.0, 0.5, 0.5]
 
     def test_mixed_codebooks_rejected(self):
         a = (TokenGrid(1, 2, 3, [0, 0]), SemanticGrid(1, 2, 2, [0, 0]))
         b = (TokenGrid(1, 2, 4, [1, 2]), SemanticGrid(1, 2, 2, [1, 1]))
         with pytest.raises(ValidationError) as exc:
-            average_regional([histogram_by_region(g, s) for g, s in (a, b)])
+            average_scoped([histogram_by_region(g, s) for g, s in (a, b)])
         assert "mix codebook sizes" in str(exc.value)
 
     def test_empty_corpus(self):
@@ -148,20 +159,21 @@ class TestHistogramByCell:
     def test_quadrant_one_hots(self):
         grid = TokenGrid(2, 2, 4, [[0, 1], [2, 3]])
         spat = histogram_by_cell([grid], 2, 2, smoothing_alpha=0.0)
-        assert list(spat.per_cell[0][0].probs) == [1.0, 0.0, 0.0, 0.0]
-        assert list(spat.per_cell[1][1].probs) == [0.0, 0.0, 0.0, 1.0]
+        assert spat.cells == (2, 2)
+        assert list(spat.scopes[0].probs) == [1.0, 0.0, 0.0, 0.0]
+        assert list(spat.scopes[3].probs) == [0.0, 0.0, 0.0, 1.0]
 
     def test_single_cell_reduces_to_global(self, grid_factory):
         grid = grid_factory(4, 5, 6)
         spat = histogram_by_cell([grid], 1, 1, smoothing_alpha=0.0)
         glob = histogram_from_grid(grid, smoothing_alpha=0.0)
-        assert spat.per_cell[0][0] == glob
+        assert spat.scopes[0] == glob
 
     def test_duplicate_grids_keep_probs(self, grid_factory):
         grid = grid_factory(4, 4, 5)
         once = histogram_by_cell([grid], 2, 2, 0.0)
         twice = histogram_by_cell([grid, grid], 2, 2, 0.0)
-        for a, b in zip(once.cells_flat(), twice.cells_flat()):
+        for a, b in zip(once.scopes, twice.scopes):
             assert np.array_equal(a.probs, b.probs)
             assert b.source_mass == 2 * a.source_mass
 
@@ -180,7 +192,7 @@ class TestHistogramByCell:
         # Mass-weighted average of the cells equals the pooled global.
         grids = [random_grid(rng, 6, 6, 4) for _ in range(3)]
         spat = histogram_by_cell(grids, 3, 2, smoothing_alpha=0.0)
-        merged = average_distributions(spat.cells_flat(), "mass")
+        merged = average_distributions(spat.scopes, "mass")
         counts = sum(np.bincount(g.flat, minlength=4) for g in grids)
         pooled = smoothed_distribution(counts, 0.0)
         assert np.allclose(merged.probs, pooled.probs, atol=1e-12)
@@ -221,51 +233,48 @@ class TestAverageDistributions:
 
 class TestAverageRegionalAndSpatial:
     def test_labels_averaged_independently(self):
-        a = RegionalDistributions(2, (dist([1.0, 0.0], 2.0), None), (2.0, 0.0))
-        b = RegionalDistributions(2, (dist([0.0, 1.0], 2.0), dist([0.5, 0.5], 4.0)), (2.0, 4.0))
-        avg = average_regional([a, b])
-        assert list(avg.per_label[0].probs) == [0.5, 0.5]
+        a = ScopedDistributions((dist([1.0, 0.0], 2.0), None))
+        b = ScopedDistributions((dist([0.0, 1.0], 2.0), dist([0.5, 0.5], 4.0)))
+        avg = average_scoped([a, b])
+        assert list(avg.scopes[0].probs) == [0.5, 0.5]
         # Only b observed label 1, so its estimate passes through.
-        assert list(avg.per_label[1].probs) == [0.5, 0.5]
-        assert avg.per_label_mass == (4.0, 4.0)
+        assert list(avg.scopes[1].probs) == [0.5, 0.5]
+        assert avg.masses == (4.0, 4.0)
 
     def test_label_count_mismatch(self):
-        a = RegionalDistributions(1, (dist([1.0, 0.0], 1.0),), (1.0,))
-        b = RegionalDistributions(2, (dist([1.0, 0.0], 1.0), None), (1.0, 0.0))
+        a = ScopedDistributions((dist([1.0, 0.0], 1.0),))
+        b = ScopedDistributions((dist([1.0, 0.0], 1.0), None))
         with pytest.raises(ValidationError):
-            average_regional([a, b])
+            average_scoped([a, b])
 
     def test_spatial_cellwise(self):
-        a = SpatialDistributions(1, 2, ((dist([1.0, 0.0]), dist([0.0, 1.0])),))
-        b = SpatialDistributions(1, 2, ((dist([0.0, 1.0]), dist([0.0, 1.0])),))
-        avg = average_spatial([a, b])
-        assert list(avg.per_cell[0][0].probs) == [0.5, 0.5]
-        assert list(avg.per_cell[0][1].probs) == [0.0, 1.0]
+        a = ScopedDistributions((dist([1.0, 0.0], 1.0), dist([0.0, 1.0], 1.0)), (1, 2))
+        b = ScopedDistributions((dist([0.0, 1.0], 1.0), dist([0.0, 1.0], 1.0)), (1, 2))
+        avg = average_scoped([a, b])
+        assert avg.cells == (1, 2)
+        assert list(avg.scopes[0].probs) == [0.5, 0.5]
+        assert list(avg.scopes[1].probs) == [0.0, 1.0]
 
     def test_spatial_tiling_mismatch(self):
-        a = SpatialDistributions(1, 2, ((dist([1.0, 0.0]), dist([0.0, 1.0])),))
-        b = SpatialDistributions(2, 1, ((dist([1.0, 0.0]),), (dist([0.0, 1.0]),)))
+        a = ScopedDistributions((dist([1.0, 0.0]), dist([0.0, 1.0])), (1, 2))
+        b = ScopedDistributions((dist([1.0, 0.0]), dist([0.0, 1.0])), (2, 1))
         with pytest.raises(ValidationError):
-            average_spatial([a, b])
+            average_scoped([a, b])
 
 
 class TestCollapse:
     def test_regional_mass_weighted(self):
-        reg = RegionalDistributions(
-            2, (dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)), (3.0, 1.0)
-        )
-        assert list(collapse_regional(reg).probs) == [0.75, 0.25]
+        reg = ScopedDistributions((dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)))
+        assert list(collapse_scoped(reg).probs) == [0.75, 0.25]
 
     def test_regional_all_absent(self):
-        reg = RegionalDistributions(1, (None,), (0.0,))
+        reg = ScopedDistributions((None,))
         with pytest.raises(ValidationError):
-            collapse_regional(reg)
+            collapse_scoped(reg)
 
     def test_spatial_mass_weighted(self):
-        spat = SpatialDistributions(
-            1, 2, ((dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)),)
-        )
-        assert list(collapse_spatial(spat).probs) == [0.75, 0.25]
+        spat = ScopedDistributions((dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)), (1, 2))
+        assert list(collapse_scoped(spat).probs) == [0.75, 0.25]
 
 
 class TestMonteCarloDataset:
@@ -314,14 +323,14 @@ class TestMonteCarloStructured:
         pair = (TokenGrid(1, 4, 3, [0, 1, 2, 2]), SemanticGrid(1, 4, 2, [0, 0, 1, 1]))
         est = monte_carlo_regional_distribution([pair], draws=9, smoothing_alpha=0.0)
         direct = histogram_by_region(*pair, smoothing_alpha=0.0)
-        assert np.array_equal(est.per_label[0].probs, direct.per_label[0].probs)
-        assert np.array_equal(est.per_label[1].probs, direct.per_label[1].probs)
+        assert np.array_equal(est.scopes[0].probs, direct.scopes[0].probs)
+        assert np.array_equal(est.scopes[1].probs, direct.scopes[1].probs)
 
     def test_spatial_single_grid_exact(self, grid_factory):
         grid = grid_factory(4, 4, 5)
         est = monte_carlo_spatial_distribution([grid], 2, 2, draws=7, smoothing_alpha=0.0)
         direct = histogram_by_cell([grid], 2, 2, smoothing_alpha=0.0)
-        for a, b in zip(est.cells_flat(), direct.cells_flat()):
+        for a, b in zip(est.scopes, direct.scopes):
             assert np.array_equal(a.probs, b.probs)
 
     def test_structured_determinism(self, rng):

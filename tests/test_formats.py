@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, FormatError, SemanticGrid, TokenGrid, ValidationError
-from gcs.distributions import RegionalDistributions, SpatialDistributions, smoothed_distribution
+from gcs.distributions import ScopedDistributions, smoothed_distribution
 from gcs.formats import (
     distribution_from_dict,
     distribution_to_dict,
@@ -143,41 +143,40 @@ class TestStatsFiles:
         assert back == d
 
     def test_regional_round_trip_with_absent_label(self, tmp_path):
-        reg = RegionalDistributions(
-            label_count=2,
-            per_label=(CategoricalDistribution(3, [0.5, 0.25, 0.25], source_mass=4.0), None),
-            per_label_mass=(4.0, 0.0),
+        reg = ScopedDistributions(
+            (CategoricalDistribution(3, [0.5, 0.25, 0.25], source_mass=4.0), None)
         )
         path = tmp_path / "stats.json"
         write_stats(path, reg)
+        payload = load_json(path)
+        assert (payload["label_count"], payload["per_label_mass"]) == (2, [4.0, 0.0])
         back = read_stats(path)
-        assert isinstance(back, RegionalDistributions)
-        assert back.per_label[1] is None
-        assert back.per_label[0] == reg.per_label[0]
-        assert back.per_label_mass == (4.0, 0.0)
+        assert isinstance(back, ScopedDistributions) and back.cells is None
+        assert back.scopes[1] is None
+        assert back.scopes[0] == reg.scopes[0]
+        assert back.masses == (4.0, 0.0)
 
     def test_spatial_round_trip(self, tmp_path):
         cell = CategoricalDistribution(2, [0.75, 0.25], source_mass=8.0)
-        spat = SpatialDistributions(1, 2, ((cell, cell),))
+        spat = ScopedDistributions((cell, cell), (1, 2))
         path = tmp_path / "stats.json"
         write_stats(path, spat)
+        assert len(load_json(path)["per_cell"]) == 1
         back = read_stats(path)
-        assert isinstance(back, SpatialDistributions)
-        assert (back.cell_rows, back.cell_cols) == (1, 2)
-        assert back.per_cell[0][1] == cell
+        assert isinstance(back, ScopedDistributions)
+        assert back.cells == (1, 2)
+        assert back.scopes[1] == cell
 
     def test_kind_inferred_when_absent(self, tmp_path):
-        reg = RegionalDistributions(
-            label_count=1,
-            per_label=(CategoricalDistribution(2, [0.5, 0.5], source_mass=2.0),),
-            per_label_mass=(2.0,),
+        reg = ScopedDistributions(
+            (CategoricalDistribution(2, [0.5, 0.5], source_mass=2.0),)
         )
         path = tmp_path / "stats.json"
         write_stats(path, reg)
         payload = load_json(path)
         del payload["kind"]
         dump_json(path, payload)
-        assert isinstance(read_stats(path), RegionalDistributions)
+        assert read_stats(path) == reg
 
     def test_invalid_global_probs(self, tmp_path):
         path = tmp_path / "stats.json"

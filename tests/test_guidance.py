@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, ValidationError
-from gcs.distributions import RegionalDistributions, SpatialDistributions
+from gcs.distributions import ScopedDistributions
 from gcs.guidance import (
     LikelihoodTable,
     LikelihoodVector,
     global_likelihood_table,
     rebalance_prior,
-    regional_likelihoods,
+    scoped_likelihoods,
     select_likelihood,
-    spatial_likelihoods,
     style_likelihood,
 )
 
@@ -151,13 +150,9 @@ class TestLikelihoodTable:
 
 class TestSelectLikelihood:
     def build_regional(self):
-        style = RegionalDistributions(
-            2, (dist([0.75, 0.25], 4.0), None), (4.0, 0.0)
-        )
-        data = RegionalDistributions(
-            2, (dist([0.5, 0.5], 4.0), dist([0.5, 0.5], 4.0)), (4.0, 4.0)
-        )
-        return regional_likelihoods(style, data, dist([0.6, 0.4]), dist([0.5, 0.5]))
+        style = ScopedDistributions((dist([0.75, 0.25], 4.0), None))
+        data = ScopedDistributions((dist([0.5, 0.5], 4.0), dist([0.5, 0.5], 4.0)))
+        return scoped_likelihoods(style, data, dist([0.6, 0.4]), dist([0.5, 0.5]))
 
     def test_global_everywhere(self):
         table = global_likelihood_table(STYLE, DATASET)
@@ -193,14 +188,11 @@ class TestSelectLikelihood:
         assert "outside the table's 2 labels" in str(exc.value)
 
     def build_spatial(self):
-        cells = tuple(
-            tuple(dist([0.5 + 0.1 * (2 * r + c), 0.5 - 0.1 * (2 * r + c)], 4.0) for c in range(2))
-            for r in range(2)
-        )
-        style = SpatialDistributions(2, 2, cells)
+        cells = tuple(dist([0.5 + 0.1 * i, 0.5 - 0.1 * i], 4.0) for i in range(4))
+        style = ScopedDistributions(cells, (2, 2))
         flat = dist([0.5, 0.5], 4.0)
-        data = SpatialDistributions(2, 2, ((flat, flat), (flat, flat)))
-        return spatial_likelihoods(style, data, dist([0.5, 0.5]), dist([0.5, 0.5]))
+        data = ScopedDistributions((flat,) * 4, (2, 2))
+        return scoped_likelihoods(style, data, dist([0.5, 0.5]), dist([0.5, 0.5]))
 
     def test_spatial_cell_dispatch(self):
         table = self.build_spatial()
@@ -221,10 +213,22 @@ class TestSelectLikelihood:
 
     def test_spatial_tiling_mismatch(self):
         flat = dist([0.5, 0.5], 4.0)
-        a = SpatialDistributions(1, 2, ((flat, flat),))
-        b = SpatialDistributions(2, 1, ((flat,), (flat,)))
-        with pytest.raises(ValidationError):
-            spatial_likelihoods(a, b, dist([0.5, 0.5]), dist([0.5, 0.5]))
+        a = ScopedDistributions((flat, flat), (1, 2))
+        b = ScopedDistributions((flat, flat), (2, 1))
+        with pytest.raises(ValidationError) as exc:
+            scoped_likelihoods(a, b, dist([0.5, 0.5]), dist([0.5, 0.5]))
+        assert "cell tiling mismatch: style 1x2 vs dataset 2x1" in str(exc.value)
+
+    def test_scope_layouts_must_match(self):
+        flat = dist([0.5, 0.5], 4.0)
+        labels = ScopedDistributions((flat, flat))
+        cells = ScopedDistributions((flat, flat), (1, 2))
+        with pytest.raises(ValidationError) as exc:
+            scoped_likelihoods(labels, cells, flat, flat)
+        assert "style stats are regional but dataset stats are spatial" in str(exc.value)
+        with pytest.raises(ValidationError) as exc:
+            scoped_likelihoods(labels, ScopedDistributions((flat,) * 3), flat, flat)
+        assert "label count mismatch: style 2 vs dataset 3" in str(exc.value)
 
 
 def test_spatial_vectors_shape_checked():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
-from gcs.distributions import RegionalDistributions, histogram_by_cell
+from gcs.distributions import ScopedDistributions, histogram_by_cell
 from gcs.metrics import (
     GuidanceReport,
     StyleReference,
@@ -109,30 +109,32 @@ class TestStyleMatchRate:
         regional = StyleReference(
             "r",
             dist([0.25] * 4),
-            RegionalDistributions(1, (dist([0.25] * 4, 4.0),), (4.0,)),
+            ScopedDistributions((dist([0.25] * 4, 4.0),)),
         )
         with pytest.raises(ValidationError) as exc:
             style_match_rate([low_grid(0)], (self.REFS[0], regional))
         assert "all global or all regional" in str(exc.value)
+
+    def test_tiled_regional_reference_rejected(self):
+        cells = ScopedDistributions((dist([0.25] * 4, 4.0),) * 2, (1, 2))
+        with pytest.raises(ValidationError) as exc:
+            StyleReference("r", dist([0.25] * 4), cells)
+        assert "per label, not per cell" in str(exc.value)
 
     def test_regional_mode(self):
         refs = (
             StyleReference(
                 "a",
                 dist([0.45, 0.45, 0.05, 0.05]),
-                RegionalDistributions(
-                    2,
+                ScopedDistributions(
                     (dist([0.9, 0.04, 0.03, 0.03], 2.0), dist([0.04, 0.9, 0.03, 0.03], 2.0)),
-                    (2.0, 2.0),
                 ),
             ),
             StyleReference(
                 "b",
                 dist([0.05, 0.05, 0.45, 0.45]),
-                RegionalDistributions(
-                    2,
+                ScopedDistributions(
                     (dist([0.03, 0.03, 0.9, 0.04], 2.0), dist([0.03, 0.03, 0.04, 0.9], 2.0)),
-                    (2.0, 2.0),
                 ),
             ),
         )
@@ -144,10 +146,10 @@ class TestStyleMatchRate:
     def test_regional_mode_needs_semantics(self):
         regional_refs = (
             StyleReference(
-                "a", dist([0.25] * 4), RegionalDistributions(1, (dist([0.25] * 4, 1.0),), (1.0,))
+                "a", dist([0.25] * 4), ScopedDistributions((dist([0.25] * 4, 1.0),))
             ),
             StyleReference(
-                "b", dist([0.25] * 4), RegionalDistributions(1, (dist([0.25] * 4, 1.0),), (1.0,))
+                "b", dist([0.25] * 4), ScopedDistributions((dist([0.25] * 4, 1.0),))
             ),
         )
         with pytest.raises(ValidationError) as exc:
@@ -232,10 +234,8 @@ class TestGuidanceReport:
         target = StyleReference(
             "goal",
             dist([0.45, 0.45, 0.05, 0.05]),
-            RegionalDistributions(
-                2,
+            ScopedDistributions(
                 (dist([0.9, 0.04, 0.03, 0.03], 8.0), dist([0.04, 0.9, 0.03, 0.03], 8.0)),
-                (8.0, 8.0),
             ),
         )
         sem = SemanticGrid(4, 4, 2, np.repeat([[0], [0], [1], [1]], 4, axis=1))
@@ -311,3 +311,9 @@ class TestSpatialDivergence:
         reference = histogram_by_cell([TokenGrid(1, 2, 2, [0, 1])], 1, 1, 0.5)
         with pytest.raises(ValidationError):
             spatial_divergence([], reference)
+
+    def test_label_scoped_reference_rejected(self):
+        reference = ScopedDistributions((dist([0.5, 0.5], 2.0),))
+        with pytest.raises(ValidationError) as exc:
+            spatial_divergence([TokenGrid(1, 2, 2, [0, 1])], reference)
+        assert "per-cell reference" in str(exc.value)

@@ -252,7 +252,7 @@ class TestAggregationConsistency:
         total = histogram_from_grid(grid, 0.0)
         regional = histogram_by_region(grid, semantics, 0.0)
         pooled = np.zeros(grid.codebook_size)
-        for dist in regional.per_label:
+        for dist in regional.scopes:
             if dist is not None:
                 pooled += dist.probs * dist.source_mass
         assert np.array_equal(
@@ -268,10 +268,9 @@ class TestAggregationConsistency:
         spatial = histogram_by_cell([grid], rows, cols, 0.0)
         merged = np.zeros(grid.codebook_size)
         mass = 0.0
-        for row in spatial.per_cell:
-            for dist in row:
-                merged += dist.probs * dist.source_mass
-                mass += dist.source_mass
+        for dist in spatial.scopes:
+            merged += dist.probs * dist.source_mass
+            mass += dist.source_mass
         merged /= mass
         assert np.allclose(
             merged, histogram_from_grid(grid, 0.0).probs, atol=1e-12, rtol=0.0

@@ -11,8 +11,7 @@ from gcs.guidance import (
     LikelihoodTable,
     LikelihoodVector,
     global_likelihood_table,
-    regional_likelihoods,
-    spatial_likelihoods,
+    scoped_likelihoods,
 )
 from gcs.prior import MarkovGridPrior, parse_context_template, train_markov_prior
 from gcs.rng import split_seed, unit_draw, seed_key
@@ -249,7 +248,7 @@ def build_guided_configs(rng):
             sems[0],
             SamplingConfig(
                 seed=6,
-                guidance=regional_likelihoods(reg_style, reg_data, style, data),
+                guidance=scoped_likelihoods(reg_style, reg_data, style, data),
             ),
         ),
         (
@@ -257,7 +256,7 @@ def build_guided_configs(rng):
             None,
             SamplingConfig(
                 seed=7,
-                guidance=spatial_likelihoods(spat_style, spat_data, style, data),
+                guidance=scoped_likelihoods(spat_style, spat_data, style, data),
                 temperature=0.8,
             ),
         ),
@@ -382,7 +381,7 @@ class TestBatchSample:
         # codes: dense indexes for every scope would take 128 MiB.
         corpus = [random_grid(rng, 16, 16, 255) for _ in range(4)]
         model = train_markov_prior(corpus[:2])
-        table = spatial_likelihoods(
+        table = scoped_likelihoods(
             histogram_by_cell(corpus[2:3], 16, 16),
             histogram_by_cell(corpus[3:], 16, 16),
             histogram_from_grid(corpus[2], 0.5),
