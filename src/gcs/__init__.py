@@ -9,13 +9,11 @@ region or per spatial cell.
 
 from .core import (
     CategoricalDistribution,
-    CodebookSpec,
     FormatError,
     SemanticGrid,
     TokenGrid,
     ValidationError,
     normalize,
-    uniform_distribution,
     validate_grid,
 )
 from .distributions import (

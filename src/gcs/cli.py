@@ -144,7 +144,7 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_train_prior(args) -> int:
-    corpus = load_grid_directory(args.corpus, with_semantics=True)
+    corpus = load_grid_directory(args.corpus, with_semantics=args.conditional)
     context = parse_context_template(args.context)
     model = train_markov_prior(
         corpus,

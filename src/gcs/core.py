@@ -44,17 +44,6 @@ def _coerce_grid_values(values, height: int, width: int, what: str) -> np.ndarra
     return arr.copy()
 
 
-@dataclass(frozen=True)
-class CodebookSpec:
-    """A discrete codebook, identified only by its number of entries."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValidationError(f"codebook size must be >= 2, got {self.size}")
-
-
 @dataclass(frozen=True, eq=False)
 class TokenGrid:
     """An immutable height x width grid of codebook indices (row-major)."""
@@ -185,6 +174,11 @@ def validate_grid(grid: TokenGrid) -> None:
         )
 
 
+def grid_pairs(items) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+    """(grid, semantics) pairs from a mix of bare grids (no semantics) and pairs."""
+    return [(it, None) if isinstance(it, TokenGrid) else (it[0], it[1]) for it in items]
+
+
 def require_same_shape(grid: TokenGrid, semantics: SemanticGrid) -> None:
     """Shared precondition for every operation pairing tokens with labels."""
     if (grid.height, grid.width) != (semantics.height, semantics.width):
@@ -268,13 +262,4 @@ def normalize(
         raise ValidationError("zero total mass: cannot normalize")
     return CategoricalDistribution(
         codebook_size=arr.size, probs=arr / total, source_mass=source_mass
-    )
-
-
-def uniform_distribution(codebook_size: int) -> CategoricalDistribution:
-    """The uniform distribution over a codebook."""
-    return CategoricalDistribution(
-        codebook_size=codebook_size,
-        probs=np.full(codebook_size, 1.0 / codebook_size),
-        source_mass=0.0,
     )

@@ -90,19 +90,21 @@ def cell_of_position(
     return (row * cell_rows) // height, (col * cell_cols) // width
 
 
-def smoothed_distribution(counts: np.ndarray, alpha: float) -> CategoricalDistribution:
-    """Turn raw per-token counts into an additively smoothed distribution."""
-    counts = np.asarray(counts, dtype=np.float64)
-    size = counts.size
-    total = float(counts.sum())
-    denom = total + alpha * size
-    if denom <= 0.0:
+def smoothed_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Additively smoothed (R, K) count rows, each as a probability row."""
+    denominators = counts.sum(axis=1, keepdims=True) + alpha * counts.shape[1]
+    if np.any(denominators <= 0.0):
         raise ValidationError(
             "zero observations with zero smoothing: distribution is undefined"
         )
-    return CategoricalDistribution(
-        codebook_size=size, probs=(counts + alpha) / denom, source_mass=total
-    )
+    return (counts + alpha) / denominators
+
+
+def smoothed_distribution(counts: np.ndarray, alpha: float) -> CategoricalDistribution:
+    """Turn raw per-token counts into an additively smoothed distribution."""
+    counts = np.asarray(counts, dtype=np.float64)
+    probs = smoothed_rows(counts[None], alpha)[0]
+    return CategoricalDistribution(counts.size, probs, source_mass=float(counts.sum()))
 
 
 def _check_alpha(alpha: float) -> float:

@@ -8,8 +8,9 @@ Binary grid layout (little-endian throughout):
     bytes 8-19  height, width, codebook_size (or label_count), three uint32
     then        height * width uint32 values, row-major
 
-Readers reject wrong magic, unsupported versions, and payloads whose length
-does not match the header exactly.  JSON files use sorted keys and indent 2
+Readers reject wrong magic, unsupported versions, a codebook size or label
+count above `GRID_VOCAB_LIMIT`, and payloads whose length does not match the
+header exactly.  JSON files use sorted keys and indent 2
 so that rewriting identical data yields identical bytes; floats are encoded
 with shortest round-trip decimal representation, so probabilities survive a
 save/load cycle bit-exactly.
@@ -43,6 +44,9 @@ _HEADER = struct.Struct("<4sHHIII")
 _TOKEN_MAGIC = b"TGRD"
 _LABEL_MAGIC = b"SGRD"
 _U32_MAX = 2**32 - 1
+# Largest codebook size or label count a grid file may declare, on write and
+# on read: histograms size their arrays by it.
+GRID_VOCAB_LIMIT = 2**20
 
 
 def token_grid_to_bytes(grid: TokenGrid) -> bytes:
@@ -60,8 +64,9 @@ def semantic_grid_to_bytes(grid: SemanticGrid) -> bytes:
 def _grid_to_bytes(
     magic: bytes, height: int, width: int, vocab: int, values: np.ndarray
 ) -> bytes:
-    if vocab > _U32_MAX or height > _U32_MAX or width > _U32_MAX:
+    if height > _U32_MAX or width > _U32_MAX:
         raise ValidationError("grid header field exceeds uint32 range")
+    _check_vocab(vocab, magic.decode())
     header = _HEADER.pack(magic, GRID_VERSION, 0, height, width, vocab)
     body = np.ascontiguousarray(values, dtype="<u4").tobytes()
     return header + body
@@ -77,6 +82,7 @@ def _grid_from_bytes(data: bytes, magic: bytes, what: str):
         raise FormatError(f"unsupported {what} version {version} (expected 1)")
     if height < 1 or width < 1:
         raise FormatError(f"{what} header has non-positive dimensions {height}x{width}")
+    _check_vocab(vocab, what)
     expected = _HEADER.size + 4 * height * width
     if len(data) != expected:
         raise FormatError(
@@ -84,6 +90,13 @@ def _grid_from_bytes(data: bytes, magic: bytes, what: str):
         )
     values = np.frombuffer(data, dtype="<u4", offset=_HEADER.size).astype(np.int64)
     return height, width, vocab, values
+
+
+def _check_vocab(vocab: int, what: str) -> None:
+    if vocab > GRID_VOCAB_LIMIT:
+        raise FormatError(
+            f"{what} vocabulary {vocab} exceeds the format limit {GRID_VOCAB_LIMIT}"
+        )
 
 
 def token_grid_from_bytes(data: bytes) -> TokenGrid:

@@ -100,29 +100,36 @@ def _check_exponent(exponent: float) -> None:
         )
 
 
-def rebalance_prior(
-    prior: CategoricalDistribution, likelihood: LikelihoodVector
-) -> CategoricalDistribution:
-    """Multiply a per-step prior by guidance weights and renormalize.
+def rebalance_rows(probs: np.ndarray, likelihood: LikelihoodVector) -> np.ndarray:
+    """Multiply (R, K) prior rows by guidance weights and renormalize each.
 
-    All-ones weight vectors return the prior object unchanged, so identity
+    All-ones weight vectors return the rows themselves, so identity
     guidance is exact to the bit, not merely within rounding.
     """
-    if prior.codebook_size != likelihood.codebook_size:
+    if probs.shape[1] != likelihood.codebook_size:
         raise ValidationError(
-            f"codebook size mismatch: prior {prior.codebook_size} vs "
+            f"codebook size mismatch: prior {probs.shape[1]} vs "
             f"weights {likelihood.codebook_size}"
         )
     if likelihood.is_identity:
-        return prior
-    scaled = prior.probs * likelihood.weights
-    total = float(scaled.sum())
-    if total <= 0.0:
+        return probs
+    scaled = probs * likelihood.weights
+    totals = scaled.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0.0):
         raise ValidationError("rebalanced distribution has zero total mass")
+    return scaled / totals
+
+
+def rebalance_prior(
+    prior: CategoricalDistribution, likelihood: LikelihoodVector
+) -> CategoricalDistribution:
+    """`rebalance_rows` on one prior; identity guidance returns the prior itself."""
+    row = prior.probs[None]
+    probs = rebalance_rows(row, likelihood)
+    if probs is row:
+        return prior
     return CategoricalDistribution(
-        codebook_size=prior.codebook_size,
-        probs=scaled / total,
-        source_mass=prior.source_mass,
+        prior.codebook_size, probs[0], source_mass=prior.source_mass
     )
 
 

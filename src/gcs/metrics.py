@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
+from .core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError, grid_pairs
 from .distributions import (
     ScopedDistributions,
     collapse_scoped,
@@ -80,20 +80,6 @@ class StyleReference:
         return scopes[label] if label < len(scopes) else None
 
 
-def _sample_pairs(
-    samples: Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    out = []
-    for item in samples:
-        if isinstance(item, TokenGrid):
-            out.append((item, None))
-        else:
-            out.append((item[0], item[1]))
-    if not out:
-        raise ValidationError("empty sample set")
-    return out
-
-
 def _regional_score(
     grid: TokenGrid,
     semantics: SemanticGrid,
@@ -146,7 +132,9 @@ def style_match_rate(
     if len(regional_flags) != 1:
         raise ValidationError("references must be all global or all regional")
     regional_mode = regional_flags.pop()
-    pairs = _sample_pairs(samples)
+    pairs = grid_pairs(samples)
+    if not pairs:
+        raise ValidationError("empty sample set")
     if true_styles is not None and len(true_styles) != len(pairs):
         raise ValidationError(
             f"{len(true_styles)} true styles for {len(pairs)} samples"
@@ -234,13 +222,10 @@ def _pooled_counts(grids: Sequence[TokenGrid]) -> CategoricalDistribution:
     return smoothed_distribution(counts, 0.0)
 
 
-def _pooled_regional(
-    grids: Sequence[TokenGrid], regions: list[SemanticGrid]
-) -> dict:
+def _pooled_regional(regionals: Sequence[ScopedDistributions]) -> dict:
     """Per-label pooled sample histograms (exact counts), absent labels skipped."""
     totals: dict = {}
-    for grid, semantics in zip(grids, regions):
-        regional = histogram_by_region(grid, semantics, 0.0)
+    for regional in regionals:
         for label, dist in enumerate(regional.scopes):
             if dist is None:
                 continue
@@ -264,6 +249,7 @@ def _set_summary(
 ) -> SetSummary:
     rows = []
     per_sample_kl = []
+    regionals = []  # each grid's per-label histogram, pooled below
     for i, grid in enumerate(grids):
         hist = histogram_from_grid(grid, 0.0)
         kl = kl_divergence(hist, target.distribution)
@@ -272,6 +258,7 @@ def _set_summary(
         kl_labels: dict = {}
         if regions is not None and target.regional is not None:
             regional = histogram_by_region(grid, regions[i], 0.0)
+            regionals.append(regional)
             for label, dist in enumerate(regional.scopes):
                 ref = target.label_target(label)
                 if dist is None or ref is None:
@@ -291,13 +278,12 @@ def _set_summary(
     pooled = _pooled_counts(grids)
     kl_per_label: dict = {}
     tv_per_label: dict = {}
-    if regions is not None and target.regional is not None:
-        for label, dist in _pooled_regional(grids, regions).items():
-            ref = target.label_target(label)
-            if ref is None:
-                continue
-            kl_per_label[label] = kl_divergence(dist, ref)
-            tv_per_label[label] = total_variation(dist, ref)
+    for label, dist in _pooled_regional(regionals).items():
+        ref = target.label_target(label)
+        if ref is None:
+            continue
+        kl_per_label[label] = kl_divergence(dist, ref)
+        tv_per_label[label] = total_variation(dist, ref)
     return SetSummary(
         pooled_kl=kl_divergence(pooled, target.distribution),
         pooled_tv=total_variation(pooled, target.distribution),

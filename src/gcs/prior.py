@@ -3,20 +3,24 @@
 The generation loop only needs one capability from a model: given the
 already-generated prefix (raster order: row-major, left to right, top to
 bottom), produce a distribution over the next token.  `MarkovGridPrior` is
-the trainable reference implementation: a count table keyed by a small
-template of previously generated neighbor tokens, optionally also keyed by
-the semantic label at the current position.  Out-of-grid template slots map
-to a reserved boundary marker so border statistics never mix with token
-statistics.
+the trainable reference implementation: next-token counts per state, a
+state being the tokens at a small template of previously generated
+neighbors, optionally with the semantic label at the current position.
+Out-of-grid template slots map to a reserved boundary marker so border
+statistics never mix with token statistics.
 
-Turning a prior row into a step posterior (guidance, temperature, top-k)
-and the exact chain enumeration built on it live in `sampler.py`.
+The states are arrays: one row of contexts, label and counts each, and one
+matrix of smoothed rows whose last row serves every unseen context.
+Training counts a whole corpus with one np.unique over packed state codes.
+Turning prior rows into step posteriors (guidance, temperature, top-k) and
+the exact chain enumeration built on them live in `sampler.py`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -27,9 +31,11 @@ from .core import (
     SemanticGrid,
     TokenGrid,
     ValidationError,
+    _readonly,
+    grid_pairs,
     require_same_shape,
 )
-from .distributions import smoothed_distribution
+from .distributions import smoothed_rows
 
 BOUNDARY = -1
 
@@ -95,10 +101,13 @@ def validate_context_template(
 class MarkovGridPrior:
     """Count-based conditional next-token model.
 
-    ``counts`` maps (context token tuple, label) to a per-token count
-    vector; the label slot is None for unconditional models.  Distributions
-    are additively smoothed, so with smoothing_alpha > 0 every context
-    (including contexts never seen in training) has full support.
+    The S trained states are rows: ``contexts`` (S, slots) holds each
+    state's template tokens, ``labels`` (S,) its semantic label (-1 in an
+    unconditional model) and ``counts`` (S, K) its next-token counts.
+    ``smoothed`` holds their additively smoothed rows plus, when
+    smoothing_alpha > 0, one last row for zero observations that every
+    context absent from the states shares.  With smoothing_alpha 0, reaching
+    an unseen context is an error.
     """
 
     codebook_size: int
@@ -106,33 +115,65 @@ class MarkovGridPrior:
     conditional: bool = False
     label_count: int | None = None
     smoothing_alpha: float = 0.5
-    counts: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    contexts: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    smoothed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.codebook_size < 2:
-            raise ValidationError(
-                f"codebook size must be >= 2, got {self.codebook_size}"
-            )
+        size = self.codebook_size
+        if size < 2:
+            raise ValidationError(f"codebook size must be >= 2, got {size}")
         object.__setattr__(self, "context", validate_context_template(self.context))
-        if self.smoothing_alpha < 0 or not np.isfinite(self.smoothing_alpha):
+        alpha = self.smoothing_alpha
+        if alpha < 0 or not np.isfinite(alpha):
             raise ValidationError(
-                f"smoothing alpha must be finite and >= 0, got {self.smoothing_alpha}"
+                f"smoothing alpha must be finite and >= 0, got {alpha}"
             )
-        if self.conditional:
-            if self.label_count is None or self.label_count < 1:
-                raise ValidationError("conditional model requires a positive label_count")
-        for (ctx, label), vec in self.counts.items():
-            if len(ctx) != len(self.context):
-                raise ValidationError(
-                    f"count table key {ctx} does not match the context template"
-                )
-            if (label is None) == self.conditional:
-                raise ValidationError(
-                    "count table labels are inconsistent with the conditional flag"
-                )
-            if np.asarray(vec).shape != (self.codebook_size,):
-                raise ValidationError("count vector length mismatch")
+        if self.conditional and (self.label_count is None or self.label_count < 1):
+            raise ValidationError("conditional model requires a positive label_count")
+        slots = len(self.context)
+        counts = np.array(np.zeros((0, size)) if self.counts is None else self.counts, np.int64)
+        if counts.ndim != 2 or counts.shape[1] != size:
+            raise ValidationError("count vector length mismatch")
+        contexts = np.array(
+            np.zeros((0, slots)) if self.contexts is None else self.contexts, np.int64
+        )
+        labels = np.array(np.full(len(counts), -1) if self.labels is None else self.labels, np.int64)
+        if contexts.shape != (len(counts), slots):
+            raise ValidationError("count table contexts do not match the context template")
+        unlabelled = labels < 0
+        if labels.shape != (len(counts),) or (
+            unlabelled.any() if self.conditional else not unlabelled.all()
+        ):
+            raise ValidationError(
+                "count table labels are inconsistent with the conditional flag"
+            )
+        unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
+        smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
+        for name, value in zip(
+            ("counts", "contexts", "labels", "smoothed"), (counts, contexts, labels, smoothed)
+        ):
+            object.__setattr__(self, name, _readonly(value))
+
+    @cached_property
+    def _state_ids(self) -> dict:
+        """(context tuple, label or None) -> row of each trained state."""
+        labels = self.labels.tolist() if self.conditional else [None] * len(self.labels)
+        contexts = map(tuple, self.contexts.tolist())
+        return {key: i for i, key in enumerate(zip(contexts, labels))}
+
+    def state_of(self, context: tuple[int, ...], label: int | None) -> int:
+        """Row of `smoothed` for one (context, label); unseen ones share the last."""
+        state = self._state_ids.get((context, label))
+        if state is not None:
+            return state
+        if self.smoothing_alpha == 0.0:
+            raise ValidationError(
+                f"context {context} (label {label}) was never observed and "
+                "smoothing_alpha is 0; the distribution is undefined"
+            )
+        return len(self.counts)
 
     def context_at(
         self, prefix: Sequence[int], height: int, width: int, row: int, col: int
@@ -150,27 +191,10 @@ class MarkovGridPrior:
     def distribution_for_context(
         self, context: tuple[int, ...], label: int | None
     ) -> CategoricalDistribution:
-        """Smoothed count ratio for one (context, label) state, memoized.
-
-        Every context absent from `counts` has the same smoothed
-        distribution, so each label caches one shared object for all of them.
-        """
-        key = (context, label)
-        if key not in self.counts:
-            if self.smoothing_alpha == 0.0:
-                raise ValidationError(
-                    f"context {context} (label {label}) was never observed and "
-                    "smoothing_alpha is 0; the distribution is undefined"
-                )
-            key = (None, label)
-        cached = self._cache.get(key)
-        if cached is None:
-            vec = self.counts.get(key)
-            if vec is None:
-                vec = np.zeros(self.codebook_size)
-            cached = smoothed_distribution(vec, self.smoothing_alpha)
-            self._cache[key] = cached
-        return cached
+        """Smoothed count ratio for one (context, label) state."""
+        state = self.state_of(context, label)
+        mass = self.counts[state].sum() if state < len(self.counts) else 0.0
+        return CategoricalDistribution(self.codebook_size, self.smoothed[state], mass)
 
     def next_distribution(
         self,
@@ -210,12 +234,7 @@ def train_markov_prior(
     on iteration order.
     """
     context = validate_context_template(context)
-    pairs: list[tuple[TokenGrid, SemanticGrid | None]] = []
-    for item in corpus:
-        if isinstance(item, TokenGrid):
-            pairs.append((item, None))
-        else:
-            pairs.append((item[0], item[1]))
+    pairs = grid_pairs(corpus)
     if not pairs:
         raise ValidationError("empty training corpus")
     size = pairs[0][0].codebook_size
@@ -234,13 +253,15 @@ def train_markov_prior(
             elif sem.label_count != label_count:
                 raise ValidationError("training corpus mixes label counts")
 
-    counts = _count_tables(pairs, context, conditional, size, label_count)
+    contexts, labels, counts = _count_states(pairs, context, conditional, size, label_count)
     return MarkovGridPrior(
         codebook_size=size,
         context=context,
         conditional=conditional,
         label_count=label_count,
         smoothing_alpha=smoothing_alpha,
+        contexts=contexts,
+        labels=labels,
         counts=counts,
     )
 
@@ -256,94 +277,69 @@ def _shifted_tokens(tokens: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def _count_tables(
+def _count_states(
     pairs: Sequence[tuple[TokenGrid, SemanticGrid | None]],
     context: tuple[tuple[int, int], ...],
     conditional: bool,
     size: int,
     label_count: int | None,
-) -> dict:
-    """One flat encode-sort-count pass over every position of every grid."""
-    base = size + 1  # token values shifted by one so the boundary marker fits
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contexts, labels and next-token counts of every state in the corpus.
+
+    Each position becomes one mixed-radix code whose digits are its
+    template tokens (plus one, so the boundary marker is 0), its label when
+    conditional, and its token, added one digit at a time.  Before a digit
+    would overflow int64, the code so far is replaced by its rank among the
+    codes present, which keeps it below the position count.  One np.unique
+    counts the codes; divmod, through the kept rank tables, decodes them.
+    States come out sorted by context, then label.
+    """
     slots = len(context)
-    n_labels = label_count if conditional else 1
-    # Guard the flat encoding against int64 overflow; fall back to a plain
-    # per-position loop for enormous codebooks with wide templates.
-    if (base**slots) * n_labels * size >= 2**62:
-        return _count_tables_slow(pairs, context, conditional)
+    radices = [size + 1] * slots + ([label_count] if conditional else []) + [size]
+    ends = np.cumsum([grid.tokens.size for grid, _ in pairs])
+    code = np.zeros(ends[-1], dtype=np.int64)
+    bound, ranks = 1, {}  # codes lie in [0, bound); ranks[i]: table before digit i
+    for i, radix in enumerate(radices):
+        if bound * radix > 2**63:
+            ranks[i], code = np.unique(code, return_inverse=True)
+            bound = ranks[i].size
+        for (grid, sem), end in zip(pairs, ends):
+            if i < slots:
+                digit = _shifted_tokens(grid.tokens, *context[i]).reshape(-1) + 1
+            else:
+                digit = sem.flat if i == slots and conditional else grid.flat
+            chunk = code[end - digit.size : end]
+            chunk *= radix
+            chunk += digit
+        bound *= radix
 
-    strides = [base**i for i in range(slots)]
-    chunks = []
-    for grid, sem in pairs:
-        code = np.zeros(grid.height * grid.width, dtype=np.int64)
-        for stride, (dr, dc) in zip(strides, context):
-            code += (_shifted_tokens(grid.tokens, dr, dc).reshape(-1) + 1) * stride
-        if conditional:
-            code += sem.flat * (base**slots)
-        chunks.append(code * size + grid.flat)
-    combined = np.concatenate(chunks)
-    values, freq = np.unique(combined, return_counts=True)
-
-    counts: dict = {}
-    for value, n in zip(values.tolist(), freq.tolist()):
-        code, token = divmod(value, size)
-        if conditional:
-            code, label = code % (base**slots), code // (base**slots)
-        else:
-            label = None
-        ctx = []
-        for _ in range(slots):
-            code, digit = divmod(code, base)
-            ctx.append(digit - 1)
-        key = (tuple(ctx), label)
-        vec = counts.get(key)
-        if vec is None:
-            vec = np.zeros(size, dtype=np.int64)
-            counts[key] = vec
-        vec[token] += n
-    return counts
-
-
-def _count_tables_slow(
-    pairs: Sequence[tuple[TokenGrid, SemanticGrid | None]],
-    context: tuple[tuple[int, int], ...],
-    conditional: bool,
-) -> dict:
-    counts: dict = {}
-    for grid, sem in pairs:
-        flat = grid.flat
-        for row in range(grid.height):
-            for col in range(grid.width):
-                ctx = []
-                for dr, dc in context:
-                    rr, cc = row + dr, col + dc
-                    if 0 <= rr < grid.height and 0 <= cc < grid.width:
-                        ctx.append(int(flat[rr * grid.width + cc]))
-                    else:
-                        ctx.append(BOUNDARY)
-                label = int(sem.labels[row, col]) if conditional else None
-                key = (tuple(ctx), label)
-                vec = counts.get(key)
-                if vec is None:
-                    vec = np.zeros(grid.codebook_size, dtype=np.int64)
-                    counts[key] = vec
-                vec[int(flat[row * grid.width + col])] += 1
-    return counts
-
-
-def _table_sort_key(item) -> tuple:
-    (ctx, label), _vec = item
-    return (tuple(ctx), -1 if label is None else label)
+    values, freq = np.unique(code, return_counts=True)
+    code, tokens = np.divmod(values, size)
+    code, state = np.unique(code, return_inverse=True)
+    counts = np.zeros((code.size, size), dtype=np.int64)
+    counts[state, tokens] = freq
+    last = len(radices) - 1
+    digits = np.empty((code.size, last), dtype=np.int64)
+    for i in reversed(range(last)):
+        if i + 1 in ranks:
+            code = ranks[i + 1][code]
+        code, digits[:, i] = np.divmod(code, radices[i])
+    labels = digits[:, slots] if conditional else np.full(code.size, -1)
+    return digits[:, :slots] - 1, labels, counts
 
 
 def save_model(path: str | Path, model: MarkovGridPrior) -> None:
-    """Write the model as deterministic JSON (stable table and count order)."""
+    """Write the model as deterministic JSON: states by context, then label."""
+    order = np.lexsort((model.labels, *model.contexts.T[::-1]))
     tables = []
-    for (ctx, label), vec in sorted(model.counts.items(), key=_table_sort_key):
+    for ctx, label, row in zip(
+        model.contexts[order].tolist(), model.labels[order].tolist(), model.counts[order]
+    ):
+        tokens = np.flatnonzero(row > 0)
         entry = {
-            "context": ["B" if t == BOUNDARY else int(t) for t in ctx],
-            "label": None if label is None else int(label),
-            "counts": {str(t): int(n) for t, n in enumerate(vec) if n > 0},
+            "context": ["B" if t == BOUNDARY else t for t in ctx],
+            "label": None if label < 0 else label,
+            "counts": dict(zip(map(str, tokens.tolist()), row[tokens].tolist())),
         }
         tables.append(entry)
     payload = {
@@ -369,17 +365,17 @@ def load_model(path: str | Path) -> MarkovGridPrior:
         conditional = bool(payload["conditional"])
         label_count = payload.get("label_count")
         alpha = float(payload["smoothing_alpha"])
-        counts: dict = {}
-        for entry in payload["tables"]:
-            ctx = tuple(
-                BOUNDARY if t == "B" else int(t) for t in entry["context"]
-            )
-            label = entry["label"]
-            vec = np.zeros(size, dtype=np.int64)
+        tables = payload["tables"]
+        contexts = np.array(
+            [[BOUNDARY if t == "B" else int(t) for t in entry["context"]] for entry in tables],
+            dtype=np.int64,
+        ).reshape(len(tables), len(context))
+        labels = [-1 if entry["label"] is None else int(entry["label"]) for entry in tables]
+        counts = np.zeros((len(tables), size), dtype=np.int64)
+        for row, entry in zip(counts, tables):
             for token, n in entry["counts"].items():
-                vec[int(token)] = int(n)
-            counts[(ctx, None if label is None else int(label))] = vec
-    except (KeyError, TypeError, ValueError) as exc:
+                row[int(token)] = int(n)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: malformed model JSON ({exc})") from exc
     return MarkovGridPrior(
         codebook_size=size,
@@ -387,5 +383,7 @@ def load_model(path: str | Path) -> MarkovGridPrior:
         conditional=conditional,
         label_count=None if label_count is None else int(label_count),
         smoothing_alpha=alpha,
+        contexts=contexts,
+        labels=labels,
         counts=counts,
     )

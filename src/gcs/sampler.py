@@ -2,19 +2,20 @@
 
 Per step the prior distribution passes through up to three stages, always
 in this order: likelihood rebalancing, temperature, then top-k truncation.
-Each stage returns its input object untouched when it would be a no-op
-(identity likelihood, temperature exactly 1, truncation that removes no
-mass), so a pipeline of no-ops reproduces the raw prior bit for bit.
-`_posterior` is the one place that runs this pipeline: `sample_grid` and
-the exact chain enumeration `exact_sequence_distribution` reach it through
-`step_posterior`, and `batch_sample` builds every row of its posterior-row
-table with it.
+`posterior_rows` is the one implementation of that pipeline, over a matrix
+of prior rows; a stage that is a no-op for a row (identity likelihood,
+temperature exactly 1, truncation that removes no mass) leaves its bits
+untouched, so a pipeline of no-ops reproduces the raw prior bit for bit.
+`sample_grid` and the exact chain enumeration `exact_sequence_distribution`
+run it on one row per step through `step_posterior`.
 
-`batch_sample` on a `MarkovGridPrior` keeps that table for the batch: one
-row per (scope, context state), where a scope is a step's label and
-guidance vector, built on first visit and stored with its cumulative sum.
-Each raster position is then one row lookup and one vectorized inverse-CDF
-pick (`inverse_cdf_rows`) for all samples, with no loop over context groups.
+`batch_sample` on a `MarkovGridPrior` keeps a posterior-row table for the
+batch: one row per (scope, prior state), where a scope is a step's label
+and guidance vector, stored with its cumulative sum.  At each raster
+position the contexts no row covers yet are mapped to prior states, and
+their new rows are built in one `posterior_rows` call on the prior's
+smoothed matrix.  The position is then one row lookup and one vectorized
+inverse-CDF pick (`inverse_cdf_rows`) for all samples.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  `batch_sample` derives the stream key of sample i
@@ -36,7 +37,7 @@ from .core import (
     ValidationError,
     token_grids,
 )
-from .guidance import LikelihoodTable, LikelihoodVector, rebalance_prior, select_likelihood
+from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, select_likelihood
 from .prior import BOUNDARY, MarkovGridPrior, PriorModel
 from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_for_keys
 
@@ -71,61 +72,14 @@ def index_from_unit(
     Ties at bin edges resolve to the lower index (searchsorted side="left").
     Zero-probability entries can never be returned: an index landing on one
     (possible only at shared cumulative values or after float shortfall at
-    the top) is pushed forward to the next positive entry, wrapping back to
-    the last positive entry when the shortfall falls past the end.
+    the top) is pushed forward to the next positive entry, or back to the
+    last positive entry when there is none.
     """
-    size = probs.shape[0]
     idx = int(np.searchsorted(cumulative, u, side="left"))
-    if idx >= size:
-        idx = size - 1
-        while probs[idx] <= 0.0:
-            idx -= 1
+    if idx < probs.shape[0] and probs[idx] > 0.0:
         return idx
-    while probs[idx] <= 0.0:
-        idx += 1
-        if idx == size:
-            idx = size - 1
-            while probs[idx] <= 0.0:
-                idx -= 1
-            return idx
-    return idx
-
-
-def apply_temperature(
-    dist: CategoricalDistribution, temperature: float
-) -> CategoricalDistribution:
-    if temperature == 1.0:
-        return dist
-    powered = dist.probs ** (1.0 / temperature)
-    total = powered.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise ValidationError(
-            f"temperature {temperature} produced an unnormalizable distribution"
-        )
-    return CategoricalDistribution(
-        dist.codebook_size, powered / total, source_mass=dist.source_mass
-    )
-
-
-def apply_top_k(dist: CategoricalDistribution, k: int | None) -> CategoricalDistribution:
-    """Keep the k most probable tokens, breaking ties toward lower index."""
-    if k is None:
-        return dist
-    size = dist.codebook_size
-    if k > size:
-        raise ValidationError(f"top_k {k} exceeds codebook size {size}")
-    if k == size:
-        return dist
-    order = np.lexsort((np.arange(size), -dist.probs))
-    dropped = dist.probs[order[k:]]
-    if not dropped.any():
-        return dist
-    kept = np.zeros(size)
-    keep_idx = order[:k]
-    kept[keep_idx] = dist.probs[keep_idx]
-    return CategoricalDistribution(
-        size, kept / kept.sum(), source_mass=dist.source_mass
-    )
+    positive = np.flatnonzero(probs > 0.0)
+    return int(positive[min(np.searchsorted(positive, idx), positive.size - 1)])
 
 
 def step_posterior(
@@ -135,23 +89,54 @@ def step_posterior(
     semantics: SemanticGrid | None = None,
     grid_shape: tuple[int, int] | None = None,
 ) -> CategoricalDistribution:
-    """Prior -> guided -> tempered -> truncated distribution for one step."""
+    """`posterior_rows` on one step's prior; all no-ops return the prior itself."""
     vector = None
     if config.guidance is not None:
         if position is None:
             raise ValidationError("guided sampling requires the step position")
         vector = select_likelihood(config.guidance, position, semantics, grid_shape)
-    return _posterior(prior, vector, config)
+    row = prior.probs[None]
+    probs = posterior_rows(row, vector, config)
+    if probs is row:
+        return prior
+    return CategoricalDistribution(
+        prior.codebook_size, probs[0], source_mass=prior.source_mass
+    )
 
 
-def _posterior(
-    prior: CategoricalDistribution,
-    vector: LikelihoodVector | None,
-    config: SamplingConfig,
-) -> CategoricalDistribution:
-    """The one guide -> temperature -> top-k pipeline, given the step's vector."""
-    dist = prior if vector is None else rebalance_prior(prior, vector)
-    return apply_top_k(apply_temperature(dist, config.temperature), config.top_k)
+def posterior_rows(
+    probs: np.ndarray, vector: LikelihoodVector | None, config: SamplingConfig
+) -> np.ndarray:
+    """The one guide -> temperature -> top-k pipeline, over (R, K) prior rows.
+
+    Top-k keeps the k most probable tokens, breaking ties toward the lower
+    index.  A stage leaves a row's bits untouched where it is a no-op
+    (identity guidance, temperature exactly 1, a truncation that drops no
+    mass), and returns its input array when it is a no-op for every row.
+    """
+    size = probs.shape[1]
+    if vector is not None:
+        probs = rebalance_rows(probs, vector)
+    if config.temperature != 1.0:
+        powered = probs ** (1.0 / config.temperature)
+        totals = powered.sum(axis=1, keepdims=True)
+        if not np.all((totals > 0.0) & np.isfinite(totals)):
+            raise ValidationError(
+                f"temperature {config.temperature} produced an unnormalizable distribution"
+            )
+        probs = powered / totals
+    k = config.top_k
+    if k is not None and k > size:
+        raise ValidationError(f"top_k {k} exceeds codebook size {size}")
+    if k is not None and k < size:
+        order = np.argsort(-probs, axis=1, kind="stable")
+        cut = np.take_along_axis(probs, order[:, k:], axis=1).any(axis=1, keepdims=True)
+        if cut.any():
+            kept = np.zeros_like(probs)
+            top = order[:, :k]
+            np.put_along_axis(kept, top, np.take_along_axis(probs, top, axis=1), axis=1)
+            probs = np.where(cut, kept / kept.sum(axis=1, keepdims=True), probs)
+    return probs
 
 
 def _check_sampling_args(
@@ -159,14 +144,9 @@ def _check_sampling_args(
     height: int,
     width: int,
     semantics: SemanticGrid | None,
-    config: SamplingConfig,
 ) -> None:
     if height < 1 or width < 1:
         raise ValidationError(f"grid shape {height}x{width} must be positive")
-    if config.top_k is not None and config.top_k > model.codebook_size:
-        raise ValidationError(
-            f"top_k {config.top_k} exceeds codebook size {model.codebook_size}"
-        )
     if model.conditional and semantics is None:
         raise ValidationError("conditional model requires a semantic map")
     if semantics is not None and (semantics.height, semantics.width) != (height, width):
@@ -184,7 +164,7 @@ def sample_grid(
     config: SamplingConfig = SamplingConfig(),
 ) -> TokenGrid:
     """Draw one grid, consuming exactly one unit draw per position."""
-    _check_sampling_args(model, height, width, semantics, config)
+    _check_sampling_args(model, height, width, semantics)
     key = seed_key(config.seed)
     shape = (height, width)
     prefix: list[int] = []
@@ -209,14 +189,14 @@ def batch_sample(
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
     A `MarkovGridPrior` takes the vectorized path: a `_RowTable` of step
-    posteriors keyed by (scope, context state) turns each raster position
+    posteriors keyed by (scope, prior state) turns each raster position
     into one row lookup and one inverse-CDF pick for the whole batch, and
     the token sequences equal `count` independent `sample_grid` calls.
     Any other model runs that per-sample loop.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
-    _check_sampling_args(model, height, width, semantics, config)
+    _check_sampling_args(model, height, width, semantics)
     if not isinstance(model, MarkovGridPrior):
         return [
             sample_grid(
@@ -228,7 +208,30 @@ def batch_sample(
             )
             for i in range(count)
         ]
-    return _batch_sample_markov(model, height, width, count, semantics, config)
+    keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
+    grids = np.full((count, height, width), -1, dtype=np.int64)
+    shape = (height, width)
+    table = _RowTable(model, config)
+    boundary = np.full(count, BOUNDARY, dtype=np.int64)
+
+    for i in range(height * width):
+        row, col = divmod(i, width)
+        columns = []
+        for dr, dc in model.context:
+            rr, cc = row + dr, col + dc
+            inside = 0 <= rr < height and 0 <= cc < width
+            columns.append(grids[:, rr, cc] if inside else boundary)
+        label = None
+        if model.conditional:
+            label = int(semantics.labels[row, col])
+        vector = None
+        if config.guidance is not None:
+            vector = select_likelihood(config.guidance, (row, col), semantics, shape)
+        rows = table.rows(columns, label, vector)
+        draws = unit_draws_for_keys(keys, i)
+        grids[:, row, col] = inverse_cdf_rows(table.probs, table.cumulative, rows, draws)
+
+    return token_grids(grids, model.codebook_size)
 
 
 def inverse_cdf_rows(
@@ -315,13 +318,14 @@ class _SortedIndex:
 
 
 class _RowTable:
-    """Step posteriors of one batch, one row per (scope, context state).
+    """Step posteriors of one batch, one row per (scope, prior state).
 
-    A scope is a step's label and guidance vector.  Each row is built once,
-    on first visit, by `_posterior`, and holds the same probability vector
-    `sample_grid` would use plus its cumulative sum.  States that share a
-    prior object (every context absent from the counts of a label) share a
-    row.  Row arrays grow by a quarter when full.
+    A scope is a step's label and guidance vector.  Each scope maps context
+    codes to rows through its own index, and the prior's state of each new
+    context to a row through ``row_of_state``: every unseen context is one
+    state, so it shares one row per scope.  A position's new rows go
+    through `posterior_rows` together and are stored with their cumulative
+    sums; the row arrays grow by at least a quarter when full.
     """
 
     def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
@@ -330,8 +334,7 @@ class _RowTable:
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
-        self.row_of_posterior: dict = {}  # (id(prior), id(vector)) -> row
-        self.indexes: dict = {}  # (label, id(vector)) -> _DenseIndex | _SortedIndex
+        self.scopes: dict = {}  # (label, id(vector)) -> (index, row_of_state)
         self.dense_entries = 0  # summed size of the dense indexes
 
     def rows(
@@ -341,80 +344,44 @@ class _RowTable:
         vector: LikelihoodVector | None,
     ) -> np.ndarray:
         """Row of each sample's context state, building rows for new states."""
-        index = self.indexes.get((label, id(vector)))
-        if index is None:
+        scope = self.scopes.get((label, id(vector)))
+        if scope is None:
             base, slots = self.model.codebook_size + 1, len(columns)
             if self.dense_entries + base**slots <= DENSE_INDEX_ENTRIES:
                 self.dense_entries += base**slots
-                index = _DenseIndex(base, slots)
+                scope = _DenseIndex(base, slots), {}
             else:
-                index = _SortedIndex(slots)
-            self.indexes[(label, id(vector))] = index
+                scope = _SortedIndex(slots), {}
+            self.scopes[(label, id(vector))] = scope
+        index, row_of_state = scope
         keys = index.keys(columns)
         rows = index.find(keys)
         missing = np.flatnonzero(rows < 0)
         if missing.size:
-            new_keys, first = np.unique(keys[missing], return_index=True)
-            new_rows = [
-                self._row(tuple(int(column[j]) for column in columns), label, vector)
-                for j in missing[first]
-            ]
-            index.add(new_keys, np.array(new_rows, dtype=np.int64))
-            rows[missing] = index.find(keys[missing])
+            new_keys, first, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True
+            )
+            contexts = np.stack([column[missing[first]] for column in columns], axis=1)
+            states = [self.model.state_of(ctx, label) for ctx in map(tuple, contexts.tolist())]
+            fresh = sorted(set(states) - row_of_state.keys())
+            if fresh:
+                probs = posterior_rows(self.model.smoothed[fresh], vector, self.config)
+                row_of_state.update(zip(fresh, range(self.size, self.size + len(fresh))))
+                self._append(probs)
+            new_rows = np.array([row_of_state[state] for state in states], dtype=np.int64)
+            index.add(new_keys, new_rows)
+            rows[missing] = new_rows[inverse]
         return rows
 
-    def _row(
-        self, context: tuple[int, ...], label: int | None, vector: LikelihoodVector | None
-    ) -> int:
-        prior = self.model.distribution_for_context(context, label)
-        memo_key = (id(prior), id(vector))
-        row = self.row_of_posterior.get(memo_key)
-        if row is None:
-            probs = _posterior(prior, vector, self.config).probs
-            if self.size == self.probs.shape[0]:
-                extra = np.empty((max(1, self.size // 4), self.probs.shape[1]))
-                self.probs = np.concatenate((self.probs, extra))
-                self.cumulative = np.concatenate((self.cumulative, extra))
-            row = self.size
-            self.probs[row] = probs
-            self.cumulative[row] = np.cumsum(probs)
-            self.size += 1
-            self.row_of_posterior[memo_key] = row
-        return row
-
-
-def _batch_sample_markov(
-    model: MarkovGridPrior,
-    height: int,
-    width: int,
-    count: int,
-    semantics: SemanticGrid | None,
-    config: SamplingConfig,
-) -> list[TokenGrid]:
-    keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
-    grids = np.full((count, height, width), -1, dtype=np.int64)
-    shape = (height, width)
-    table = _RowTable(model, config)
-    boundary = np.full(count, BOUNDARY, dtype=np.int64)
-
-    for i in range(height * width):
-        row, col = divmod(i, width)
-        columns = []
-        for dr, dc in model.context:
-            rr, cc = row + dr, col + dc
-            inside = 0 <= rr < height and 0 <= cc < width
-            columns.append(grids[:, rr, cc] if inside else boundary)
-        label = None
-        if model.conditional:
-            label = int(semantics.labels[row, col])
-        vector = None
-        if config.guidance is not None:
-            vector = select_likelihood(config.guidance, (row, col), semantics, shape)
-        rows = table.rows(columns, label, vector)
-        draws = unit_draws_for_keys(keys, i)
-        grids[:, row, col] = inverse_cdf_rows(table.probs, table.cumulative, rows, draws)
-
-    return token_grids(grids, model.codebook_size)
+    def _append(self, probs: np.ndarray) -> None:
+        end = self.size + len(probs)
+        if end > self.probs.shape[0]:
+            extra = np.empty((max(end - self.probs.shape[0], self.size // 4), probs.shape[1]))
+            self.probs = np.concatenate((self.probs, extra))
+            self.cumulative = np.concatenate((self.cumulative, extra))
+        self.probs[self.size : end] = probs
+        self.cumulative[self.size : end] = np.cumsum(probs, axis=1)
+        self.size = end
 
 
 EXACT_STATE_LIMIT = 10**6
@@ -434,7 +401,7 @@ def exact_sequence_distribution(
     the way; `config.seed` is unused.  Restricted to
     codebook_size ** (height * width) <= 10^6 states.
     """
-    _check_sampling_args(model, height, width, semantics, config)
+    _check_sampling_args(model, height, width, semantics)
     states = model.codebook_size ** (height * width)
     if states > EXACT_STATE_LIMIT:
         raise ValidationError(

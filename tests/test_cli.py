@@ -376,6 +376,36 @@ class TestStyleStats:
         assert "codebook size mismatch" in capsys.readouterr().err
 
 
+    def test_oversized_vocabulary_header_rejected(self, tmp_path, capsys):
+        # 24 bytes declaring a 2**22-token codebook: one 1x1 grid.
+        path = tmp_path / "huge.tgrd"
+        path.write_bytes(
+            b"TGRD\x01\x00\x00\x00" + (1).to_bytes(4, "little") * 2
+            + (2**22).to_bytes(4, "little") + bytes(4)
+        )
+        out = tmp_path / "s.json"
+        rc = main(["style-stats", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "exceeds the format limit" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_unconditional_training_reads_no_semantic_maps(tmp_path, rng, capsys):
+    """A corrupt .sgrd fails `train-prior` only when it trains on labels."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(3):
+        write_token_grid(corpus / f"g{i}.tgrd", random_grid(rng, 4, 4, 4))
+        (corpus / f"g{i}.sgrd").write_bytes(b"SGRD-corrupt")
+    argv = ["train-prior", "--corpus", str(corpus), "--out", str(tmp_path / "model.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--conditional"]) == 2
+    err = capsys.readouterr().err
+    assert "truncated SGRD file" in err and "Traceback" not in err
+
+
 class TestSample:
     def test_unguided_baseline(self, trained, tmp_path, capsys):
         out = tmp_path / "samples"
@@ -904,6 +934,8 @@ def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
 GOLDEN_SHARED = {
     "bench": "2892b22ce286f8359ee3b8c474041db31ec8ce270ff64de6b9b04d427b9126ad",
     "model.json": "266e82993ca760af3182b0c2ffb95dfa420bd4f37f7ade90159508e763fd4c0e",
+    "model-conditional.json": "671172d7424cc2d1f25eba01a26fa0dcb82e0a4834d0c2c040a9110a5dc006c8",
+    "model-4slot.json": "0c8a2ccadb22b154575a97a9764978a2738c08670dff091b1633e1629f876fcf",
     "plain": "dc5dee9a8912be0f880a0b7bf953b399a0e9c7429a1b85e165f32b0d2d327af0",
 }
 GOLDEN_SHA256 = {
@@ -956,6 +988,10 @@ def test_golden_artifact_hashes(world, tmp_path, monkeypatch, mode, flags):
     shape = ["--semantics", semantics, "--seed", "3"]
     for argv in (
         ["train-prior", "--corpus", "bench/corpus", "--out", "model.json"],
+        ["train-prior", "--corpus", "bench/corpus", "--out", "model-conditional.json",
+         "--conditional"],
+        ["train-prior", "--corpus", "bench/corpus", "--out", "model-4slot.json",
+         "--context", "left,above,above-left,above-right"],
         ["dataset-stats", "--corpus", "bench/corpus", "--out", "dataset.json",
          "--k", "50", "--seed", "0", *flags],
         ["style-stats", *exemplars, "--average", "--out", "style.json", *flags],

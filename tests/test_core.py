@@ -3,25 +3,14 @@ import pytest
 
 from gcs.core import (
     CategoricalDistribution,
-    CodebookSpec,
     SemanticGrid,
     TokenGrid,
     ValidationError,
     normalize,
     require_same_shape,
     token_grids,
-    uniform_distribution,
     validate_grid,
 )
-
-
-class TestCodebookSpec:
-    def test_minimum_size(self):
-        assert CodebookSpec(2).size == 2
-        with pytest.raises(ValidationError):
-            CodebookSpec(1)
-        with pytest.raises(ValidationError):
-            CodebookSpec(0)
 
 
 class TestTokenGrid:
@@ -197,9 +186,3 @@ class TestNormalize:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValidationError):
             normalize(np.ones((2, 2)))
-
-
-def test_uniform_distribution():
-    d = uniform_distribution(4)
-    assert np.allclose(d.probs, 0.25)
-    assert d.codebook_size == 4

@@ -4,6 +4,7 @@ import pytest
 from gcs.core import CategoricalDistribution, FormatError, SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import ScopedDistributions, smoothed_distribution
 from gcs.formats import (
+    GRID_VOCAB_LIMIT,
     distribution_from_dict,
     distribution_to_dict,
     dump_json,
@@ -54,6 +55,17 @@ class TestBinaryGrids:
         with pytest.raises(FormatError) as exc:
             token_grid_from_bytes(semantic_grid_to_bytes(sem))
         assert "bad magic" in str(exc.value)
+
+    def test_vocabulary_is_capped_both_ways(self):
+        declared = GRID_BYTES[:16] + (GRID_VOCAB_LIMIT + 1).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="exceeds the format limit"):
+            token_grid_from_bytes(declared + GRID_BYTES[20:])
+        with pytest.raises(FormatError, match="exceeds the format limit"):
+            token_grid_to_bytes(TokenGrid(1, 1, GRID_VOCAB_LIMIT + 1, [0]))
+        with pytest.raises(FormatError, match="exceeds the format limit"):
+            semantic_grid_to_bytes(SemanticGrid(1, 1, GRID_VOCAB_LIMIT + 1, [0]))
+        widest = TokenGrid(1, 1, GRID_VOCAB_LIMIT, [GRID_VOCAB_LIMIT - 1])
+        assert token_grid_from_bytes(token_grid_to_bytes(widest)) == widest
 
     def test_unsupported_version(self):
         data = GRID_BYTES[:4] + b"\x02\x00" + GRID_BYTES[6:]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
-from gcs.distributions import ScopedDistributions, histogram_by_cell
+import gcs.metrics
+from gcs.distributions import ScopedDistributions, histogram_by_cell, histogram_by_region
 from gcs.metrics import (
     GuidanceReport,
     StyleReference,
@@ -247,6 +248,26 @@ class TestGuidanceReport:
         assert set(report.kl_reduction_per_label) == {0, 1}
         assert report.kl_reduction_per_label[0] > 0.5
         assert report.guided.kl_per_label[0] < report.unguided.kl_per_label[0]
+
+    def test_each_grid_histogrammed_by_region_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return histogram_by_region(*args, **kwargs)
+
+        monkeypatch.setattr(gcs.metrics, "histogram_by_region", counted)
+        target = StyleReference(
+            "goal",
+            dist([0.45, 0.45, 0.05, 0.05]),
+            ScopedDistributions((dist([0.9, 0.04, 0.03, 0.03], 8.0), None)),
+        )
+        rng = np.random.default_rng(3)
+        grids = [TokenGrid(8, 8, 4, rng.integers(0, 4, (8, 8))) for _ in range(10)]
+        sem = SemanticGrid(8, 8, 2, np.repeat(np.arange(8)[:, None] // 4, 8, axis=1))
+        report = guidance_report(grids[:5], grids[5:], target, regions=sem)
+        assert len(calls) == 10
+        assert set(report.guided.kl_per_label) == {0}
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValidationError):

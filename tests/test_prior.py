@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from gcs.prior import (
     DEFAULT_CONTEXT,
     MarkovGridPrior,
     PriorModel,
-    _count_tables,
-    _count_tables_slow,
     load_model,
     parse_context_template,
     save_model,
@@ -23,6 +23,36 @@ from gcs.sampler import SamplingConfig, exact_sequence_distribution
 from conftest import random_grid, random_semantics
 
 LEFT = ((0, -1),)
+FOUR_SLOTS = parse_context_template("left,above,above-left,above-right")
+
+
+def table(model):
+    """The model's states as {(context, label or None): {token: count}}."""
+    return {
+        (tuple(ctx), None if label < 0 else label): {
+            t: n for t, n in enumerate(row.tolist()) if n
+        }
+        for ctx, label, row in zip(model.contexts.tolist(), model.labels.tolist(), model.counts)
+    }
+
+
+def brute_force_counts(pairs, context, conditional):
+    """Reference counter: one dictionary update per corpus position."""
+    counts = {}
+    for grid, sem in pairs:
+        for row in range(grid.height):
+            for col in range(grid.width):
+                ctx = tuple(
+                    int(grid.tokens[row + dr, col + dc])
+                    if 0 <= row + dr < grid.height and 0 <= col + dc < grid.width
+                    else BOUNDARY
+                    for dr, dc in context
+                )
+                label = int(sem.labels[row, col]) if conditional else None
+                tokens = counts.setdefault((ctx, label), {})
+                token = int(grid.tokens[row, col])
+                tokens[token] = tokens.get(token, 0) + 1
+    return counts
 
 
 class TestContextTemplates:
@@ -68,15 +98,27 @@ class TestConstruction:
     def test_count_key_must_match_template(self):
         with pytest.raises(ValidationError):
             MarkovGridPrior(
-                codebook_size=4,
-                context=LEFT,
-                counts={((0, 1), None): np.zeros(4)},
+                codebook_size=4, context=LEFT, contexts=[[0, 1]], counts=np.ones((1, 4))
             )
+        with pytest.raises(ValidationError):
+            MarkovGridPrior(codebook_size=4, context=LEFT, contexts=[[0]], counts=np.ones(4))
 
     def test_label_slot_must_match_flag(self):
         with pytest.raises(ValidationError):
             MarkovGridPrior(
-                codebook_size=4, context=LEFT, counts={((0,), 1): np.zeros(4)}
+                codebook_size=4, context=LEFT, contexts=[[0]], labels=[1], counts=np.ones((1, 4))
+            )
+        with pytest.raises(ValidationError):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, conditional=True, label_count=2,
+                contexts=[[0]], counts=np.ones((1, 4)),
+            )
+
+    def test_empty_state_without_smoothing(self):
+        with pytest.raises(ValidationError, match="zero observations with zero smoothing"):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, smoothing_alpha=0.0,
+                contexts=[[0]], counts=np.zeros((1, 4)),
             )
 
     def test_satisfies_prior_protocol(self):
@@ -88,16 +130,14 @@ class TestTraining:
         model = train_markov_prior(
             [TokenGrid(1, 2, 5, [3, 3])], context=LEFT, smoothing_alpha=0.0
         )
-        assert set(model.counts) == {((BOUNDARY,), None), ((3,), None)}
-        assert model.counts[((BOUNDARY,), None)][3] == 1
-        assert model.counts[((3,), None)][3] == 1
+        assert table(model) == {((BOUNDARY,), None): {3: 1}, ((3,), None): {3: 1}}
 
     def test_duplicated_corpus_doubles_counts(self):
         grid = TokenGrid(1, 2, 5, [3, 3])
         once = train_markov_prior([grid], context=LEFT)
         twice = train_markov_prior([grid, grid], context=LEFT)
-        for key, vec in once.counts.items():
-            assert np.array_equal(twice.counts[key], 2 * vec)
+        assert np.array_equal(twice.contexts, once.contexts)
+        assert np.array_equal(twice.counts, 2 * once.counts)
         a = once.distribution_for_context((3,), None)
         b = twice.distribution_for_context((3,), None)
         assert not np.array_equal(a.probs, b.probs)  # smoothing washes out slower
@@ -128,14 +168,17 @@ class TestTraining:
         assert "never observed" in str(exc.value)
 
     def test_unseen_contexts_share_one_distribution(self):
-        # One cached object per label covers every unseen context, so the
-        # cache grows with the trained states, not with the contexts asked.
+        # One smoothed row past the trained states covers every unseen
+        # context, so the matrix grows with the states, not the contexts asked.
         model = train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT)
+        unseen = len(model.counts)
+        assert model.state_of((2,), None) == model.state_of((3,), None) == unseen
+        assert model.state_of((0,), None) < unseen
+        assert model.smoothed.shape == (unseen + 1, 4)
         a = model.distribution_for_context((2,), None)
-        b = model.distribution_for_context((3,), None)
-        assert a is b
-        assert model.distribution_for_context((0,), None) is not a
-        assert len(model._cache) == 2
+        assert a == model.distribution_for_context((3,), None)
+        assert a != model.distribution_for_context((0,), None)
+        assert a.source_mass == 0.0
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
@@ -159,7 +202,7 @@ class TestTraining:
             [(grid, sem)] * 8, context=LEFT, conditional=True, smoothing_alpha=alpha
         )
         d = model.distribution_for_context((BOUNDARY,), 0)
-        n = float(model.counts[((BOUNDARY,), 0)].sum())
+        n = float(model.counts[model.state_of((BOUNDARY,), 0)].sum())
         expected_in = (n + 2 * alpha) / (n + 4 * alpha)
         assert abs(float(d.probs[:2].sum()) - expected_in) < 1e-12
         d1 = model.distribution_for_context((BOUNDARY,), 1)
@@ -169,24 +212,28 @@ class TestTraining:
         corpus = [random_grid(rng, 4, 4, 5) for _ in range(10)]
         a = train_markov_prior(corpus)
         b = train_markov_prior(corpus)
-        assert set(a.counts) == set(b.counts)
-        for key in a.counts:
-            assert np.array_equal(a.counts[key], b.counts[key])
+        assert table(a) == table(b)
 
-    def test_fast_and_slow_counting_agree(self, rng):
-        pairs = [
-            (random_grid(rng, 5, 6, 7), random_semantics(rng, 5, 6, 3))
-            for _ in range(6)
+    def test_counting_matches_brute_force(self, rng):
+        # K = 5400 with a label and K = 70000 overflow int64 part way
+        # through the code, so those cases re-rank before the last digits.
+        wide = [
+            TokenGrid(2, 3, 70000, [[20310, 56752, 53778], [776, 1, 2]]),
+            TokenGrid(2, 3, 70000, [[0, 0, 0], [0, 3, 4]]),
         ]
-        context = tuple(sorted({(0, -1), (-1, 0), (-1, -1), (-1, 1)}))
-        context = validate_context_template(context)
-        for conditional in (False, True):
-            labels = 3 if conditional else None
-            fast = _count_tables(pairs, context, conditional, 7, labels)
-            slow = _count_tables_slow(pairs, context, conditional)
-            assert set(fast) == set(slow)
-            for key in fast:
-                assert np.array_equal(fast[key], slow[key])
+        corpora = [[(grid, random_semantics(rng, 2, 3, 2)) for grid in wide]]
+        for size, height, width in ((7, 5, 6), (5400, 6, 5), (70000, 4, 7)):
+            corpora.append([
+                (random_grid(rng, height, width, size), random_semantics(rng, height, width, 3))
+                for _ in range(6)
+            ])
+        for pairs in corpora:
+            for context in (LEFT, DEFAULT_CONTEXT, FOUR_SLOTS):
+                for conditional in (False, True):
+                    model = train_markov_prior(pairs, context, conditional)
+                    assert table(model) == brute_force_counts(pairs, context, conditional)
+                    keys = list(zip(model.contexts.tolist(), model.labels.tolist()))
+                    assert keys == sorted(keys)  # model-JSON order
 
 
 class TestContextAt:
@@ -281,9 +328,8 @@ class TestModelIO:
         assert back.context == model.context
         assert back.conditional and back.label_count == 2
         assert back.smoothing_alpha == 0.25
-        assert set(back.counts) == set(model.counts)
-        for key in model.counts:
-            assert np.array_equal(back.counts[key], model.counts[key])
+        for name in ("contexts", "labels", "counts", "smoothed"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
 
     def test_save_is_deterministic(self, tmp_path, rng):
         model = self.build(rng)
@@ -311,6 +357,22 @@ class TestModelIO:
         with pytest.raises(ValidationError) as exc:
             load_model(path)
         assert "malformed model JSON" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"context": [0, 1], "label": None, "counts": {"0": 1}},
+         {"context": [0], "label": None, "counts": {"9": 1}}],
+        ids=["context-width", "token-range"],
+    )
+    def test_malformed_table(self, tmp_path, entry):
+        path = tmp_path / "model.json"
+        model = train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT)
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["tables"].append(entry)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="malformed model JSON"):
+            load_model(path)
 
 
 def test_prior_matches_unigram_when_contextless_corpus(rng=None):

@@ -17,11 +17,10 @@ from gcs.prior import MarkovGridPrior, parse_context_template, train_markov_prio
 from gcs.rng import split_seed, unit_draw, seed_key
 from gcs.sampler import (
     SamplingConfig,
-    apply_temperature,
-    apply_top_k,
     batch_sample,
     index_from_unit,
     inverse_cdf_rows,
+    posterior_rows,
     sample_grid,
     step_posterior,
 )
@@ -103,39 +102,122 @@ class TestInverseCdfRows:
         assert all(probs[r, j] > 0 for r, j in zip(rows, picked))
 
 
+def tempered(d, temperature):
+    return step_posterior(d, SamplingConfig(temperature=temperature))
+
+
+def truncated(d, top_k):
+    return step_posterior(d, SamplingConfig(top_k=top_k))
+
+
 class TestTemperature:
     def test_unity_returns_same_object(self):
         d = dist([0.8, 0.2])
-        assert apply_temperature(d, 1.0) is d
+        assert tempered(d, 1.0) is d
 
     def test_flattening(self):
-        out = apply_temperature(dist([0.8, 0.2]), 2.0)
+        out = tempered(dist([0.8, 0.2]), 2.0)
         assert np.allclose(out.probs, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_sharpening(self):
-        out = apply_temperature(dist([0.8, 0.2]), 0.5)
+        out = tempered(dist([0.8, 0.2]), 0.5)
         assert np.allclose(out.probs, [16 / 17, 1 / 17], atol=1e-12)
 
 
 class TestTopK:
     def test_keeps_most_probable(self):
-        out = apply_top_k(dist([0.7, 0.2, 0.1]), 1)
+        out = truncated(dist([0.7, 0.2, 0.1]), 1)
         assert list(out.probs) == [1.0, 0.0, 0.0]
 
     def test_tie_at_cut_prefers_lower_index(self):
-        out = apply_top_k(dist([0.4, 0.3, 0.3]), 2)
+        out = truncated(dist([0.4, 0.3, 0.3]), 2)
         assert np.allclose(out.probs, [4 / 7, 3 / 7, 0.0], atol=1e-12)
 
     def test_no_op_cases_return_same_object(self):
         d = dist([0.5, 0.3, 0.2])
-        assert apply_top_k(d, None) is d
-        assert apply_top_k(d, 3) is d
+        assert truncated(d, None) is d
+        assert truncated(d, 3) is d
         sparse = dist([0.5, 0.5, 0.0])
-        assert apply_top_k(sparse, 2) is sparse
+        assert truncated(sparse, 2) is sparse
 
     def test_k_too_large(self):
         with pytest.raises(ValidationError):
-            apply_top_k(dist([0.5, 0.5]), 3)
+            truncated(dist([0.5, 0.5]), 3)
+
+
+def reference_posterior(probs, weights, temperature, top_k):
+    """One row through guide, temperature and top-k, written plainly in 1-D."""
+    if weights is not None and not np.all(weights == 1.0):
+        scaled = probs * weights
+        probs = scaled / float(scaled.sum())
+    if temperature != 1.0:
+        powered = probs ** (1.0 / temperature)
+        probs = powered / powered.sum()
+    if top_k is not None and top_k < probs.size:
+        order = np.lexsort((np.arange(probs.size), -probs))
+        if probs[order[top_k:]].any():
+            kept = np.zeros(probs.size)
+            kept[order[:top_k]] = probs[order[:top_k]]
+            probs = kept / kept.sum()
+    return probs
+
+
+class TestPosteriorRows:
+    def rows(self, rng, size):
+        """Smoothed-count rows: ties, exact zeros (alpha 0) and one-hot rows."""
+        counts = rng.integers(0, 4, (40, size)) * rng.integers(0, 2, (40, size))
+        counts[:, 0] += 1  # every row has mass
+        counts[1] = 1  # all tied
+        counts[2] = 0
+        counts[2, -1] = 5  # one-hot
+        rows = []
+        for alpha in (0.0, 0.05, 0.5):
+            rows.append((counts + alpha) / (counts.sum(axis=1) + alpha * size)[:, None])
+        return np.concatenate(rows)
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 33, 300])
+    def test_matrix_equals_rows_and_reference(self, rng, size):
+        probs = self.rows(rng, size)
+        vectors = [
+            None,
+            LikelihoodVector(size, np.ones(size)),
+            LikelihoodVector(size, rng.uniform(0.01, 2.0, size)),
+        ]
+        for vector in vectors:
+            for temperature in (1.0, 0.8, 1.7, 0.5):
+                for top_k in sorted({None, 1, 2, min(8, size), size}, key=str):
+                    config = SamplingConfig(temperature=temperature, top_k=top_k)
+                    matrix = posterior_rows(probs, vector, config)
+                    weights = None if vector is None else vector.weights
+                    for row, out in zip(probs, matrix):
+                        one = posterior_rows(row[None], vector, config)[0]
+                        ref = reference_posterior(row, weights, temperature, top_k)
+                        assert one.tobytes() == out.tobytes() == ref.tobytes()
+                    assert np.cumsum(matrix, axis=1).tobytes() == b"".join(
+                        np.cumsum(out).tobytes() for out in matrix
+                    )
+
+    def test_no_op_rows_keep_their_bits(self):
+        probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        config = SamplingConfig(top_k=2)
+        first = probs[:1]
+        assert posterior_rows(first, None, config) is first
+        out = posterior_rows(probs, LikelihoodVector(3, np.ones(3)), config)
+        assert out[0].tobytes() == probs[0].tobytes()  # drops no mass
+        assert np.allclose(out[1], [0.0, 0.375, 0.625], atol=1e-15)
+        plain = SamplingConfig(top_k=3)
+        assert posterior_rows(probs, LikelihoodVector(3, np.ones(3)), plain) is probs
+
+    def test_errors_name_the_stage(self):
+        probs = np.array([[0.5, 0.5], [1e-200, 0.0]])  # its mass underflows below
+        with pytest.raises(ValidationError, match="zero total mass"):
+            posterior_rows(probs, LikelihoodVector(2, np.array([1e-200, 1.0])), SamplingConfig())
+        with pytest.raises(ValidationError, match="codebook size mismatch"):
+            posterior_rows(probs, LikelihoodVector(3, np.ones(3)), SamplingConfig())
+        with pytest.raises(ValidationError, match="unnormalizable"):
+            posterior_rows(np.full((1, 2), 0.5), None, SamplingConfig(temperature=1e-4))
+        with pytest.raises(ValidationError, match="exceeds codebook size"):
+            posterior_rows(probs, None, SamplingConfig(top_k=3))
 
 
 class TestStepPosterior:
@@ -328,8 +410,8 @@ class TestBatchSample:
         corpus = [random_grid(rng, 4, 4, 8) for _ in range(3)]
         corpus.append(TokenGrid(1, 9, 8, [0, 1, 2, 3, 4, 5, 6, 7, 0]))
         model = train_markov_prior(corpus, context=((0, -1),), smoothing_alpha=0.0)
-        assert all(((t,), None) in model.counts for t in range(8))
-        assert sum(np.count_nonzero(v == 0) for v in model.counts.values()) > 30
+        assert all(model.state_of((t,), None) < len(model.counts) for t in range(8))
+        assert np.count_nonzero(model.counts == 0) > 30
         for top_k in (None, 2):
             cfg = SamplingConfig(seed=3, top_k=top_k)
             batch = batch_sample(model, 3, 5, 40, config=cfg)
