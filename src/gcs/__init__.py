@@ -33,7 +33,6 @@ from .guidance import (
     LikelihoodTable,
     LikelihoodVector,
     global_likelihood_table,
-    rebalance_prior,
     scoped_likelihoods,
     select_likelihood,
     style_likelihood,

@@ -120,19 +120,6 @@ def rebalance_rows(probs: np.ndarray, likelihood: LikelihoodVector) -> np.ndarra
     return scaled / totals
 
 
-def rebalance_prior(
-    prior: CategoricalDistribution, likelihood: LikelihoodVector
-) -> CategoricalDistribution:
-    """`rebalance_rows` on one prior; identity guidance returns the prior itself."""
-    row = prior.probs[None]
-    probs = rebalance_rows(row, likelihood)
-    if probs is row:
-        return prior
-    return CategoricalDistribution(
-        prior.codebook_size, probs[0], source_mass=prior.source_mass
-    )
-
-
 @dataclass(frozen=True)
 class LikelihoodTable:
     """Guidance weights plus the rule for picking one per step.

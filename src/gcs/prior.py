@@ -12,6 +12,8 @@ statistics never mix with token statistics.
 The states are arrays: one row of contexts, label and counts each, and one
 matrix of smoothed rows whose last row serves every unseen context.
 Training counts a whole corpus with one np.unique over packed state codes.
+`states` maps a batch of contexts to rows through such codes, by a dense
+array or by sorted int64 codes; `state_of` is the per-step scalar lookup.
 Turning prior rows into step posteriors (guidance, temperature, top-k) and
 the exact chain enumeration built on them live in `sampler.py`.
 """
@@ -46,6 +48,10 @@ OFFSET_NAMES = {
     "above-right": (-1, 1),
 }
 DEFAULT_CONTEXT = (OFFSET_NAMES["left"], OFFSET_NAMES["above"])
+
+# `states` looks codes up in a dense array (2 MiB of int64) up to this many
+# codes, and in the sorted codes of the states beyond it.
+DENSE_STATE_CODES = 2**18
 
 
 @runtime_checkable
@@ -136,18 +142,26 @@ class MarkovGridPrior:
         counts = np.array(np.zeros((0, size)) if self.counts is None else self.counts, np.int64)
         if counts.ndim != 2 or counts.shape[1] != size:
             raise ValidationError("count vector length mismatch")
+        if (counts < 0).any():
+            raise ValidationError("next-token counts must be >= 0")
         contexts = np.array(
             np.zeros((0, slots)) if self.contexts is None else self.contexts, np.int64
         )
         labels = np.array(np.full(len(counts), -1) if self.labels is None else self.labels, np.int64)
-        if contexts.shape != (len(counts), slots):
-            raise ValidationError("count table contexts do not match the context template")
+        if contexts.shape != (len(counts), slots) or not (
+            (contexts >= BOUNDARY) & (contexts < size)
+        ).all():
+            raise ValidationError(
+                "count table contexts do not fit the context template and codebook"
+            )
         unlabelled = labels < 0
         if labels.shape != (len(counts),) or (
-            unlabelled.any() if self.conditional else not unlabelled.all()
+            (unlabelled | (labels >= self.label_count)).any()
+            if self.conditional
+            else not unlabelled.all()
         ):
             raise ValidationError(
-                "count table labels are inconsistent with the conditional flag"
+                "count table labels are inconsistent with the conditional flag or label_count"
             )
         unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
         smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
@@ -174,6 +188,49 @@ class MarkovGridPrior:
                 "smoothing_alpha is 0; the distribution is undefined"
             )
         return len(self.counts)
+
+    def _codes(self, digits: list, ranks: dict) -> tuple[np.ndarray, int]:
+        """Mixed-radix codes of digit rows (template tokens + 1, then label),
+        ranked by `_rank` where they would overflow int64 and at the end
+        where they could pass DENSE_STATE_CODES; returns codes and bound."""
+        # The label radix keeps a spare digit, label_count, for labels no
+        # state has; without a label radix, zip drops the label digit.
+        radices = [self.codebook_size + 1] * len(self.context)
+        radices += [self.label_count + 1] if self.conditional else []
+        code, bound = np.zeros(len(digits[0]), dtype=np.int64), 1
+        for i, (digit, radix) in enumerate(zip(digits, radices)):
+            if bound * radix > 2**63:
+                code, bound = _rank(ranks, i, code)
+            code, bound = code * radix + digit, bound * radix
+        if bound > DENSE_STATE_CODES:
+            code, bound = _rank(ranks, len(radices), code)
+        return code, bound
+
+    @cached_property
+    def _code_index(self) -> tuple[dict, np.ndarray]:
+        """The rank tables of the states' codes, and the state at each code."""
+        ranks, unseen = {}, len(self.counts)
+        code, bound = self._codes(list(self.contexts.T + 1) + [self.labels], ranks)
+        state = np.full(bound, unseen, dtype=np.int64)
+        state[code] = np.arange(unseen)
+        return ranks, state
+
+    def states(self, columns: Sequence[np.ndarray], label: int | None) -> np.ndarray:
+        """`state_of` for a batch: the row of `smoothed` of each sample.
+
+        columns[j][i] is template slot j of sample i, a token or BOUNDARY;
+        `label` is the step's label (None when unconditional).  A label
+        outside [0, label_count) matches no state.
+        """
+        ranks, state = self._code_index
+        valid = not self.conditional or 0 <= label < self.label_count
+        digits = [column + 1 for column in columns] + [label if valid else self.label_count]
+        states = state[self._codes(digits, ranks)[0]]
+        if self.smoothing_alpha == 0.0 and (states == len(self.counts)).any():
+            first = int(np.argmax(states == len(self.counts)))
+            # The scalar lookup raises its "never observed" error for it.
+            self.state_of(tuple(int(column[first]) for column in columns), label)
+        return states
 
     def context_at(
         self, prefix: Sequence[int], height: int, width: int, row: int, col: int
@@ -220,6 +277,16 @@ class MarkovGridPrior:
             label = int(semantics.labels[row, col])
         ctx = self.context_at(prefix, height, width, row, col)
         return self.distribution_for_context(ctx, label)
+
+
+def _rank(ranks: dict, i: int, code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each code in ranks[i] (-1, then the sorted distinct codes of
+    the first caller, `_code_index`), and the rank bound.  Absent codes get
+    rank 0, which no state has, so they stay absent through later digits."""
+    if i not in ranks:
+        ranks[i] = np.concatenate(([-1], np.unique(code, return_inverse=True)[0]))
+    at = np.searchsorted(ranks[i], code, side="right") - 1
+    return np.where(ranks[i][at] == code, at, 0), ranks[i].size
 
 
 def train_markov_prior(
@@ -374,16 +441,18 @@ def load_model(path: str | Path) -> MarkovGridPrior:
         counts = np.zeros((len(tables), size), dtype=np.int64)
         for row, entry in zip(counts, tables):
             for token, n in entry["counts"].items():
+                if not 0 <= int(token) < size:
+                    raise ValueError(f"token {token} outside [0, {size})")
                 row[int(token)] = int(n)
+        return MarkovGridPrior(
+            codebook_size=size,
+            context=context,
+            conditional=conditional,
+            label_count=None if label_count is None else int(label_count),
+            smoothing_alpha=alpha,
+            contexts=contexts,
+            labels=labels,
+            counts=counts,
+        )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: malformed model JSON ({exc})") from exc
-    return MarkovGridPrior(
-        codebook_size=size,
-        context=context,
-        conditional=conditional,
-        label_count=None if label_count is None else int(label_count),
-        smoothing_alpha=alpha,
-        contexts=contexts,
-        labels=labels,
-        counts=counts,
-    )

@@ -12,10 +12,10 @@ run it on one row per step through `step_posterior`.
 `batch_sample` on a `MarkovGridPrior` keeps a posterior-row table for the
 batch: one row per (scope, prior state), where a scope is a step's label
 and guidance vector, stored with its cumulative sum.  At each raster
-position the contexts no row covers yet are mapped to prior states, and
-their new rows are built in one `posterior_rows` call on the prior's
-smoothed matrix.  The position is then one row lookup and one vectorized
-inverse-CDF pick (`inverse_cdf_rows`) for all samples.
+position `MarkovGridPrior.states` maps the contexts to prior states, and
+the states without a row in that scope get one in a single
+`posterior_rows` call on the prior's smoothed matrix.  The position is
+then one row lookup and one inverse-CDF pick (`inverse_cdf_rows`).
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  `batch_sample` derives the stream key of sample i
@@ -262,70 +262,16 @@ def inverse_cdf_rows(
     return picked
 
 
-# Dense indexes of one batch hold at most this many int64 row ids in total
-# (2 MiB).  A dense lookup costs about 20 us per position at n=2000 against
-# 1.8 ms for the sorted one, but its array spans the whole code space of a
-# scope, and a fine spatial tiling has one scope per cell; scopes past the
-# budget use the sorted index, whose size follows the states it has seen.
-DENSE_INDEX_ENTRIES = 2**18
-
-
-class _DenseIndex:
-    """Context state -> row through an array indexed by the mixed-radix code."""
-
-    def __init__(self, base: int, slots: int) -> None:
-        self.base = base
-        self.rows = np.full(base**slots, -1, dtype=np.int64)
-
-    def keys(self, columns: list[np.ndarray]) -> np.ndarray:
-        code = np.zeros(columns[0].shape[0], dtype=np.int64)
-        for column in reversed(columns):
-            code = code * self.base + (column + 1)
-        return code
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        return self.rows[keys]
-
-    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        self.rows[keys] = rows
-
-
-class _SortedIndex:
-    """Context state -> row through a sorted array of context tuples.
-
-    Keys are the template columns as one structured record per sample, so
-    no template is packed into a single integer that could wrap.
-    """
-
-    def __init__(self, slots: int) -> None:
-        self.dtype = np.dtype([(f"s{i}", np.int64) for i in range(slots)])
-        self.sorted_keys = np.empty(0, dtype=self.dtype)
-        self.rows = np.empty(0, dtype=np.int64)
-
-    def keys(self, columns: list[np.ndarray]) -> np.ndarray:
-        return np.stack(columns, axis=1).view(self.dtype)[:, 0]
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        if self.rows.size == 0:
-            return np.full(keys.shape[0], -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.sorted_keys, keys), self.rows.size - 1)
-        return np.where(self.sorted_keys[at] == keys, self.rows[at], -1)
-
-    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        at = np.searchsorted(self.sorted_keys, keys)
-        self.sorted_keys = np.insert(self.sorted_keys, at, keys)
-        self.rows = np.insert(self.rows, at, rows)
-
-
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    A scope is a step's label and guidance vector.  Each scope maps context
-    codes to rows through its own index, and the prior's state of each new
-    context to a row through ``row_of_state``: every unseen context is one
-    state, so it shares one row per scope.  A position's new rows go
-    through `posterior_rows` together and are stored with their cumulative
-    sums; the row arrays grow by at least a quarter when full.
+    A scope is a step's label and guidance vector.  Each scope maps prior
+    states (the shared unseen-context state included) to rows through an
+    int64 array of S + 1 entries, -1 until built: 8 (S + 1) bytes whatever
+    the code space, at most the size of the prior's smoothed matrix while a
+    table has at most K scopes.  A position's new rows go through
+    `posterior_rows` together and are stored with their cumulative sums;
+    the row arrays grow by at least a quarter when full.
     """
 
     def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
@@ -334,8 +280,7 @@ class _RowTable:
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
-        self.scopes: dict = {}  # (label, id(vector)) -> (index, row_of_state)
-        self.dense_entries = 0  # summed size of the dense indexes
+        self.scopes: dict = {}  # (label, id(vector)) -> row of each prior state
 
     def rows(
         self,
@@ -344,33 +289,19 @@ class _RowTable:
         vector: LikelihoodVector | None,
     ) -> np.ndarray:
         """Row of each sample's context state, building rows for new states."""
-        scope = self.scopes.get((label, id(vector)))
-        if scope is None:
-            base, slots = self.model.codebook_size + 1, len(columns)
-            if self.dense_entries + base**slots <= DENSE_INDEX_ENTRIES:
-                self.dense_entries += base**slots
-                scope = _DenseIndex(base, slots), {}
-            else:
-                scope = _SortedIndex(slots), {}
-            self.scopes[(label, id(vector))] = scope
-        index, row_of_state = scope
-        keys = index.keys(columns)
-        rows = index.find(keys)
-        missing = np.flatnonzero(rows < 0)
-        if missing.size:
-            new_keys, first, inverse = np.unique(
-                keys[missing], return_index=True, return_inverse=True
-            )
-            contexts = np.stack([column[missing[first]] for column in columns], axis=1)
-            states = [self.model.state_of(ctx, label) for ctx in map(tuple, contexts.tolist())]
-            fresh = sorted(set(states) - row_of_state.keys())
-            if fresh:
-                probs = posterior_rows(self.model.smoothed[fresh], vector, self.config)
-                row_of_state.update(zip(fresh, range(self.size, self.size + len(fresh))))
-                self._append(probs)
-            new_rows = np.array([row_of_state[state] for state in states], dtype=np.int64)
-            index.add(new_keys, new_rows)
-            rows[missing] = new_rows[inverse]
+        states = self.model.states(columns, label)
+        row_of_state = self.scopes.get((label, id(vector)))
+        if row_of_state is None:
+            row_of_state = np.full(len(self.model.smoothed), -1, dtype=np.int64)
+            self.scopes[(label, id(vector))] = row_of_state
+        rows = row_of_state[states]
+        missing = rows < 0
+        if missing.any():
+            # return_inverse keeps np.unique from importing numpy.ma.
+            fresh = np.unique(states[missing], return_inverse=True)[0]
+            row_of_state[fresh] = np.arange(self.size, self.size + fresh.size)
+            self._append(posterior_rows(self.model.smoothed[fresh], vector, self.config))
+            rows = row_of_state[states]
         return rows
 
     def _append(self, probs: np.ndarray) -> None:

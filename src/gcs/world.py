@@ -459,29 +459,10 @@ def load_manifest(bench_dir: str | Path) -> dict:
     return manifest
 
 
-def load_corpus(
-    bench_dir: str | Path, with_semantics: bool = True
+def _read_entries(
+    base: Path, entries: list[dict], with_semantics: bool
 ) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    base = Path(bench_dir)
-    manifest = load_manifest(base)
-    out = []
-    for scene in manifest["scenes"]:
-        grid = read_token_grid(base / scene["tokens"])
-        semantics = None
-        if with_semantics and scene.get("semantics"):
-            semantics = read_semantic_grid(base / scene["semantics"])
-        out.append((grid, semantics))
-    return out
-
-
-def load_exemplars(
-    bench_dir: str | Path, style: str, with_semantics: bool = True
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    base = Path(bench_dir)
-    manifest = load_manifest(base)
-    entries = manifest.get("exemplars", {}).get(style)
-    if not entries:
-        raise ValidationError(f"{bench_dir}: no exemplars recorded for style {style!r}")
+    """Each entry's token grid under base, and its "semantics" map when asked."""
     out = []
     for entry in entries:
         grid = read_token_grid(base / entry["tokens"])
@@ -490,6 +471,23 @@ def load_exemplars(
             semantics = read_semantic_grid(base / entry["semantics"])
         out.append((grid, semantics))
     return out
+
+
+def load_corpus(
+    bench_dir: str | Path, with_semantics: bool = True
+) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+    base = Path(bench_dir)
+    return _read_entries(base, load_manifest(base)["scenes"], with_semantics)
+
+
+def load_exemplars(
+    bench_dir: str | Path, style: str, with_semantics: bool = True
+) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+    base = Path(bench_dir)
+    entries = load_manifest(base).get("exemplars", {}).get(style)
+    if not entries:
+        raise ValidationError(f"{bench_dir}: no exemplars recorded for style {style!r}")
+    return _read_entries(base, entries, with_semantics)
 
 
 def load_grid_directory(
@@ -506,15 +504,11 @@ def load_grid_directory(
     paths = sorted(base.glob("*.tgrd"))
     if not paths:
         raise ValidationError(f"{directory}: no token grids found")
-    out = []
+    entries = []
     for path in paths:
-        grid = read_token_grid(path)
-        semantics = None
         sem_path = path.with_suffix(".sgrd")
-        if with_semantics and sem_path.exists():
-            semantics = read_semantic_grid(sem_path)
-        out.append((grid, semantics))
-    return out
+        entries.append({"tokens": path.name, "semantics": sem_path.exists() and sem_path.name})
+    return _read_entries(base, entries, with_semantics)
 
 
 def default_landscape_config() -> BenchmarkConfig:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcs.cli import main
-from gcs.core import CategoricalDistribution
+from gcs.core import CategoricalDistribution, TokenGrid
 from gcs.distributions import (
     ScopedDistributions,
     average_distributions,
@@ -25,6 +25,7 @@ from gcs.formats import (
     write_token_grid,
     write_stats,
 )
+from gcs.prior import save_model, train_markov_prior
 from gcs.rng import split_seed
 from gcs.world import BenchmarkConfig, LayoutSpec, StyleSpec
 
@@ -758,6 +759,22 @@ def test_malformed_stats_json_is_a_format_error(
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("counts", [{"-1": 5}, {"0": -3}], ids=["negative-token", "negative-count"])
+def test_malformed_model_counts_exit_2(tmp_path, capsys, counts):
+    path = tmp_path / "bad.json"
+    save_model(path, train_markov_prior([TokenGrid(1, 2, 4, [0, 1])]))
+    payload = json.loads(path.read_text())
+    payload["tables"][0]["counts"] = counts
+    path.write_text(json.dumps(payload))
+    rc = main(
+        ["sample", "--model", str(path), "--no-guidance", "--height", "2", "--width", "2",
+         "--out", str(tmp_path / "s")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed model JSON" in err and "Traceback" not in err
 
 
 class TestEvaluate:

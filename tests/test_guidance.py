@@ -7,7 +7,7 @@ from gcs.guidance import (
     LikelihoodTable,
     LikelihoodVector,
     global_likelihood_table,
-    rebalance_prior,
+    rebalance_rows,
     scoped_likelihoods,
     select_likelihood,
     style_likelihood,
@@ -87,45 +87,46 @@ class TestStyleLikelihood:
 class TestRebalancePrior:
     def test_documented_example(self):
         prior = dist([0.25, 0.25, 0.25, 0.25])
-        out = rebalance_prior(prior, LikelihoodVector(4, np.array([2.0, 1.0, 1.0, 0.01])))
+        weights = np.array([2.0, 1.0, 1.0, 0.01])
+        out = rebalance_rows(prior.probs[None], LikelihoodVector(4, weights))
         expected = np.array([2.0, 1.0, 1.0, 0.01]) / 4.01
-        assert np.allclose(out.probs, expected, atol=1e-12)
-        assert abs(out.probs.sum() - 1.0) < 1e-12
+        assert np.allclose(out[0], expected, atol=1e-12)
+        assert abs(out[0].sum() - 1.0) < 1e-12
 
     def test_identity_returns_prior_object(self):
-        prior = dist([0.7, 0.2, 0.1])
-        out = rebalance_prior(prior, LikelihoodVector(3, np.full(3, 5.0)))
-        assert out is prior
+        row = dist([0.7, 0.2, 0.1]).probs[None]
+        out = rebalance_rows(row, LikelihoodVector(3, np.full(3, 5.0)))
+        assert out is row
 
     def test_one_hot_prior_is_fixed_point(self):
         prior = dist([0.0, 1.0, 0.0])
-        out = rebalance_prior(prior, LikelihoodVector(3, np.array([9.0, 1.0, 2.0])))
-        assert list(out.probs) == [0.0, 1.0, 0.0]
+        out = rebalance_rows(prior.probs[None], LikelihoodVector(3, np.array([9.0, 1.0, 2.0])))
+        assert list(out[0]) == [0.0, 1.0, 0.0]
 
     def test_support_preserved(self):
         prior = dist([0.5, 0.0, 0.5])
-        out = rebalance_prior(prior, LikelihoodVector(3, np.array([3.0, 5.0, 1.0])))
-        assert out.probs[1] == 0.0
-        assert out.probs[0] > 0.0 and out.probs[2] > 0.0
+        out = rebalance_rows(prior.probs[None], LikelihoodVector(3, np.array([3.0, 5.0, 1.0])))[0]
+        assert out[1] == 0.0
+        assert out[0] > 0.0 and out[2] > 0.0
 
     def test_monotone_influence(self):
         prior = dist([0.4, 0.3, 0.3])
-        low = rebalance_prior(prior, LikelihoodVector(3, np.array([1.0, 1.0, 2.0])))
-        high = rebalance_prior(prior, LikelihoodVector(3, np.array([1.0, 1.0, 3.0])))
-        assert high.probs[2] > low.probs[2]
+        low = rebalance_rows(prior.probs[None], LikelihoodVector(3, np.array([1.0, 1.0, 2.0])))
+        high = rebalance_rows(prior.probs[None], LikelihoodVector(3, np.array([1.0, 1.0, 3.0])))
+        assert high[0, 2] > low[0, 2]
 
     def test_codebook_mismatch(self):
         with pytest.raises(ValidationError):
-            rebalance_prior(dist([0.5, 0.5]), LikelihoodVector(3, np.ones(3)))
+            rebalance_rows(dist([0.5, 0.5]).probs[None], LikelihoodVector(3, np.ones(3)))
 
     def test_exponent_continuity(self):
         # The guided posterior matches the closed form at every strength.
         prior = dist([0.1, 0.6, 0.3])
         for lam in (0.0, 0.5, 1.0, 2.0):
-            out = rebalance_prior(prior, style_likelihood(STYLE, DATASET, lam))
+            out = rebalance_rows(prior.probs[None], style_likelihood(STYLE, DATASET, lam))
             direct = prior.probs * (STYLE.probs / DATASET.probs) ** lam
             direct /= direct.sum()
-            assert np.allclose(out.probs, direct, atol=1e-12)
+            assert np.allclose(out[0], direct, atol=1e-12)
 
 
 class TestLikelihoodTable:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -102,6 +103,11 @@ class TestConstruction:
             )
         with pytest.raises(ValidationError):
             MarkovGridPrior(codebook_size=4, context=LEFT, contexts=[[0]], counts=np.ones(4))
+        for token in (4, -2):  # would alias another context's packed code
+            with pytest.raises(ValidationError):
+                MarkovGridPrior(
+                    codebook_size=4, context=LEFT, contexts=[[token]], counts=np.ones((1, 4))
+                )
 
     def test_label_slot_must_match_flag(self):
         with pytest.raises(ValidationError):
@@ -112,6 +118,17 @@ class TestConstruction:
             MarkovGridPrior(
                 codebook_size=4, context=LEFT, conditional=True, label_count=2,
                 contexts=[[0]], counts=np.ones((1, 4)),
+            )
+        with pytest.raises(ValidationError):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, conditional=True, label_count=2,
+                contexts=[[0]], labels=[2], counts=np.ones((1, 4)),
+            )
+
+    def test_counts_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="counts must be >= 0"):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, contexts=[[0]], counts=[[3, -1, 0, 0]]
             )
 
     def test_empty_state_without_smoothing(self):
@@ -234,6 +251,70 @@ class TestTraining:
                     assert table(model) == brute_force_counts(pairs, context, conditional)
                     keys = list(zip(model.contexts.tolist(), model.labels.tolist()))
                     assert keys == sorted(keys)  # model-JSON order
+
+
+class TestStates:
+    """`MarkovGridPrior.states` against the exact-tuple `state_of` dict."""
+
+    # Packed slot-first, (53778, 20310, 56752, 776) wraps int64 onto the code
+    # of the all-zero context, a trained state; packed slot-last, so does
+    # (776, 56752, 20310, 53778), as in test_wide_context_codes_do_not_alias.
+    WIDE = [
+        TokenGrid(2, 3, 70000, [[20310, 56752, 53778], [776, 1, 2]]),
+        TokenGrid(2, 3, 70000, [[0, 0, 0], [0, 3, 4]]),
+    ]
+
+    def model(self, rng, size, context, conditional, alpha):
+        grids = [random_grid(rng, 5, 6, size) for _ in range(8)]
+        grids += self.WIDE if size == 70000 else []
+        pairs = [(g, random_semantics(rng, g.height, g.width, 2)) for g in grids]
+        return train_markov_prior(pairs, context, conditional, smoothing_alpha=alpha)
+
+    def batch(self, rng, model, n=400):
+        """Trained contexts, random ones (boundary included) and aliasing ones."""
+        size, slots = model.codebook_size, len(model.context)
+        trained = model.contexts[rng.integers(0, len(model.contexts), n)]
+        drawn = rng.integers(BOUNDARY, size, (n, slots))
+        drawn[: n // 4, rng.integers(0, slots)] = BOUNDARY
+        edge = np.full((1, slots), BOUNDARY)
+        rows = [trained, drawn, edge, np.zeros((1, slots), dtype=np.int64)]
+        if size == 70000:
+            rows.append(np.array([[53778, 20310, 56752, 776], [776, 56752, 20310, 53778]]))
+        return np.concatenate(rows)
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
+    @pytest.mark.parametrize(
+        "size, context",
+        [(8, DEFAULT_CONTEXT), (600, DEFAULT_CONTEXT), (70000, FOUR_SLOTS)],
+        ids=["dense", "sorted", "re-ranked"],
+    )
+    def test_matches_state_of(self, rng, size, context, conditional):
+        model = self.model(rng, size, context, conditional, alpha=0.5)
+        batch = self.batch(rng, model)
+        labels = [0, 1, 2, 7, -1] if conditional else [None]  # 2 and up: no such label
+        for label in labels:
+            got = model.states(list(batch.T), label)
+            assert got.tolist() == [model.state_of(tuple(c), label) for c in batch.tolist()]
+            if label in (0, 1, None):
+                assert 0 < np.count_nonzero(got == len(model.counts)) < len(got)
+
+    @pytest.mark.parametrize(
+        "size, context", [(8, DEFAULT_CONTEXT), (70000, FOUR_SLOTS)], ids=["dense", "re-ranked"]
+    )
+    def test_unseen_without_smoothing_raises_as_state_of(self, rng, size, context):
+        model = self.model(rng, size, context, conditional=True, alpha=0.0)
+        seen = list(model.contexts[:1].T)
+        label = int(model.labels[0])
+        assert model.states(seen, label).tolist() == [0]
+        known = set(map(tuple, model.contexts[model.labels == label].tolist()))
+        unseen = next(c for c in itertools.product(range(size), repeat=len(context)) if c not in known)
+        with pytest.raises(ValidationError) as scalar:
+            model.state_of(unseen, label)
+        columns = [np.array([c[0], token]) for c, token in zip(seen, unseen)]
+        with pytest.raises(ValidationError) as batch:
+            model.states(columns, label)
+        assert str(batch.value) == str(scalar.value)
+        assert "never observed" in str(batch.value)
 
 
 class TestContextAt:
@@ -361,8 +442,10 @@ class TestModelIO:
     @pytest.mark.parametrize(
         "entry",
         [{"context": [0, 1], "label": None, "counts": {"0": 1}},
-         {"context": [0], "label": None, "counts": {"9": 1}}],
-        ids=["context-width", "token-range"],
+         {"context": [0], "label": None, "counts": {"9": 1}},
+         {"context": [1], "label": None, "counts": {"-1": 5}},
+         {"context": [1], "label": None, "counts": {"0": -3}}],
+        ids=["context-width", "token-range", "negative-token", "negative-count"],
     )
     def test_malformed_table(self, tmp_path, entry):
         path = tmp_path / "model.json"

@@ -55,7 +55,7 @@ from gcs.formats import (
 from gcs.guidance import (
     LikelihoodVector,
     global_likelihood_table,
-    rebalance_prior,
+    rebalance_rows,
     style_likelihood,
 )
 from gcs.metrics import (
@@ -306,14 +306,14 @@ class TestPermutationEquivariance:
     def test_rebalanced_posterior(self, data):
         prior, weights = data.draw(prior_and_weights())
         perm = data.draw(permutations(prior.codebook_size))
-        base = rebalance_prior(prior, LikelihoodVector(prior.codebook_size, weights))
+        base = rebalance_rows(prior.probs[None], LikelihoodVector(prior.codebook_size, weights))
         permuted_weights = np.empty_like(weights)
         permuted_weights[perm] = weights
-        moved = rebalance_prior(
-            permute_dist(prior, perm),
+        moved = rebalance_rows(
+            permute_dist(prior, perm).probs[None],
             LikelihoodVector(prior.codebook_size, permuted_weights),
         )
-        assert np.allclose(moved.probs[perm], base.probs, atol=1e-12, rtol=0.0)
+        assert np.allclose(moved[0, perm], base[0], atol=1e-12, rtol=0.0)
 
     @prop
     @given(st.data())
@@ -346,9 +346,9 @@ class TestRebalancingInvariants:
     def test_scale_invariance(self, pair, scale):
         prior, weights = pair
         size = prior.codebook_size
-        base = rebalance_prior(prior, LikelihoodVector(size, weights))
-        scaled = rebalance_prior(prior, LikelihoodVector(size, scale * weights))
-        assert np.allclose(scaled.probs, base.probs, atol=1e-12, rtol=0.0)
+        base = rebalance_rows(prior.probs[None], LikelihoodVector(size, weights))
+        scaled = rebalance_rows(prior.probs[None], LikelihoodVector(size, scale * weights))
+        assert np.allclose(scaled, base, atol=1e-12, rtol=0.0)
 
     @prop
     @given(st.data())
@@ -358,7 +358,8 @@ class TestRebalancingInvariants:
         prior = data.draw(count_priors(dist.codebook_size))
         vector = style_likelihood(dist, dist, exponent)
         assert vector.is_identity
-        assert rebalance_prior(prior, vector) is prior
+        row = prior.probs[None]
+        assert rebalance_rows(row, vector) is row
 
     @prop
     @given(st.data())
@@ -372,8 +373,8 @@ class TestRebalancingInvariants:
     @given(prior_and_weights())
     def test_support_preservation(self, pair):
         prior, weights = pair
-        post = rebalance_prior(prior, LikelihoodVector(prior.codebook_size, weights))
-        assert np.array_equal(post.probs == 0.0, prior.probs == 0.0)
+        post = rebalance_rows(prior.probs[None], LikelihoodVector(prior.codebook_size, weights))
+        assert np.array_equal(post[0] == 0.0, prior.probs == 0.0)
 
     @prop
     @given(st.data())
@@ -384,8 +385,8 @@ class TestRebalancingInvariants:
         factor = data.draw(st.floats(1.1, 10.0))
         boosted = weights.copy()
         boosted[index] *= factor
-        before = rebalance_prior(prior, LikelihoodVector(size, weights)).probs[index]
-        after = rebalance_prior(prior, LikelihoodVector(size, boosted)).probs[index]
+        before = rebalance_rows(prior.probs[None], LikelihoodVector(size, weights))[0, index]
+        after = rebalance_rows(prior.probs[None], LikelihoodVector(size, boosted))[0, index]
         assert after >= before
         if 1e-6 < prior.probs[index] < 1.0 - 1e-6:
             assert after > before
@@ -400,10 +401,10 @@ class TestRebalancingInvariants:
         exponent = data.draw(
             st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
         )
-        post = rebalance_prior(prior, style_likelihood(style, dataset, exponent))
+        post = rebalance_rows(prior.probs[None], style_likelihood(style, dataset, exponent))
         direct = prior.probs * (style.probs / dataset.probs) ** exponent
         direct /= direct.sum()
-        assert np.allclose(post.probs, direct, atol=1e-12, rtol=0.0)
+        assert np.allclose(post[0], direct, atol=1e-12, rtol=0.0)
 
 
 class TestMetricProperties:

@@ -379,6 +379,20 @@ class TestBatchSample:
         )
         assert plain == guided
 
+    def test_labels_past_the_model_match_sequential(self, rng):
+        # A semantic map with labels the model never saw: every context
+        # under labels 2 and 3 is unseen and must not alias labels 0 and 1.
+        corpus = [(random_grid(rng, 5, 5, 6), random_semantics(rng, 5, 5, 2)) for _ in range(4)]
+        model = train_markov_prior(corpus, conditional=True)
+        sem = random_semantics(rng, 5, 5, 4)
+        assert {2, 3} <= set(sem.labels.flat)
+        cfg = SamplingConfig(seed=12)
+        batch = batch_sample(model, 5, 5, 30, semantics=sem, config=cfg)
+        for i, grid in enumerate(batch):
+            assert grid == sample_grid(
+                model, 5, 5, sem, dataclasses.replace(cfg, seed=split_seed(12, i))
+            )
+
     def test_non_markov_model_falls_back(self):
         model = FixedModel([0.1, 0.4, 0.5])
         batch = batch_sample(model, 2, 3, 4, config=SamplingConfig(seed=1))
@@ -431,8 +445,8 @@ class TestBatchSample:
             batch_sample(model, 1, 3, 5)
 
     def test_large_batch_through_sorted_index_matches_sequential(self, rng):
-        # (600 + 1) ** 2 template codes exceed the dense budget, so rows are
-        # looked up by sorted context tuples; many samples share each row.
+        # (600 + 1) ** 2 template codes exceed the dense budget, so states
+        # are looked up by sorted int64 codes; many samples share each row.
         corpus = [random_grid(rng, 3, 3, 600) for _ in range(40)]
         model = train_markov_prior(corpus, smoothing_alpha=0.05)
         d = histogram_from_grid(corpus[0], 0.5)
@@ -459,8 +473,8 @@ class TestBatchSample:
         assert peak < 8 * 2**20
 
     def test_fine_tiling_keeps_index_memory_bounded(self, rng):
-        # One scope per cell of a 16x16 grid, each with 256 ** 2 template
-        # codes: dense indexes for every scope would take 128 MiB.
+        # One scope per cell of a 16x16 grid, over 256 ** 2 template codes:
+        # a code-space array per scope would take 128 MiB.
         corpus = [random_grid(rng, 16, 16, 255) for _ in range(4)]
         model = train_markov_prior(corpus[:2])
         table = scoped_likelihoods(
