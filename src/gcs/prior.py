@@ -74,8 +74,6 @@ class PriorModel(Protocol):
 def parse_context_template(spec: str) -> tuple[tuple[int, int], ...]:
     """Parse a comma-separated offset list such as "left,above"."""
     names = [part.strip() for part in spec.split(",") if part.strip()]
-    if not names:
-        raise ValidationError("empty context template")
     offsets = []
     for name in names:
         if name not in OFFSET_NAMES:
@@ -90,7 +88,9 @@ def parse_context_template(spec: str) -> tuple[tuple[int, int], ...]:
 def validate_context_template(
     offsets: Sequence[tuple[int, int]],
 ) -> tuple[tuple[int, int], ...]:
-    """Offsets must be unique and strictly earlier in raster order."""
+    """Offsets must be non-empty, unique and strictly earlier in raster order."""
+    if not offsets:
+        raise ValidationError("empty context template")
     result = []
     for dr, dc in offsets:
         if not (dr < 0 or (dr == 0 and dc < 0)):
@@ -197,7 +197,7 @@ class MarkovGridPrior:
         # state has; without a label radix, zip drops the label digit.
         radices = [self.codebook_size + 1] * len(self.context)
         radices += [self.label_count + 1] if self.conditional else []
-        code, bound = np.zeros(len(digits[0]), dtype=np.int64), 1
+        code, bound = np.zeros(np.shape(digits[0]), dtype=np.int64), 1
         for i, (digit, radix) in enumerate(zip(digits, radices)):
             if bound * radix > 2**63:
                 code, bound = _rank(ranks, i, code)
@@ -215,21 +215,29 @@ class MarkovGridPrior:
         state[code] = np.arange(unseen)
         return ranks, state
 
-    def states(self, columns: Sequence[np.ndarray], label: int | None) -> np.ndarray:
-        """`state_of` for a batch: the row of `smoothed` of each sample.
+    def states(
+        self, columns: Sequence[np.ndarray], labels: int | np.ndarray | None
+    ) -> np.ndarray:
+        """`state_of` for a batch: the row of `smoothed` of each element.
 
-        columns[j][i] is template slot j of sample i, a token or BOUNDARY;
-        `label` is the step's label (None when unconditional).  A label
-        outside [0, label_count) matches no state.
+        columns[j] holds template slot j of each element, a token or
+        BOUNDARY; `labels` (None when unconditional) is a label or an array
+        of them that broadcasts against the columns.  A label outside
+        [0, label_count) matches no state.
         """
         ranks, state = self._code_index
-        valid = not self.conditional or 0 <= label < self.label_count
-        digits = [column + 1 for column in columns] + [label if valid else self.label_count]
+        digits = [column + 1 for column in columns]
+        if self.conditional:
+            labels = np.asarray(labels)
+            valid = (labels >= 0) & (labels < self.label_count)
+            digits.append(np.where(valid, labels, self.label_count))
         states = state[self._codes(digits, ranks)[0]]
         if self.smoothing_alpha == 0.0 and (states == len(self.counts)).any():
-            first = int(np.argmax(states == len(self.counts)))
+            first = np.unravel_index(np.argmax(states == len(self.counts)), states.shape)
+            context = tuple(int(column[first]) for column in columns)
+            label = int(np.broadcast_to(labels, states.shape)[first]) if self.conditional else None
             # The scalar lookup raises its "never observed" error for it.
-            self.state_of(tuple(int(column[first]) for column in columns), label)
+            self.state_of(context, label)
         return states
 
     def context_at(
@@ -438,6 +446,8 @@ def load_model(path: str | Path) -> MarkovGridPrior:
             dtype=np.int64,
         ).reshape(len(tables), len(context))
         labels = [-1 if entry["label"] is None else int(entry["label"]) for entry in tables]
+        if len(set(zip(map(tuple, contexts.tolist()), labels))) < len(tables):
+            raise ValueError("a (context, label) state appears more than once")
         counts = np.zeros((len(tables), size), dtype=np.int64)
         for row, entry in zip(counts, tables):
             for token, n in entry["counts"].items():

@@ -84,6 +84,13 @@ def unit_draws_for_keys(keys: np.ndarray, counter: int) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 
+def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Draws of many streams at many counters: [j, i] is unit_draw(keys[i], counters[j])."""
+    c = np.asarray(counters, dtype=np.uint64)[:, None]
+    raw = mix64_array(np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN))
+    return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+
+
 def unit_draws_for_counters(key: int, counters: np.ndarray) -> np.ndarray:
     """Unit draws of a single stream at many counters."""
     c = np.asarray(counters, dtype=np.uint64)

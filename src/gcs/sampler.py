@@ -9,13 +9,14 @@ untouched, so a pipeline of no-ops reproduces the raw prior bit for bit.
 `sample_grid` and the exact chain enumeration `exact_sequence_distribution`
 run it on one row per step through `step_posterior`.
 
-`batch_sample` on a `MarkovGridPrior` keeps a posterior-row table for the
-batch: one row per (scope, prior state), where a scope is a step's label
-and guidance vector, stored with its cumulative sum.  At each raster
-position `MarkovGridPrior.states` maps the contexts to prior states, and
-the states without a row in that scope get one in a single
-`posterior_rows` call on the prior's smoothed matrix.  The position is
-then one row lookup and one inverse-CDF pick (`inverse_cdf_rows`).
+`batch_sample` on a `MarkovGridPrior` draws a wavefront per step: every
+position with the same skew * row + col, whose template slots all lie in
+earlier wavefronts.  It keeps a posterior-row table for the batch: one row
+per (scope, prior state), where a scope is a guidance vector, stored with
+its cumulative sum.  A step gathers its slots from the position-major
+(H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
+prior states, builds the rows it lacks with one `posterior_rows` call per
+scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  `batch_sample` derives the stream key of sample i
@@ -39,7 +40,7 @@ from .core import (
 )
 from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, select_likelihood
 from .prior import BOUNDARY, MarkovGridPrior, PriorModel
-from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_for_keys
+from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_at
 
 
 @dataclass(frozen=True)
@@ -188,11 +189,12 @@ def batch_sample(
 ) -> list[TokenGrid]:
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
-    A `MarkovGridPrior` takes the vectorized path: a `_RowTable` of step
-    posteriors keyed by (scope, prior state) turns each raster position
-    into one row lookup and one inverse-CDF pick for the whole batch, and
-    the token sequences equal `count` independent `sample_grid` calls.
-    Any other model runs that per-sample loop.
+    A `MarkovGridPrior` takes the vectorized path, one anti-diagonal
+    wavefront of the grid at a time for the whole batch: a `_RowTable` of
+    step posteriors keyed by (scope, prior state) gives each element its
+    row, and one inverse-CDF pick draws them all, each with its raster
+    position's unit draw.  The token sequences equal `count` independent
+    `sample_grid` calls.  Any other model runs that per-sample loop.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
@@ -209,29 +211,40 @@ def batch_sample(
             for i in range(count)
         ]
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
-    grids = np.full((count, height, width), -1, dtype=np.int64)
-    shape = (height, width)
-    table = _RowTable(model, config)
-    boundary = np.full(count, BOUNDARY, dtype=np.int64)
+    size = height * width
+    rows, cols = np.divmod(np.arange(size), width)
+    # Position-major tokens; the last row is the BOUNDARY every off-grid slot reads.
+    grids = np.empty((size + 1, count), dtype=np.int64)
+    grids[size] = BOUNDARY
+    slots = []
+    for dr, dc in model.context:
+        r, c = rows + dr, cols + dc
+        slots.append(np.where((r >= 0) & (c >= 0) & (c < width), r * width + c, size))
+    labels = semantics.labels.reshape(-1, 1) if model.conditional else None
+    vectors = [None] * size
+    if config.guidance is not None:
+        vectors = [
+            select_likelihood(config.guidance, (r, c), semantics, (height, width))
+            for r, c in zip(rows.tolist(), cols.tolist())
+        ]
+    scope_ids: dict = {}
+    scopes = np.array([[scope_ids.setdefault(id(v), len(scope_ids))] for v in vectors])
+    table = _RowTable(model, config, list({id(v): v for v in vectors}.values()))
 
-    for i in range(height * width):
-        row, col = divmod(i, width)
-        columns = []
-        for dr, dc in model.context:
-            rr, cc = row + dr, col + dc
-            inside = 0 <= rr < height and 0 <= cc < width
-            columns.append(grids[:, rr, cc] if inside else boundary)
-        label = None
-        if model.conditional:
-            label = int(semantics.labels[row, col])
-        vector = None
-        if config.guidance is not None:
-            vector = select_likelihood(config.guidance, (row, col), semantics, shape)
-        rows = table.rows(columns, label, vector)
-        draws = unit_draws_for_keys(keys, i)
-        grids[:, row, col] = inverse_cdf_rows(table.probs, table.cumulative, rows, draws)
+    # Wavefront t = skew * row + col: the smallest skew >= 0 that puts
+    # every template slot in an earlier wavefront.
+    skew = max([0] + [dc // -dr + 1 for dr, dc in model.context if dr < 0])
+    wave = skew * rows + cols
+    order = np.argsort(wave, kind="stable")
+    for front in np.split(order, np.flatnonzero(np.diff(wave[order])) + 1):
+        columns = [grids[slot[front]] for slot in slots]
+        picked = table.rows(columns, None if labels is None else labels[front], scopes[front])
+        draws = unit_draws_at(keys, front)
+        grids[front] = inverse_cdf_rows(
+            table.probs, table.cumulative, picked.ravel(), draws.ravel()
+        ).reshape(front.size, count)
 
-    return token_grids(grids, model.codebook_size)
+    return token_grids(grids[:size].T.reshape(count, height, width), model.codebook_size)
 
 
 def inverse_cdf_rows(
@@ -265,43 +278,44 @@ def inverse_cdf_rows(
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    A scope is a step's label and guidance vector.  Each scope maps prior
-    states (the shared unseen-context state included) to rows through an
-    int64 array of S + 1 entries, -1 until built: 8 (S + 1) bytes whatever
-    the code space, at most the size of the prior's smoothed matrix while a
-    table has at most K scopes.  A position's new rows go through
-    `posterior_rows` together and are stored with their cumulative sums;
-    the row arrays grow by at least a quarter when full.
+    A scope is one of the batch's distinct guidance vectors (None when
+    unguided).  Each scope maps prior states (the shared unseen-context
+    state included) to rows through S + 1 entries of an int64 array, -1
+    until built: 8 (S + 1) bytes whatever the code space, at most the size
+    of the prior's smoothed matrix while a table has at most K scopes.  A
+    call's new rows go through `posterior_rows` once per scope and are
+    stored with their cumulative sums; the row arrays grow by at least a
+    quarter when full.
     """
 
-    def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
+    def __init__(self, model: MarkovGridPrior, config: SamplingConfig, vectors: list) -> None:
         self.model = model
         self.config = config
+        self.vectors = vectors
+        self.stride = len(model.counts) + 1
+        self.row_of = np.full(len(vectors) * self.stride, -1, dtype=np.int64)
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
-        self.scopes: dict = {}  # (label, id(vector)) -> row of each prior state
 
-    def rows(
-        self,
-        columns: list[np.ndarray],
-        label: int | None,
-        vector: LikelihoodVector | None,
-    ) -> np.ndarray:
-        """Row of each sample's context state, building rows for new states."""
-        states = self.model.states(columns, label)
-        row_of_state = self.scopes.get((label, id(vector)))
-        if row_of_state is None:
-            row_of_state = np.full(len(self.model.smoothed), -1, dtype=np.int64)
-            self.scopes[(label, id(vector))] = row_of_state
-        rows = row_of_state[states]
+    def rows(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
+        """Row of each element's (scope, context state), building new ones.
+
+        `columns` and `labels` go to `MarkovGridPrior.states`; `scopes`
+        indexes `vectors` and broadcasts against the columns like `labels`.
+        """
+        keys = scopes * self.stride + self.model.states(columns, labels)
+        rows = self.row_of[keys]
         missing = rows < 0
         if missing.any():
             # return_inverse keeps np.unique from importing numpy.ma.
-            fresh = np.unique(states[missing], return_inverse=True)[0]
-            row_of_state[fresh] = np.arange(self.size, self.size + fresh.size)
-            self._append(posterior_rows(self.model.smoothed[fresh], vector, self.config))
-            rows = row_of_state[states]
+            fresh = np.unique(keys[missing], return_inverse=True)[0]
+            self.row_of[fresh] = np.arange(self.size, self.size + fresh.size)
+            for part in np.split(fresh, np.flatnonzero(np.diff(fresh // self.stride)) + 1):
+                scope, states = np.divmod(part, self.stride)
+                vector = self.vectors[scope[0]]
+                self._append(posterior_rows(self.model.smoothed[states], vector, self.config))
+            rows = self.row_of[keys]
         return rows
 
     def _append(self, probs: np.ndarray) -> None:

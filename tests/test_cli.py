@@ -777,6 +777,26 @@ def test_malformed_model_counts_exit_2(tmp_path, capsys, counts):
     assert "malformed model JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["empty-context", "duplicate-state"])
+def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
+    path = tmp_path / "bad.json"
+    save_model(path, train_markov_prior([TokenGrid(1, 2, 4, [0, 1])]))
+    payload = json.loads(path.read_text())
+    if fault == "empty-context":
+        payload["context"] = []
+        payload["tables"] = [{"context": [], "label": None, "counts": {"0": 3, "1": 1}}]
+    else:
+        payload["tables"].append(dict(payload["tables"][0], counts={"2": 7}))
+    path.write_text(json.dumps(payload))
+    rc = main(
+        ["sample", "--model", str(path), "--no-guidance", "--height", "2", "--width", "2",
+         "--out", str(tmp_path / "s")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed model JSON" in err and "Traceback" not in err
+
+
 class TestEvaluate:
     @pytest.fixture()
     def sample_dirs(self, trained, tmp_path):

@@ -86,6 +86,14 @@ class TestContextTemplates:
     def test_above_right_is_legal(self):
         assert validate_context_template(((-1, 1),)) == ((-1, 1),)
 
+    def test_empty_template_rejected(self, rng):
+        with pytest.raises(ValidationError, match="empty context template"):
+            validate_context_template(())
+        with pytest.raises(ValidationError, match="empty context template"):
+            train_markov_prior([random_grid(rng, 3, 3, 4)], context=())
+        with pytest.raises(ValidationError, match="empty context template"):
+            MarkovGridPrior(codebook_size=4, context=())
+
 
 class TestConstruction:
     def test_codebook_too_small(self):
@@ -439,13 +447,24 @@ class TestModelIO:
             load_model(path)
         assert "malformed model JSON" in str(exc.value)
 
+    def test_empty_template(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT))
+        payload = json.loads(path.read_text())
+        payload["context"] = []
+        payload["tables"] = [{"context": [], "label": None, "counts": {"0": 2}}]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="malformed model JSON.*empty context template"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "entry",
         [{"context": [0, 1], "label": None, "counts": {"0": 1}},
          {"context": [0], "label": None, "counts": {"9": 1}},
          {"context": [1], "label": None, "counts": {"-1": 5}},
-         {"context": [1], "label": None, "counts": {"0": -3}}],
-        ids=["context-width", "token-range", "negative-token", "negative-count"],
+         {"context": [1], "label": None, "counts": {"0": -3}},
+         {"context": ["B"], "label": None, "counts": {"1": 2}}],
+        ids=["context-width", "token-range", "negative-token", "negative-count", "duplicate-state"],
     )
     def test_malformed_table(self, tmp_path, entry):
         path = tmp_path / "model.json"

@@ -15,6 +15,7 @@ from gcs.guidance import (
 )
 from gcs.prior import MarkovGridPrior, parse_context_template, train_markov_prior
 from gcs.rng import split_seed, unit_draw, seed_key
+from gcs import sampler
 from gcs.sampler import (
     SamplingConfig,
     batch_sample,
@@ -347,6 +348,108 @@ def build_guided_configs(rng):
     ]
 
 
+def assert_matches_sequential(model, height, width, count, semantics, config):
+    batch = batch_sample(model, height, width, count, semantics=semantics, config=config)
+    for i, grid in enumerate(batch):
+        assert grid == sample_grid(
+            model, height, width, semantics,
+            dataclasses.replace(config, seed=split_seed(config.seed, i)),
+        ), f"sample {i}"
+
+
+class TestWavefront:
+    """`batch_sample` draws a whole anti-diagonal wavefront per step; each
+    sample must still equal its own raster-order `sample_grid`."""
+
+    TEMPLATES = {
+        "left,above": ((0, -1), (-1, 0)),
+        "four-slot": parse_context_template("left,above,above-left,above-right"),
+        "far-above-right": ((0, -1), (-1, 3)),
+        "above-left-only": ((-1, -1),),
+    }
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 17)], ids=str)
+    @pytest.mark.parametrize("template", list(TEMPLATES))
+    def test_templates_and_shapes(self, rng, template, shape):
+        corpus = [random_grid(rng, 5, 9, 4) for _ in range(4)]
+        model = train_markov_prior(corpus, context=self.TEMPLATES[template])
+        d = histogram_from_grid(corpus[0], 0.5)
+        guidance = global_likelihood_table(d, histogram_from_grid(corpus[1], 0.5))
+        assert_matches_sequential(model, *shape, 7, None, SamplingConfig(seed=21, guidance=guidance))
+
+    @pytest.mark.parametrize(
+        "template, steps", [("left,above", 63), ("four-slot", 94), ("above-left-only", 32)]
+    )
+    def test_one_step_per_wavefront(self, rng, monkeypatch, template, steps):
+        model = train_markov_prior(
+            [random_grid(rng, 4, 4, 3) for _ in range(2)], context=self.TEMPLATES[template]
+        )
+        calls = []
+
+        def counted(probs, cumulative, rows, us):
+            calls.append(us.size)
+            return inverse_cdf_rows(probs, cumulative, rows, us)
+
+        monkeypatch.setattr(sampler, "inverse_cdf_rows", counted)
+        batch_sample(model, 32, 32, 3, config=SamplingConfig(seed=1))
+        assert len(calls) == steps and sum(calls) == 32 * 32 * 3
+
+    def test_regional_labels_vary_along_each_wavefront(self, rng):
+        corpus = [random_grid(rng, 6, 7, 5) for _ in range(5)]
+        rows = np.arange(6)[:, None].repeat(7, axis=1)
+        # Label r % 3: positions of one wavefront lie on different rows.
+        sem = SemanticGrid(6, 7, 3, rows % 3)
+        sems = [random_semantics(rng, 6, 7, 3) for _ in corpus]
+        model = train_markov_prior(list(zip(corpus, sems)), conditional=True)
+        table = scoped_likelihoods(
+            histogram_by_region(corpus[0], sems[0]),
+            histogram_by_region(corpus[1], sems[1]),
+            histogram_from_grid(corpus[0]),
+            histogram_from_grid(corpus[1]),
+        )
+        assert_matches_sequential(model, 6, 7, 9, sem, SamplingConfig(seed=8, guidance=table))
+
+    def test_spatial_cells_cut_across_wavefronts(self, rng):
+        corpus = [random_grid(rng, 8, 10, 5) for _ in range(6)]
+        model = train_markov_prior(corpus, context=self.TEMPLATES["four-slot"])
+        table = scoped_likelihoods(
+            histogram_by_cell(corpus[:2], 3, 4),
+            histogram_by_cell(corpus[2:], 3, 4),
+            histogram_from_grid(corpus[0]),
+            histogram_from_grid(corpus[2]),
+        )
+        assert_matches_sequential(model, 8, 10, 9, None, SamplingConfig(seed=6, guidance=table))
+
+    def test_temperature_and_top_k(self, rng):
+        corpus = [random_grid(rng, 6, 6, 5) for _ in range(4)]
+        model = train_markov_prior(corpus)
+        d = histogram_from_grid(corpus[0])
+        cfg = SamplingConfig(
+            seed=4,
+            temperature=0.8,
+            top_k=2,
+            guidance=global_likelihood_table(d, histogram_from_grid(corpus[1])),
+        )
+        assert_matches_sequential(model, 6, 6, 12, None, cfg)
+
+    def test_unseen_context_message_unchanged(self):
+        # Every row starts 0, 1 and then meets the unseen context (1,); the
+        # wavefront holding column 2 has one such position per row.
+        model = train_markov_prior(
+            [TokenGrid(1, 2, 4, [0, 1])], context=((0, -1),), smoothing_alpha=0.0
+        )
+        message = (
+            "context (1,) (label None) was never observed and smoothing_alpha is 0; "
+            "the distribution is undefined"
+        )
+        with pytest.raises(ValidationError) as scalar:
+            sample_grid(model, 3, 4, config=SamplingConfig(seed=split_seed(2, 0)))
+        with pytest.raises(ValidationError) as batch:
+            batch_sample(model, 3, 4, 6, config=SamplingConfig(seed=2))
+        assert str(scalar.value) == message
+        assert str(batch.value) == message
+
+
 class TestBatchSample:
     def test_matches_sequential_sampling(self, rng):
         # The vectorized path must be bit-identical to per-sample runs.
@@ -495,6 +598,23 @@ class TestBatchSample:
             assert batch[i] == sample_grid(
                 model, 16, 16, config=dataclasses.replace(cfg, seed=split_seed(2, i))
             )
+
+    def test_step_buffers_stay_within_the_output(self, rng):
+        # A guided 32x32 batch of 2000 holds its position-major tokens and
+        # the grids handed back; per-step buffers are (wavefront, n), so
+        # nothing of (n * wavefront, K) or a further full copy fits.
+        corpus = [random_grid(rng, 32, 32, 32) for _ in range(3)]
+        model = train_markov_prior(corpus)
+        d = histogram_from_grid(corpus[0], 0.5)
+        guidance = global_likelihood_table(d, histogram_from_grid(corpus[1], 0.5))
+        tracemalloc.start()
+        try:
+            batch = batch_sample(model, 32, 32, 2000, config=SamplingConfig(seed=3, guidance=guidance))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 2000
+        assert peak <= 2.5 * 2000 * 32 * 32 * 8
 
     def test_count_validated(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 3, 4)])
