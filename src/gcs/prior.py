@@ -163,6 +163,8 @@ class MarkovGridPrior:
             raise ValidationError(
                 "count table labels are inconsistent with the conditional flag or label_count"
             )
+        if len(np.unique(np.column_stack((contexts, labels)), axis=0)) < len(counts):
+            raise ValidationError("a (context, label) state appears more than once")
         unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
         smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
         for name, value in zip(
@@ -446,8 +448,6 @@ def load_model(path: str | Path) -> MarkovGridPrior:
             dtype=np.int64,
         ).reshape(len(tables), len(context))
         labels = [-1 if entry["label"] is None else int(entry["label"]) for entry in tables]
-        if len(set(zip(map(tuple, contexts.tolist()), labels))) < len(tables):
-            raise ValueError("a (context, label) state appears more than once")
         counts = np.zeros((len(tables), size), dtype=np.int64)
         for row, entry in zip(counts, tables):
             for token, n in entry["counts"].items():

@@ -79,9 +79,7 @@ def unit_draw(key: int, counter: int) -> float:
 
 def unit_draws_for_keys(keys: np.ndarray, counter: int) -> np.ndarray:
     """One unit draw at a fixed counter for each key in a uint64 array."""
-    k = np.asarray(keys, dtype=np.uint64)
-    raw = mix64_array(k + np.uint64((counter + 1) * GOLDEN & MASK64))
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    return unit_draws_at(keys, np.array([counter], dtype=np.uint64))[0]
 
 
 def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -93,9 +91,7 @@ def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 def unit_draws_for_counters(key: int, counters: np.ndarray) -> np.ndarray:
     """Unit draws of a single stream at many counters."""
-    c = np.asarray(counters, dtype=np.uint64)
-    raw = mix64_array(np.uint64(key & MASK64) + (c + np.uint64(1)) * np.uint64(GOLDEN))
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    return unit_draws_at(np.array([key & MASK64], dtype=np.uint64), counters)[:, 0]
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

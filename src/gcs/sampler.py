@@ -227,9 +227,9 @@ def batch_sample(
             select_likelihood(config.guidance, (r, c), semantics, (height, width))
             for r, c in zip(rows.tolist(), cols.tolist())
         ]
-    scope_ids: dict = {}
-    scopes = np.array([[scope_ids.setdefault(id(v), len(scope_ids))] for v in vectors])
-    table = _RowTable(model, config, list({id(v): v for v in vectors}.values()))
+    unique: dict = {}
+    scopes = np.array([[unique.setdefault(id(v), (len(unique), v))[0]] for v in vectors])
+    table = _RowTable(model, config, [v for _, v in unique.values()])
 
     # Wavefront t = skew * row + col: the smallest skew >= 0 that puts
     # every template slot in an earlier wavefront.

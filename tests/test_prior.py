@@ -139,6 +139,21 @@ class TestConstruction:
                 codebook_size=4, context=LEFT, contexts=[[0]], counts=[[3, -1, 0, 0]]
             )
 
+    def test_states_must_be_distinct(self):
+        with pytest.raises(ValidationError, match="appears more than once"):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, contexts=[[0], [1], [0]], counts=np.ones((3, 4))
+            )
+        with pytest.raises(ValidationError, match="appears more than once"):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, conditional=True, label_count=2,
+                contexts=[[0], [0]], labels=[1, 1], counts=np.ones((2, 4)),
+            )
+        MarkovGridPrior(
+            codebook_size=4, context=LEFT, conditional=True, label_count=2,
+            contexts=[[0], [0]], labels=[0, 1], counts=np.ones((2, 4)),
+        )
+
     def test_empty_state_without_smoothing(self):
         with pytest.raises(ValidationError, match="zero observations with zero smoothing"):
             MarkovGridPrior(
