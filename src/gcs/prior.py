@@ -163,7 +163,7 @@ class MarkovGridPrior:
             raise ValidationError(
                 "count table labels are inconsistent with the conditional flag or label_count"
             )
-        if len(np.unique(np.column_stack((contexts, labels)), axis=0)) < len(counts):
+        if len(set(zip(map(tuple, contexts.tolist()), labels.tolist()))) < len(counts):
             raise ValidationError("a (context, label) state appears more than once")
         unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
         smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
