@@ -47,6 +47,7 @@ from .world import (
     default_landscape_config,
     load_grid_directory,
     make_benchmark,
+    read_entries,
     spatial_contrast_config,
 )
 
@@ -112,10 +113,10 @@ def _load_samples(directory) -> tuple[list[TokenGrid], list | None]:
     manifest_path = base / "manifest.json"
     if manifest_path.exists():
         manifest = load_json(manifest_path)
-        entries = manifest.get("samples")
+        entries = manifest.get("samples") if isinstance(manifest, dict) else None
         if not entries:
             raise ValidationError(f"{directory}: manifest lists no samples")
-        grids = [read_token_grid(base / entry["tokens"]) for entry in entries]
+        grids = [grid for grid, _ in read_entries(base, entries, with_semantics=False)]
         seeds = [entry.get("seed") for entry in entries]
         if any(seed is None for seed in seeds):
             seeds = None

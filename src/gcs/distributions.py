@@ -14,9 +14,10 @@ All counting supports additive smoothing with a non-negative alpha:
     p[t] = (count(t) + alpha) / (observations + alpha * codebook_size)
 
 With alpha > 0 every entry is strictly positive, which downstream ratio
-guidance relies on.  Monte-Carlo estimates average the per-draw
-distributions uniformly by default; mass weighting (equivalent to pooling
-raw counts when alpha = 0) is available everywhere.
+guidance relies on.  Monte-Carlo estimates and scope-wise averages weight
+each estimate uniformly; `average_distributions` can also weight by mass
+(equivalent to pooling raw counts when alpha = 0), which `collapse_scoped`
+uses.
 """
 
 from __future__ import annotations
@@ -56,16 +57,7 @@ class ScopedDistributions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scopes", tuple(self.scopes))
-        if not self.scopes:
-            raise ValidationError("statistics need at least one scope")
-        if self.cells is not None:
-            rows, cols = self.cells
-            if rows < 1 or cols < 1:
-                raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
-            if len(self.scopes) != rows * cols or any(d is None for d in self.scopes):
-                raise ValidationError(
-                    f"a {rows}x{cols} tiling needs {rows * cols} cell distributions"
-                )
+        check_scope_layout(self.scopes, self.cells, "distributions")
         sizes = {dist.codebook_size for dist in self.scopes if dist is not None}
         if len(sizes) > 1:
             raise ValidationError(f"scopes mix codebook sizes {sorted(sizes)}")
@@ -77,6 +69,22 @@ class ScopedDistributions:
     @property
     def masses(self) -> tuple[float, ...]:
         return tuple(0.0 if d is None else d.source_mass for d in self.scopes)
+
+
+def check_scope_layout(scopes: tuple, cells: tuple[int, int] | None, what: str) -> None:
+    """Statistics and guidance tables alike hold at least one scope, and a
+    (rows, cols) tiling holds rows * cols of them, none None."""
+    if not scopes:
+        raise ValidationError(f"{what} need at least one scope")
+    if cells is not None:
+        rows, cols = cells
+        if rows < 1 or cols < 1:
+            raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
+        present = sum(scope is not None for scope in scopes)
+        if len(scopes) != rows * cols or present != len(scopes):
+            raise ValidationError(
+                f"a {rows}x{cols} tiling needs {rows * cols} cell {what}, got {present}"
+            )
 
 
 def cell_of_position(
@@ -226,10 +234,8 @@ def average_distributions(
     )
 
 
-def average_scoped(
-    estimates: Sequence[ScopedDistributions], weighting: str = "uniform"
-) -> ScopedDistributions:
-    """Scope-wise average across estimates sharing one scope layout.
+def average_scoped(estimates: Sequence[ScopedDistributions]) -> ScopedDistributions:
+    """Scope-wise uniform average across estimates sharing one scope layout.
 
     For each scope only estimates that actually observed it (mass > 0)
     contribute.  If nobody did, the scope stays absent unless some estimate
@@ -245,7 +251,7 @@ def average_scoped(
         present = [est.scopes[j] for est in estimates if est.scopes[j] is not None]
         observed = [dist for dist in present if dist.source_mass > 0.0]
         if observed:
-            scopes.append(average_distributions(observed, weighting))
+            scopes.append(average_distributions(observed))
         else:
             scopes.append(present[0] if present else None)
     return ScopedDistributions(tuple(scopes), first.cells)
@@ -270,7 +276,7 @@ average_regional = average_spatial = average_scoped
 collapse_regional = collapse_spatial = collapse_scoped
 
 
-def _monte_carlo(corpus, draws, smoothing_alpha, seed, weighting, estimate, average):
+def _monte_carlo(corpus, draws, smoothing_alpha, seed, estimate, average):
     """Average ``estimate(corpus[i], alpha)`` over ``draws`` indices drawn
     with replacement, estimating each distinct index once."""
     alpha = _check_alpha(smoothing_alpha)
@@ -285,7 +291,7 @@ def _monte_carlo(corpus, draws, smoothing_alpha, seed, weighting, estimate, aver
         if i not in cache:
             cache[i] = estimate(corpus[i], alpha)
         selected.append(cache[i])
-    return average(selected, weighting)
+    return average(selected)
 
 
 def monte_carlo_dataset_distribution(
@@ -293,16 +299,11 @@ def monte_carlo_dataset_distribution(
     draws: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
-    weighting: str = "uniform",
 ) -> CategoricalDistribution:
-    """Average the histograms of ``draws`` grids sampled with replacement.
-
-    Deterministic for a given seed; the uniform average over draws is the
-    default, mass weighting pools token counts instead.
-    """
+    """Uniformly average the histograms of ``draws`` grids sampled with
+    replacement; deterministic for a given seed."""
     return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed, weighting,
-        histogram_from_grid, average_distributions,
+        corpus, draws, smoothing_alpha, seed, histogram_from_grid, average_distributions
     )
 
 
@@ -311,11 +312,10 @@ def monte_carlo_regional_distribution(
     draws: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
-    weighting: str = "uniform",
 ) -> ScopedDistributions:
     """Monte-Carlo regional variant: per-label averages over sampled pairs."""
     return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed, weighting,
+        corpus, draws, smoothing_alpha, seed,
         lambda pair, alpha: histogram_by_region(*pair, alpha), average_scoped,
     )
 
@@ -327,11 +327,10 @@ def monte_carlo_spatial_distribution(
     draws: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
-    weighting: str = "uniform",
 ) -> ScopedDistributions:
     """Monte-Carlo spatial variant: per-cell averages over sampled grids."""
     return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed, weighting,
+        corpus, draws, smoothing_alpha, seed,
         lambda grid, alpha: histogram_by_cell([grid], cell_rows, cell_cols, alpha),
         average_scoped,
     )

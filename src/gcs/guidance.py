@@ -7,12 +7,12 @@ sampling.  Weight vectors are defined up to positive scale; canonical
 storage normalizes the maximum entry to 1 so large exponents cannot
 overflow.
 
-A `LikelihoodTable` is one global vector plus a flat tuple of per-scope
-vectors, mirroring how statistics are collected: globally (no scopes) or
-as `ScopedDistributions`, whose per-label or per-cell layout
-`scoped_likelihoods` carries over scope for scope (labels either side
-never showed hold the global vector itself).  Its mode follows from those
-fields, and `select_likelihood` resolves each step to one scope index.
+A `LikelihoodTable` is a tuple of per-scope vectors plus the scope layout
+of the statistics it came from: one vector per semantic label, or one per
+cell of a (rows, cols) tiling.  Global guidance is the 1x1 tiling of its
+one vector.  `scope_index` is the one position -> scope rule, elementwise
+on arrays: `select_likelihood` applies it to one step, `batch_sample` to
+every position of the grid at once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CategoricalDistribution, SemanticGrid, ValidationError, _readonly
-from .distributions import ScopedDistributions, cell_of_position
+from .distributions import ScopedDistributions, cell_of_position, check_scope_layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,40 +122,20 @@ def rebalance_rows(probs: np.ndarray, likelihood: LikelihoodVector) -> np.ndarra
 
 @dataclass(frozen=True)
 class LikelihoodTable:
-    """Guidance weights plus the rule for picking one per step.
+    """Guidance weights per scope, plus the layout that picks one per step.
 
-    ``scopes`` holds one vector per semantic label, or, when ``cells`` gives
-    a (rows, cols) tiling, one per cell in row-major order.  With no scopes
-    the global vector governs every step.
+    ``scopes`` holds one vector per semantic label when ``cells`` is None,
+    or one per cell of a (rows, cols) tiling in row-major order.
     """
 
     exponent: float
-    global_vector: LikelihoodVector
-    scopes: tuple[LikelihoodVector, ...] = ()
+    scopes: tuple[LikelihoodVector, ...]
     cells: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         _check_exponent(self.exponent)
         object.__setattr__(self, "scopes", tuple(self.scopes))
-        if self.cells is not None:
-            rows, cols = self.cells
-            if rows < 1 or cols < 1:
-                raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
-            if len(self.scopes) != rows * cols:
-                raise ValidationError(
-                    f"a {rows}x{cols} tiling needs {rows * cols} cell vectors, "
-                    f"got {len(self.scopes)}"
-                )
-
-    @property
-    def mode(self) -> str:
-        if self.cells is not None:
-            return "spatial"
-        return "regional" if self.scopes else "global"
-
-    @property
-    def codebook_size(self) -> int:
-        return self.global_vector.codebook_size
+        check_scope_layout(self.scopes, self.cells, "vectors")
 
 
 def global_likelihood_table(
@@ -163,8 +143,8 @@ def global_likelihood_table(
     dataset: CategoricalDistribution,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
-    """One guidance vector applied at every step."""
-    return LikelihoodTable(float(exponent), style_likelihood(style, dataset, exponent))
+    """One guidance vector applied at every step: the 1x1 tiling."""
+    return LikelihoodTable(float(exponent), (style_likelihood(style, dataset, exponent),), (1, 1))
 
 
 def scoped_likelihoods(
@@ -174,11 +154,12 @@ def scoped_likelihoods(
     dataset_global: CategoricalDistribution,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
-    """Per-scope guidance vectors with a global fallback.
+    """Per-scope guidance vectors, with a global fallback for labels.
 
     Style and dataset must share one scope layout.  A scope gets its own
-    vector only where both sides carry a distribution for it; a label
-    either side never observed holds the global vector itself.
+    vector where both sides carry a distribution for it; a label either
+    side never observed holds the vector of the global distributions.
+    Cells are never missing, so tiled tables ignore the global pair.
     """
     if style.mode != dataset.mode:
         raise ValidationError(
@@ -195,16 +176,58 @@ def scoped_likelihoods(
             f"label count mismatch: style {len(style.scopes)} vs "
             f"dataset {len(dataset.scopes)}"
         )
-    fallback = style_likelihood(style_global, dataset_global, exponent)
+    fallback = None if style.cells else style_likelihood(style_global, dataset_global, exponent)
     vectors = tuple(
         fallback if s is None or d is None else style_likelihood(s, d, exponent)
         for s, d in zip(style.scopes, dataset.scopes)
     )
-    return LikelihoodTable(float(exponent), fallback, vectors, style.cells)
+    return LikelihoodTable(float(exponent), vectors, style.cells)
 
 
 # Names the benchmark harness calls; both scope kinds share one body.
 regional_likelihoods = spatial_likelihoods = scoped_likelihoods
+
+
+def scope_index(
+    table: LikelihoodTable,
+    position: tuple,
+    semantics: SemanticGrid | None = None,
+    grid_shape: tuple[int, int] | None = None,
+) -> np.ndarray | int:
+    """Index into ``table.scopes`` of each position (row, col).
+
+    The scope is the semantic label at the position for per-label tables,
+    or the row-major index of the cell holding it for tiled ones, which
+    requires the full grid shape.  ``row`` and ``col`` may be integers or
+    integer arrays of one shape; the result has that shape.
+    """
+    row, col = position
+    if table.cells is None:
+        if semantics is None:
+            raise ValidationError("regional guidance requires a semantic map")
+        height, width = semantics.height, semantics.width
+    elif grid_shape is None:
+        raise ValidationError(
+            "guidance over a {}x{} tiling requires the generated grid's shape".format(*table.cells)
+        )
+    else:
+        height, width = grid_shape
+    outside = (row < 0) | (row >= height) | (col < 0) | (col >= width)
+    if np.count_nonzero(outside):
+        i = np.argmax(outside)
+        raise ValidationError(
+            f"position ({np.ravel(row)[i]}, {np.ravel(col)[i]}) outside the {height}x{width} grid"
+        )
+    if table.cells is None:
+        labels = semantics.labels[row, col]
+        if np.count_nonzero(labels >= len(table.scopes)):
+            raise ValidationError(
+                f"label {np.max(labels)} outside the table's {len(table.scopes)} labels"
+            )
+        return labels
+    cell_rows, cell_cols = table.cells
+    cr, cc = cell_of_position(row, col, height, width, cell_rows, cell_cols)
+    return cr * cell_cols + cc
 
 
 def select_likelihood(
@@ -213,35 +236,5 @@ def select_likelihood(
     semantics: SemanticGrid | None = None,
     grid_shape: tuple[int, int] | None = None,
 ) -> LikelihoodVector:
-    """The guidance vector governing one generation step.
-
-    The scope is the semantic label at ``position`` for per-label tables,
-    or the cell holding ``position`` for tiled tables, which requires the
-    full grid shape.
-    """
-    if not table.scopes:
-        return table.global_vector
-    row, col = position
-    if table.cells is None:
-        if semantics is None:
-            raise ValidationError("regional guidance requires a semantic map")
-        height, width = semantics.height, semantics.width
-    elif grid_shape is None:
-        raise ValidationError("spatial guidance requires the generated grid's shape")
-    else:
-        height, width = grid_shape
-    if not (0 <= row < height and 0 <= col < width):
-        raise ValidationError(
-            f"position ({row}, {col}) outside the {height}x{width} grid"
-        )
-    if table.cells is None:
-        scope = int(semantics.labels[row, col])
-        if scope >= len(table.scopes):
-            raise ValidationError(
-                f"label {scope} outside the table's {len(table.scopes)} labels"
-            )
-    else:
-        cell_rows, cell_cols = table.cells
-        cr, cc = cell_of_position(row, col, height, width, cell_rows, cell_cols)
-        scope = cr * cell_cols + cc
-    return table.scopes[scope]
+    """The guidance vector governing one generation step (see `scope_index`)."""
+    return table.scopes[int(scope_index(table, position, semantics, grid_shape))]

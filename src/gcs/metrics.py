@@ -306,23 +306,19 @@ def guidance_report(
     unguided: Sequence[TokenGrid],
     target: StyleReference,
     regions: SemanticGrid | Sequence[SemanticGrid] | None = None,
-    unguided_regions: SemanticGrid | Sequence[SemanticGrid] | None = None,
     guided_seeds: Sequence[int] | None = None,
     unguided_seeds: Sequence[int] | None = None,
 ) -> GuidanceReport:
     """Quantify how much closer guided samples sit to the target style.
 
-    `regions` applies to the guided set (and to the unguided set too when
-    `unguided_regions` is omitted), enabling per-label breakdowns.
+    `regions` applies to both sets, enabling per-label breakdowns.
     """
     guided = list(guided)
     unguided = list(unguided)
     if not guided or not unguided:
         raise ValidationError("guided and unguided sample sets must be non-empty")
     guided_regions = _broadcast_regions(regions, len(guided))
-    if unguided_regions is None:
-        unguided_regions = regions
-    unguided_regions = _broadcast_regions(unguided_regions, len(unguided))
+    unguided_regions = _broadcast_regions(regions, len(unguided))
 
     g = _set_summary(guided, guided_regions, target, "guided", guided_seeds)
     u = _set_summary(unguided, unguided_regions, target, "unguided", unguided_seeds)

@@ -12,8 +12,9 @@ run it on one row per step through `step_posterior`.
 `batch_sample` on a `MarkovGridPrior` draws a wavefront per step: every
 position with the same skew * row + col, whose template slots all lie in
 earlier wavefronts.  It keeps a posterior-row table for the batch: one row
-per (scope, prior state), where a scope is a guidance vector, stored with
-its cumulative sum.  A step gathers its slots from the position-major
+per (scope, prior state), where a scope indexes the guidance table's
+`scopes` (`scope_index` maps every position at once), stored with its
+cumulative sum.  A step gathers its slots from the position-major
 (H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
 prior states, builds the rows it lacks with one `posterior_rows` call per
 scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
@@ -38,7 +39,7 @@ from .core import (
     ValidationError,
     token_grids,
 )
-from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, select_likelihood
+from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, scope_index, select_likelihood
 from .prior import BOUNDARY, MarkovGridPrior, PriorModel
 from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_at
 
@@ -221,15 +222,10 @@ def batch_sample(
         r, c = rows + dr, cols + dc
         slots.append(np.where((r >= 0) & (c >= 0) & (c < width), r * width + c, size))
     labels = semantics.labels.reshape(-1, 1) if model.conditional else None
-    vectors = [None] * size
+    scopes = np.zeros((size, 1), dtype=np.int64)
     if config.guidance is not None:
-        vectors = [
-            select_likelihood(config.guidance, (r, c), semantics, (height, width))
-            for r, c in zip(rows.tolist(), cols.tolist())
-        ]
-    unique: dict = {}
-    scopes = np.array([[unique.setdefault(id(v), (len(unique), v))[0]] for v in vectors])
-    table = _RowTable(model, config, [v for _, v in unique.values()])
+        scopes = scope_index(config.guidance, (rows, cols), semantics, (height, width))[:, None]
+    table = _RowTable(model, config)
 
     # Wavefront t = skew * row + col: the smallest skew >= 0 that puts
     # every template slot in an earlier wavefront.
@@ -278,8 +274,8 @@ def inverse_cdf_rows(
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    A scope is one of the batch's distinct guidance vectors (None when
-    unguided).  Each scope maps prior states (the shared unseen-context
+    Scope j is ``config.guidance.scopes[j]``, or the one scope None when
+    unguided.  Each scope maps prior states (the shared unseen-context
     state included) to rows through S + 1 entries of an int64 array, -1
     until built: 8 (S + 1) bytes whatever the code space, at most the size
     of the prior's smoothed matrix while a table has at most K scopes.  A
@@ -288,12 +284,12 @@ class _RowTable:
     quarter when full.
     """
 
-    def __init__(self, model: MarkovGridPrior, config: SamplingConfig, vectors: list) -> None:
+    def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
         self.model = model
         self.config = config
-        self.vectors = vectors
+        self.vectors = (None,) if config.guidance is None else config.guidance.scopes
         self.stride = len(model.counts) + 1
-        self.row_of = np.full(len(vectors) * self.stride, -1, dtype=np.int64)
+        self.row_of = np.full(len(self.vectors) * self.stride, -1, dtype=np.int64)
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))

@@ -50,8 +50,12 @@ class StyleSpec:
     coherence: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("style name must be non-empty")
+        # The name is the style's exemplar directory under <out>/exemplars.
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ValidationError(
+                f"style name {name!r} must be a non-empty string usable as one directory name"
+            )
         if not self.per_label:
             raise ValidationError(f"style {self.name!r} has no label distributions")
         object.__setattr__(self, "per_label", tuple(self.per_label))
@@ -116,7 +120,10 @@ class LayoutSpec:
         extra = set(payload) - known
         if extra:
             raise ValidationError(f"layout entry: unknown key {sorted(extra)[0]!r}")
-        return LayoutSpec(**payload)
+        return LayoutSpec(**{
+            key: value if key == "kind" or value is None else int(value)
+            for key, value in payload.items()
+        })
 
 
 def realize_layout(
@@ -279,8 +286,10 @@ class BenchmarkConfig:
                 raise ValidationError(
                     f"{len(weights)} mixture weights for {len(self.styles)} styles"
                 )
-            if any(w < 0 for w in weights) or sum(weights) <= 0:
-                raise ValidationError("mixture weights must be non-negative with positive sum")
+            if not all(0 <= w < np.inf for w in weights) or sum(weights) <= 0:
+                raise ValidationError(
+                    "mixture weights must be finite and non-negative with positive sum"
+                )
             object.__setattr__(self, "mixture_weights", weights)
 
     def to_dict(self) -> dict:
@@ -311,6 +320,7 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "BenchmarkConfig":
+        """Decode a config; any malformed field raises ValidationError."""
         for key in (
             "name",
             "codebook_size",
@@ -325,26 +335,31 @@ class BenchmarkConfig:
         ):
             if key not in payload:
                 raise ValidationError(f"benchmark config: missing key {key!r}")
-        size = int(payload["codebook_size"])
-        label_count = int(payload["label_count"])
-        styles = tuple(
-            _style_from_dict(entry, size, label_count) for entry in payload["styles"]
-        )
-        layouts = tuple(LayoutSpec.from_dict(entry) for entry in payload["layouts"])
-        weights = payload.get("mixture_weights")
-        return BenchmarkConfig(
-            name=str(payload["name"]),
-            codebook_size=size,
-            label_count=label_count,
-            height=int(payload["height"]),
-            width=int(payload["width"]),
-            corpus_size=int(payload["corpus_size"]),
-            exemplars_per_style=int(payload["exemplars_per_style"]),
-            seed=int(payload["seed"]),
-            styles=styles,
-            layouts=layouts,
-            mixture_weights=None if weights is None else tuple(weights),
-        )
+        try:
+            size = int(payload["codebook_size"])
+            label_count = int(payload["label_count"])
+            styles = tuple(
+                _style_from_dict(entry, size, label_count) for entry in payload["styles"]
+            )
+            layouts = tuple(LayoutSpec.from_dict(entry) for entry in payload["layouts"])
+            weights = payload.get("mixture_weights")
+            return BenchmarkConfig(
+                name=str(payload["name"]),
+                codebook_size=size,
+                label_count=label_count,
+                height=int(payload["height"]),
+                width=int(payload["width"]),
+                corpus_size=int(payload["corpus_size"]),
+                exemplars_per_style=int(payload["exemplars_per_style"]),
+                seed=int(payload["seed"]),
+                styles=styles,
+                layouts=layouts,
+                mixture_weights=None if weights is None else tuple(weights),
+            )
+        except ValidationError:
+            raise
+        except (AttributeError, TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+            raise ValidationError(f"benchmark config: malformed ({exc})") from exc
 
 
 def _warn_on_similar_styles(styles: tuple[StyleSpec, ...]) -> None:
@@ -454,17 +469,28 @@ def load_manifest(bench_dir: str | Path) -> dict:
     if not path.exists():
         raise ValidationError(f"{bench_dir}: no manifest.json")
     manifest = load_json(path)
-    if "scenes" not in manifest:
+    if not isinstance(manifest, dict) or "scenes" not in manifest:
         raise ValidationError(f"{path}: manifest has no 'scenes' list")
     return manifest
 
 
-def _read_entries(
+def read_entries(
     base: Path, entries: list[dict], with_semantics: bool
 ) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    """Each entry's token grid under base, and its "semantics" map when asked."""
+    """Each manifest entry's token grid under base, and its "semantics" map
+    when asked; entries that name no such paths raise ValidationError."""
+    if not isinstance(entries, list):
+        raise ValidationError(f"{base}: manifest entries must be a list")
     out = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("tokens"), str)
+            and isinstance(entry.get("semantics") or "", str)
+        ):
+            raise ValidationError(
+                f"{base}: manifest entry {i} must name its 'tokens' (and any 'semantics') file"
+            )
         grid = read_token_grid(base / entry["tokens"])
         semantics = None
         if with_semantics and entry.get("semantics"):
@@ -477,7 +503,7 @@ def load_corpus(
     bench_dir: str | Path, with_semantics: bool = True
 ) -> list[tuple[TokenGrid, SemanticGrid | None]]:
     base = Path(bench_dir)
-    return _read_entries(base, load_manifest(base)["scenes"], with_semantics)
+    return read_entries(base, load_manifest(base)["scenes"], with_semantics)
 
 
 def load_exemplars(
@@ -487,7 +513,7 @@ def load_exemplars(
     entries = load_manifest(base).get("exemplars", {}).get(style)
     if not entries:
         raise ValidationError(f"{bench_dir}: no exemplars recorded for style {style!r}")
-    return _read_entries(base, entries, with_semantics)
+    return read_entries(base, entries, with_semantics)
 
 
 def load_grid_directory(
@@ -508,7 +534,7 @@ def load_grid_directory(
     for path in paths:
         sem_path = path.with_suffix(".sgrd")
         entries.append({"tokens": path.name, "semantics": sem_path.exists() and sem_path.name})
-    return _read_entries(base, entries, with_semantics)
+    return read_entries(base, entries, with_semantics)
 
 
 def default_landscape_config() -> BenchmarkConfig:

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gcs.distributions import (
     histogram_from_grid,
 )
 from gcs.formats import (
+    GRID_VOCAB_LIMIT,
     dump_json,
     load_json,
     read_stats,
@@ -494,6 +496,32 @@ class TestSample:
             name = f"sample_{i:03d}.tgrd"
             assert (guided / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_global_guidance_is_the_one_cell_tiling(self, world, trained, tmp_path):
+        # Global and 1x1 statistics give one guidance vector; the sample
+        # directories differ only in the manifest's recorded mode.
+        exemplar = str(world / "exemplars" / "low" / "ex_00.tgrd")
+        corpus = str(world / "corpus")
+        outs = {}
+        for mode, flags in (("global", []), ("spatial", ["--by-cell", "1x1"])):
+            style, dataset, out = (tmp_path / f"{mode}-{name}" for name in ("style", "data", "out"))
+            assert main(["style-stats", exemplar, "--out", str(style), *flags]) == 0
+            assert main(["dataset-stats", "--corpus", corpus, "--out", str(dataset),
+                         "--k", "50", *flags]) == 0
+            assert main(["sample", "--model", str(trained["model"]), "--out", str(out),
+                         "--style-stats", str(style), "--dataset-stats", str(dataset),
+                         "--height", "8", "--width", "8", "--n", "6", "--seed", "5",
+                         "--temperature", "0.8", "--top-k", "3"]) == 0
+            outs[mode] = out
+        names = sorted(p.name for p in outs["global"].iterdir())
+        assert names == sorted(p.name for p in outs["spatial"].iterdir())
+        for name in names:
+            if name == "manifest.json":
+                a, b = (load_json(outs[mode] / name) for mode in ("global", "spatial"))
+                assert (a.pop("mode"), b.pop("mode")) == ("global", "spatial")
+            else:
+                a, b = ((outs[mode] / name).read_bytes() for mode in ("global", "spatial"))
+            assert a == b, name
+
     def test_true_guidance_changes_samples(self, trained, tmp_path):
         guided = tmp_path / "guided"
         plain = tmp_path / "plain"
@@ -795,6 +823,145 @@ def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert rc == 2
     assert "malformed model JSON" in err and "Traceback" not in err
+
+
+def _config_with(path, value) -> dict:
+    payload = small_config(corpus_size=2, exemplars=1).to_dict()
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return payload
+
+
+HOSTILE_CONFIGS = {
+    "height-text": (["height"], "x"),
+    "height-null": (["height"], None),
+    "styles-int": (["styles"], 5),
+    "layouts-int-entry": (["layouts"], [5]),
+    "probs-text": (["styles", 0, "per_label", 0, "probs"], "ab"),
+    "per-label-int": (["styles", 0, "per_label"], 5),
+    "support-text": (["styles", 0, "per_label", 0], {"support": ["x"]}),
+    "coherence-text": (["styles", 0, "coherence"], "x"),
+    "min-row-text": (["layouts", 0, "min_row"], "x"),
+    "bands-text": (["layouts", 1, "bands"], "x"),
+    "name-int": (["styles", 0, "name"], 5),
+    "name-parent-dir": (["styles", 0, "name"], "../evil"),
+    "name-dot-dot": (["styles", 0, "name"], ".."),
+    "name-nested": (["styles", 0, "name"], "a/b"),
+    "weights-nan": (["mixture_weights"], [float("nan"), 1.0]),
+    "weights-inf": (["mixture_weights"], [float("inf"), 1.0]),
+}
+
+
+@pytest.mark.parametrize("path, value", HOSTILE_CONFIGS.values(), ids=HOSTILE_CONFIGS)
+def test_malformed_config_fields_exit_2(tmp_path, capsys, path, value):
+    bad = tmp_path / "bad.json"
+    dump_json(bad, _config_with(path, value))
+    out = tmp_path / "out"
+    assert main(["gen-world", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "evil").exists()
+
+
+CORPUS_MANIFESTS = {
+    "scenes-int": {"scenes": 5},
+    "scenes-int-entry": {"scenes": [5]},
+    "entry-without-tokens": {"scenes": [{"semantics": "scene.sgrd"}]},
+    "tokens-int": {"scenes": [{"tokens": 5}]},
+}
+
+
+@pytest.mark.parametrize("command", ["train-prior", "dataset-stats"])
+@pytest.mark.parametrize("manifest", CORPUS_MANIFESTS.values(), ids=CORPUS_MANIFESTS)
+def test_malformed_corpus_manifest_exit_2(tmp_path, capsys, command, manifest):
+    dump_json(tmp_path / "manifest.json", manifest)
+    assert main([command, "--corpus", str(tmp_path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+SAMPLE_MANIFESTS = {
+    "list": [{"tokens": "sample_000.tgrd"}],
+    "samples-int": {"samples": 5},
+    "samples-int-entry": {"samples": [5]},
+    "entry-without-tokens": {"samples": [{"seed": 3}]},
+}
+
+
+@pytest.mark.parametrize("manifest", SAMPLE_MANIFESTS.values(), ids=SAMPLE_MANIFESTS)
+def test_malformed_samples_manifest_exit_2(trained, tmp_path, capsys, manifest):
+    guided = tmp_path / "guided"
+    guided.mkdir()
+    write_token_grid(guided / "sample_000.tgrd", TokenGrid(2, 2, 4, [0, 1, 2, 3]))
+    dump_json(guided / "manifest.json", manifest)
+    rc = main(["evaluate", "--guided", str(guided), "--unguided", str(guided),
+               "--style-stats", str(trained["style"]), "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+def _hostile_grid(kind: str, fault: str) -> bytes:
+    """A 2x3 grid file (vocabulary 4) broken in one way."""
+    magic = kind.upper().encode()
+    version, height, width, vocab = 1, 2, 3, 4
+    values = [0, 1, 2, 3, 0, 1]
+    if fault == "bad-magic":
+        magic = b"XGRD"
+    elif fault == "bad-version":
+        version = 2
+    elif fault == "zero-dimensions":
+        height = 0
+    elif fault == "value-at-vocab":
+        values[4] = vocab
+    elif fault == "huge-header":
+        height = width = 2**32 - 1
+    elif fault == "vocab-over-limit":
+        vocab = GRID_VOCAB_LIMIT + 1
+    data = struct.pack("<4sHHIII", magic, version, 0, height, width, vocab)
+    data += np.asarray(values, dtype="<u4").tobytes()
+    return {"truncated": data[:-2], "short-header": data[:10]}.get(fault, data)
+
+
+GRID_FAULTS = ["truncated", "short-header", "bad-magic", "bad-version", "zero-dimensions",
+               "value-at-vocab", "huge-header", "vocab-over-limit"]
+# Each command and the kinds of corpus/g1 file it reads.  The global and
+# per-cell dataset-stats read the corpus's semantic maps too.
+GRID_READERS = {
+    "train-prior": ("train-prior --corpus corpus --out m.json", "tgrd"),
+    "train-prior-conditional": ("train-prior --corpus corpus --out m.json --conditional",
+                                "tgrd sgrd"),
+    "dataset-stats": ("dataset-stats --corpus corpus --out d.json --k 5", "tgrd sgrd"),
+    "dataset-stats-by-region": ("dataset-stats --corpus corpus --out d.json --k 5 --by-region",
+                                "tgrd sgrd"),
+    "dataset-stats-by-cell": ("dataset-stats --corpus corpus --out d.json --k 5 --by-cell 2x2",
+                              "tgrd sgrd"),
+    "style-stats": ("style-stats corpus/g1.tgrd --out s.json", "tgrd"),
+    "style-stats-by-region": ("style-stats corpus/g1.tgrd --out s.json --by-region", "tgrd sgrd"),
+    "sample": ("sample --model model.json --no-guidance --semantics corpus/g1.sgrd --out out",
+               "sgrd"),
+    "evaluate": ("evaluate --guided corpus --unguided corpus --style-stats style.json "
+                 "--out r.json", "tgrd"),
+    "evaluate-semantics": ("evaluate --guided corpus --unguided corpus --style-stats style.json "
+                           "--semantics corpus/g1.sgrd --out r.json", "tgrd sgrd"),
+}
+GRID_READS = [(c, k) for c, (_, kinds) in GRID_READERS.items() for k in kinds.split()]
+
+
+@pytest.mark.parametrize("command, kind", GRID_READS, ids=[f"{c}-{k}" for c, k in GRID_READS])
+def test_hostile_grid_files_exit_2_or_3(tmp_path, monkeypatch, capsys, rng, command, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    for i in range(3):
+        write_token_grid(f"corpus/g{i}.tgrd", random_grid(rng, 2, 3, 4))
+        write_semantic_grid(f"corpus/g{i}.sgrd", random_semantics(rng, 2, 3, 2))
+    save_model("model.json", train_markov_prior([random_grid(rng, 2, 3, 4)]))
+    write_stats("style.json", histogram_from_grid(random_grid(rng, 2, 3, 4)))
+    argv = GRID_READERS[command][0].split()
+    for fault in GRID_FAULTS:
+        Path(f"corpus/g1.{kind}").write_bytes(_hostile_grid(kind, fault))
+        assert main(argv) in (2, 3), fault
+        assert capsys.readouterr().err.startswith(("error: ", "I/O error: ")), fault
 
 
 class TestEvaluate:

@@ -128,7 +128,7 @@ class TestRegionalFromCorpus:
         a = (TokenGrid(1, 2, 3, [0, 0]), SemanticGrid(1, 2, 2, [0, 0]))
         b = (TokenGrid(1, 2, 3, [1, 2]), SemanticGrid(1, 2, 2, [1, 1]))
         per_grid = [histogram_by_region(g, s, smoothing_alpha=0.0) for g, s in (a, b)]
-        reg = average_scoped(per_grid, "mass")
+        reg = average_scoped(per_grid)
         assert list(reg.scopes[0].probs) == [1.0, 0.0, 0.0]
         assert list(reg.scopes[1].probs) == [0.0, 0.5, 0.5]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gcs.guidance import (
     LikelihoodVector,
     global_likelihood_table,
     rebalance_rows,
+    scope_index,
     scoped_likelihoods,
     select_likelihood,
     style_likelihood,
@@ -130,22 +133,28 @@ class TestRebalancePrior:
 
 
 class TestLikelihoodTable:
-    def test_mode_is_derived(self):
+    def test_layout_fields(self):
+        # Scope vectors plus a layout; global guidance is the 1x1 tiling.
         v = LikelihoodVector(2, np.ones(2))
-        assert LikelihoodTable(1.0, v).mode == "global"
-        assert LikelihoodTable(1.0, v, (v, v)).mode == "regional"
-        assert LikelihoodTable(1.0, v, (v, v), (1, 2)).mode == "spatial"
+        assert [f.name for f in dataclasses.fields(LikelihoodTable)] == [
+            "exponent", "scopes", "cells"
+        ]
+        table = global_likelihood_table(STYLE, DATASET)
+        assert (len(table.scopes), table.cells) == (1, (1, 1))
+        assert LikelihoodTable(1.0, [v, v]).scopes == (v, v)
 
     def test_global_mode_rejects_extras(self):
-        # A table without scope vectors cannot carry a cell tiling.
+        # A 1x1 tiling holds exactly one vector, and no table holds none.
         v = LikelihoodVector(2, np.ones(2))
-        with pytest.raises(ValidationError):
-            LikelihoodTable(1.0, v, (), (1, 1))
+        with pytest.raises(ValidationError, match="1x1 tiling needs 1 cell vectors, got 2"):
+            LikelihoodTable(1.0, (v, v), (1, 1))
+        with pytest.raises(ValidationError, match="at least one scope"):
+            LikelihoodTable(1.0, ())
 
     def test_spatial_mode_requires_cells(self):
         v = LikelihoodVector(2, np.ones(2))
         with pytest.raises(ValidationError) as exc:
-            LikelihoodTable(1.0, v, (), (0, 2))
+            LikelihoodTable(1.0, (v,), (0, 2))
         assert "tiling must be positive" in str(exc.value)
 
 
@@ -157,9 +166,10 @@ class TestSelectLikelihood:
 
     def test_global_everywhere(self):
         table = global_likelihood_table(STYLE, DATASET)
-        a = select_likelihood(table, (0, 0))
-        b = select_likelihood(table, (9, 9))
-        assert a is b is table.global_vector
+        a = select_likelihood(table, (0, 0), grid_shape=(10, 10))
+        b = select_likelihood(table, (9, 9), grid_shape=(10, 10))
+        assert a is b is table.scopes[0]
+        assert a == style_likelihood(STYLE, DATASET)
 
     def test_regional_label_lookup_and_fallback(self):
         table = self.build_regional()
@@ -168,8 +178,8 @@ class TestSelectLikelihood:
         assert np.allclose(at_label0.weights, [1.0, 1 / 3], atol=1e-12)
         # Label 1 was never observed in the style, so fall back globally.
         at_label1 = select_likelihood(table, (0, 3), semantics=sem)
-        assert at_label1 is table.global_vector
-        assert table.scopes[1] is table.global_vector
+        assert at_label1 is table.scopes[1]
+        assert at_label1 == style_likelihood(dist([0.6, 0.4]), dist([0.5, 0.5]))
 
     def test_regional_needs_semantics(self):
         with pytest.raises(ValidationError) as exc:
@@ -207,6 +217,9 @@ class TestSelectLikelihood:
         with pytest.raises(ValidationError) as exc:
             select_likelihood(self.build_spatial(), (0, 0))
         assert "grid's shape" in str(exc.value)
+        # Global guidance is the 1x1 tiling, and the message says so.
+        with pytest.raises(ValidationError, match="1x1 tiling requires the generated grid's shape"):
+            select_likelihood(global_likelihood_table(STYLE, DATASET), (0, 0))
 
     def test_spatial_position_bounds(self):
         with pytest.raises(ValidationError):
@@ -235,5 +248,24 @@ class TestSelectLikelihood:
 def test_spatial_vectors_shape_checked():
     # A tiling needs exactly one vector per cell.
     v = LikelihoodVector(2, np.ones(2))
-    with pytest.raises(ValidationError):
-        LikelihoodTable(1.0, v, (v, v), (2, 2))
+    with pytest.raises(ValidationError, match="2x2 tiling needs 4 cell vectors, got 2"):
+        LikelihoodTable(1.0, (v, v), (2, 2))
+
+
+@pytest.mark.parametrize("cells", [None, (1, 1), (2, 3), (5, 7)], ids=["labels", "1x1", "2x3", "5x7"])
+def test_scope_index_matches_per_position_selection(cells):
+    # Over a 3x4 grid; the 5x7 tiling is finer than the grid, so some cells hold no position.
+    height, width = 3, 4
+    sem = SemanticGrid(height, width, 3, np.arange(height * width) % 3)
+    count = 3 if cells is None else cells[0] * cells[1]
+    vectors = [LikelihoodVector(2, np.array([1.0, 1.0 + j])) for j in range(count)]
+    table = LikelihoodTable(1.0, vectors, cells)
+    rows, cols = np.divmod(np.arange(height * width), width)
+    scopes = scope_index(table, (rows, cols), sem, (height, width))
+    for r, c, scope in zip(rows, cols, scopes):
+        if cells is None:
+            expected = sem.labels[r, c]
+        else:
+            expected = (r * cells[0] // height) * cells[1] + c * cells[1] // width
+        assert scope == expected
+        assert select_likelihood(table, (r, c), sem, (height, width)) is table.scopes[expected]

@@ -380,7 +380,7 @@ class TestExactSequenceDistribution:
 
     def test_guided_two_cells(self):
         model = MarkovGridPrior(codebook_size=2)
-        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
+        table = LikelihoodTable(1.0, (LikelihoodVector(2, np.array([1.0, 3.0])),), (1, 1))
         dist = exact_sequence_distribution(model, 1, 2, config=SamplingConfig(guidance=table))
         assert abs(dist[(1, 1)] - 0.5625) < 1e-12
 
@@ -388,7 +388,7 @@ class TestExactSequenceDistribution:
         # The oracle runs the sampler's whole step pipeline: guided to
         # (0.2, 0.3, 0.5), tempered at 0.5 to (4, 9, 25) / 38, top-2 keeps 1 and 2.
         model = MarkovGridPrior(codebook_size=3)
-        table = LikelihoodTable(1.0, LikelihoodVector(3, np.array([2.0, 3.0, 5.0])))
+        table = LikelihoodTable(1.0, (LikelihoodVector(3, np.array([2.0, 3.0, 5.0])),), (1, 1))
         config = SamplingConfig(guidance=table, temperature=0.5, top_k=2)
         dist = exact_sequence_distribution(model, 1, 1, config=config)
         assert dist.keys() == {(1,), (2,)}

@@ -223,8 +223,8 @@ class TestPosteriorRows:
 
 class TestStepPosterior:
     def test_guided_step(self):
-        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
-        out = step_posterior(dist([0.5, 0.5]), SamplingConfig(guidance=table), (0, 0))
+        table = LikelihoodTable(1.0, (LikelihoodVector(2, np.array([1.0, 3.0])),), (1, 1))
+        out = step_posterior(dist([0.5, 0.5]), SamplingConfig(guidance=table), (0, 0), None, (1, 1))
         assert np.allclose(out.probs, [0.25, 0.75], atol=1e-12)
 
     def test_plain_config_returns_prior_object(self):
@@ -232,15 +232,15 @@ class TestStepPosterior:
         assert step_posterior(d, SamplingConfig()) is d
 
     def test_guidance_needs_position(self):
-        table = LikelihoodTable(1.0, LikelihoodVector(2, np.array([1.0, 3.0])))
+        table = LikelihoodTable(1.0, (LikelihoodVector(2, np.array([1.0, 3.0])),), (1, 1))
         with pytest.raises(ValidationError):
             step_posterior(dist([0.5, 0.5]), SamplingConfig(guidance=table))
 
     def test_pipeline_order(self):
         # Guidance first, then temperature, then truncation.
-        table = LikelihoodTable(1.0, LikelihoodVector(3, np.array([1.0, 2.0, 4.0])))
+        table = LikelihoodTable(1.0, (LikelihoodVector(3, np.array([1.0, 2.0, 4.0])),), (1, 1))
         cfg = SamplingConfig(guidance=table, temperature=2.0, top_k=2)
-        out = step_posterior(dist([0.5, 0.3, 0.2]), cfg, (0, 0))
+        out = step_posterior(dist([0.5, 0.3, 0.2]), cfg, (0, 0), None, (1, 1))
         guided = np.array([0.5, 0.6, 0.8]) / 1.9
         tempered = np.sqrt(guided) / np.sqrt(guided).sum()
         kept = np.where(tempered >= np.sort(tempered)[1], tempered, 0.0)
@@ -448,6 +448,24 @@ class TestWavefront:
             batch_sample(model, 3, 4, 6, config=SamplingConfig(seed=2))
         assert str(scalar.value) == message
         assert str(batch.value) == message
+
+    def test_label_outside_regional_table(self, rng):
+        # A two-label table on a map that uses label 2.
+        corpus = [random_grid(rng, 3, 3, 4) for _ in range(2)]
+        sems = [random_semantics(rng, 3, 3, 2) for _ in corpus]
+        model = train_markov_prior(corpus)
+        table = scoped_likelihoods(
+            histogram_by_region(corpus[0], sems[0]),
+            histogram_by_region(corpus[1], sems[1]),
+            histogram_from_grid(corpus[0]),
+            histogram_from_grid(corpus[1]),
+        )
+        sem = SemanticGrid(3, 3, 3, [0, 1, 0, 1, 2, 1, 0, 1, 0])
+        cfg = SamplingConfig(seed=1, guidance=table)
+        with pytest.raises(ValidationError, match="label 2 outside the table's 2 labels"):
+            batch_sample(model, 3, 3, 4, sem, cfg)
+        with pytest.raises(ValidationError, match="label 2 outside the table's 2 labels"):
+            sample_grid(model, 3, 3, sem, cfg)
 
 
 class TestBatchSample:
