@@ -101,6 +101,8 @@ def _build_guidance(style_path, dataset_path, exponent, mode_override):
         )
     if style_mode == "global":
         table = global_likelihood_table(style, dataset, exponent)
+    elif style.cells:
+        table = scoped_likelihoods(style, dataset, None, None, exponent)
     else:
         table = scoped_likelihoods(
             style, dataset, collapse_scoped(style), collapse_scoped(dataset), exponent

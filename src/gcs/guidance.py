@@ -150,8 +150,8 @@ def global_likelihood_table(
 def scoped_likelihoods(
     style: ScopedDistributions,
     dataset: ScopedDistributions,
-    style_global: CategoricalDistribution,
-    dataset_global: CategoricalDistribution,
+    style_global: CategoricalDistribution | None,
+    dataset_global: CategoricalDistribution | None,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
     """Per-scope guidance vectors, with a global fallback for labels.
@@ -159,7 +159,8 @@ def scoped_likelihoods(
     Style and dataset must share one scope layout.  A scope gets its own
     vector where both sides carry a distribution for it; a label either
     side never observed holds the vector of the global distributions.
-    Cells are never missing, so tiled tables ignore the global pair.
+    Cells are never missing, so tiled tables ignore the global pair, which
+    may then be None; per-label tables require it.
     """
     if style.mode != dataset.mode:
         raise ValidationError(
@@ -176,7 +177,13 @@ def scoped_likelihoods(
             f"label count mismatch: style {len(style.scopes)} vs "
             f"dataset {len(dataset.scopes)}"
         )
-    fallback = None if style.cells else style_likelihood(style_global, dataset_global, exponent)
+    fallback = None
+    if not style.cells:
+        if style_global is None or dataset_global is None:
+            raise ValidationError(
+                "per-label guidance requires the global style and dataset distributions"
+            )
+        fallback = style_likelihood(style_global, dataset_global, exponent)
     vectors = tuple(
         fallback if s is None or d is None else style_likelihood(s, d, exponent)
         for s, d in zip(style.scopes, dataset.scopes)

@@ -248,23 +248,26 @@ def inverse_cdf_rows(
 ) -> np.ndarray:
     """`index_from_unit` for many draws at once: draw j picks from row rows[j].
 
-    `probs` and `cumulative` are (R, K) tables.  A branchless binary search
-    counts the entries of each draw's cumulative row below its draw, which
-    is searchsorted(side="left"), using O(len(us)) memory for any K.  Picks
-    past the end or on a zero-probability entry go through `index_from_unit`.
+    `probs` and `cumulative` are (R, K) tables; none of the four inputs is
+    written to.  A branchless binary search counts the entries of each
+    draw's cumulative row below its draw, which is searchsorted(side="left"),
+    using O(len(us)) memory for any K.  It advances one flat index per draw
+    in place: a step gathers flat[base + half] as `flat[half:].take(base)`,
+    which stays inside the draw's row (base + half <= first + K - 1 while
+    the span exceeds 1) and keeps `take`'s bounds check.  Picks past the
+    end or on a zero-probability entry go through `index_from_unit`.
     """
     size = probs.shape[1]
     flat = cumulative.reshape(-1)
     first = rows * size
-    base, span = first, size  # each draw's answer lies in base .. base + span
+    base, span = first.copy(), size  # each draw's answer lies in base .. base + span
     while span > 1:
         half = span // 2
-        probe = base + half
-        base = np.where(flat[probe] < us, probe, base)
+        base += half * (flat[half:].take(base) < us)
         span -= half
-    below = base - first + (flat[base] < us)  # entries of the row below u
+    below = base - first + (flat.take(base) < us)  # entries of the row below u
     picked = np.minimum(below, size - 1)
-    fixup = (below == size) | (probs.reshape(-1)[first + picked] <= 0.0)
+    fixup = (below == size) | (probs.reshape(-1).take(first + picked) <= 0.0)
     for j in np.flatnonzero(fixup):
         row = rows[j]
         picked[j] = index_from_unit(probs[row], cumulative[row], float(us[j]))

@@ -211,6 +211,10 @@ def _style_from_dict(payload: dict, codebook_size: int, label_count: int) -> Sty
                     f"style {name!r} label {j}: probs length {probs.shape[0]} "
                     f"!= codebook size {codebook_size}"
                 )
+            if not np.all(np.isfinite(probs)):
+                raise ValidationError(
+                    f"style {name!r} label {j}: probs contain non-finite entries"
+                )
             total = probs.sum()
             if total <= 0:
                 raise ValidationError(f"style {name!r} label {j}: zero total mass")

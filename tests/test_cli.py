@@ -852,9 +852,12 @@ HOSTILE_CONFIGS = {
     "name-nested": (["styles", 0, "name"], "a/b"),
     "weights-nan": (["mixture_weights"], [float("nan"), 1.0]),
     "weights-inf": (["mixture_weights"], [float("inf"), 1.0]),
+    "probs-inf": (["styles", 0, "per_label", 0, "probs"], [float("inf"), 1.0, 1.0, 1.0]),
+    "probs-nan": (["styles", 0, "per_label", 0, "probs"], [float("nan"), 1.0, 1.0, 1.0]),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("path, value", HOSTILE_CONFIGS.values(), ids=HOSTILE_CONFIGS)
 def test_malformed_config_fields_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"

@@ -198,12 +198,12 @@ class TestSelectLikelihood:
             select_likelihood(table, (0, 1), semantics=sem)
         assert "outside the table's 2 labels" in str(exc.value)
 
-    def build_spatial(self):
+    def build_spatial(self, global_pair=(dist([0.5, 0.5]), dist([0.5, 0.5]))):
         cells = tuple(dist([0.5 + 0.1 * i, 0.5 - 0.1 * i], 4.0) for i in range(4))
         style = ScopedDistributions(cells, (2, 2))
         flat = dist([0.5, 0.5], 4.0)
         data = ScopedDistributions((flat,) * 4, (2, 2))
-        return scoped_likelihoods(style, data, dist([0.5, 0.5]), dist([0.5, 0.5]))
+        return scoped_likelihoods(style, data, *global_pair)
 
     def test_spatial_cell_dispatch(self):
         table = self.build_spatial()
@@ -220,6 +220,16 @@ class TestSelectLikelihood:
         # Global guidance is the 1x1 tiling, and the message says so.
         with pytest.raises(ValidationError, match="1x1 tiling requires the generated grid's shape"):
             select_likelihood(global_likelihood_table(STYLE, DATASET), (0, 0))
+
+    def test_global_pair_only_for_labels(self):
+        # Tiled tables never read the global pair, so None builds the same
+        # table; a per-label table needs it for its fallback vector.
+        assert self.build_spatial((None, None)) == self.build_spatial()
+        flat = dist([0.5, 0.5], 4.0)
+        labels = ScopedDistributions((flat, None))
+        for pair in [(None, None), (flat, None), (None, flat)]:
+            with pytest.raises(ValidationError, match="requires the global style and dataset"):
+                scoped_likelihoods(labels, ScopedDistributions((flat, flat)), *pair)
 
     def test_spatial_position_bounds(self):
         with pytest.raises(ValidationError):

@@ -102,6 +102,44 @@ class TestInverseCdfRows:
         assert picked.tolist() == expected
         assert all(probs[r, j] > 0 for r, j in zip(rows, picked))
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 31, 32, 33, 1000])
+    def test_random_tables_match_index_from_unit(self, size):
+        rng = np.random.default_rng(size)
+        weights = rng.random((6, size))
+        if size > 1:
+            # Zero entries give repeated cumulative values, trailing ones
+            # included; every row keeps at least one positive entry.
+            weights[rng.random((6, size)) < 0.4] = 0.0
+            weights[1, size // 2 :] = 0.0
+            weights[np.arange(6), rng.integers(0, size // 2 + 1, 6)] = 1.0
+            # A positive entry too small to move the sum repeats a
+            # cumulative value without the zero-entry fixup behind it.
+            weights[3, :2] = 1.0, 1e-30
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(probs, axis=1)
+        top = np.flatnonzero(probs[2])[-1]
+        cumulative[2, top:] = 1.0 - 2**-52  # float shortfall at the top
+        rows, us = [], []
+        for row in range(6):
+            edges = [0.0, 1.0 - 2**-53, *cumulative[row], *rng.random(50)]
+            rows += [row] * len(edges)
+            us += edges
+        rows, us = np.array(rows), np.array(us)
+        order = rng.permutation(len(us))
+        rows, us = rows[order], us[order]
+        inputs = (probs, cumulative, rows, us)
+        saved = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False  # world.generate_scene passes read-only rows
+
+        picked = inverse_cdf_rows(*inputs)
+
+        expected = [index_from_unit(probs[r], cumulative[r], u) for r, u in zip(rows, us)]
+        assert picked.tolist() == expected
+        assert (probs[rows, picked] > 0.0).all()
+        for before, after in zip(saved, inputs):
+            assert np.array_equal(before, after)
+
 
 def tempered(d, temperature):
     return step_posterior(d, SamplingConfig(temperature=temperature))
