@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .prior import (
     MarkovGridPrior,
-    PriorModel,
     load_model,
     save_model,
     train_markov_prior,
@@ -58,7 +57,6 @@ from .sampler import (
     batch_sample,
     exact_sequence_distribution,
     sample_grid,
-    step_posterior,
 )
 from .world import (
     BenchmarkConfig,

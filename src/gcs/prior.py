@@ -1,13 +1,12 @@
-"""Autoregressive next-token priors over raster-ordered grids.
+"""The count-based Markov prior over raster-ordered grids.
 
-The generation loop only needs one capability from a model: given the
-already-generated prefix (raster order: row-major, left to right, top to
-bottom), produce a distribution over the next token.  `MarkovGridPrior` is
-the trainable reference implementation: next-token counts per state, a
-state being the tokens at a small template of previously generated
-neighbors, optionally with the semantic label at the current position.
-Out-of-grid template slots map to a reserved boundary marker so border
-statistics never mix with token statistics.
+`MarkovGridPrior` gives the next token's distribution from the prefix
+generated so far (raster order: row-major, left to right, top to bottom)
+as next-token counts per state, a state being the tokens at a small
+template of previously generated neighbors, optionally with the semantic
+label at the current position.  Out-of-grid template slots map to a
+reserved boundary marker so border statistics never mix with token
+statistics.
 
 The states are arrays: one row of contexts, label and counts each, and one
 matrix of smoothed rows whose last row serves every unseen context.
@@ -24,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .core import (
     require_same_shape,
 )
 from .distributions import smoothed_rows
+from .formats import GRID_VOCAB_LIMIT
 
 BOUNDARY = -1
 
@@ -52,23 +52,6 @@ DEFAULT_CONTEXT = (OFFSET_NAMES["left"], OFFSET_NAMES["above"])
 # `states` looks codes up in a dense array (2 MiB of int64) up to this many
 # codes, and in the sorted codes of the states beyond it.
 DENSE_STATE_CODES = 2**18
-
-
-@runtime_checkable
-class PriorModel(Protocol):
-    """Anything that can play the autoregressive prior role."""
-
-    codebook_size: int
-    conditional: bool
-
-    def next_distribution(
-        self,
-        prefix: Sequence[int],
-        height: int,
-        width: int,
-        position: tuple[int, int],
-        semantics: SemanticGrid | None = None,
-    ) -> CategoricalDistribution: ...
 
 
 def parse_context_template(spec: str) -> tuple[tuple[int, int], ...]:
@@ -431,38 +414,47 @@ def save_model(path: str | Path, model: MarkovGridPrior) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _typed(value, *kinds: type):
+    """`value` if its JSON type is one of `kinds`; a bool is no int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{value!r} is not {' or '.join(kind.__name__ for kind in kinds)}")
+    return value
+
+
 def load_model(path: str | Path) -> MarkovGridPrior:
+    """Read `save_model` JSON strictly: integers, bools and count keys as written."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid model JSON ({exc})") from exc
     try:
-        size = int(payload["codebook_size"])
-        context = tuple((int(dr), int(dc)) for dr, dc in payload["context"])
-        conditional = bool(payload["conditional"])
+        size = _typed(payload["codebook_size"], int)
+        if size > GRID_VOCAB_LIMIT:
+            raise ValueError(f"codebook size {size} exceeds the format limit {GRID_VOCAB_LIMIT}")
+        context = tuple((_typed(dr, int), _typed(dc, int)) for dr, dc in payload["context"])
         label_count = payload.get("label_count")
-        alpha = float(payload["smoothing_alpha"])
         tables = payload["tables"]
         contexts = np.array(
-            [[BOUNDARY if t == "B" else int(t) for t in entry["context"]] for entry in tables],
+            [[BOUNDARY if t == "B" else _typed(t, int) for t in entry["context"]] for entry in tables],
             dtype=np.int64,
         ).reshape(len(tables), len(context))
-        labels = [-1 if entry["label"] is None else int(entry["label"]) for entry in tables]
+        labels = [-1 if entry["label"] is None else _typed(entry["label"], int) for entry in tables]
         counts = np.zeros((len(tables), size), dtype=np.int64)
         for row, entry in zip(counts, tables):
-            for token, n in entry["counts"].items():
-                if not 0 <= int(token) < size:
-                    raise ValueError(f"token {token} outside [0, {size})")
-                row[int(token)] = int(n)
+            for key, n in entry["counts"].items():
+                token = int(key)
+                if key != str(token) or not 0 <= token < size:
+                    raise ValueError(f"count key {key!r} is not a token in [0, {size})")
+                row[token] = _typed(n, int)
         return MarkovGridPrior(
             codebook_size=size,
             context=context,
-            conditional=conditional,
-            label_count=None if label_count is None else int(label_count),
-            smoothing_alpha=alpha,
+            conditional=_typed(payload["conditional"], bool),
+            label_count=None if label_count is None else _typed(label_count, int),
+            smoothing_alpha=float(_typed(payload["smoothing_alpha"], int, float)),
             contexts=contexts,
             labels=labels,
             counts=counts,
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed model JSON ({exc})") from exc

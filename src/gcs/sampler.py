@@ -7,14 +7,14 @@ of prior rows; a stage that is a no-op for a row (identity likelihood,
 temperature exactly 1, truncation that removes no mass) leaves its bits
 untouched, so a pipeline of no-ops reproduces the raw prior bit for bit.
 `sample_grid` and the exact chain enumeration `exact_sequence_distribution`
-run it on one row per step through `step_posterior`.
+run it per raster step on the one prior row `MarkovGridPrior.state_of`
+names, with the guidance vector `scope_index` gives the position.
 
-`batch_sample` on a `MarkovGridPrior` draws a wavefront per step: every
-position with the same skew * row + col, whose template slots all lie in
-earlier wavefronts.  It keeps a posterior-row table for the batch: one row
-per (scope, prior state), where a scope indexes the guidance table's
-`scopes` (`scope_index` maps every position at once), stored with its
-cumulative sum.  A step gathers its slots from the position-major
+`batch_sample` draws a wavefront per step: every position with the same
+skew * row + col, whose template slots all lie in earlier wavefronts.  It
+keeps a posterior-row table for the batch: one row per (scope, prior
+state), where a scope indexes the guidance table's `scopes` (`scope_index`
+maps every position at once), stored with its cumulative sum.  A step gathers its slots from the position-major
 (H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
 prior states, builds the rows it lacks with one `posterior_rows` call per
 scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
@@ -28,20 +28,15 @@ vectorized fast path reproduce the sequential loop exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    CategoricalDistribution,
-    SemanticGrid,
-    TokenGrid,
-    ValidationError,
-    token_grids,
-)
-from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, scope_index, select_likelihood
-from .prior import BOUNDARY, MarkovGridPrior, PriorModel
-from .rng import mix64_array, seed_key, split_seed, split_seed_array, unit_draw, unit_draws_at
+from .core import SemanticGrid, TokenGrid, ValidationError, token_grids
+from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, scope_index
+from .prior import BOUNDARY, MarkovGridPrior
+from .rng import mix64_array, seed_key, split_seed_array, unit_draw, unit_draws_at
 
 
 @dataclass(frozen=True)
@@ -84,28 +79,6 @@ def index_from_unit(
     return int(positive[min(np.searchsorted(positive, idx), positive.size - 1)])
 
 
-def step_posterior(
-    prior: CategoricalDistribution,
-    config: SamplingConfig,
-    position: tuple[int, int] | None = None,
-    semantics: SemanticGrid | None = None,
-    grid_shape: tuple[int, int] | None = None,
-) -> CategoricalDistribution:
-    """`posterior_rows` on one step's prior; all no-ops return the prior itself."""
-    vector = None
-    if config.guidance is not None:
-        if position is None:
-            raise ValidationError("guided sampling requires the step position")
-        vector = select_likelihood(config.guidance, position, semantics, grid_shape)
-    row = prior.probs[None]
-    probs = posterior_rows(row, vector, config)
-    if probs is row:
-        return prior
-    return CategoricalDistribution(
-        prior.codebook_size, probs[0], source_mass=prior.source_mass
-    )
-
-
 def posterior_rows(
     probs: np.ndarray, vector: LikelihoodVector | None, config: SamplingConfig
 ) -> np.ndarray:
@@ -142,7 +115,7 @@ def posterior_rows(
 
 
 def _check_sampling_args(
-    model: PriorModel,
+    model: MarkovGridPrior,
     height: int,
     width: int,
     semantics: SemanticGrid | None,
@@ -158,30 +131,56 @@ def _check_sampling_args(
         )
 
 
+def _scalar_steps(
+    model: MarkovGridPrior,
+    height: int,
+    width: int,
+    semantics: SemanticGrid | None,
+    config: SamplingConfig,
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """The posterior row of the next raster step as a function of the prefix.
+
+    Every position's guidance vector is found once, by `scope_index`; a
+    step looks its prior row up with `state_of` and runs `posterior_rows`
+    on that one row.
+    """
+    _check_sampling_args(model, height, width, semantics)
+    size = height * width
+    vectors = [None] * size
+    if config.guidance is not None:
+        rows, cols = np.divmod(np.arange(size), width)
+        scopes = scope_index(config.guidance, (rows, cols), semantics, (height, width))
+        vectors = [config.guidance.scopes[s] for s in scopes.tolist()]
+    labels = semantics.labels.reshape(-1).tolist() if model.conditional else [None] * size
+
+    def step(prefix: Sequence[int]) -> np.ndarray:
+        i = len(prefix)
+        context = model.context_at(prefix, height, width, *divmod(i, width))
+        state = model.state_of(context, labels[i])
+        return posterior_rows(model.smoothed[state : state + 1], vectors[i], config)[0]
+
+    return step
+
+
 def sample_grid(
-    model: PriorModel,
+    model: MarkovGridPrior,
     height: int,
     width: int,
     semantics: SemanticGrid | None = None,
     config: SamplingConfig = SamplingConfig(),
 ) -> TokenGrid:
     """Draw one grid, consuming exactly one unit draw per position."""
-    _check_sampling_args(model, height, width, semantics)
+    step = _scalar_steps(model, height, width, semantics, config)
     key = seed_key(config.seed)
-    shape = (height, width)
     prefix: list[int] = []
     for i in range(height * width):
-        position = divmod(i, width)
-        prior = model.next_distribution(prefix, height, width, position, semantics)
-        post = step_posterior(prior, config, position, semantics, shape)
-        u = unit_draw(key, i)
-        cumulative = np.cumsum(post.probs)
-        prefix.append(index_from_unit(post.probs, cumulative, u))
+        probs = step(prefix)
+        prefix.append(index_from_unit(probs, np.cumsum(probs), unit_draw(key, i)))
     return TokenGrid(height, width, model.codebook_size, prefix)
 
 
 def batch_sample(
-    model: PriorModel,
+    model: MarkovGridPrior,
     height: int,
     width: int,
     count: int,
@@ -190,27 +189,15 @@ def batch_sample(
 ) -> list[TokenGrid]:
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
-    A `MarkovGridPrior` takes the vectorized path, one anti-diagonal
-    wavefront of the grid at a time for the whole batch: a `_RowTable` of
-    step posteriors keyed by (scope, prior state) gives each element its
-    row, and one inverse-CDF pick draws them all, each with its raster
-    position's unit draw.  The token sequences equal `count` independent
-    `sample_grid` calls.  Any other model runs that per-sample loop.
+    The batch is drawn one anti-diagonal wavefront of the grid at a time:
+    a `_RowTable` of step posteriors keyed by (scope, prior state) gives
+    each element its row, and one inverse-CDF pick draws them all, each
+    with its raster position's unit draw.  The token sequences equal
+    `count` independent `sample_grid` calls.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
     _check_sampling_args(model, height, width, semantics)
-    if not isinstance(model, MarkovGridPrior):
-        return [
-            sample_grid(
-                model,
-                height,
-                width,
-                semantics,
-                replace(config, seed=split_seed(config.seed, i)),
-            )
-            for i in range(count)
-        ]
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     size = height * width
     rows, cols = np.divmod(np.arange(size), width)
@@ -332,7 +319,7 @@ EXACT_STATE_LIMIT = 10**6
 
 
 def exact_sequence_distribution(
-    model: PriorModel,
+    model: MarkovGridPrior,
     height: int,
     width: int,
     semantics: SemanticGrid | None = None,
@@ -340,34 +327,29 @@ def exact_sequence_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact probability of every possible grid under the sampling chain.
 
-    Walks the prefix tree depth-first, multiplying each step's
-    `step_posterior` (guidance, temperature and top-k as in `config`) along
-    the way; `config.seed` is unused.  Restricted to
+    Walks the prefix tree depth-first, multiplying each step's posterior
+    (the one `sample_grid` draws from: guidance, temperature and top-k as
+    in `config`) along the way; `config.seed` is unused.  Restricted to
     codebook_size ** (height * width) <= 10^6 states.
     """
-    _check_sampling_args(model, height, width, semantics)
+    step = _scalar_steps(model, height, width, semantics, config)
     states = model.codebook_size ** (height * width)
     if states > EXACT_STATE_LIMIT:
         raise ValidationError(
             f"state space {states} exceeds the exact-enumeration limit "
             f"{EXACT_STATE_LIMIT}"
         )
-    shape = (height, width)
     result: dict[tuple[int, ...], float] = {}
     prefix: list[int] = []
 
     def visit(prob: float) -> None:
-        i = len(prefix)
-        if i == height * width:
+        if len(prefix) == height * width:
             result[tuple(prefix)] = prob
             return
-        position = divmod(i, width)
-        prior = model.next_distribution(prefix, height, width, position, semantics)
-        dist = step_posterior(prior, config, position, semantics, shape)
-        for token, p in enumerate(dist.probs):
+        for token, p in enumerate(step(prefix).tolist()):
             if p > 0.0:
                 prefix.append(token)
-                visit(prob * float(p))
+                visit(prob * p)
                 prefix.pop()
 
     visit(1.0)

@@ -789,7 +789,12 @@ def test_malformed_stats_json_is_a_format_error(
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("counts", [{"-1": 5}, {"0": -3}], ids=["negative-token", "negative-count"])
+@pytest.mark.parametrize(
+    "counts",
+    [{"-1": 5}, {"0": -3}, {"1": 3, "01": 4}, {"+1": 2}, {"0": 2.5}, {"0": True}, {"0": "2"}],
+    ids=["negative-token", "negative-count", "padded-key", "signed-key", "float-count",
+         "bool-count", "text-count"],
+)
 def test_malformed_model_counts_exit_2(tmp_path, capsys, counts):
     path = tmp_path / "bad.json"
     save_model(path, train_markov_prior([TokenGrid(1, 2, 4, [0, 1])]))
@@ -805,7 +810,20 @@ def test_malformed_model_counts_exit_2(tmp_path, capsys, counts):
     assert "malformed model JSON" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fault", ["empty-context", "duplicate-state"])
+# Model fields set to a value no saved model holds: (path to the field, value).
+HOSTILE_MODEL_FIELDS = {
+    "codebook-2**31": (["codebook_size"], 2**31),
+    "codebook-over-limit": (["codebook_size"], GRID_VOCAB_LIMIT + 1),
+    "codebook-text": (["codebook_size"], "4"),
+    "codebook-float": (["codebook_size"], 4.9),
+    "label-count-float": (["label_count"], 2.9),
+    "offset-float": (["context", 0, 1], -1.7),
+    "conditional-number": (["conditional"], 0),
+    "alpha-text": (["smoothing_alpha"], "0.5"),
+}
+
+
+@pytest.mark.parametrize("fault", ["empty-context", "duplicate-state", *HOSTILE_MODEL_FIELDS])
 def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     path = tmp_path / "bad.json"
     save_model(path, train_markov_prior([TokenGrid(1, 2, 4, [0, 1])]))
@@ -813,8 +831,14 @@ def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     if fault == "empty-context":
         payload["context"] = []
         payload["tables"] = [{"context": [], "label": None, "counts": {"0": 3, "1": 1}}]
-    else:
+    elif fault == "duplicate-state":
         payload["tables"].append(dict(payload["tables"][0], counts={"2": 7}))
+    else:
+        (*parents, last), value = HOSTILE_MODEL_FIELDS[fault]
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value
     path.write_text(json.dumps(payload))
     rc = main(
         ["sample", "--model", str(path), "--no-guidance", "--height", "2", "--width", "2",

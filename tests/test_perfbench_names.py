@@ -1,0 +1,80 @@
+"""The benchmark under perfbench/ still finds every gcs name it reads.
+
+perfbench reaches gcs through module aliases (``import gcs.guidance as
+guid``), through ``from gcs.x import name`` lines, some of them inside
+functions, and by patching functions in place while it traces.  Deleting
+such a name breaks only a benchmark run; these tests check the names
+without running the benchmark.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = ("spans", "inproc", "layers", "walkthrough", "oracle", "run")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's modules, imported from its directory and dropped after."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield {name: importlib.import_module(name) for name in MODULES}
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+def test_modules_import_and_instrument(perfbench):
+    with perfbench["spans"].Tracer().instrument():
+        pass
+
+
+def gcs_reads(tree):
+    """(module, name) for every gcs name a perfbench file imports or reads
+    as an attribute of a gcs module alias."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gcs.") and alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gcs"):
+            for alias in node.names:
+                yield node.module, alias.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield aliases[node.value.id], node.attr
+
+
+def test_reads_cover_aliases_and_from_imports():
+    source = (
+        "import gcs.guidance as guid\n"
+        "def f():\n"
+        "    from gcs.rng import split_seed\n"
+        "    return guid.scope_index, split_seed\n"
+    )
+    assert set(gcs_reads(ast.parse(source))) == {
+        ("gcs.guidance", "scope_index"), ("gcs.rng", "split_seed")
+    }
+
+
+def test_every_gcs_name_perfbench_reads_exists(perfbench):
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        reads |= {(path.name, *read) for read in gcs_reads(ast.parse(path.read_text()))}
+    missing = [
+        f"{where}: {module}.{name}"
+        for where, module, name in sorted(reads)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing

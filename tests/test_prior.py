@@ -11,7 +11,6 @@ from gcs.prior import (
     BOUNDARY,
     DEFAULT_CONTEXT,
     MarkovGridPrior,
-    PriorModel,
     load_model,
     parse_context_template,
     save_model,
@@ -160,9 +159,6 @@ class TestConstruction:
                 codebook_size=4, context=LEFT, smoothing_alpha=0.0,
                 contexts=[[0]], counts=np.zeros((1, 4)),
             )
-
-    def test_satisfies_prior_protocol(self):
-        assert isinstance(MarkovGridPrior(codebook_size=4), PriorModel)
 
 
 class TestTraining:
@@ -478,8 +474,16 @@ class TestModelIO:
          {"context": [0], "label": None, "counts": {"9": 1}},
          {"context": [1], "label": None, "counts": {"-1": 5}},
          {"context": [1], "label": None, "counts": {"0": -3}},
-         {"context": ["B"], "label": None, "counts": {"1": 2}}],
-        ids=["context-width", "token-range", "negative-token", "negative-count", "duplicate-state"],
+         {"context": ["B"], "label": None, "counts": {"1": 2}},
+         {"context": [1], "label": None, "counts": {"01": 2}},
+         {"context": [1], "label": None, "counts": {"1": 2.5}},
+         {"context": [1], "label": None, "counts": {"1": True}},
+         {"context": [1.0], "label": None, "counts": {"1": 2}},
+         {"context": ["1"], "label": None, "counts": {"1": 2}},
+         {"context": [1], "label": None, "counts": []}],
+        ids=["context-width", "token-range", "negative-token", "negative-count", "duplicate-state",
+             "padded-key", "float-count", "bool-count", "float-context", "text-context",
+             "counts-list"],
     )
     def test_malformed_table(self, tmp_path, entry):
         path = tmp_path / "model.json"
