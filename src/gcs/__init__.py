@@ -64,6 +64,7 @@ from .world import (
     StyleSpec,
     default_landscape_config,
     generate_scene,
+    generate_scenes,
     make_benchmark,
     spatial_contrast_config,
 )

@@ -131,10 +131,19 @@ def dump_json(path: str | Path, payload: Any) -> None:
     Path(path).write_text(text + "\n")
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """`object_pairs_hook` refusing a key repeated in one object, of which
+    `json` would keep only the last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def load_json(path: str | Path) -> Any:
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -37,7 +37,10 @@ from .core import (
     require_same_shape,
 )
 from .distributions import smoothed_rows
-from .formats import GRID_VOCAB_LIMIT
+from .formats import GRID_VOCAB_LIMIT, unique_keys
+
+# Largest states x codebook size a model file may declare; it sizes two matrices.
+MODEL_CELL_LIMIT = 2**26
 
 BOUNDARY = -1
 
@@ -424,8 +427,8 @@ def _typed(value, *kinds: type):
 def load_model(path: str | Path) -> MarkovGridPrior:
     """Read `save_model` JSON strictly: integers, bools and count keys as written."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    except ValueError as exc:
         raise ValidationError(f"{path}: invalid model JSON ({exc})") from exc
     try:
         size = _typed(payload["codebook_size"], int)
@@ -434,6 +437,8 @@ def load_model(path: str | Path) -> MarkovGridPrior:
         context = tuple((_typed(dr, int), _typed(dc, int)) for dr, dc in payload["context"])
         label_count = payload.get("label_count")
         tables = payload["tables"]
+        if len(tables) * size > MODEL_CELL_LIMIT:
+            raise ValueError(f"{len(tables)} states x {size} tokens exceeds the limit {MODEL_CELL_LIMIT}")
         contexts = np.array(
             [[BOUNDARY if t == "B" else _typed(t, int) for t in entry["context"]] for entry in tables],
             dtype=np.int64,

@@ -60,10 +60,11 @@ def split_seed(seed: int, index: int) -> int:
     return mix64(((seed & MASK64) ^ SPLIT_SALT) + (index + 1) * GOLDEN)
 
 
-def split_seed_array(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`split_seed` for many substream indices."""
+def split_seed_array(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`split_seed`: a seed (an int or a uint64 array of
+    seeds) broadcast against substream indices."""
     idx = np.asarray(indices, dtype=np.uint64)
-    base = np.uint64((seed & MASK64) ^ SPLIT_SALT)
+    base = np.asarray(seed & MASK64, dtype=np.uint64) ^ np.uint64(SPLIT_SALT)
     return mix64_array(base + (idx + np.uint64(1)) * np.uint64(GOLDEN))
 
 
@@ -87,11 +88,6 @@ def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     c = np.asarray(counters, dtype=np.uint64)[:, None]
     raw = mix64_array(np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN))
     return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
-
-
-def unit_draws_for_counters(key: int, counters: np.ndarray) -> np.ndarray:
-    """Unit draws of a single stream at many counters."""
-    return unit_draws_at(np.array([key & MASK64], dtype=np.uint64), counters)[:, 0]
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

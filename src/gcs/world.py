@@ -11,13 +11,18 @@ Determinism contract: a scene is a pure function of (style, layout,
 height, width, seed).  The layout consumes stream split_seed(seed, 0);
 tokens consume stream split_seed(seed, 1) with two counters per raster
 position (2i for the coherence draw, 2i+1 for the token draw), so every
-position's draws are independent of grid traversal order.
+position's draws are independent of grid traversal order.  Scenes are
+drawn together in chunks of about `_CHUNK_POSITIONS` positions; since each
+draw is keyed by (scene seed, counter) and each token is searched on its
+own, how scenes are grouped into chunks cannot change a byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +34,8 @@ from .core import (
     ValidationError,
 )
 from .formats import dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
-from .rng import seed_key, split_seed, unit_draw, unit_draws_for_counters
-from .sampler import index_from_unit, inverse_cdf_rows
+from .rng import MASK64, mix64_array, split_seed, split_seed_array, unit_draws_at
+from .sampler import inverse_cdf_rows
 
 LAYOUT_KINDS = ("horizon", "bands", "constant")
 
@@ -39,6 +44,9 @@ _STREAM_ASSIGN = 0
 _STREAM_LAYOUT = 1
 _STREAM_SCENES = 2
 _STREAM_EXEMPLARS = 3
+
+# Grid positions drawn together in one chunk of scenes (at least one scene).
+_CHUNK_POSITIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -60,15 +68,10 @@ class StyleSpec:
             raise ValidationError(f"style {self.name!r} has no label distributions")
         object.__setattr__(self, "per_label", tuple(self.per_label))
         size = self.per_label[0].codebook_size
-        for dist in self.per_label:
-            if dist.codebook_size != size:
-                raise ValidationError(
-                    f"style {self.name!r} mixes codebook sizes"
-                )
+        if any(dist.codebook_size != size for dist in self.per_label):
+            raise ValidationError(f"style {self.name!r} mixes codebook sizes")
         if not (0.0 <= self.coherence < 1.0):
-            raise ValidationError(
-                f"coherence must lie in [0, 1), got {self.coherence}"
-            )
+            raise ValidationError(f"coherence must lie in [0, 1), got {self.coherence}")
 
     @property
     def codebook_size(self) -> int:
@@ -96,9 +99,7 @@ class LayoutSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in LAYOUT_KINDS:
-            raise ValidationError(
-                f"unknown layout kind {self.kind!r}; choose from {LAYOUT_KINDS}"
-            )
+            raise ValidationError(f"unknown layout kind {self.kind!r}; choose from {LAYOUT_KINDS}")
         if self.kind == "bands" and (self.bands is None or self.bands < 1):
             raise ValidationError("bands layout requires bands >= 1")
         if self.kind == "constant" and (self.label is None or self.label < 0):
@@ -126,9 +127,11 @@ class LayoutSpec:
         })
 
 
-def realize_layout(
-    layout: LayoutSpec, height: int, width: int, label_count: int, seed: int
-) -> SemanticGrid:
+def _layout_rows(
+    layout: LayoutSpec, height: int, label_count: int, us: np.ndarray
+) -> np.ndarray:
+    """Row labels, (len(us), height), of scenes under `layout`; a horizon
+    scene's split row comes from its unit draw us[j]."""
     rows = np.arange(height)
     if layout.kind == "horizon":
         if label_count < 2:
@@ -136,59 +139,85 @@ def realize_layout(
         lo = 1 if layout.min_row is None else layout.min_row
         hi = height - 1 if layout.max_row is None else layout.max_row
         if not (0 <= lo <= hi <= height):
-            raise ValidationError(
-                f"horizon range [{lo}, {hi}] invalid for height {height}"
-            )
-        u = unit_draw(seed_key(seed), 0)
-        split = min(lo + int(u * (hi - lo + 1)), hi)
-        row_labels = np.where(rows < split, 0, 1)
-    elif layout.kind == "bands":
+            raise ValidationError(f"horizon range [{lo}, {hi}] invalid for height {height}")
+        split = np.minimum(lo + (us * (hi - lo + 1)).astype(np.int64), hi)
+        return np.where(rows < split[:, None], 0, 1)
+    if layout.kind == "bands":
         row_labels = ((rows * layout.bands) // height) % label_count
     else:
         if layout.label >= label_count:
             raise ValidationError(
-                f"constant layout label {layout.label} out of range "
-                f"(label count {label_count})"
+                f"constant layout label {layout.label} out of range (label count {label_count})"
             )
         row_labels = np.full(height, layout.label)
-    labels = np.repeat(row_labels[:, None], width, axis=1)
-    return SemanticGrid(height, width, label_count, labels)
+    return np.broadcast_to(row_labels, (us.size, height))
+
+
+def generate_scenes(
+    styles: Sequence[StyleSpec], layouts: Sequence[LayoutSpec], height: int, width: int,
+    seeds: Sequence[int],
+) -> Iterator[tuple[TokenGrid, SemanticGrid]]:
+    """Yield scene j, `(tokens, semantics)` of (styles[j], layouts[j], seeds[j]), in order.
+
+    Scenes are drawn together, about `_CHUNK_POSITIONS` grid positions (and
+    at least one scene) at a time, so memory stays bounded for any count.
+    Each chunk takes one draw matrix over (2 H W counters x scenes), one
+    `inverse_cdf_rows` search over the stacked (style x label) rows, and
+    copies coherent tokens as a forward fill along each row.  Chunking
+    cannot change a byte: every draw is keyed by (scene seed, counter), and
+    the search treats each draw on its own.  All styles of one call share
+    a codebook size and label count.
+    """
+    distinct = {id(style): style for style in styles}
+    if not distinct:
+        return
+    style_code = {key: i for i, key in enumerate(distinct)}
+    layout_code = {layout: i for i, layout in enumerate(dict.fromkeys(layouts))}
+    style_idx = np.array([style_code[id(style)] for style in styles], dtype=np.int64)
+    layout_idx = np.array([layout_code[layout] for layout in layouts], dtype=np.int64)
+    seed_arr = np.fromiter((seed & MASK64 for seed in seeds), np.uint64, style_idx.size)
+    (size, label_count), *mixed = {(s.codebook_size, s.label_count) for s in distinct.values()}
+    if mixed:
+        raise ValidationError("scenes drawn together must share a codebook size and label count")
+    probs = np.stack([dist.probs for style in distinct.values() for dist in style.per_label])
+    cumulative = np.cumsum(probs, axis=1)
+    coherence = np.array([style.coherence for style in distinct.values()])
+    counters = np.arange(2 * height * width, dtype=np.uint64)
+    per_chunk = max(1, _CHUNK_POSITIONS // (height * width))
+    for start in range(0, style_idx.size, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        s, chunk_seeds = style_idx[chunk], seed_arr[chunk]
+        layout_us = unit_draws_at(mix64_array(split_seed_array(chunk_seeds, [0])), counters[:1])[0]
+        rows = np.stack([_layout_rows(layout, height, label_count, layout_us) for layout in layout_code])
+        labels = np.repeat(rows[layout_idx[chunk], np.arange(s.size), :, None], width, axis=2)
+        # Counter 2i is position i's coherence draw and 2i + 1 its token draw.
+        us = unit_draws_at(mix64_array(split_seed_array(chunk_seeds, [1])), counters)
+        us = us.T.reshape(s.size, height, width, 2)
+        fresh = inverse_cdf_rows(
+            probs, cumulative, (s[:, None, None] * label_count + labels).ravel(), us[..., 1].ravel()
+        ).reshape(labels.shape)
+        # A coherent position copies its left neighbor, which copies its own
+        # left neighbor in turn: each takes the token of the nearest fresh
+        # column at or to its left.
+        source = np.broadcast_to(np.arange(width), labels.shape).copy()
+        copied = (us[..., 1:, 0] < coherence[s, None, None]) & (labels[..., 1:] == labels[..., :-1])
+        source[..., 1:][copied] = 0
+        tokens = np.take_along_axis(fresh, np.maximum.accumulate(source, axis=2), axis=2)
+        for grid, label_map in zip(tokens, labels):
+            yield TokenGrid(height, width, size, grid), SemanticGrid(height, width, label_count, label_map)
 
 
 def generate_scene(
-    style: StyleSpec,
-    layout: LayoutSpec,
-    height: int,
-    width: int,
-    seed: int,
+    style: StyleSpec, layout: LayoutSpec, height: int, width: int, seed: int
 ) -> tuple[TokenGrid, SemanticGrid]:
-    """Realize a layout and fill it with style-drawn tokens.
+    """Realize a layout and fill it with style-drawn tokens: `generate_scenes`
+    for one scene.
 
     Both draws are consumed at every position, including column 0 and
     positions whose left neighbor has a different label, so the stream
     stays aligned with position indices regardless of layout content.
     """
-    semantics = realize_layout(layout, height, width, style.label_count, split_seed(seed, 0))
-    key = seed_key(split_seed(seed, 1))
-    n = height * width
-    counters = np.arange(n, dtype=np.uint64)
-    u_coherence = unit_draws_for_counters(key, counters * np.uint64(2))
-    u_token = unit_draws_for_counters(key, counters * np.uint64(2) + np.uint64(1))
-
-    probs = np.stack([dist.probs for dist in style.per_label])
-    cumulative = np.cumsum(probs, axis=1)
-    fresh = inverse_cdf_rows(probs, cumulative, semantics.flat, u_token)
-
-    tokens = fresh.reshape(height, width)
-    labels = semantics.labels
-    copy = np.zeros((height, width), dtype=bool)
-    if width > 1:
-        coherent = u_coherence.reshape(height, width)[:, 1:] < style.coherence
-        copy[:, 1:] = (labels[:, 1:] == labels[:, :-1]) & coherent
-    for col in range(1, width):
-        tokens[:, col] = np.where(copy[:, col], tokens[:, col - 1], tokens[:, col])
-
-    return TokenGrid(height, width, style.codebook_size, tokens), semantics
+    return next(generate_scenes([style], [layout], height, width, [seed]))
 
 
 def _style_from_dict(payload: dict, codebook_size: int, label_count: int) -> StyleSpec:
@@ -212,35 +241,26 @@ def _style_from_dict(payload: dict, codebook_size: int, label_count: int) -> Sty
                     f"!= codebook size {codebook_size}"
                 )
             if not np.all(np.isfinite(probs)):
-                raise ValidationError(
-                    f"style {name!r} label {j}: probs contain non-finite entries"
-                )
+                raise ValidationError(f"style {name!r} label {j}: probs contain non-finite entries")
             total = probs.sum()
             if total <= 0:
                 raise ValidationError(f"style {name!r} label {j}: zero total mass")
             dists.append(CategoricalDistribution(codebook_size, probs / total))
         elif "support" in entry:
-            support = [int(t) for t in entry["support"]]
-            if not support:
+            support = np.array([int(t) for t in entry["support"]], dtype=np.int64)
+            if not support.size:
                 raise ValidationError(f"style {name!r} label {j}: empty support")
-            probs = np.zeros(codebook_size)
-            for token in support:
-                if not (0 <= token < codebook_size):
-                    raise ValidationError(
-                        f"style {name!r} label {j}: support token {token} "
-                        f"out of range for codebook size {codebook_size}"
-                    )
-                probs[token] += 1.0
+            bad = support[(support < 0) | (support >= codebook_size)]
+            if bad.size:
+                raise ValidationError(
+                    f"style {name!r} label {j}: support token {bad[0]} "
+                    f"out of range for codebook size {codebook_size}"
+                )
+            probs = np.bincount(support, minlength=codebook_size).astype(float)
             dists.append(CategoricalDistribution(codebook_size, probs / probs.sum()))
         else:
-            raise ValidationError(
-                f"style {name!r} label {j}: needs either 'probs' or 'support'"
-            )
-    return StyleSpec(
-        name=name,
-        per_label=tuple(dists),
-        coherence=float(payload.get("coherence", 0.0)),
-    )
+            raise ValidationError(f"style {name!r} label {j}: needs either 'probs' or 'support'")
+    return StyleSpec(name=name, per_label=tuple(dists), coherence=float(payload.get("coherence", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -325,20 +345,9 @@ class BenchmarkConfig:
     @staticmethod
     def from_dict(payload: dict) -> "BenchmarkConfig":
         """Decode a config; any malformed field raises ValidationError."""
-        for key in (
-            "name",
-            "codebook_size",
-            "label_count",
-            "height",
-            "width",
-            "corpus_size",
-            "exemplars_per_style",
-            "seed",
-            "styles",
-            "layouts",
-        ):
-            if key not in payload:
-                raise ValidationError(f"benchmark config: missing key {key!r}")
+        for field in fields(BenchmarkConfig):
+            if field.default is MISSING and field.name not in payload:
+                raise ValidationError(f"benchmark config: missing key {field.name!r}")
         try:
             size = int(payload["codebook_size"])
             label_count = int(payload["label_count"])
@@ -369,19 +378,18 @@ class BenchmarkConfig:
 def _warn_on_similar_styles(styles: tuple[StyleSpec, ...]) -> None:
     # Guidance and classification both rely on styles being tellable apart;
     # flag pairs whose best-separated label distribution still mostly overlaps.
-    for i in range(len(styles)):
-        for j in range(i + 1, len(styles)):
-            a, b = styles[i], styles[j]
-            sep = max(
-                0.5 * np.abs(da.probs - db.probs).sum()
-                for da, db in zip(a.per_label, b.per_label)
+    for a, b in itertools.combinations(styles, 2):
+        sep = max(0.5 * np.abs(da.probs - db.probs).sum() for da, db in zip(a.per_label, b.per_label))
+        if sep < 0.5:
+            warnings.warn(
+                f"styles {a.name!r} and {b.name!r} have similar per-label "
+                f"token distributions (max total variation {sep:.3f}); "
+                "style experiments may be inconclusive"
             )
-            if sep < 0.5:
-                warnings.warn(
-                    f"styles {a.name!r} and {b.name!r} have similar per-label "
-                    f"token distributions (max total variation {sep:.3f}); "
-                    "style experiments may be inconclusive"
-                )
+
+
+def _files(stem: str) -> dict:
+    return {"tokens": f"{stem}.tgrd", "semantics": f"{stem}.sgrd"}
 
 
 def make_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> dict:
@@ -392,66 +400,46 @@ def make_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> dict:
     """
     _warn_on_similar_styles(config.styles)
     out = Path(out_dir)
-    (out / "corpus").mkdir(parents=True, exist_ok=True)
+    styles, layouts, per_style = config.styles, config.layouts, config.exemplars_per_style
+    for directory in ["corpus", *(f"exemplars/{style.name}" for style in styles)]:
+        (out / directory).mkdir(parents=True, exist_ok=True)
+    weights = np.asarray(config.mixture_weights or [1.0 / len(styles)] * len(styles), dtype=float)
+    weights = weights / weights.sum()
 
-    weights = config.mixture_weights
-    if weights is None:
-        weights = tuple(1.0 / len(config.styles) for _ in config.styles)
-    weight_arr = np.asarray(weights, dtype=float)
-    weight_arr = weight_arr / weight_arr.sum()
-    weight_cum = np.cumsum(weight_arr)
+    # Scene i's style and layout draw counter i of their own streams.
+    keys = mix64_array(split_seed_array(config.seed, [_STREAM_ASSIGN, _STREAM_LAYOUT]))
+    us = unit_draws_at(keys, np.arange(config.corpus_size, dtype=np.uint64))
+    style_idx = inverse_cdf_rows(
+        weights[None], np.cumsum(weights)[None], np.zeros(len(us), dtype=np.int64), us[:, 0]
+    ).tolist()
+    layout_idx = np.minimum((us[:, 1] * len(layouts)).astype(np.int64), len(layouts) - 1).tolist()
 
-    assign_key = seed_key(split_seed(config.seed, _STREAM_ASSIGN))
-    layout_key = seed_key(split_seed(config.seed, _STREAM_LAYOUT))
     scene_base = split_seed(config.seed, _STREAM_SCENES)
     exemplar_base = split_seed(config.seed, _STREAM_EXEMPLARS)
-
-    scenes = []
-    for i in range(config.corpus_size):
-        style_idx = index_from_unit(weight_arr, weight_cum, unit_draw(assign_key, i))
-        layout_idx = min(
-            int(unit_draw(layout_key, i) * len(config.layouts)),
-            len(config.layouts) - 1,
-        )
-        scene_seed = split_seed(scene_base, i)
-        grid, semantics = generate_scene(
-            config.styles[style_idx],
-            config.layouts[layout_idx],
-            config.height,
-            config.width,
-            scene_seed,
-        )
-        tokens_rel = f"corpus/scene_{i:05d}.tgrd"
-        sem_rel = f"corpus/scene_{i:05d}.sgrd"
-        write_token_grid(out / tokens_rel, grid)
-        write_semantic_grid(out / sem_rel, semantics)
-        scenes.append(
-            {
-                "tokens": tokens_rel,
-                "semantics": sem_rel,
-                "style": config.styles[style_idx].name,
-                "seed": scene_seed,
-            }
-        )
-
-    exemplars: dict = {}
-    for s, style in enumerate(config.styles):
-        style_dir = out / "exemplars" / style.name
-        style_dir.mkdir(parents=True, exist_ok=True)
-        style_base = split_seed(exemplar_base, s)
-        entries = []
-        for e in range(config.exemplars_per_style):
-            seed = split_seed(style_base, e)
-            layout = config.layouts[e % len(config.layouts)]
-            grid, semantics = generate_scene(
-                style, layout, config.height, config.width, seed
-            )
-            tokens_rel = f"exemplars/{style.name}/ex_{e:02d}.tgrd"
-            sem_rel = f"exemplars/{style.name}/ex_{e:02d}.sgrd"
-            write_token_grid(out / tokens_rel, grid)
-            write_semantic_grid(out / sem_rel, semantics)
-            entries.append({"tokens": tokens_rel, "semantics": sem_rel, "seed": seed})
-        exemplars[style.name] = entries
+    scenes = [
+        {**_files(f"corpus/scene_{i:05d}"), "style": styles[k].name, "seed": split_seed(scene_base, i)}
+        for i, k in enumerate(style_idx)
+    ]
+    exemplars = {
+        style.name: [
+            {**_files(f"exemplars/{style.name}/ex_{e:02d}"),
+             "seed": split_seed(split_seed(exemplar_base, k), e)}
+            for e in range(per_style)
+        ]
+        for k, style in enumerate(styles)
+    }
+    # One job per scene: the corpus, then each style's exemplars.
+    entries = scenes + [entry for group in exemplars.values() for entry in group]
+    drawn = generate_scenes(
+        [styles[k] for k in style_idx] + [style for style in styles for _ in range(per_style)],
+        [layouts[k] for k in layout_idx] + [layouts[e % len(layouts)] for _ in styles for e in range(per_style)],
+        config.height,
+        config.width,
+        [entry["seed"] for entry in entries],
+    )
+    for entry, (grid, semantics) in zip(entries, drawn):
+        write_token_grid(out / entry["tokens"], grid)
+        write_semantic_grid(out / entry["semantics"], semantics)
 
     manifest = {
         "name": config.name,
@@ -460,7 +448,7 @@ def make_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> dict:
         "height": config.height,
         "width": config.width,
         "seed": config.seed,
-        "style_names": [s.name for s in config.styles],
+        "style_names": [style.name for style in styles],
         "scenes": scenes,
         "exemplars": exemplars,
     }

@@ -3,6 +3,7 @@ import hashlib
 import json
 import shlex
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from gcs.formats import (
     write_token_grid,
     write_stats,
 )
-from gcs.prior import save_model, train_markov_prior
+from gcs.prior import MODEL_CELL_LIMIT, save_model, train_markov_prior
 from gcs.rng import split_seed
 from gcs.world import BenchmarkConfig, LayoutSpec, StyleSpec
 
@@ -847,6 +848,52 @@ def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert rc == 2
     assert "malformed model JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["model", "stats"])
+def test_repeated_json_keys_exit_2(trained, tmp_path, capsys, what):
+    # JSON would keep the last of two values; both readers refuse the file.
+    bad = tmp_path / "bad.json"
+    if what == "model":
+        payload = json.loads(Path(trained["model"]).read_text())
+        payload["tables"][0]["counts"] = {"0": 7}
+        bad.write_text(json.dumps(payload).replace('{"0": 7}', '{"0": 7, "0": 1}'))
+        flags = ["--model", str(bad), "--no-guidance"]
+    else:
+        text = json.dumps(load_json(trained["style"]))
+        bad.write_text(text.replace("{", '{"kind": "spatial", ', 1))
+        flags = ["--model", str(trained["model"]), "--style-stats", str(bad),
+                 "--dataset-stats", str(trained["dataset"])]
+    rc = main(["sample", *flags, "--height", "4", "--width", "4", "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "repeated key" in err and "Traceback" not in err
+
+
+def test_oversized_model_exits_2_before_allocating(tmp_path, capsys):
+    # 65 states of 2**20 tokens would need 512 MiB per (S, K) matrix.
+    size = GRID_VOCAB_LIMIT
+    states = MODEL_CELL_LIMIT // size + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "codebook_size": size,
+        "context": [[0, -1]],
+        "conditional": False,
+        "label_count": None,
+        "smoothing_alpha": 0.5,
+        "tables": [{"context": [t], "label": None, "counts": {str(t): 1}} for t in range(states)],
+    }))
+    tracemalloc.start()
+    try:
+        rc = main(["sample", "--model", str(path), "--no-guidance", "--height", "2",
+                   "--width", "2", "--out", str(tmp_path / "s")])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exceeds the limit" in err and "Traceback" not in err
+    assert peak < 4 * 2**20
 
 
 def _config_with(path, value) -> dict:

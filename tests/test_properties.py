@@ -67,7 +67,7 @@ from gcs.metrics import (
 from gcs.prior import train_markov_prior
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
-from gcs.world import realize_layout
+from test_world import realize_layout
 
 prop = settings(
     max_examples=1000,

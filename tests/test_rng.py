@@ -11,7 +11,6 @@ from gcs.rng import (
     split_seed_array,
     unit_draw,
     unit_draws_at,
-    unit_draws_for_counters,
     unit_draws_for_keys,
 )
 
@@ -62,6 +61,11 @@ class TestSplitSeed:
         for i, v in zip(idx.tolist(), vec.tolist()):
             assert split_seed(999, i) == v
 
+    def test_seed_array_matches_scalar(self):
+        seeds = np.array([0, 5, 2**63 + 9, 2**64 - 1], dtype=np.uint64)
+        vec = split_seed_array(seeds, [3])
+        assert vec.tolist() == [split_seed(s, 3) for s in seeds.tolist()]
+
     def test_children_decorrelated_from_parent_stream(self):
         # A child stream must not collide with the parent stream prefix.
         parent = [draw_u64(seed_key(3), n) for n in range(32)]
@@ -100,13 +104,13 @@ class TestUnitDraws:
     def test_counters_vector_matches_scalar(self):
         key = seed_key(77)
         counters = np.arange(512)
-        vec = unit_draws_for_counters(key, counters)
+        vec = unit_draws_at(np.array([key], dtype=np.uint64), counters)[:, 0]
         for n, u in zip(counters.tolist(), vec.tolist()):
             assert unit_draw(key, n) == u
 
     def test_rough_uniformity(self):
         key = seed_key(123)
-        us = unit_draws_for_counters(key, np.arange(20000))
+        us = unit_draws_at(np.array([key], dtype=np.uint64), np.arange(20000))[:, 0]
         counts, _ = np.histogram(us, bins=10, range=(0.0, 1.0))
         assert counts.min() > 1700 and counts.max() < 2300
 

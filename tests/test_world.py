@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,12 @@ from gcs.world import (
     StyleSpec,
     default_landscape_config,
     generate_scene,
+    generate_scenes,
     load_corpus,
     load_exemplars,
     load_grid_directory,
     load_manifest,
     make_benchmark,
-    realize_layout,
     spatial_contrast_config,
 )
 from gcs.formats import read_token_grid, write_semantic_grid, write_token_grid
@@ -33,6 +36,12 @@ def disjoint_styles(coherence=0.0):
         "high", (dist([0.0, 0.0, 0.7, 0.3]), dist([0.0, 0.0, 0.4, 0.6])), coherence
     )
     return a, b
+
+
+def realize_layout(layout, height, width, label_count, seed):
+    """The label map `generate_scene` draws for `layout` at this scene seed."""
+    style = StyleSpec("flat", (dist([0.5, 0.5]),) * label_count)
+    return generate_scene(style, layout, height, width, seed)[1]
 
 
 def small_config(corpus_size=40, exemplars=2, height=8, width=8):
@@ -189,6 +198,83 @@ class TestGenerateScene:
             histogram_from_grid(grid_a, 0.0), histogram_from_grid(grid_b, 0.0)
         )
         assert tv >= 0.9
+
+
+class TestGenerateScenes:
+    def test_mixed_batch_equals_scenes_drawn_alone(self):
+        a, b = disjoint_styles(0.5)
+        layouts = [LayoutSpec("horizon"), LayoutSpec("bands", bands=3), LayoutSpec("constant", label=1)]
+        jobs = [(a, layouts[0], 4), (b, layouts[1], 4), (a, layouts[2], 2**64 + 3), (b, layouts[0], 99)]
+        styles, layout_list, seeds = zip(*jobs * 3)
+        batch = list(generate_scenes(styles, layout_list, 9, 7, seeds))
+        assert len(batch) == 12
+        for (style, layout, seed), (grid, semantics) in zip(jobs * 3, batch):
+            alone = generate_scene(style, layout, 9, 7, seed)
+            assert grid == alone[0] and semantics == alone[1]
+
+    def test_chunks_match_scenes_drawn_alone(self):
+        # 100x100 grids put six scenes in a chunk, so 13 scenes span three.
+        a, b = disjoint_styles(0.7)
+        styles = [a, b] * 6 + [a]
+        layouts = [LayoutSpec("horizon")] * 13
+        batch = list(generate_scenes(styles, layouts, 100, 100, range(13)))
+        for seed in (0, 5, 6, 12):
+            assert batch[seed][0] == generate_scene(styles[seed], layouts[seed], 100, 100, seed)[0]
+
+    def test_no_scenes(self):
+        assert list(generate_scenes([], [], 4, 4, [])) == []
+
+    def test_mixed_codebooks_rejected(self):
+        small = StyleSpec("s", (dist([0.5, 0.5]),))
+        large = StyleSpec("l", (dist([0.25] * 4),))
+        layout = LayoutSpec("constant", label=0)
+        with pytest.raises(ValidationError):
+            next(generate_scenes([small, large], [layout] * 2, 2, 2, [0, 1]))
+
+
+def _tree_sha256(path):
+    digest = hashlib.sha256()
+    for item in sorted(p for p in path.rglob("*") if p.is_file()):
+        digest.update(str(item.relative_to(path)).encode() + b"\0")
+        digest.update(item.read_bytes())
+    return digest.hexdigest()
+
+
+# sha256 of make_benchmark's output tree (relative paths and bytes) for
+# worlds the CLI golden hashes do not reach; 64x64 grids span three chunks.
+PINNED_WORLDS = {
+    "constant-layout": (
+        dict(layouts=(LayoutSpec("constant", label=1),), seed=1),
+        "cf54d589224173b6553319de0866566466b8315e98bfa6b6c7a100ffe7af0f4c",
+    ),
+    "zero-weight": (
+        dict(mixture_weights=(0.0, 1.0), seed=2),
+        "eeaec89cfcf5a86dff3da0e3891b28f7825f43d83ffb4a89336eb299309388e1",
+    ),
+    "width-1": (
+        dict(width=1, seed=3),
+        "572c21ddb1515ce17de5b04bb86b552f20ada1ae3ba3f677357e8c7bbd9e4559",
+    ),
+    "height-1": (
+        dict(height=1, layouts=(LayoutSpec("bands", bands=2), LayoutSpec("constant", label=1)), seed=4),
+        "eb0ebdcf99d68ac3f1c2e48c1ec4a20b954dcb228958b45943786ec627c06d80",
+    ),
+    "coherence-0": (
+        dict(styles=disjoint_styles(0.0), seed=6),
+        "d09aa13db925a9016106139e5f34b83af52f36622b3e922abdfa934d45a270d9",
+    ),
+    "three-chunks": (
+        dict(height=64, width=64, seed=8),
+        "39004c84fb38b7c8ef4d60583edacd7cc4d2ba189996fb1a6d1972b3006b89e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_pinned_world_hashes(name, tmp_path):
+    fields, expected = PINNED_WORLDS[name]
+    make_benchmark(replace(small_config(), **fields), tmp_path)
+    assert _tree_sha256(tmp_path) == expected
 
 
 class TestBenchmarkConfig:
