@@ -11,6 +11,7 @@ from .core import (
     CategoricalDistribution,
     FormatError,
     SemanticGrid,
+    TokenBatch,
     TokenGrid,
     ValidationError,
     normalize,

@@ -44,6 +44,15 @@ def _coerce_grid_values(values, height: int, width: int, what: str) -> np.ndarra
     return arr.copy()
 
 
+def _check_range(values: np.ndarray, limit: int, what: str, limit_name: str) -> None:
+    bad = (values < 0) | (values >= limit)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{what} {values[r, c]} out of range at ({r}, {c}); {limit_name} is {limit}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TokenGrid:
     """An immutable height x width grid of codebook indices (row-major)."""
@@ -74,40 +83,45 @@ class TokenGrid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenGrid):
             return NotImplemented
-        return (
-            self.height == other.height
-            and self.width == other.width
-            and self.codebook_size == other.codebook_size
-            and bool(np.array_equal(self.tokens, other.tokens))
-        )
+        return self.codebook_size == other.codebook_size and np.array_equal(self.tokens, other.tokens)
 
 
-def token_grids(tokens: np.ndarray, codebook_size: int) -> list[TokenGrid]:
-    """`TokenGrid`s for each leading index of an (n, height, width) array.
+@dataclass(frozen=True, eq=False)
+class TokenBatch(Sequence):
+    """n equally shaped `TokenGrid`s held as one read-only (n, height, width) array.
 
-    Equal to constructing each grid, but a valid array is range-checked
-    once in total rather than once per grid; an invalid one goes through
-    the constructor, so the error names the offending token.
+    The array is range-checked once; an invalid one fails as its first
+    invalid grid's constructor does.  A read-only array is kept as it is, a
+    writable one copied.  `batch[i]` builds grid i; a slice is a batch.
     """
-    height, width = tokens.shape[1:]
-    if (
-        tokens.size == 0
-        or codebook_size < 2
-        or tokens.min() < 0
-        or tokens.max() >= codebook_size
-    ):
-        return [TokenGrid(height, width, codebook_size, block) for block in tokens]
-    grids = []
-    for block in tokens:
-        grid = object.__new__(TokenGrid)
-        grid.__dict__.update(
-            height=height,
-            width=width,
-            codebook_size=codebook_size,
-            tokens=_readonly(block.astype(np.int64)),
-        )
-        grids.append(grid)
-    return grids
+
+    tokens: np.ndarray
+    codebook_size: int
+
+    def __post_init__(self) -> None:
+        tokens = np.asarray(self.tokens, dtype=np.int64)
+        if tokens.ndim != 3:
+            raise ValidationError(f"token batch must be 3-D, got shape {tokens.shape}")
+        size = self.codebook_size
+        if tokens.size == 0 or size < 2 or not 0 <= tokens.min() <= tokens.max() < size:
+            for block in tokens:
+                TokenGrid(*tokens.shape[1:], size, block)
+        if tokens.flags.writeable:
+            tokens = _readonly(tokens.copy())
+        object.__setattr__(self, "tokens", tokens)
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TokenBatch(self.tokens[index], self.codebook_size)
+        return TokenGrid(*self.tokens.shape[1:], self.codebook_size, self.tokens[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenBatch):
+            return NotImplemented
+        return self.codebook_size == other.codebook_size and np.array_equal(self.tokens, other.tokens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +143,7 @@ class SemanticGrid:
                 f"label count must be >= 1, got {self.label_count}"
             )
         arr = _coerce_grid_values(self.labels, self.height, self.width, "labels")
-        bad = (arr < 0) | (arr >= self.label_count)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"label {arr[r, c]} out of range at ({r}, {c}); "
-                f"label count is {self.label_count}"
-            )
+        _check_range(arr, self.label_count, "label", "label count")
         object.__setattr__(self, "labels", _readonly(arr))
 
     @property
@@ -145,12 +153,7 @@ class SemanticGrid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGrid):
             return NotImplemented
-        return (
-            self.height == other.height
-            and self.width == other.width
-            and self.label_count == other.label_count
-            and bool(np.array_equal(self.labels, other.labels))
-        )
+        return self.label_count == other.label_count and np.array_equal(self.labels, other.labels)
 
 
 def validate_grid(grid: TokenGrid) -> None:
@@ -165,13 +168,7 @@ def validate_grid(grid: TokenGrid) -> None:
             f"tokens length mismatch: expected {grid.height * grid.width} "
             f"({grid.height}x{grid.width}), got {tokens.size}"
         )
-    bad = (tokens < 0) | (tokens >= grid.codebook_size)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"token {tokens[r, c]} out of range at ({r}, {c}); "
-            f"codebook size is {grid.codebook_size}"
-        )
+    _check_range(tokens, grid.codebook_size, "token", "codebook size")
 
 
 def grid_pairs(items) -> list[tuple[TokenGrid, SemanticGrid | None]]:

@@ -40,11 +40,16 @@ def mix64(x: int) -> int:
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array (wrapping arithmetic)."""
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    return _mix64_in_place(x, np.empty_like(x))
+
+
+def _mix64_in_place(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`mix64_array` written over x, with a same-shape scratch for the shifts."""
+    x ^= np.right_shift(x, np.uint64(30), out=scratch)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
 
 
@@ -84,10 +89,17 @@ def unit_draws_for_keys(keys: np.ndarray, counter: int) -> np.ndarray:
 
 
 def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Draws of many streams at many counters: [j, i] is unit_draw(keys[i], counters[j])."""
+    """Draws of many streams at many counters: [j, i] is unit_draw(keys[i], counters[j]).
+
+    Works in two result-sized buffers: the mixed sums, and a scratch that
+    takes the shifts and then, viewed as float64, the draws.
+    """
     c = np.asarray(counters, dtype=np.uint64)[:, None]
-    raw = mix64_array(np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN))
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    x = np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN)
+    scratch = np.empty_like(x)
+    _mix64_in_place(x, scratch)
+    x >>= np.uint64(11)
+    return np.multiply(x, _U53_SCALE, out=scratch.view(np.float64))
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

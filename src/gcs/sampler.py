@@ -20,10 +20,9 @@ prior states, builds the rows it lacks with one `posterior_rows` call per
 scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
 
 Randomness is counter-based: one unit draw per raster position, taken from
-a per-grid stream key.  `batch_sample` derives the stream key of sample i
-by splitting the base seed with index i, which makes every sample's token
-sequence independent of how many samples are requested and lets the
-vectorized fast path reproduce the sequential loop exactly.
+a per-grid stream key.  Sample i of a `batch_sample` call draws from the
+stream of split_seed(seed, i), so it equals `sample_grid` with that seed,
+whatever the batch size and whichever other samples share the batch.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SemanticGrid, TokenGrid, ValidationError, token_grids
+from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, scope_index
 from .prior import BOUNDARY, MarkovGridPrior
 from .rng import mix64_array, seed_key, split_seed_array, unit_draw, unit_draws_at
@@ -179,6 +178,10 @@ def sample_grid(
     return TokenGrid(height, width, model.codebook_size, prefix)
 
 
+# Largest count x (height x width + 1) a batch may draw: it sizes the int64 token array.
+BATCH_CELL_LIMIT = 2**28
+
+
 def batch_sample(
     model: MarkovGridPrior,
     height: int,
@@ -186,18 +189,24 @@ def batch_sample(
     count: int,
     semantics: SemanticGrid | None = None,
     config: SamplingConfig = SamplingConfig(),
-) -> list[TokenGrid]:
+) -> TokenBatch:
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
     The batch is drawn one anti-diagonal wavefront of the grid at a time:
     a `_RowTable` of step posteriors keyed by (scope, prior state) gives
     each element its row, and one inverse-CDF pick draws them all, each
     with its raster position's unit draw.  The token sequences equal
-    `count` independent `sample_grid` calls.
+    `count` independent `sample_grid` calls.  The returned batch's
+    `tokens` is a read-only view of the array the batch was drawn into.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
     _check_sampling_args(model, height, width, semantics)
+    if count * (height * width + 1) > BATCH_CELL_LIMIT:
+        raise ValidationError(
+            f"{count} samples of {height}x{width} need {count * (height * width + 1)} "
+            f"token cells, over the limit of {BATCH_CELL_LIMIT}"
+        )
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     size = height * width
     rows, cols = np.divmod(np.arange(size), width)
@@ -227,7 +236,8 @@ def batch_sample(
             table.probs, table.cumulative, picked.ravel(), draws.ravel()
         ).reshape(front.size, count)
 
-    return token_grids(grids[:size].T.reshape(count, height, width), model.codebook_size)
+    grids.setflags(write=False)
+    return TokenBatch(grids[:size].T.reshape(count, height, width), model.codebook_size)
 
 
 def inverse_cdf_rows(

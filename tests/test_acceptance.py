@@ -161,7 +161,7 @@ def test_criterion_2_sampler_matches_exact_chain():
             grids = batch_sample(
                 model, 2, 2, draws, None, dataclasses.replace(config, seed=seed)
             )
-            codes = np.array([grid.tokens.ravel() for grid in grids])
+            codes = grids.tokens.reshape(draws, -1)
             codes = codes @ np.array([size**3, size**2, size, 1])
             counts = np.bincount(codes, minlength=size**4)
             emp = counts / draws

@@ -460,6 +460,17 @@ class TestSample:
         assert rc == 0
         assert len(list(out.glob("sample_*.tgrd"))) == 4
 
+    def test_oversized_batch_rejected(self, trained, tmp_path, capsys):
+        out = tmp_path / "samples"
+        rc = main(
+            ["sample", "--model", str(trained["model"]), "--out", str(out), "--no-guidance",
+             "--height", "1", "--width", "1", "--n", str(2**40)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "over the limit" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_guided_run_and_identity_equivalence(self, trained, tmp_path):
         # Style stats == dataset stats means identity guidance: the guided
         # samples must be byte-identical to the unguided baseline.

@@ -4,11 +4,11 @@ import pytest
 from gcs.core import (
     CategoricalDistribution,
     SemanticGrid,
+    TokenBatch,
     TokenGrid,
     ValidationError,
     normalize,
     require_same_shape,
-    token_grids,
     validate_grid,
 )
 
@@ -59,16 +59,56 @@ class TestTokenGrid:
         assert a != TokenGrid(1, 2, 5, [0, 1])
 
 
-    def test_token_grids_match_single_grids(self):
-        tokens = np.arange(12).reshape(3, 2, 2) % 5
-        grids = token_grids(tokens, 5)
-        assert grids == [TokenGrid(2, 2, 5, block) for block in tokens]
-        tokens[0, 0, 0] = 4
-        assert grids[0].tokens[0, 0] == 0
+class TestTokenBatch:
+    TOKENS = np.arange(12).reshape(3, 2, 2) % 5
+
+    def test_items_are_the_single_grids(self):
+        batch = TokenBatch(self.TOKENS, 5)
+        grids = [TokenGrid(2, 2, 5, block) for block in self.TOKENS]
+        assert len(batch) == 3
+        assert list(batch) == grids
+        assert batch[1] == grids[1] and batch[-1] == grids[2]
+        assert isinstance(batch[0], TokenGrid)
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_slices_are_batches(self):
+        batch = TokenBatch(self.TOKENS, 5)
+        assert batch[:2] == TokenBatch(self.TOKENS[:2], 5)
+        assert batch[::-2] == TokenBatch(self.TOKENS[[2, 0]], 5)
+        assert len(batch[3:]) == 0
+
+    def test_equality_is_by_value(self):
+        batch = TokenBatch(self.TOKENS, 5)
+        assert batch == TokenBatch(self.TOKENS.copy(), 5)
+        assert batch != TokenBatch(self.TOKENS, 6)
+        assert batch != TokenBatch(self.TOKENS[:2], 5)
+        assert batch != list(batch)
+
+    def test_out_of_range_token_names_grid_position(self):
+        tokens = self.TOKENS.copy()
+        tokens[1, 1, 0] = 7
+        with pytest.raises(ValidationError) as exc:
+            TokenBatch(tokens, 5)
+        assert "token 7 out of range at (1, 0); codebook size is 5" in str(exc.value)
+        with pytest.raises(ValidationError, match="codebook size must be >= 2"):
+            TokenBatch(np.zeros((2, 1, 1), dtype=np.int64), 1)
+        with pytest.raises(ValidationError, match="must be 3-D"):
+            TokenBatch(self.TOKENS[0], 5)
+
+    def test_tokens_are_read_only(self):
+        tokens = self.TOKENS.copy()
+        batch = TokenBatch(tokens, 5)
+        tokens[0, 0, 0] = 4  # a writable input is copied
+        assert batch[0].tokens[0, 0] == 0
+        assert not batch.tokens.flags.writeable
         with pytest.raises(ValueError):
-            grids[1].tokens[0, 0] = 0
-        with pytest.raises(ValidationError):
-            token_grids(tokens, 4)
+            batch.tokens[0, 0, 0] = 1
+        owner = np.zeros((4, 3), dtype=np.int64)
+        owner.setflags(write=False)
+        view = TokenBatch(owner.T.reshape(3, 2, 2), 5)  # a read-only one is kept
+        assert np.shares_memory(view.tokens, owner)
+        assert not view.tokens.base.flags.writeable
 
 
 class TestSemanticGrid:

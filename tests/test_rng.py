@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ class TestUnitDraws:
         vec = unit_draws_at(np.array([key], dtype=np.uint64), counters)[:, 0]
         for n, u in zip(counters.tolist(), vec.tolist()):
             assert unit_draw(key, n) == u
+
+    def test_draw_matrix_is_built_in_place(self):
+        # The mixed sums and one scratch buffer (which becomes the draws):
+        # two result-sized arrays, whatever the matrix shape.
+        keys = split_seed_array(5, np.arange(2048))
+        counters = np.arange(64)
+        tracemalloc.start()
+        try:
+            table = unit_draws_at(keys, counters)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * table.nbytes
+        expected = [unit_draw(k, c) for c in (0, 63) for k in keys.tolist()]
+        assert table[[0, 63]].tobytes() == np.array(expected).tobytes()
 
     def test_rough_uniformity(self):
         key = seed_key(123)

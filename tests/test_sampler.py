@@ -18,6 +18,7 @@ from gcs.prior import BOUNDARY, MarkovGridPrior, parse_context_template, train_m
 from gcs.rng import split_seed, unit_draw, seed_key
 from gcs import sampler
 from gcs.sampler import (
+    BATCH_CELL_LIMIT,
     SamplingConfig,
     batch_sample,
     exact_sequence_distribution,
@@ -510,7 +511,7 @@ class TestBatchSample:
                 )
                 for i in range(12)
             ]
-            assert fast == slow
+            assert list(fast) == slow
 
     def test_first_sample_uses_first_split(self, rng):
         model = train_markov_prior([random_grid(rng, 4, 4, 4) for _ in range(3)])
@@ -641,9 +642,9 @@ class TestBatchSample:
             )
 
     def test_step_buffers_stay_within_the_output(self, rng):
-        # A guided 32x32 batch of 2000 holds its position-major tokens and
-        # the grids handed back; per-step buffers are (wavefront, n), so
-        # nothing of (n * wavefront, K) or a further full copy fits.
+        # A guided 32x32 batch of 2000 hands back a view of its
+        # position-major tokens; per-step buffers are (wavefront, n), so
+        # nothing of (n * wavefront, K) or a further copy of the batch fits.
         corpus = [random_grid(rng, 32, 32, 32) for _ in range(3)]
         model = train_markov_prior(corpus)
         d = histogram_from_grid(corpus[0], 0.5)
@@ -655,19 +656,40 @@ class TestBatchSample:
         finally:
             tracemalloc.stop()
         assert len(batch) == 2000
-        assert peak <= 2.5 * 2000 * 32 * 32 * 8
+        assert peak <= 1.5 * 2000 * 32 * 32 * 8
 
     def test_count_validated(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 3, 4)])
         with pytest.raises(ValidationError):
             batch_sample(model, 3, 3, 0)
 
+    def test_oversized_batch_rejected_before_allocating(self, rng):
+        model = train_markov_prior([random_grid(rng, 3, 3, 4)])
+        tracemalloc.start()
+        try:
+            for height, width, count in ((1, 1, 2**40), (32, 32, BATCH_CELL_LIMIT // 1025 + 1)):
+                with pytest.raises(ValidationError, match="token cells, over the limit"):
+                    batch_sample(model, height, width, count)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_batch_tokens_are_a_view_of_the_drawn_array(self, rng):
+        model = train_markov_prior([random_grid(rng, 3, 4, 5) for _ in range(2)])
+        batch = batch_sample(model, 3, 4, 6, config=SamplingConfig(seed=2))
+        assert batch.tokens.shape == (6, 3, 4)
+        assert batch.tokens.base.shape == (3 * 4 + 1, 6)  # the position-major array
+        assert np.shares_memory(batch.tokens, batch.tokens.base)
+        assert not batch.tokens.flags.writeable and not batch.tokens.base.flags.writeable
+        assert batch.tokens.base[-1].tolist() == [BOUNDARY] * 6
+
     def test_samples_are_pairwise_independent(self):
         # Chi-square independence over paired first tokens: batch samples
         # must behave like independent streams.
         model = fixed_row_model([5, 3, 2])
         batch = batch_sample(model, 1, 2, 20000, config=SamplingConfig(seed=13))
-        firsts = np.array([g.tokens[0, 0] for g in batch])
+        firsts = batch.tokens[:, 0, 0]
         pairs = firsts.reshape(-1, 2)
         table = np.zeros((3, 3))
         for a, b in pairs:
