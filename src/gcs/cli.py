@@ -45,6 +45,7 @@ from .sampler import SamplingConfig, batch_sample
 from .world import (
     BenchmarkConfig,
     default_landscape_config,
+    iter_grid_directory,
     load_grid_directory,
     make_benchmark,
     read_entries,
@@ -164,8 +165,13 @@ def cmd_train_prior(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
-    pairs = load_grid_directory(args.corpus, with_semantics=True)
-    grids = [grid for grid, _ in pairs]
+    # Every grid and semantic map is read and validated; only --by-region
+    # keeps the maps.
+    grids, maps = [], []
+    for grid, sem in iter_grid_directory(args.corpus, with_semantics=True):
+        grids.append(grid)
+        if args.by_region:
+            maps.append(sem)
     if args.k > len(grids):
         print(
             f"note: K={args.k} exceeds the corpus size {len(grids)}; "
@@ -174,12 +180,11 @@ def cmd_dataset_stats(args) -> int:
         )
     seed = resolve_seed(args.seed)
     if args.by_region:
-        for grid, sem in pairs:
-            if sem is None:
-                raise ValidationError(
-                    "--by-region needs a semantic map for every corpus grid"
-                )
-        stats = monte_carlo_regional_distribution(pairs, args.k, args.alpha, seed)
+        if any(sem is None for sem in maps):
+            raise ValidationError("--by-region needs a semantic map for every corpus grid")
+        stats = monte_carlo_regional_distribution(
+            list(zip(grids, maps)), args.k, args.alpha, seed
+        )
         mode = "regional"
     elif args.by_cell is not None:
         rows, cols = args.by_cell

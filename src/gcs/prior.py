@@ -10,7 +10,10 @@ statistics.
 
 The states are arrays: one row of contexts, label and counts each, and one
 matrix of smoothed rows whose last row serves every unseen context.
-Training counts a whole corpus with one np.unique over packed state codes.
+Training packs each corpus position's state and token into one code and
+counts the codes in chunks of whole grids, adding each chunk's sparse
+(code, count) pairs into a running total, so its memory does not grow
+with the corpus.
 `states` maps a batch of contexts to rows through such codes, by a dense
 array or by sorted int64 codes; `state_of` is the per-step scalar lookup.
 Turning prior rows into step posteriors (guidance, temperature, top-k) and
@@ -51,6 +54,10 @@ OFFSET_NAMES = {
     "above-right": (-1, 1),
 }
 DEFAULT_CONTEXT = (OFFSET_NAMES["left"], OFFSET_NAMES["above"])
+
+# Training codes and counts the corpus in chunks of whole grids of about
+# this many positions (a single larger grid is a chunk of its own).
+_CHUNK_POSITIONS = 2**16
 
 # `states` looks codes up in a dense array (2 MiB of int64) up to this many
 # codes, and in the sorted codes of the states beyond it.
@@ -149,7 +156,8 @@ class MarkovGridPrior:
             raise ValidationError(
                 "count table labels are inconsistent with the conditional flag or label_count"
             )
-        if len(set(zip(map(tuple, contexts.tolist()), labels.tolist()))) < len(counts):
+        keys = np.column_stack((contexts, labels))[np.lexsort((labels, *contexts.T))]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise ValidationError("a (context, label) state appears more than once")
         unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
         smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
@@ -276,9 +284,10 @@ class MarkovGridPrior:
 
 
 def _rank(ranks: dict, i: int, code: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank of each code in ranks[i] (-1, then the sorted distinct codes of
-    the first caller, `_code_index`), and the rank bound.  Absent codes get
-    rank 0, which no state has, so they stay absent through later digits."""
+    """Rank of each code in ranks[i] (-1, then sorted distinct codes: those
+    of the first caller, unless `_count_states` filled it with the whole
+    corpus's), and the rank bound.  Absent codes get rank 0, which no state
+    has, so they stay absent through later digits."""
     if i not in ranks:
         ranks[i] = np.concatenate(([-1], np.unique(code, return_inverse=True)[0]))
     at = np.searchsorted(ranks[i], code, side="right") - 1
@@ -330,13 +339,14 @@ def train_markov_prior(
 
 
 def _shifted_tokens(tokens: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Token grid displaced by (dr, dc), boundary-marked where undefined."""
-    height, width = tokens.shape
-    out = np.full((height, width), BOUNDARY, dtype=np.int64)
+    """Token grids (the last two axes) displaced by (dr, dc), boundary-marked
+    where undefined."""
+    height, width = tokens.shape[-2:]
+    out = np.full(tokens.shape, BOUNDARY, dtype=np.int64)
     r0, r1 = max(0, -dr), min(height, height - dr)
     c0, c1 = max(0, -dc), min(width, width - dc)
     if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = tokens[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+        out[..., r0:r1, c0:c1] = tokens[..., r0 + dr : r1 + dr, c0 + dc : c1 + dc]
     return out
 
 
@@ -351,32 +361,57 @@ def _count_states(
 
     Each position becomes one mixed-radix code whose digits are its
     template tokens (plus one, so the boundary marker is 0), its label when
-    conditional, and its token, added one digit at a time.  Before a digit
-    would overflow int64, the code so far is replaced by its rank among the
-    codes present, which keeps it below the position count.  One np.unique
-    counts the codes; divmod, through the kept rank tables, decodes them.
-    States come out sorted by context, then label.
+    conditional, and its token, added one digit at a time.  The corpus is
+    coded in chunks of whole grids, about _CHUNK_POSITIONS positions each;
+    np.unique counts a chunk's codes, and these sparse (code, count) runs
+    are added into one sorted running total whenever they hold as many
+    codes as it does.  Before a digit would overflow int64, the code so far
+    is replaced by its rank among the codes the whole corpus has there (one
+    more pass of the same counting finds them), so ranks agree across
+    chunks.  divmod, through the rank tables, decodes the total.  States
+    come out sorted by context, then label.
     """
     slots = len(context)
     radices = [size + 1] * slots + ([label_count] if conditional else []) + [size]
-    ends = np.cumsum([grid.tokens.size for grid, _ in pairs])
-    code = np.zeros(ends[-1], dtype=np.int64)
+    chunks = _chunks(pairs)
+
+    def codes(chunk: list, digits: int) -> np.ndarray:
+        """Codes of the first `digits` digits at each position of a chunk."""
+        tokens = np.stack([grid.tokens for grid, _ in chunk])
+        code = np.zeros(tokens.size, dtype=np.int64)
+        for i, radix in enumerate(radices[:digits]):
+            if i in ranks:
+                code = _rank(ranks, i, code)[0]
+            if i < slots:
+                digit = _shifted_tokens(tokens, *context[i])
+                digit += 1
+            elif i == slots and conditional:
+                digit = np.stack([sem.labels for _, sem in chunk])
+            else:
+                digit = tokens
+            code *= radix
+            code += digit.reshape(-1)
+        return code
+
+    def tally(digits: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct codes of the first `digits` digits, and their counts."""
+        total = (np.empty(0, dtype=np.int64),) * 2
+        runs, pending = [], 0
+        for chunk in chunks:
+            runs.append(np.unique(codes(chunk, digits), return_counts=True))
+            pending += runs[-1][0].size
+            if pending >= total[0].size:
+                total, runs, pending = _add_runs([total, *runs]), [], 0
+        return _add_runs([total, *runs])
+
     bound, ranks = 1, {}  # codes lie in [0, bound); ranks[i]: table before digit i
     for i, radix in enumerate(radices):
         if bound * radix > 2**63:
-            ranks[i], code = np.unique(code, return_inverse=True)
+            ranks[i] = np.concatenate(([-1], tally(i)[0]))
             bound = ranks[i].size
-        for (grid, sem), end in zip(pairs, ends):
-            if i < slots:
-                digit = _shifted_tokens(grid.tokens, *context[i]).reshape(-1) + 1
-            else:
-                digit = sem.flat if i == slots and conditional else grid.flat
-            chunk = code[end - digit.size : end]
-            chunk *= radix
-            chunk += digit
         bound *= radix
+    values, freq = tally(len(radices))
 
-    values, freq = np.unique(code, return_counts=True)
     code, tokens = np.divmod(values, size)
     code, state = np.unique(code, return_inverse=True)
     counts = np.zeros((code.size, size), dtype=np.int64)
@@ -389,6 +424,31 @@ def _count_states(
         code, digits[:, i] = np.divmod(code, radices[i])
     labels = digits[:, slots] if conditional else np.full(code.size, -1)
     return digits[:, :slots] - 1, labels, counts
+
+
+def _chunks(pairs: list) -> list[list]:
+    """Consecutive runs of pairs whose grids share one shape: as many as fit
+    in _CHUNK_POSITIONS positions, or a single grid."""
+    chunks = []
+    for pair in pairs:
+        tokens, last = pair[0].tokens, chunks[-1] if chunks else None
+        if last and last[0][0].tokens.shape == tokens.shape and (
+            (len(last) + 1) * tokens.size <= _CHUNK_POSITIONS
+        ):
+            last.append(pair)
+        else:
+            chunks.append([pair])
+    return chunks
+
+
+def _add_runs(runs: list) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted run of distinct codes from sorted (codes, counts) runs,
+    the counts of equal codes added; at least one run holds a code."""
+    values = np.concatenate([run[0] for run in runs])
+    order = np.argsort(values, kind="stable")  # timsort merges the sorted runs
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.add.reduceat(np.concatenate([run[1] for run in runs])[order], starts)
 
 
 def save_model(path: str | Path, model: MarkovGridPrior) -> None:

@@ -466,14 +466,14 @@ def load_manifest(bench_dir: str | Path) -> dict:
     return manifest
 
 
-def read_entries(
+def iter_entries(
     base: Path, entries: list[dict], with_semantics: bool
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+) -> Iterator[tuple[TokenGrid, SemanticGrid | None]]:
     """Each manifest entry's token grid under base, and its "semantics" map
-    when asked; entries that name no such paths raise ValidationError."""
+    when asked, read one entry at a time; entries that name no such paths
+    raise ValidationError when reached."""
     if not isinstance(entries, list):
         raise ValidationError(f"{base}: manifest entries must be a list")
-    out = []
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, dict)
@@ -487,8 +487,14 @@ def read_entries(
         semantics = None
         if with_semantics and entry.get("semantics"):
             semantics = read_semantic_grid(base / entry["semantics"])
-        out.append((grid, semantics))
-    return out
+        yield grid, semantics
+
+
+def read_entries(
+    base: Path, entries: list[dict], with_semantics: bool
+) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+    """`iter_entries`, all read into a list."""
+    return list(iter_entries(base, entries, with_semantics))
 
 
 def load_corpus(
@@ -508,17 +514,19 @@ def load_exemplars(
     return read_entries(base, entries, with_semantics)
 
 
-def load_grid_directory(
+def iter_grid_directory(
     directory: str | Path, with_semantics: bool = True
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    """Load a corpus from a manifest if present, else by sorted *.tgrd glob.
+) -> Iterator[tuple[TokenGrid, SemanticGrid | None]]:
+    """Stream a corpus, one grid at a time, from a manifest if present, else
+    by sorted *.tgrd glob.  A missing manifest list or an empty directory
+    raises at once; each file is read and validated when reached.
 
     Without a manifest, a grid's semantic map is the sibling file with the
     .sgrd suffix when it exists.
     """
     base = Path(directory)
     if (base / "manifest.json").exists():
-        return load_corpus(base, with_semantics)
+        return iter_entries(base, load_manifest(base)["scenes"], with_semantics)
     paths = sorted(base.glob("*.tgrd"))
     if not paths:
         raise ValidationError(f"{directory}: no token grids found")
@@ -526,7 +534,14 @@ def load_grid_directory(
     for path in paths:
         sem_path = path.with_suffix(".sgrd")
         entries.append({"tokens": path.name, "semantics": sem_path.exists() and sem_path.name})
-    return read_entries(base, entries, with_semantics)
+    return iter_entries(base, entries, with_semantics)
+
+
+def load_grid_directory(
+    directory: str | Path, with_semantics: bool = True
+) -> list[tuple[TokenGrid, SemanticGrid | None]]:
+    """`iter_grid_directory`, the whole corpus read into a list."""
+    return list(iter_grid_directory(directory, with_semantics))
 
 
 def default_landscape_config() -> BenchmarkConfig:

@@ -256,6 +256,36 @@ class TestDatasetStats:
         assert rc == 2
         assert "semantic map for every corpus grid" in capsys.readouterr().err
 
+    @staticmethod
+    def mapped_corpus(tmp_path, rng):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in range(3):
+            write_token_grid(corpus / f"g{i}.tgrd", random_grid(rng, 4, 4, 4))
+            write_semantic_grid(corpus / f"g{i}.sgrd", random_semantics(rng, 4, 4, 2))
+        return corpus
+
+    @pytest.mark.parametrize("mode", [[], ["--by-cell", "2x2"]], ids=["global", "by-cell"])
+    def test_corrupt_semantic_map_fails_every_mode(self, tmp_path, rng, capsys, mode):
+        # Global and per-cell runs keep no semantic map but still read and
+        # validate every one.
+        corpus = self.mapped_corpus(tmp_path, rng)
+        (corpus / "g1.sgrd").write_bytes((corpus / "g1.sgrd").read_bytes()[:-2])
+        out = tmp_path / "d.json"
+        rc = main(["dataset-stats", "--corpus", str(corpus), "--out", str(out), "--k", "5", *mode])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SGRD ")
+        assert not out.exists()
+
+    def test_by_region_rejects_a_grid_without_map(self, tmp_path, rng, capsys):
+        corpus = self.mapped_corpus(tmp_path, rng)
+        (corpus / "g1.sgrd").unlink()
+        argv = ["dataset-stats", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")]
+        assert main(argv) == 0
+        assert main(argv + ["--by-region"]) == 2
+        assert "semantic map for every corpus grid" in capsys.readouterr().err
+
     def test_bad_tiling_string(self, world, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(

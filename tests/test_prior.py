@@ -1,9 +1,11 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcs import prior
 from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_from_grid
 from gcs.guidance import LikelihoodVector, LikelihoodTable, global_likelihood_table
@@ -28,12 +30,11 @@ FOUR_SLOTS = parse_context_template("left,above,above-left,above-right")
 
 def table(model):
     """The model's states as {(context, label or None): {token: count}}."""
-    return {
-        (tuple(ctx), None if label < 0 else label): {
-            t: n for t, n in enumerate(row.tolist()) if n
-        }
-        for ctx, label, row in zip(model.contexts.tolist(), model.labels.tolist(), model.counts)
-    }
+    out = {}
+    for ctx, label, row in zip(model.contexts.tolist(), model.labels.tolist(), model.counts):
+        tokens = np.flatnonzero(row)
+        out[tuple(ctx), None if label < 0 else label] = dict(zip(tokens.tolist(), row[tokens].tolist()))
+    return out
 
 
 def brute_force_counts(pairs, context, conditional):
@@ -251,8 +252,22 @@ class TestTraining:
         assert table(a) == table(b)
 
     def test_counting_matches_brute_force(self, rng):
+        self.check_counting(rng, [6])
+
+    @pytest.mark.parametrize(
+        "chunk, sizes", [(1, [1] * 6), (120, [4, 2])], ids=["one-grid", "partial-last"]
+    )
+    def test_counting_matches_brute_force_across_chunks(self, rng, monkeypatch, chunk, sizes):
+        monkeypatch.setattr(prior, "_CHUNK_POSITIONS", chunk)
+        self.check_counting(rng, sizes)
+
+    @staticmethod
+    def check_counting(rng, sizes):
+        """Every corpus, template and `conditional` against the brute-force
+        counter; `sizes` are the grids per chunk of each 6-grid corpus."""
         # K = 5400 with a label and K = 70000 overflow int64 part way
-        # through the code, so those cases re-rank before the last digits.
+        # through the code, so those cases re-rank before the last digits;
+        # the ranks must agree across chunks.
         wide = [
             TokenGrid(2, 3, 70000, [[20310, 56752, 53778], [776, 1, 2]]),
             TokenGrid(2, 3, 70000, [[0, 0, 0], [0, 3, 4]]),
@@ -263,13 +278,33 @@ class TestTraining:
                 (random_grid(rng, height, width, size), random_semantics(rng, height, width, 3))
                 for _ in range(6)
             ])
-        for pairs in corpora:
+            assert [len(c) for c in prior._chunks(corpora[-1])] == sizes
+        # A change of grid shape starts a new chunk.
+        shapes = ((5, 6), (3, 4)) * 3
+        mixed = [(random_grid(rng, h, w, 7), random_semantics(rng, h, w, 3)) for h, w in shapes]
+        assert len(prior._chunks(mixed)) == 6
+        for pairs in corpora + [mixed]:
             for context in (LEFT, DEFAULT_CONTEXT, FOUR_SLOTS):
                 for conditional in (False, True):
                     model = train_markov_prior(pairs, context, conditional)
                     assert table(model) == brute_force_counts(pairs, context, conditional)
                     keys = list(zip(model.contexts.tolist(), model.labels.tolist()))
                     assert keys == sorted(keys)  # model-JSON order
+
+    def test_counting_memory_does_not_grow_with_the_corpus(self):
+        # With the corpus loaded, training adds about 5 MiB for either
+        # corpus; one np.unique over every position added 17.6 MiB for the
+        # 1,000 grids.
+        rng = np.random.default_rng(5)
+        for count in (250, 1000):
+            corpus = [random_grid(rng, 32, 32, 32) for _ in range(count)]
+            tracemalloc.start()
+            try:
+                train_markov_prior(corpus)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (count, peak)
 
 
 class TestStates:

@@ -14,6 +14,7 @@ from gcs.world import (
     default_landscape_config,
     generate_scene,
     generate_scenes,
+    iter_grid_directory,
     load_corpus,
     load_exemplars,
     load_grid_directory,
@@ -438,10 +439,28 @@ class TestLoaders:
         bare = load_grid_directory(tmp_path, with_semantics=False)
         assert bare == [(grid, None)]
 
+    def test_streamed_directory_matches_loaded(self, tmp_path):
+        make_benchmark(small_config(corpus_size=5, exemplars=1), tmp_path)
+        stream = iter_grid_directory(tmp_path)
+        assert iter(stream) is stream
+        assert list(stream) == load_grid_directory(tmp_path) == load_corpus(tmp_path)
+        bare = list(iter_grid_directory(tmp_path, with_semantics=False))
+        assert bare == load_grid_directory(tmp_path, with_semantics=False)
+
+    def test_stream_reads_each_file_when_reached(self, tmp_path, grid_factory):
+        first = grid_factory(4, 4, 6)
+        write_token_grid(tmp_path / "g0.tgrd", first)
+        (tmp_path / "g1.tgrd").write_bytes(b"TGRD")
+        stream = iter_grid_directory(tmp_path)
+        assert next(stream) == (first, None)
+        with pytest.raises(ValidationError):
+            next(stream)
+
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(ValidationError) as exc:
-            load_grid_directory(tmp_path)
-        assert "no token grids found" in str(exc.value)
+        for load in (load_grid_directory, iter_grid_directory):
+            with pytest.raises(ValidationError) as exc:
+                load(tmp_path)
+            assert "no token grids found" in str(exc.value)
 
 
 class TestBuiltinConfigs:
