@@ -4,10 +4,11 @@ Every estimate is a categorical distribution over the codebook, counted
 either globally over a grid (`histogram_from_grid`) or per scope into a
 `ScopedDistributions`: one scope per semantic label (`histogram_by_region`)
 or per cell of a rows x cols tiling over aligned grids
-(`histogram_by_cell`).  Both scoped counts are one bincount over a
-position -> scope index, and one rule averages (`average_scoped`) and
-collapses (`collapse_scoped`) either kind.  Monte-Carlo estimates
-(`monte_carlo_*`) average per-grid estimates over random corpus draws.
+(`histogram_by_cell`).  `_grid_counts` counts every kind, for a list of
+grids or a batch, as (grid, scope, token) counts: one bincount per chunk of
+grids.  One rule averages (`average_scoped`) and collapses
+(`collapse_scoped`) either scoped kind; `monte_carlo_*` count the distinct
+drawn grids once and average their estimates in draw order.
 
 All counting supports additive smoothing with a non-negative alpha:
 
@@ -23,20 +24,27 @@ uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     CategoricalDistribution,
     SemanticGrid,
+    TokenBatch,
     TokenGrid,
     ValidationError,
-    require_same_shape,
 )
 from .rng import draw_indices
 
 DEFAULT_ALPHA = 0.5
+
+# Counting reads chunks of whole grids of at most about this many positions and
+# counts (a larger grid is one chunk); 2**16, as in training, ran estimates slower.
+_CHUNK_POSITIONS = 2**14
+# Largest scopes x codebook size one count may hold; it sizes the count arrays.
+COUNT_CELL_LIMIT = 2**26
 
 
 @dataclass(frozen=True)
@@ -126,9 +134,7 @@ def histogram_from_grid(
     grid: TokenGrid, smoothing_alpha: float = DEFAULT_ALPHA
 ) -> CategoricalDistribution:
     """The smoothed frequency distribution of one grid's tokens."""
-    alpha = _check_alpha(smoothing_alpha)
-    counts = np.bincount(grid.flat, minlength=grid.codebook_size)
-    return smoothed_distribution(counts, alpha)
+    return _estimates([grid], _check_alpha(smoothing_alpha))[0]
 
 
 def histogram_by_region(
@@ -137,13 +143,11 @@ def histogram_by_region(
     smoothing_alpha: float = DEFAULT_ALPHA,
 ) -> ScopedDistributions:
     """Token distributions counted separately inside each semantic region."""
-    alpha = _check_alpha(smoothing_alpha)
-    require_same_shape(grid, semantics)
-    return _count_by_scope([grid], semantics.flat, semantics.label_count, alpha)
+    return _estimates([grid], _check_alpha(smoothing_alpha), [semantics])[0]
 
 
 def histogram_by_cell(
-    grids: Sequence[TokenGrid],
+    grids: TokenBatch | Sequence[TokenGrid],
     cell_rows: int,
     cell_cols: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
@@ -155,51 +159,98 @@ def histogram_by_cell(
     position.
     """
     alpha = _check_alpha(smoothing_alpha)
-    if not grids:
+    shapes = _grid_shapes(grids)
+    if not shapes:
         raise ValidationError("empty grid list")
-    first = grids[0]
-    if cell_rows < 1 or cell_cols < 1:
+    cells = _cell_map(shapes[0], (cell_rows, cell_cols))
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValidationError("grids must share dimensions")
+    counts = sum(chunk.sum(axis=0) for chunk in _grid_counts(grids, cells))
+    return _scoped(counts, alpha, (cell_rows, cell_cols))
+
+
+def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
+    """Each position's cell under a (rows, cols) tiling, as a label map."""
+    (height, width), (rows, cols) = shape, cells
+    if rows < 1 or cols < 1:
         raise ValidationError("cell tiling must be positive")
-    if cell_rows > first.height or cell_cols > first.width:
-        raise ValidationError(
-            f"tiling {cell_rows}x{cell_cols} is finer than the "
-            f"{first.height}x{first.width} grid"
-        )
-    for grid in grids:
-        if (grid.height, grid.width) != (first.height, first.width):
-            raise ValidationError("grids must share dimensions")
-        if grid.codebook_size != first.codebook_size:
-            raise ValidationError("grids must share codebook size")
-    rows, cols = cell_of_position(
-        np.arange(first.height)[:, None], np.arange(first.width)[None, :],
-        first.height, first.width, cell_rows, cell_cols,
+    if rows > height or cols > width:
+        raise ValidationError(f"tiling {rows}x{cols} is finer than the {height}x{width} grid")
+    row, col = cell_of_position(
+        np.arange(height)[:, None], np.arange(width)[None, :], height, width, rows, cols
     )
-    cell_index = (rows * cell_cols + cols).reshape(-1)
-    return _count_by_scope(
-        grids, cell_index, cell_rows * cell_cols, alpha, (cell_rows, cell_cols)
-    )
+    return SemanticGrid(height, width, rows * cols, row * cols + col)
 
 
-def _count_by_scope(
-    grids: Sequence[TokenGrid],
-    scope_index: np.ndarray,
-    scope_count: int,
-    alpha: float,
-    cells: tuple[int, int] | None = None,
-) -> ScopedDistributions:
-    """Pool token counts per scope: position p of each grid counts toward
-    scope ``scope_index[p]``.  A scope with no observations and no smoothing
-    is None."""
-    size = grids[0].codebook_size
-    counts = np.zeros((scope_count, size), dtype=np.int64)
-    for grid in grids:
-        joint = scope_index * size + grid.flat
-        counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
-    scopes = tuple(
+def _grid_shapes(grids: TokenBatch | Sequence[TokenGrid]) -> list[tuple[int, int]]:
+    batch = isinstance(grids, TokenBatch)
+    return [grids.tokens.shape[1:]] * len(grids) if batch else [g.tokens.shape for g in grids]
+
+
+def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
+    """(grid, scope, token) counts of a batch or of grids of one codebook
+    size, one array per chunk of consecutive grids.
+
+    A position's scope is its label in its grid's map (``maps`` holds one
+    per grid, or one for all): a semantic label, or a cell (`_cell_map`).
+    Without maps every position is in scope 0.  A chunk holds consecutive
+    grids of one shape, _CHUNK_POSITIONS // max(positions, scopes x codebook
+    size) of them or one.
+    """
+    shapes = _grid_shapes(grids)
+    if isinstance(grids, TokenBatch):
+        size, tokens = grids.codebook_size, grids.tokens
+    else:
+        sizes = {grid.codebook_size for grid in grids}
+        if len(sizes) > 1:
+            raise ValidationError(f"codebook size mismatch across grids: {sorted(sizes)}")
+        size, tokens = sizes.pop(), [grid.tokens for grid in grids]
+    maps = [maps] * len(shapes) if isinstance(maps, SemanticGrid) else maps
+    scopes = max(sem.label_count for sem in maps) if maps else 1
+    if scopes * size > COUNT_CELL_LIMIT:
+        raise ValidationError(f"{scopes} scopes x {size} tokens exceeds the limit {COUNT_CELL_LIMIT}")
+    for (height, width), sem in zip(shapes, maps or ()):
+        if (sem.height, sem.width) != (height, width):
+            raise ValidationError(
+                f"grid is {height}x{width} but semantic map is {sem.height}x{sem.width}"
+            )
+    start = 0
+    for (height, width), run in groupby(shapes):
+        end = start + len(list(run))
+        step = max(1, _CHUNK_POSITIONS // max(height * width, scopes * size))
+        for first in range(start, end, step):
+            n = min(step, end - first)
+            # (grid, token, scope) codes, built in place and dropped before the yield.
+            index = np.concatenate(tokens[first : first + n]).reshape(n, -1)
+            index += (np.arange(n) * size)[:, None]
+            if maps:
+                index *= scopes
+                index += np.concatenate([sem.labels for sem in maps[first : first + n]]).reshape(n, -1)
+            index = np.bincount(index.reshape(-1), minlength=n * size * scopes)
+            yield index.reshape(n, size, scopes).transpose(0, 2, 1)
+        start = end
+
+
+def _scoped(counts: np.ndarray, alpha: float, cells=None) -> ScopedDistributions:
+    """Smoothed (scopes, tokens) counts; an unobserved, unsmoothed scope is None."""
+    return ScopedDistributions(tuple(
         None if alpha == 0.0 and not row.any() else smoothed_distribution(row, alpha)
         for row in counts
-    )
-    return ScopedDistributions(scopes, cells)
+    ), cells)
+
+
+def _estimates(grids, alpha: float, semantics=None, cells=None) -> list:
+    """Each grid's own estimate: global, per label of its map in
+    ``semantics``, or per cell of a (rows, cols) tiling of its shape."""
+    if cells is not None:
+        shapes = _grid_shapes(grids)
+        maps = {shape: _cell_map(shape, cells) for shape in dict.fromkeys(shapes)}
+        counts = chain.from_iterable(_grid_counts(grids, [maps[s] for s in shapes]))
+        return [_scoped(c, alpha, cells) for c in counts]
+    if semantics is None:
+        return [smoothed_distribution(c[0], alpha) for c in chain.from_iterable(_grid_counts(grids))]
+    counts = chain.from_iterable(_grid_counts(grids, semantics))
+    return [_scoped(c[: sem.label_count], alpha) for c, sem in zip(counts, semantics)]
 
 
 def average_distributions(
@@ -276,22 +327,17 @@ average_regional = average_spatial = average_scoped
 collapse_regional = collapse_spatial = collapse_scoped
 
 
-def _monte_carlo(corpus, draws, smoothing_alpha, seed, estimate, average):
-    """Average ``estimate(corpus[i], alpha)`` over ``draws`` indices drawn
-    with replacement, estimating each distinct index once."""
+def _monte_carlo(corpus, draws, smoothing_alpha, seed, estimates, average):
+    """Average, in draw order, the estimates of ``draws`` corpus items drawn with
+    replacement; ``estimates(items, alpha)`` estimates the distinct ones in one pass."""
     alpha = _check_alpha(smoothing_alpha)
     if draws < 1:
         raise ValidationError(f"draw count must be >= 1, got {draws}")
     if not corpus:
         raise ValidationError("empty corpus")
-    cache: dict = {}
-    selected = []
-    for i in draw_indices(len(corpus), draws, seed):
-        i = int(i)
-        if i not in cache:
-            cache[i] = estimate(corpus[i], alpha)
-        selected.append(cache[i])
-    return average(selected)
+    drawn, order = np.unique(draw_indices(len(corpus), draws, seed), return_inverse=True)
+    found = estimates([corpus[i] for i in drawn.tolist()], alpha)
+    return average([found[i] for i in order.tolist()])
 
 
 def monte_carlo_dataset_distribution(
@@ -302,9 +348,7 @@ def monte_carlo_dataset_distribution(
 ) -> CategoricalDistribution:
     """Uniformly average the histograms of ``draws`` grids sampled with
     replacement; deterministic for a given seed."""
-    return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed, histogram_from_grid, average_distributions
-    )
+    return _monte_carlo(corpus, draws, smoothing_alpha, seed, _estimates, average_distributions)
 
 
 def monte_carlo_regional_distribution(
@@ -316,7 +360,8 @@ def monte_carlo_regional_distribution(
     """Monte-Carlo regional variant: per-label averages over sampled pairs."""
     return _monte_carlo(
         corpus, draws, smoothing_alpha, seed,
-        lambda pair, alpha: histogram_by_region(*pair, alpha), average_scoped,
+        lambda pairs, alpha: _estimates([g for g, _ in pairs], alpha, [s for _, s in pairs]),
+        average_scoped,
     )
 
 
@@ -331,6 +376,6 @@ def monte_carlo_spatial_distribution(
     """Monte-Carlo spatial variant: per-cell averages over sampled grids."""
     return _monte_carlo(
         corpus, draws, smoothing_alpha, seed,
-        lambda grid, alpha: histogram_by_cell([grid], cell_rows, cell_cols, alpha),
+        lambda grids, alpha: _estimates(grids, alpha, cells=(cell_rows, cell_cols)),
         average_scoped,
     )

@@ -4,52 +4,56 @@ Comparisons run in histogram space: a sample grid is reduced to its token
 histogram (exact counts, no smoothing: the sample is data) and compared to
 smoothed full-support reference distributions.  KL direction is always
 KL(sample || reference), which penalizes sample mass on tokens the
-reference style never uses.
-"""
+reference style never uses.  `distributions._grid_counts` counts each
+sample set (grids or a batch) once, per label only where labels are used."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError, grid_pairs
+from .core import (
+    CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError, grid_pairs
+)
 from .distributions import (
-    ScopedDistributions,
-    collapse_scoped,
-    histogram_by_cell,
-    histogram_by_region,
-    histogram_from_grid,
-    smoothed_distribution,
+    ScopedDistributions, _grid_counts, collapse_scoped, histogram_by_cell, smoothed_rows
 )
 from .formats import dump_json
 
 
 def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    if p.codebook_size != q.codebook_size:
-        raise ValidationError(
-            f"codebook size mismatch: {p.codebook_size} vs {q.codebook_size}"
-        )
-    support = p.probs > 0.0
+    return _kl(p.probs, q)
+
+
+def total_variation(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+    return _tv(p.probs, q)
+
+
+def _kl(p: np.ndarray, q: CategoricalDistribution) -> float:
+    """KL(p || q) for a probability row p, summed over p's support."""
+    _check_sizes(p, q)
+    support = p > 0.0
     missing = support & (q.probs <= 0.0)
     if missing.any():
-        raise ValidationError(
-            f"q lacks support at index {int(np.flatnonzero(missing)[0])}"
-        )
-    value = float(np.sum(p.probs[support] * np.log(p.probs[support] / q.probs[support])))
+        raise ValidationError(f"q lacks support at index {int(np.flatnonzero(missing)[0])}")
+    value = float(np.sum(p[support] * np.log(p[support] / q.probs[support])))
     # Cancellation can leave a tiny negative residue when p ~= q.
     return max(value, 0.0)
 
 
-def total_variation(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    if p.codebook_size != q.codebook_size:
-        raise ValidationError(
-            f"codebook size mismatch: {p.codebook_size} vs {q.codebook_size}"
-        )
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+def _tv(p: np.ndarray, q: CategoricalDistribution) -> float:
+    _check_sizes(p, q)
+    return 0.5 * float(np.abs(p - q.probs).sum())
+
+
+def _check_sizes(p: np.ndarray, q: CategoricalDistribution) -> None:
+    if p.size != q.codebook_size:
+        raise ValidationError(f"codebook size mismatch: {p.size} vs {q.codebook_size}")
 
 
 @dataclass(frozen=True)
@@ -80,27 +84,11 @@ class StyleReference:
         return scopes[label] if label < len(scopes) else None
 
 
-def _regional_score(
-    grid: TokenGrid,
-    semantics: SemanticGrid,
-    reference: StyleReference,
-    smoothing_alpha: float,
-) -> float:
-    regional = histogram_by_region(grid, semantics, smoothing_alpha)
-    total = sum(regional.masses)
-    if total <= 0:
-        raise ValidationError("sample has no token mass")
-    score = 0.0
-    for label, dist in enumerate(regional.scopes):
-        if dist is None or dist.source_mass <= 0:
-            continue
-        ref = reference.label_target(label)
-        if ref is None:
-            raise ValidationError(
-                f"reference {reference.name!r} has no distribution for label {label}"
-            )
-        score += (dist.source_mass / total) * kl_divergence(dist, ref)
-    return score
+def _label_rows(counts: np.ndarray, alpha: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The labels a sample covers, their smoothed rows and every label's mass."""
+    masses = counts.sum(axis=1)
+    present = np.flatnonzero(masses).tolist()
+    return present, smoothed_rows(counts[present], alpha), masses
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ class StyleMatchResult:
 
 
 def style_match_rate(
-    samples: Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
+    samples: TokenBatch | Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
     styles: Sequence[StyleReference],
     smoothing_alpha: float = 0.0,
     true_styles: Sequence[str] | None = None,
@@ -132,35 +120,43 @@ def style_match_rate(
     if len(regional_flags) != 1:
         raise ValidationError("references must be all global or all regional")
     regional_mode = regional_flags.pop()
-    pairs = grid_pairs(samples)
-    if not pairs:
+    if isinstance(samples, TokenBatch):
+        grids, maps = samples, [None] * len(samples)
+    else:
+        pairs = grid_pairs(samples)
+        grids, maps = [grid for grid, _ in pairs], [sem for _, sem in pairs]
+    if not grids:
         raise ValidationError("empty sample set")
-    if true_styles is not None and len(true_styles) != len(pairs):
-        raise ValidationError(
-            f"{len(true_styles)} true styles for {len(pairs)} samples"
-        )
+    if true_styles is not None and len(true_styles) != len(grids):
+        raise ValidationError(f"{len(true_styles)} true styles for {len(grids)} samples")
+    if regional_mode and any(sem is None for sem in maps):
+        raise ValidationError("regional style matching requires a semantic map per sample")
 
     assigned = []
-    for grid, semantics in pairs:
+    for counts in chain.from_iterable(_grid_counts(grids, maps if regional_mode else None)):
         if regional_mode:
-            if semantics is None:
-                raise ValidationError(
-                    "regional style matching requires a semantic map per sample"
-                )
-            scores = [
-                _regional_score(grid, semantics, ref, smoothing_alpha)
-                for ref in styles
-            ]
+            present, probs, masses = _label_rows(counts, smoothing_alpha)
+            total = float(masses.sum())
+            scores = []
+            for ref in styles:
+                score = 0.0
+                for label, row in zip(present, probs):
+                    target = ref.label_target(label)
+                    if target is None:
+                        raise ValidationError(
+                            f"reference {ref.name!r} has no distribution for label {label}"
+                        )
+                    score += (float(masses[label]) / total) * _kl(row, target)
+                scores.append(score)
         else:
-            hist = histogram_from_grid(grid, smoothing_alpha)
-            scores = [kl_divergence(hist, ref.distribution) for ref in styles]
+            hist = smoothed_rows(counts, smoothing_alpha)[0]
+            scores = [_kl(hist, ref.distribution) for ref in styles]
         assigned.append(styles[int(np.argmin(scores))].name)
 
     counts: dict = {ref.name: 0 for ref in styles}
     for name in assigned:
         counts[name] += 1
-    accuracy = None
-    confusion = None
+    accuracy = confusion = None
     if true_styles is not None:
         confusion = {ref.name: {other.name: 0 for other in styles} for ref in styles}
         hits = 0
@@ -171,19 +167,6 @@ def style_match_rate(
             hits += truth == got
         accuracy = hits / len(assigned)
     return StyleMatchResult(tuple(assigned), counts, accuracy, confusion)
-
-
-def _broadcast_regions(
-    regions: SemanticGrid | Sequence[SemanticGrid] | None, count: int
-) -> list[SemanticGrid] | None:
-    if regions is None:
-        return None
-    if isinstance(regions, SemanticGrid):
-        return [regions] * count
-    regions = list(regions)
-    if len(regions) != count:
-        raise ValidationError(f"{len(regions)} semantic maps for {count} samples")
-    return regions
 
 
 @dataclass(frozen=True)
@@ -215,79 +198,51 @@ class GuidanceReport:
     kl_reduction_per_label: dict
 
 
-def _pooled_counts(grids: Sequence[TokenGrid]) -> CategoricalDistribution:
-    counts = np.zeros(grids[0].codebook_size)
-    for grid in grids:
-        counts += np.bincount(grid.flat, minlength=grid.codebook_size)
-    return smoothed_distribution(counts, 0.0)
-
-
-def _pooled_regional(regionals: Sequence[ScopedDistributions]) -> dict:
-    """Per-label pooled sample histograms (exact counts), absent labels skipped."""
-    totals: dict = {}
-    for regional in regionals:
-        for label, dist in enumerate(regional.scopes):
-            if dist is None:
-                continue
-            counts = dist.probs * dist.source_mass
-            if label in totals:
-                totals[label] = totals[label] + counts
-            else:
-                totals[label] = counts
-    return {
-        label: smoothed_distribution(counts, 0.0)
-        for label, counts in sorted(totals.items())
-    }
-
-
 def _set_summary(
-    grids: Sequence[TokenGrid],
-    regions: list[SemanticGrid] | None,
+    grids: TokenBatch | Sequence[TokenGrid],
+    regions: SemanticGrid | list[SemanticGrid] | None,
     target: StyleReference,
     prefix: str,
     seeds: Sequence[int] | None,
 ) -> SetSummary:
-    rows = []
-    per_sample_kl = []
-    regionals = []  # each grid's per-label histogram, pooled below
-    for i, grid in enumerate(grids):
-        hist = histogram_from_grid(grid, 0.0)
-        kl = kl_divergence(hist, target.distribution)
-        tv = total_variation(hist, target.distribution)
-        per_sample_kl.append(kl)
+    by_label = regions is not None and target.regional is not None
+    # Per-label pools add each sample's probs x mass in sample order, as
+    # floats; (c / m) * m is not always c.
+    rows, pooled, pooled_labels = [], 0, 0.0
+    samples = chain.from_iterable(_grid_counts(grids, regions if by_label else None))
+    for i, counts in enumerate(samples):
+        total = counts.sum(axis=0)
+        pooled = pooled + total
+        hist = smoothed_rows(total[None], 0.0)[0]
         kl_labels: dict = {}
-        if regions is not None and target.regional is not None:
-            regional = histogram_by_region(grid, regions[i], 0.0)
-            regionals.append(regional)
-            for label, dist in enumerate(regional.scopes):
+        if by_label:
+            present, probs, masses = _label_rows(counts, 0.0)
+            label_probs = np.zeros(counts.shape)
+            label_probs[present] = probs
+            pooled_labels = pooled_labels + label_probs * masses[:, None]
+            for label, row in zip(present, probs):
                 ref = target.label_target(label)
-                if dist is None or ref is None:
-                    continue
-                kl_labels[label] = kl_divergence(dist, ref)
-        rows.append(
-            SampleRow(
-                sample_id=f"{prefix}-{i:03d}",
-                seed=None if seeds is None else seeds[i],
-                kl_global=kl,
-                tv_global=tv,
-                kl_per_label=kl_labels,
-                assigned_style=None,
-            )
-        )
+                if ref is not None:
+                    kl_labels[label] = _kl(row, ref)
+        rows.append(SampleRow(
+            sample_id=f"{prefix}-{i:03d}", seed=None if seeds is None else seeds[i],
+            kl_global=_kl(hist, target.distribution), tv_global=_tv(hist, target.distribution),
+            kl_per_label=kl_labels, assigned_style=None,
+        ))
 
-    pooled = _pooled_counts(grids)
-    kl_per_label: dict = {}
-    tv_per_label: dict = {}
-    for label, dist in _pooled_regional(regionals).items():
-        ref = target.label_target(label)
-        if ref is None:
-            continue
-        kl_per_label[label] = kl_divergence(dist, ref)
-        tv_per_label[label] = total_variation(dist, ref)
+    pooled = smoothed_rows(pooled[None], 0.0)[0]
+    kl_per_label, tv_per_label = {}, {}
+    if by_label:
+        present = np.flatnonzero(pooled_labels.any(axis=1)).tolist()
+        for label, row in zip(present, smoothed_rows(pooled_labels[present], 0.0)):
+            ref = target.label_target(label)
+            if ref is not None:
+                kl_per_label[label] = _kl(row, ref)
+                tv_per_label[label] = _tv(row, ref)
     return SetSummary(
-        pooled_kl=kl_divergence(pooled, target.distribution),
-        pooled_tv=total_variation(pooled, target.distribution),
-        mean_kl=float(np.mean(per_sample_kl)),
+        pooled_kl=_kl(pooled, target.distribution),
+        pooled_tv=_tv(pooled, target.distribution),
+        mean_kl=float(np.mean([row.kl_global for row in rows])),
         kl_per_label=kl_per_label,
         tv_per_label=tv_per_label,
         rows=tuple(rows),
@@ -302,8 +257,8 @@ def relative_reduction(guided: float, unguided: float) -> float:
 
 
 def guidance_report(
-    guided: Sequence[TokenGrid],
-    unguided: Sequence[TokenGrid],
+    guided: TokenBatch | Sequence[TokenGrid],
+    unguided: TokenBatch | Sequence[TokenGrid],
     target: StyleReference,
     regions: SemanticGrid | Sequence[SemanticGrid] | None = None,
     guided_seeds: Sequence[int] | None = None,
@@ -313,15 +268,15 @@ def guidance_report(
 
     `regions` applies to both sets, enabling per-label breakdowns.
     """
-    guided = list(guided)
-    unguided = list(unguided)
     if not guided or not unguided:
         raise ValidationError("guided and unguided sample sets must be non-empty")
-    guided_regions = _broadcast_regions(regions, len(guided))
-    unguided_regions = _broadcast_regions(regions, len(unguided))
-
-    g = _set_summary(guided, guided_regions, target, "guided", guided_seeds)
-    u = _set_summary(unguided, unguided_regions, target, "unguided", unguided_seeds)
+    if not isinstance(regions, (SemanticGrid, type(None))):
+        regions = list(regions)
+        for count in (len(guided), len(unguided)):
+            if len(regions) != count:
+                raise ValidationError(f"{len(regions)} semantic maps for {count} samples")
+    g = _set_summary(guided, regions, target, "guided", guided_seeds)
+    u = _set_summary(unguided, regions, target, "unguided", unguided_seeds)
     per_label = {
         label: relative_reduction(g.kl_per_label[label], u.kl_per_label[label])
         for label in sorted(set(g.kl_per_label) & set(u.kl_per_label))
@@ -336,7 +291,7 @@ def guidance_report(
 
 
 def spatial_divergence(
-    samples: Sequence[TokenGrid],
+    samples: TokenBatch | Sequence[TokenGrid],
     reference: ScopedDistributions,
 ) -> float:
     """Mass-weighted mean per-cell KL of pooled sample counts to a reference.
@@ -346,7 +301,6 @@ def spatial_divergence(
     """
     if reference.cells is None:
         raise ValidationError("spatial divergence needs per-cell reference statistics")
-    samples = list(samples)
     if not samples:
         raise ValidationError("empty sample set")
     pooled = histogram_by_cell(samples, *reference.cells, 0.0)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from gcs.cli import main
-from gcs.core import CategoricalDistribution, TokenGrid
+from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid
 from gcs.distributions import (
+    COUNT_CELL_LIMIT,
     ScopedDistributions,
     average_distributions,
     histogram_by_cell,
@@ -934,6 +935,32 @@ def test_oversized_model_exits_2_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "exceeds the limit" in err and "Traceback" not in err
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("command", [
+    "style-stats corpus/g0.tgrd --out s.json --by-region",
+    "dataset-stats --corpus corpus --out d.json --k 1 --by-region",
+])
+def test_oversized_counts_exit_2_before_allocating(tmp_path, monkeypatch, capsys, command):
+    # A 4x4 grid over 2**20 tokens with a map of 2**20 labels: per-label
+    # counts would need a 2**20 x 2**20 array.
+    size = GRID_VOCAB_LIMIT
+    assert size * size > COUNT_CELL_LIMIT
+    monkeypatch.chdir(tmp_path)
+    Path("corpus").mkdir()
+    positions = np.arange(16).reshape(4, 4)
+    write_token_grid("corpus/g0.tgrd", TokenGrid(4, 4, size, positions * 65_000))
+    write_semantic_grid("corpus/g0.sgrd", SemanticGrid(4, 4, size, positions * 7))
+    tracemalloc.start()
+    try:
+        rc = main(command.split())
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "exceeds the limit" in err and "Traceback" not in err
     assert peak < 4 * 2**20
 
 

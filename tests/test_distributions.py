@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
+import gcs.distributions
+from gcs.core import CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from gcs.distributions import (
     ScopedDistributions,
+    _grid_counts,
     average_distributions,
     average_scoped,
     cell_of_position,
@@ -350,3 +352,58 @@ class TestSmoothingLimit:
         near = histogram_from_grid(grid, 1e-9)
         assert float(np.abs(near.probs - raw.probs).max()) < 1e-9
         assert math.isclose(float(near.probs.sum()), 1.0, abs_tol=1e-12)
+
+
+def brute_force_counts(grids, maps, size):
+    """(grid, scope, token) counts, one position at a time."""
+    scopes = max((sem.label_count for sem in maps), default=1) if maps else 1
+    counts = np.zeros((len(grids), scopes, size), dtype=np.int64)
+    for i, tokens in enumerate(grids):
+        for r in range(tokens.shape[0]):
+            for c in range(tokens.shape[1]):
+                scope = int(maps[i].labels[r, c]) if maps else 0
+                counts[i, scope, int(tokens[r, c])] += 1
+    return counts
+
+
+SHAPES = {
+    "mixed": [(3, 4)] * 4 + [(2, 2), (2, 2), (1, 5)],
+    "same": [(3, 4)] * 7,
+}
+# Chunks hold grids of one shape.  With at most 12 positions and 3 labels x
+# 5 tokens per grid, a chunk constant of 1 gives one-grid chunks, 45 gives
+# three 3x4 grids a chunk (then a partial one), and 2**16 one chunk per shape.
+CHUNK_SIZES = {
+    ("mixed", 1): [1] * 7, ("mixed", 45): [3, 1, 2, 1], ("mixed", 2**16): [4, 2, 1],
+    ("same", 1): [1] * 7, ("same", 45): [3, 3, 1], ("same", 2**16): [7],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 45, 2**16])
+@pytest.mark.parametrize("inputs", ["list-mixed", "list-same", "batch"])
+@pytest.mark.parametrize("scoping", ["global", "shared", "per-grid"])
+def test_grid_counts_match_brute_force(monkeypatch, rng, chunk, inputs, scoping):
+    monkeypatch.setattr(gcs.distributions, "_CHUNK_POSITIONS", chunk)
+    size = 5
+    kind = "mixed" if inputs == "list-mixed" else "same"
+    shapes = SHAPES[kind]
+    tokens = [rng.integers(0, size, shape) for shape in shapes]
+    if scoping == "global":
+        maps = None
+    elif scoping == "shared":
+        maps = SemanticGrid(3, 4, 3, rng.integers(0, 3, (3, 4)))
+    else:
+        maps = [SemanticGrid(*shape, 2 + i % 2, rng.integers(0, 2 + i % 2, shape))
+                for i, shape in enumerate(shapes)]
+    if inputs == "batch":
+        grids = TokenBatch(np.stack(tokens), size)
+    else:
+        grids = [TokenGrid(*t.shape, size, t) for t in tokens]
+    if scoping == "shared" and inputs == "list-mixed":
+        with pytest.raises(ValidationError, match="grid is 2x2 but semantic map is 3x4"):
+            list(_grid_counts(grids, maps))
+        return
+    chunks = list(_grid_counts(grids, maps))
+    assert [len(c) for c in chunks] == CHUNK_SIZES[kind, chunk]
+    per_grid = [maps] * len(shapes) if isinstance(maps, SemanticGrid) else maps
+    assert np.array_equal(np.concatenate(chunks), brute_force_counts(tokens, per_grid, size))

@@ -1,12 +1,22 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid, ValidationError
+from gcs.core import CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError
 import gcs.metrics
-from gcs.distributions import ScopedDistributions, histogram_by_cell, histogram_by_region
+from gcs.distributions import (
+    ScopedDistributions,
+    _grid_counts,
+    average_scoped,
+    histogram_by_cell,
+    histogram_by_region,
+    monte_carlo_dataset_distribution,
+    monte_carlo_regional_distribution,
+    monte_carlo_spatial_distribution,
+)
 from gcs.metrics import (
     GuidanceReport,
     StyleReference,
@@ -20,6 +30,8 @@ from gcs.metrics import (
     write_report,
     write_report_csv,
 )
+
+from conftest import random_grid
 
 
 def dist(probs, mass=0.0):
@@ -249,25 +261,40 @@ class TestGuidanceReport:
         assert report.kl_reduction_per_label[0] > 0.5
         assert report.guided.kl_per_label[0] < report.unguided.kl_per_label[0]
 
-    def test_each_grid_histogrammed_by_region_once(self, monkeypatch):
-        calls = []
+    def test_each_set_counted_once_and_batches_never_indexed(self, monkeypatch):
+        counted = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return histogram_by_region(*args, **kwargs)
+        def counting(grids, *args):
+            counted.append(len(grids))
+            return _grid_counts(grids, *args)
 
-        monkeypatch.setattr(gcs.metrics, "histogram_by_region", counted)
+        def refuse(batch, index):
+            raise AssertionError("a TokenBatch was indexed")
+
+        monkeypatch.setattr(gcs.metrics, "_grid_counts", counting)
+        monkeypatch.setattr(TokenBatch, "__getitem__", refuse)
         target = StyleReference(
             "goal",
             dist([0.45, 0.45, 0.05, 0.05]),
             ScopedDistributions((dist([0.9, 0.04, 0.03, 0.03], 8.0), None)),
         )
         rng = np.random.default_rng(3)
-        grids = [TokenGrid(8, 8, 4, rng.integers(0, 4, (8, 8))) for _ in range(10)]
+        tokens = rng.integers(0, 4, (12, 8, 8))
         sem = SemanticGrid(8, 8, 2, np.repeat(np.arange(8)[:, None] // 4, 8, axis=1))
-        report = guidance_report(grids[:5], grids[5:], target, regions=sem)
-        assert len(calls) == 10
+        report = guidance_report(
+            TokenBatch(tokens[:5], 4), TokenBatch(tokens[5:], 4), target, regions=sem
+        )
+        assert counted == [5, 7]
         assert set(report.guided.kl_per_label) == {0}
+
+        smoothed = ScopedDistributions((dist([0.4, 0.3, 0.2, 0.1], 8.0),) * 2)
+        refs = [StyleReference(name, dist([0.25] * 4), smoothed) for name in "abc"]
+        counted.clear()
+        global_refs = [StyleReference(ref.name, ref.distribution) for ref in refs]
+        style_match_rate(TokenBatch(tokens, 4), global_refs)
+        pairs = [(TokenGrid(8, 8, 4, block), sem) for block in tokens]
+        style_match_rate(pairs, refs)
+        assert counted == [12, 12]
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValidationError):
@@ -338,3 +365,138 @@ class TestSpatialDivergence:
         with pytest.raises(ValidationError) as exc:
             spatial_divergence([TokenGrid(1, 2, 2, [0, 1])], reference)
         assert "per-cell reference" in str(exc.value)
+
+
+def _styled_grids(rng, n, height, width, size, favoured, weight=6.0):
+    """Grids whose tokens lean toward the ``favoured`` tokens."""
+    weights = np.ones(size)
+    weights[list(favoured)] = weight
+    tokens = rng.choice(size, (n, height, width), p=weights / weights.sum())
+    return [TokenGrid(height, width, size, block) for block in tokens]
+
+
+def _stats_bytes(stats) -> bytes:
+    """A byte encoding of a distribution or scoped statistics, floats exact."""
+    if isinstance(stats, CategoricalDistribution):
+        return stats.probs.tobytes() + repr(stats.source_mass).encode()
+    parts = [repr(stats.cells).encode()]
+    for scope in stats.scopes:
+        parts.append(b"none" if scope is None else _stats_bytes(scope))
+    return b"|".join(parts)
+
+
+def metrics_and_stats_digests(tmp_path) -> dict:
+    """sha256 of every metrics output and Monte-Carlo estimate over fixed
+    inputs: report JSON and CSV bytes, style matching, spatial divergence."""
+    rng = np.random.default_rng(1215)
+    size, labels = 7, 3
+    maps = [
+        SemanticGrid(5, 6, labels, rng.integers(0, labels, (5, 6))) for _ in range(12)
+    ]
+    sem = maps[0]
+    style_a = _styled_grids(rng, 12, 5, 6, size, (0, 1))
+    style_b = _styled_grids(rng, 12, 5, 6, size, (4, 5))
+    guided = _styled_grids(rng, 9, 5, 6, size, (0, 2))
+    unguided = _styled_grids(rng, 11, 5, 6, size, (3,))
+    regional_a = average_scoped(
+        [histogram_by_region(g, s, 0.5) for g, s in zip(style_a, maps)]
+    )
+    regional_b = average_scoped(
+        [histogram_by_region(g, s, 0.5) for g, s in zip(style_b, maps)]
+    )
+    ref_a = StyleReference.from_stats("a", regional_a)
+    ref_b = StyleReference.from_stats("b", regional_b)
+    # No target for label 1: the report skips it.
+    partial_scopes = ScopedDistributions((regional_a.scopes[0], None, regional_a.scopes[2]))
+    partial = StyleReference("partial", ref_a.distribution, partial_scopes)
+    out: dict = {}
+
+    def report_digest(name, *args, **kwargs):
+        report = guidance_report(*args, **kwargs)
+        write_report(tmp_path / "r.json", report)
+        write_report_csv(tmp_path / "r.csv", report)
+        digest = hashlib.sha256((tmp_path / "r.json").read_bytes())
+        digest.update((tmp_path / "r.csv").read_bytes())
+        out[name] = digest.hexdigest()
+
+    batch = lambda grids: TokenBatch(np.stack([g.tokens for g in grids]), size)
+    seeds = dict(guided_seeds=list(range(100, 109)), unguided_seeds=list(range(11)))
+    global_ref = StyleReference("g", ref_a.distribution)
+    report_digest("report-global-list", guided, unguided, global_ref, **seeds)
+    report_digest("report-global-batch", batch(guided), batch(unguided), global_ref, **seeds)
+    report_digest("report-regional-list", guided, unguided, ref_a, regions=sem, **seeds)
+    report_digest("report-regional-batch", batch(guided), batch(unguided), ref_a, regions=sem)
+    report_digest("report-regional-maps", guided, guided, partial, regions=maps[:9], **seeds)
+    report_digest("report-regional-maps-batch", batch(guided), batch(guided), ref_b,
+                  regions=maps[3:12])
+    mixed = [random_grid(rng, h, w, size) for h, w in ((5, 6), (3, 3), (1, 8), (5, 6), (4, 2))]
+    report_digest("report-global-mixed", mixed, mixed[::-1] + style_b[:2], global_ref,
+                  guided_seeds=[1, 2, 3, 4, 5])
+
+    # Weakly styled samples, so that some are assigned to the other style.
+    samples = _styled_grids(rng, 6, 5, 6, size, (0, 1, 4), 1.6) + _styled_grids(
+        rng, 6, 5, 6, size, (4, 5, 0), 1.6
+    )
+    truth = ["a"] * 6 + ["b"] * 6
+    for alpha in (0.0, 0.5):
+        for name, refs, items in (
+            ("global", (StyleReference("a", ref_a.distribution),
+                        StyleReference("b", ref_b.distribution)), samples),
+            ("regional", (ref_a, ref_b), list(zip(samples, maps))),
+        ):
+            result = style_match_rate(items, refs, alpha, truth)
+            text = repr((result.assigned, result.counts, result.accuracy, result.confusion))
+            out[f"match-{name}-{alpha}"] = hashlib.sha256(text.encode()).hexdigest()
+
+    cells = histogram_by_cell(style_a, 2, 3, 0.5)
+    text = repr((spatial_divergence(guided, cells), spatial_divergence(style_a[:1], cells)))
+    out["spatial-divergence"] = hashlib.sha256(text.encode()).hexdigest()
+
+    corpus_maps = [SemanticGrid(5, 6, labels, m.labels) for m in maps]
+    corpus_maps[4] = SemanticGrid(5, 6, labels, np.minimum(maps[4].labels, 1))
+    pairs = list(zip(style_a, corpus_maps))
+    mixed_corpus = mixed + style_b
+    for alpha in (0.0, 0.5):
+        for name, stats in (
+            ("global", monte_carlo_dataset_distribution(mixed_corpus, 40, alpha, seed=3)),
+            ("regional", monte_carlo_regional_distribution(pairs, 40, alpha, seed=4)),
+            ("spatial", monte_carlo_spatial_distribution(style_b, 2, 2, 40, alpha, seed=5)),
+        ):
+            out[f"mc-{name}-{alpha}"] = hashlib.sha256(_stats_bytes(stats)).hexdigest()
+
+    # Label 0 covers 22 positions, 15 of them token 1: in float64
+    # (15 / 22) * 22 != 15, so pooling per-label probs x mass and pooling the
+    # exact counts give different reports.
+    layout = SemanticGrid(5, 6, 2, (np.arange(30) >= 22).reshape(5, 6))
+    inexact = []
+    for other in (2, 3, 2, 4, 2, 5):
+        tokens = np.concatenate([rng.permutation([1] * 15 + [other] * 7), rng.integers(0, 7, 8)])
+        inexact.append(TokenGrid(5, 6, size, tokens.reshape(5, 6)))
+    report_digest("report-regional-inexact", inexact, inexact[::-1], ref_a, regions=layout)
+    return out
+
+
+def test_metrics_and_stats_are_pinned(tmp_path):
+    # Taken from the per-grid histogram implementation that one chunked
+    # count replaced; a reordered float sum changes them.
+    assert metrics_and_stats_digests(tmp_path) == {
+        "match-global-0.0": "a377612cc2ca97ece98ee77ddbeb2a6fd7b8969363741e9ae29cc9433a4179e0",
+        "match-global-0.5": "a377612cc2ca97ece98ee77ddbeb2a6fd7b8969363741e9ae29cc9433a4179e0",
+        "match-regional-0.0": "cb6e3b2a6e63651d873df9d388e17b9bc7c7f9d4d8ee549945533c8fe0e9d333",
+        "match-regional-0.5": "a377612cc2ca97ece98ee77ddbeb2a6fd7b8969363741e9ae29cc9433a4179e0",
+        "mc-global-0.0": "3127a827362c31ee7e7392469f603765c58b741d14391d0ac9094dfff9d7cf7e",
+        "mc-global-0.5": "ce688e2a2714b549d721e8d2666063afeab174b04c75cedae1cf899caf26c3e2",
+        "mc-regional-0.0": "7cf19f1b9cb11a5c47f51742781eaf28d87bcdced9b387497eeb664d2ba231e1",
+        "mc-regional-0.5": "a5ed65507f0a612db43a672d286524f33623d614e20a8ed1d6475280498543bc",
+        "mc-spatial-0.0": "18a9da12381e66ed22d68ad35c3eca8a4729d6a49cc9d2e3dcfe7511c26057eb",
+        "mc-spatial-0.5": "934ac926171e4eba119dd23f403fc74167d628423c4dab7b6144e921aa15574a",
+        "report-global-batch": "22f290672efeabbdae7438806a21216f7239f10a4c74965adf09a344e73a185a",
+        "report-global-list": "22f290672efeabbdae7438806a21216f7239f10a4c74965adf09a344e73a185a",
+        "report-global-mixed": "c6e64b646272f697836e8775dfa3e31ee1b84bd6fdedb319f61ecba8fd1e1396",
+        "report-regional-batch": "25b5632d63aaf74fd71ae381951baf02d810fbb82ae570444073f96af8aafb3f",
+        "report-regional-inexact": "f6be951d98bd49392fedc5bf2f50c10aff4e7795560b6effb135956862fa3bf9",
+        "report-regional-list": "ee52ade01c8af96dc8a6bd1202de495c8516598151cf9b54ac97c7469c95af1b",
+        "report-regional-maps": "cf3ca5a51a627bec8f907ddcb1c64aaa01cf14f5701000151f55163976c18e51",
+        "report-regional-maps-batch": "24bc8ff056d53f23bea356fa03a0d5c7cbbf3bffd110b32212ca586cc4d423ca",
+        "spatial-divergence": "b62c24908ea6cedbf5c915eff19d47477a824c6ac45603caee4b08e3a0d61504",
+    }

@@ -78,3 +78,26 @@ def test_every_gcs_name_perfbench_reads_exists(perfbench):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+# Functions whose spans perfbench reads by `<layer>.<function>` name.  An
+# alias under another `__name__` still passes the name check above but
+# records its spans under the other name.
+SPANNED = {
+    "distributions": (
+        "monte_carlo_dataset_distribution",
+        "monte_carlo_regional_distribution",
+        "monte_carlo_spatial_distribution",
+    ),
+    "metrics": ("guidance_report",),
+    "world": ("load_grid_directory", "make_benchmark"),
+    "prior": ("train_markov_prior", "save_model", "load_model"),
+    "formats": ("read_token_grid", "read_semantic_grid", "write_token_grid", "write_semantic_grid"),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(SPANNED))
+def test_spanned_functions_keep_their_span_names(perfbench, layer):
+    module = importlib.import_module(f"gcs.{layer}")
+    for name in SPANNED[layer]:
+        assert perfbench["spans"].span_name(getattr(module, name)) == f"{layer}.{name}"
