@@ -13,7 +13,7 @@ import statistics
 from pathlib import Path
 
 from gcs.distributions import (
-    average_distributions,
+    average_scoped,
     histogram_from_grid,
     monte_carlo_dataset_distribution,
 )
@@ -60,7 +60,7 @@ def main() -> None:
     refs = {}
     for style in config.styles:
         exemplars = [grid for grid, _ in load_exemplars(bench, style.name)]
-        refs[style.name] = average_distributions(
+        refs[style.name] = average_scoped(
             [histogram_from_grid(grid, 0.5) for grid in exemplars]
         )
     if args.target not in refs:

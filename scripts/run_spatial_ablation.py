@@ -14,7 +14,7 @@ import statistics
 from pathlib import Path
 
 from gcs.distributions import (
-    average_distributions,
+    average_scoped,
     collapse_scoped,
     histogram_by_cell,
     histogram_from_grid,
@@ -53,7 +53,7 @@ def main() -> None:
     model = train_markov_prior(corpus)
 
     exemplars = [grid for grid, _ in load_exemplars(bench, args.target)]
-    style_global = average_distributions(
+    style_global = average_scoped(
         [histogram_from_grid(grid, 0.5) for grid in exemplars]
     )
     style_spatial = histogram_by_cell(exemplars, 2, 1, 0.5)

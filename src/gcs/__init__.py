@@ -3,8 +3,8 @@
 The pipeline: estimate a style's token distribution and the dataset's
 Monte-Carlo token distribution, form their element-wise ratio as a
 guidance weight vector, and rebalance a trained autoregressive prior with
-it at every generation step.  Variants scope the statistics per semantic
-region or per spatial cell.
+it at every generation step.  Every statistic is one `ScopedDistributions`
+whose layout is global, per semantic region or per spatial cell.
 """
 
 from .core import (
@@ -19,16 +19,13 @@ from .core import (
 )
 from .distributions import (
     ScopedDistributions,
-    average_distributions,
     average_scoped,
     collapse_scoped,
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
-    monte_carlo_dataset_distribution,
-    monte_carlo_regional_distribution,
-    monte_carlo_spatial_distribution,
-    smoothed_distribution,
+    histograms,
+    monte_carlo_distribution,
 )
 from .guidance import (
     LikelihoodTable,
@@ -36,7 +33,6 @@ from .guidance import (
     global_likelihood_table,
     scoped_likelihoods,
     select_likelihood,
-    style_likelihood,
 )
 from .metrics import (
     GuidanceReport,

@@ -16,18 +16,8 @@ import re
 import sys
 from pathlib import Path
 
-from .core import CategoricalDistribution, TokenGrid, ValidationError
-from .distributions import (
-    average_distributions,
-    average_scoped,
-    collapse_scoped,
-    histogram_by_cell,
-    histogram_by_region,
-    histogram_from_grid,
-    monte_carlo_dataset_distribution,
-    monte_carlo_regional_distribution,
-    monte_carlo_spatial_distribution,
-)
+from .core import TokenGrid, ValidationError
+from .distributions import average_scoped, collapse_scoped, histograms, monte_carlo_distribution
 from .formats import (
     dump_json,
     load_json,
@@ -37,7 +27,7 @@ from .formats import (
     write_stats,
     write_token_grid,
 )
-from .guidance import global_likelihood_table, scoped_likelihoods
+from .guidance import scoped_likelihoods
 from .metrics import StyleReference, guidance_report, write_report, write_report_csv
 from .prior import load_model, parse_context_template, save_model, train_markov_prior
 from .rng import split_seed
@@ -82,33 +72,17 @@ def parse_tiling(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _stats_mode(stats) -> str:
-    return "global" if isinstance(stats, CategoricalDistribution) else stats.mode
-
-
 def _build_guidance(style_path, dataset_path, exponent, mode_override):
     style = read_stats(style_path)
     dataset = read_stats(dataset_path)
-    style_mode = _stats_mode(style)
-    dataset_mode = _stats_mode(dataset)
-    if style_mode != dataset_mode:
+    if mode_override is not None and mode_override != style.kind:
         raise ValidationError(
-            f"style stats are {style_mode} but dataset stats are {dataset_mode}; "
-            "regenerate one side so the modes match"
+            f"--mode {mode_override} does not match the {style.kind} stats files"
         )
-    if mode_override is not None and mode_override != style_mode:
-        raise ValidationError(
-            f"--mode {mode_override} does not match the {style_mode} stats files"
-        )
-    if style_mode == "global":
-        table = global_likelihood_table(style, dataset, exponent)
-    elif style.cells:
-        table = scoped_likelihoods(style, dataset, None, None, exponent)
-    else:
-        table = scoped_likelihoods(
-            style, dataset, collapse_scoped(style), collapse_scoped(dataset), exponent
-        )
-    return table, style_mode
+    table = scoped_likelihoods(
+        style, dataset, collapse_scoped(style), collapse_scoped(dataset), exponent
+    )
+    return table, style.kind
 
 
 def _load_samples(directory) -> tuple[list[TokenGrid], list | None]:
@@ -179,22 +153,12 @@ def cmd_dataset_stats(args) -> int:
             file=sys.stderr,
         )
     seed = resolve_seed(args.seed)
-    if args.by_region:
-        if any(sem is None for sem in maps):
-            raise ValidationError("--by-region needs a semantic map for every corpus grid")
-        stats = monte_carlo_regional_distribution(
-            list(zip(grids, maps)), args.k, args.alpha, seed
-        )
-        mode = "regional"
-    elif args.by_cell is not None:
-        rows, cols = args.by_cell
-        stats = monte_carlo_spatial_distribution(
-            grids, rows, cols, args.k, args.alpha, seed
-        )
-        mode = f"spatial {rows}x{cols}"
-    else:
-        stats = monte_carlo_dataset_distribution(grids, args.k, args.alpha, seed)
-        mode = "global"
+    if args.by_region and any(sem is None for sem in maps):
+        raise ValidationError("--by-region needs a semantic map for every corpus grid")
+    stats = monte_carlo_distribution(
+        grids, args.k, args.alpha, seed, maps if args.by_region else None, args.by_cell
+    )
+    mode = stats.kind if args.by_cell is None else "spatial {}x{}".format(*args.by_cell)
     write_stats(args.out, stats)
     print(f"wrote {mode} dataset statistics (K={args.k}, seed={seed}) to {args.out}")
     return 0
@@ -206,9 +170,9 @@ def cmd_style_stats(args) -> int:
         raise ValidationError(
             f"{len(paths)} style inputs given; pass --average to combine them"
         )
-    per_input = []
+    grids, maps = [], []
     for path in paths:
-        grid = read_token_grid(path)
+        grids.append(read_token_grid(path))
         if args.by_region:
             sem_path = path.with_suffix(".sgrd")
             if not sem_path.exists():
@@ -216,19 +180,9 @@ def cmd_style_stats(args) -> int:
                     f"--by-region requires a semantic map next to each input "
                     f"(expected {sem_path})"
                 )
-            semantics = read_semantic_grid(sem_path)
-            per_input.append(histogram_by_region(grid, semantics, args.alpha))
-        elif args.by_cell is not None:
-            rows, cols = args.by_cell
-            per_input.append(histogram_by_cell([grid], rows, cols, args.alpha))
-        else:
-            per_input.append(histogram_from_grid(grid, args.alpha))
-    if len(per_input) == 1:
-        stats = per_input[0]
-    elif isinstance(per_input[0], CategoricalDistribution):
-        stats = average_distributions(per_input)
-    else:
-        stats = average_scoped(per_input)
+            maps.append(read_semantic_grid(sem_path))
+    per_input = histograms(grids, args.alpha, maps if args.by_region else None, args.by_cell)
+    stats = per_input[0] if len(per_input) == 1 else average_scoped(per_input)
     write_stats(args.out, stats)
     print(f"wrote style statistics from {len(paths)} exemplar(s) to {args.out}")
     return 0

@@ -185,6 +185,27 @@ def require_same_shape(grid: TokenGrid, semantics: SemanticGrid) -> None:
         )
 
 
+def check_rows(probs: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Validate (R, K >= 2) probability rows with one observation mass each,
+    and return which rows hold a distribution.  Entries are finite and
+    >= 0; a row sums to 1 within PROB_SUM_TOL or is all zero with mass 0."""
+    if probs.ndim != 2 or probs.shape[1] < 2 or masses.shape != probs.shape[:1]:
+        raise ValidationError(
+            f"need (rows, K >= 2) probabilities and one mass per row, "
+            f"got {probs.shape} and {masses.shape}"
+        )
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (probs, masses)):
+        raise ValidationError("probabilities and masses must be finite and >= 0")
+    present = probs.any(axis=1)
+    sums = probs.sum(axis=1)
+    off = (np.abs(sums - 1.0) > PROB_SUM_TOL) & (present | (masses > 0.0))
+    if off.any():
+        raise ValidationError(
+            f"probabilities sum to {sums[off][0]!r}, outside 1 +/- {PROB_SUM_TOL}"
+        )
+    return present
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalDistribution:
     """A normalized probability vector over codebook indices.
@@ -198,29 +219,15 @@ class CategoricalDistribution:
     source_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.codebook_size < 2:
-            raise ValidationError(
-                f"codebook size must be >= 2, got {self.codebook_size}"
-            )
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size != self.codebook_size:
             raise ValidationError(
                 f"probability vector must have length {self.codebook_size}, "
                 f"got shape {probs.shape}"
             )
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("probability vector contains non-finite entries")
-        if np.any(probs < 0.0):
-            idx = int(np.argmax(probs < 0.0))
-            raise ValidationError(f"negative probability {probs[idx]} at index {idx}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {total!r}, outside 1 +/- {PROB_SUM_TOL}"
-            )
         mass = float(self.source_mass)
-        if not np.isfinite(mass) or mass < 0.0:
-            raise ValidationError(f"source mass must be finite and >= 0, got {mass}")
+        if not check_rows(probs[None], np.array([mass]))[0]:
+            raise ValidationError("an all-zero vector is not a distribution")
         object.__setattr__(self, "probs", _readonly(probs.copy()))
         object.__setattr__(self, "source_mass", mass)
 

@@ -1,41 +1,35 @@
-"""Codebook-index distribution estimation from token grids.
+"""Codebook-index statistics of token grids, held in one array-backed type.
 
-Every estimate is a categorical distribution over the codebook, counted
-either globally over a grid (`histogram_from_grid`) or per scope into a
-`ScopedDistributions`: one scope per semantic label (`histogram_by_region`)
-or per cell of a rows x cols tiling over aligned grids
-(`histogram_by_cell`).  `_grid_counts` counts every kind, for a list of
-grids or a batch, as (grid, scope, token) counts: one bincount per chunk of
-grids.  One rule averages (`average_scoped`) and collapses
-(`collapse_scoped`) either scoped kind; `monte_carlo_*` count the distinct
-drawn grids once and average their estimates in draw order.
+Every statistic is a `ScopedDistributions`: one smoothed probability row
+and one observation mass per scope of a layout.  The layout is "global"
+(one scope covering every position, `histogram_from_grid`), "regional" (one
+scope per semantic label, `histogram_by_region`) or a (rows, cols) tiling
+(one scope per cell of aligned grids, `histogram_by_cell`).  `_grid_counts`
+counts every layout, for a list of grids or a batch, as (grid, scope,
+token) counts: one bincount per chunk of grids.  `_estimates` turns them
+into each grid's own rows, and one rule each averages rows in draw order
+(`average_scoped`, `monte_carlo_distribution`) and collapses scoped rows
+into global ones (`collapse_scoped`), whatever the layout.
 
 All counting supports additive smoothing with a non-negative alpha:
 
     p[t] = (count(t) + alpha) / (observations + alpha * codebook_size)
 
 With alpha > 0 every entry is strictly positive, which downstream ratio
-guidance relies on.  Monte-Carlo estimates and scope-wise averages weight
-each estimate uniformly; `average_distributions` can also weight by mass
-(equivalent to pooling raw counts when alpha = 0), which `collapse_scoped`
-uses.
+guidance relies on.  Averages weight each estimate uniformly;
+`collapse_scoped` weights each scope by its mass (equivalent to pooling raw
+counts when alpha = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, groupby
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    CategoricalDistribution,
-    SemanticGrid,
-    TokenBatch,
-    TokenGrid,
-    ValidationError,
-)
+from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, check_rows
 from .rng import draw_indices
 
 DEFAULT_ALPHA = 0.5
@@ -47,36 +41,59 @@ _CHUNK_POSITIONS = 2**14
 COUNT_CELL_LIMIT = 2**26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScopedDistributions:
-    """Distributions kept per scope: per semantic label, or per spatial cell.
+    """Token distributions over the scopes of one layout.
 
-    ``scopes`` holds one distribution per semantic label, or, when ``cells``
-    gives a (rows, cols) tiling, one per cell in row-major order.  Position
-    (r, c) of an H x W grid belongs to cell
+    ``probs`` (scopes, K) holds one probability row per scope and ``masses``
+    (scopes,) the observations behind each.  ``layout`` is "global" (one
+    scope covering every position), "regional" (one scope per semantic
+    label) or a (rows, cols) tiling: one scope per cell in row-major order,
+    where position (r, c) of an H x W grid belongs to cell
     (floor(r * rows / H), floor(c * cols / W)).  A label nobody observed
-    (zero area, zero smoothing) is stored as None rather than as an invalid
-    vector; every cell covers a position, so cells are never None.  A
-    scope's observation mass is its distribution's ``source_mass``.
+    (zero area, zero smoothing) has an all-zero row and mass 0 and is not
+    ``present``; every cell covers a position, so cells are always present.
+    The arrays are read-only copies.
     """
 
-    scopes: tuple[CategoricalDistribution | None, ...]
-    cells: tuple[int, int] | None = None
+    probs: np.ndarray
+    masses: np.ndarray
+    layout: str | tuple[int, int] = "regional"
+    present: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scopes", tuple(self.scopes))
-        check_scope_layout(self.scopes, self.cells, "distributions")
-        sizes = {dist.codebook_size for dist in self.scopes if dist is not None}
-        if len(sizes) > 1:
-            raise ValidationError(f"scopes mix codebook sizes {sorted(sizes)}")
+        probs = np.array(self.probs, dtype=np.float64)
+        masses = np.array(self.masses, dtype=np.float64)
+        present = check_rows(probs, masses)
+        if isinstance(self.layout, str):
+            if self.layout not in ("global", "regional"):
+                raise ValidationError(f"unknown statistics layout {self.layout!r}")
+        else:
+            object.__setattr__(self, "layout", tuple(int(n) for n in self.layout))
+        check_scope_layout(tuple(p or None for p in present.tolist()), self.cells, "distributions")
+        object.__setattr__(self, "probs", _readonly(probs))
+        object.__setattr__(self, "masses", _readonly(masses))
+        object.__setattr__(self, "present", _readonly(present))
 
     @property
-    def mode(self) -> str:
-        return "regional" if self.cells is None else "spatial"
+    def kind(self) -> str:
+        """"global", "regional" or "spatial": what a statistics file declares."""
+        return self.layout if isinstance(self.layout, str) else "spatial"
 
     @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(0.0 if d is None else d.source_mass for d in self.scopes)
+    def cells(self) -> tuple[int, int] | None:
+        """The tiling that picks a position's scope; global is 1x1, labels have none."""
+        return {"global": (1, 1), "regional": None}.get(self.layout, self.layout)
+
+    @property
+    def codebook_size(self) -> int:
+        return self.probs.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScopedDistributions):
+            return NotImplemented
+        return (self.layout == other.layout and np.array_equal(self.probs, other.probs)
+                and np.array_equal(self.masses, other.masses))
 
 
 def check_scope_layout(scopes: tuple, cells: tuple[int, int] | None, what: str) -> None:
@@ -109,18 +126,15 @@ def cell_of_position(
 def smoothed_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
     """Additively smoothed (R, K) count rows, each as a probability row."""
     denominators = counts.sum(axis=1, keepdims=True) + alpha * counts.shape[1]
+    if not np.all(np.isfinite(denominators)):
+        raise ValidationError(
+            f"smoothing alpha {alpha} over {counts.shape[1]} tokens overflows the row total"
+        )
     if np.any(denominators <= 0.0):
         raise ValidationError(
             "zero observations with zero smoothing: distribution is undefined"
         )
     return (counts + alpha) / denominators
-
-
-def smoothed_distribution(counts: np.ndarray, alpha: float) -> CategoricalDistribution:
-    """Turn raw per-token counts into an additively smoothed distribution."""
-    counts = np.asarray(counts, dtype=np.float64)
-    probs = smoothed_rows(counts[None], alpha)[0]
-    return CategoricalDistribution(counts.size, probs, source_mass=float(counts.sum()))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -130,11 +144,24 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def histograms(
+    grids: TokenBatch | Sequence[TokenGrid],
+    smoothing_alpha: float = DEFAULT_ALPHA,
+    maps: Sequence[SemanticGrid] | None = None,
+    cells: tuple[int, int] | None = None,
+) -> list[ScopedDistributions]:
+    """Each grid's own smoothed distributions: global, per label of its map
+    in ``maps``, or per cell of a (rows, cols) tiling of its shape."""
+    rows, masses = _estimates(grids, _check_alpha(smoothing_alpha), maps, cells)
+    layout = _layout(maps, cells)
+    return [ScopedDistributions(r, m, layout) for r, m in zip(rows, masses)]
+
+
 def histogram_from_grid(
     grid: TokenGrid, smoothing_alpha: float = DEFAULT_ALPHA
-) -> CategoricalDistribution:
+) -> ScopedDistributions:
     """The smoothed frequency distribution of one grid's tokens."""
-    return _estimates([grid], _check_alpha(smoothing_alpha))[0]
+    return histograms([grid], smoothing_alpha)[0]
 
 
 def histogram_by_region(
@@ -143,7 +170,7 @@ def histogram_by_region(
     smoothing_alpha: float = DEFAULT_ALPHA,
 ) -> ScopedDistributions:
     """Token distributions counted separately inside each semantic region."""
-    return _estimates([grid], _check_alpha(smoothing_alpha), [semantics])[0]
+    return histograms([grid], smoothing_alpha, [semantics])[0]
 
 
 def histogram_by_cell(
@@ -166,7 +193,7 @@ def histogram_by_cell(
     if any(shape != shapes[0] for shape in shapes):
         raise ValidationError("grids must share dimensions")
     counts = sum(chunk.sum(axis=0) for chunk in _grid_counts(grids, cells))
-    return _scoped(counts, alpha, (cell_rows, cell_cols))
+    return ScopedDistributions(*_smoothed(counts, alpha), (cell_rows, cell_cols))
 
 
 def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
@@ -185,8 +212,6 @@ def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
 def _grid_shapes(grids: TokenBatch | Sequence[TokenGrid]) -> list[tuple[int, int]]:
     batch = isinstance(grids, TokenBatch)
     return [grids.tokens.shape[1:]] * len(grids) if batch else [g.tokens.shape for g in grids]
-
-
 def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
     """(grid, scope, token) counts of a batch or of grids of one codebook
     size, one array per chunk of consecutive grids.
@@ -231,151 +256,134 @@ def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
         start = end
 
 
-def _scoped(counts: np.ndarray, alpha: float, cells=None) -> ScopedDistributions:
-    """Smoothed (scopes, tokens) counts; an unobserved, unsmoothed scope is None."""
-    return ScopedDistributions(tuple(
-        None if alpha == 0.0 and not row.any() else smoothed_distribution(row, alpha)
-        for row in counts
-    ), cells)
+
+def _smoothed(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed rows and masses of (..., K) counts; a row with no
+    observations and no smoothing stays all zero (an absent scope)."""
+    masses = counts.sum(axis=-1).astype(np.float64)
+    rows = np.zeros(counts.shape)
+    present = (masses > 0.0) | (alpha > 0.0)
+    rows[present] = smoothed_rows(counts[present].astype(np.float64), alpha)
+    return rows, masses
 
 
-def _estimates(grids, alpha: float, semantics=None, cells=None) -> list:
-    """Each grid's own estimate: global, per label of its map in
-    ``semantics``, or per cell of a (rows, cols) tiling of its shape."""
+def _estimates(grids, alpha: float, maps=None, cells=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid's own smoothed rows and masses, as (grids, scopes, K) and
+    (grids, scopes) arrays: global, per label of its map in ``maps`` (all
+    with one label count), or per cell of a (rows, cols) tiling of its shape."""
     if cells is not None:
         shapes = _grid_shapes(grids)
-        maps = {shape: _cell_map(shape, cells) for shape in dict.fromkeys(shapes)}
-        counts = chain.from_iterable(_grid_counts(grids, [maps[s] for s in shapes]))
-        return [_scoped(c, alpha, cells) for c in counts]
-    if semantics is None:
-        return [smoothed_distribution(c[0], alpha) for c in chain.from_iterable(_grid_counts(grids))]
-    counts = chain.from_iterable(_grid_counts(grids, semantics))
-    return [_scoped(c[: sem.label_count], alpha) for c, sem in zip(counts, semantics)]
+        by_shape = {shape: _cell_map(shape, cells) for shape in dict.fromkeys(shapes)}
+        maps = [by_shape[shape] for shape in shapes]
+    elif maps is not None and len({sem.label_count for sem in maps}) > 1:
+        raise ValidationError("scope layout mismatch across estimates")
+    parts = [_smoothed(counts, alpha) for counts in _grid_counts(grids, maps)]
+    return np.concatenate([rows for rows, _ in parts]), np.concatenate([m for _, m in parts])
 
 
-def average_distributions(
-    dists: Sequence[CategoricalDistribution], weighting: str = "uniform"
-) -> CategoricalDistribution:
-    """Combine distributions by uniform or mass-weighted arithmetic mean.
+def _layout(maps, cells) -> str | tuple[int, int]:
+    return tuple(cells) if cells is not None else "global" if maps is None else "regional"
 
-    The result's source mass is the sum of the inputs' masses under either
-    weighting; mass weighting additionally requires positive total mass.
+
+def _mean_rows(rows: np.ndarray, masses: np.ndarray, order, layout) -> ScopedDistributions:
+    """Scope-wise uniform mean of the estimates ``rows[order]`` ((E, S, K)
+    rows, (E, S) masses), summed in that order; ``rows`` is overwritten.
+
+    For each scope only estimates that observed it (mass > 0) contribute.
+    If nobody did, the scope keeps the first smoothing-only row in order,
+    with mass 0, or stays absent.  The mean is renormalized.
     """
-    if not dists:
-        raise ValidationError("cannot average an empty list of distributions")
-    size = dists[0].codebook_size
-    for d in dists:
-        if d.codebook_size != size:
-            raise ValidationError(
-                f"codebook size mismatch: {d.codebook_size} vs {size}"
-            )
-    total_mass = float(sum(d.source_mass for d in dists))
-    stack = np.stack([d.probs for d in dists])
-    if weighting == "uniform":
-        mean = stack.mean(axis=0)
-    elif weighting == "mass":
-        if total_mass <= 0.0:
-            raise ValidationError("mass weighting requires positive total mass")
-        weights = np.array([d.source_mass for d in dists]) / total_mass
-        mean = weights @ stack
-    else:
-        raise ValidationError(f"unknown weighting {weighting!r}")
-    return CategoricalDistribution(
-        codebook_size=size, probs=mean / mean.sum(), source_mass=total_mass
-    )
+    observed = masses > 0.0
+    firsts = order[rows.any(axis=2)[order].argmax(axis=0)]
+    out = rows[firsts, np.arange(rows.shape[1])]
+    rows[~observed] = 0.0
+    total = np.zeros(out.shape)
+    for i in order.tolist():
+        total += rows[i]
+    counts = observed[order].sum(axis=0)
+    seen = counts > 0
+    mean = total[seen] / counts[seen, None]
+    out[seen] = mean / mean.sum(axis=1, keepdims=True)
+    return ScopedDistributions(out, masses[order].sum(axis=0), layout)
 
 
 def average_scoped(estimates: Sequence[ScopedDistributions]) -> ScopedDistributions:
-    """Scope-wise uniform average across estimates sharing one scope layout.
-
-    For each scope only estimates that actually observed it (mass > 0)
-    contribute.  If nobody did, the scope stays absent unless some estimate
-    carries a smoothing-only vector, which is passed through with mass 0.
-    """
+    """Scope-wise uniform average of estimates sharing one layout, in their
+    order (see `_mean_rows`)."""
     if not estimates:
         raise ValidationError("cannot average an empty list")
+    sizes = sorted({e.codebook_size for e in estimates})
+    if len(sizes) > 1:
+        raise ValidationError(f"estimates mix codebook sizes {sizes}")
     first = estimates[0]
-    if any((e.cells, len(e.scopes)) != (first.cells, len(first.scopes)) for e in estimates):
+    if any((e.layout, len(e.probs)) != (first.layout, len(first.probs)) for e in estimates):
         raise ValidationError("scope layout mismatch across estimates")
-    scopes: list[CategoricalDistribution | None] = []
-    for j in range(len(first.scopes)):
-        present = [est.scopes[j] for est in estimates if est.scopes[j] is not None]
-        observed = [dist for dist in present if dist.source_mass > 0.0]
-        if observed:
-            scopes.append(average_distributions(observed))
-        else:
-            scopes.append(present[0] if present else None)
-    return ScopedDistributions(tuple(scopes), first.cells)
+    rows = np.stack([e.probs for e in estimates])
+    masses = np.stack([e.masses for e in estimates])
+    return _mean_rows(rows, masses, np.arange(len(estimates)), first.layout)
 
 
-def collapse_scoped(stats: ScopedDistributions) -> CategoricalDistribution:
-    """Mass-weighted global distribution implied by per-scope estimates.
+def collapse_scoped(stats: ScopedDistributions) -> ScopedDistributions:
+    """The global distribution implied by scoped statistics: the mass-weighted
+    mean of the observed scopes, or the uniform mean of smoothing-only ones.
+    Global statistics are their own.
 
     Used as the fallback reference wherever a per-label vector is missing.
     """
-    present = [dist for dist in stats.scopes if dist is not None]
-    observed = [dist for dist in present if dist.source_mass > 0.0]
-    if observed:
-        return average_distributions(observed, "mass")
-    if not present:
+    if stats.kind == "global":
+        return stats
+    observed = stats.masses > 0.0
+    if observed.any():
+        total = sum(stats.masses[observed].tolist())
+        mean = (stats.masses[observed] / total) @ stats.probs[observed]
+    elif stats.present.any():
+        total, mean = 0.0, stats.probs[stats.present].mean(axis=0)
+    else:
         raise ValidationError("no label carries a distribution")
-    return average_distributions(present, "uniform")
+    return ScopedDistributions((mean / mean.sum())[None], [total], "global")
 
 
-# Names the benchmark harness calls; both scope kinds share one body.
-average_regional = average_spatial = average_scoped
-collapse_regional = collapse_spatial = collapse_scoped
-
-
-def _monte_carlo(corpus, draws, smoothing_alpha, seed, estimates, average):
-    """Average, in draw order, the estimates of ``draws`` corpus items drawn with
-    replacement; ``estimates(items, alpha)`` estimates the distinct ones in one pass."""
+def monte_carlo_distribution(
+    grids: Sequence[TokenGrid],
+    draws: int,
+    smoothing_alpha: float = DEFAULT_ALPHA,
+    seed: int = 0,
+    maps: Sequence[SemanticGrid] | None = None,
+    cells: tuple[int, int] | None = None,
+) -> ScopedDistributions:
+    """Uniformly average, in draw order, the estimates of ``draws`` grids
+    drawn with replacement: global, per label of each grid's map in
+    ``maps``, or per cell of a (rows, cols) tiling.  Deterministic for a
+    given seed; each distinct drawn grid is counted once."""
     alpha = _check_alpha(smoothing_alpha)
     if draws < 1:
         raise ValidationError(f"draw count must be >= 1, got {draws}")
-    if not corpus:
+    if not grids:
         raise ValidationError("empty corpus")
-    drawn, order = np.unique(draw_indices(len(corpus), draws, seed), return_inverse=True)
-    found = estimates([corpus[i] for i in drawn.tolist()], alpha)
-    return average([found[i] for i in order.tolist()])
+    drawn, order = np.unique(draw_indices(len(grids), draws, seed), return_inverse=True)
+    picked = drawn.tolist()
+    maps = None if maps is None else [maps[i] for i in picked]
+    rows, masses = _estimates([grids[i] for i in picked], alpha, maps, cells)
+    return _mean_rows(rows, masses, order, _layout(maps, cells))
 
 
-def monte_carlo_dataset_distribution(
-    corpus: Sequence[TokenGrid],
-    draws: int,
-    smoothing_alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> CategoricalDistribution:
-    """Uniformly average the histograms of ``draws`` grids sampled with
-    replacement; deterministic for a given seed."""
-    return _monte_carlo(corpus, draws, smoothing_alpha, seed, _estimates, average_distributions)
+# Names the benchmark harness calls: each layout's one body, and the
+# Monte-Carlo estimates under the names their spans are timed by.
+average_distributions = average_regional = average_spatial = average_scoped
+collapse_regional = collapse_spatial = collapse_scoped
 
 
-def monte_carlo_regional_distribution(
-    corpus: Sequence[tuple[TokenGrid, SemanticGrid]],
-    draws: int,
-    smoothing_alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> ScopedDistributions:
-    """Monte-Carlo regional variant: per-label averages over sampled pairs."""
-    return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed,
-        lambda pairs, alpha: _estimates([g for g, _ in pairs], alpha, [s for _, s in pairs]),
-        average_scoped,
-    )
+def monte_carlo_dataset_distribution(corpus, draws, smoothing_alpha=DEFAULT_ALPHA, seed=0):
+    return monte_carlo_distribution(corpus, draws, smoothing_alpha, seed)
+
+
+def monte_carlo_regional_distribution(corpus, draws, smoothing_alpha=DEFAULT_ALPHA, seed=0):
+    maps = [sem for _, sem in corpus]
+    return monte_carlo_distribution([g for g, _ in corpus], draws, smoothing_alpha, seed, maps)
 
 
 def monte_carlo_spatial_distribution(
-    corpus: Sequence[TokenGrid],
-    cell_rows: int,
-    cell_cols: int,
-    draws: int,
-    smoothing_alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> ScopedDistributions:
-    """Monte-Carlo spatial variant: per-cell averages over sampled grids."""
-    return _monte_carlo(
-        corpus, draws, smoothing_alpha, seed,
-        lambda grids, alpha: _estimates(grids, alpha, cells=(cell_rows, cell_cols)),
-        average_scoped,
-    )
+    corpus, cell_rows, cell_cols, draws, smoothing_alpha=DEFAULT_ALPHA, seed=0
+):
+    cells = (cell_rows, cell_cols)
+    return monte_carlo_distribution(corpus, draws, smoothing_alpha, seed, cells=cells)

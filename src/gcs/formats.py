@@ -15,10 +15,14 @@ so that rewriting identical data yields identical bytes; floats are encoded
 with shortest round-trip decimal representation, so probabilities survive a
 save/load cycle bit-exactly.
 
-Statistics files declare their "kind": "global" (one distribution),
+Statistics files declare their "kind": "global" (one distribution entry),
 "regional" (one entry per label, None for unobserved labels, with the label
 count and per-label masses repeated alongside) or "spatial" (cell rows of
-entries).  Both scoped kinds read into one `ScopedDistributions`.
+entries).  An entry holds a codebook size, a probability list and a source
+mass.  Every kind reads into, and is written from, one
+`ScopedDistributions` whose layout is the kind (a (rows, cols) tiling for
+"spatial"), so a one-label regional file and a 1x1 spatial file each keep
+their kind.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    CategoricalDistribution,
     FormatError,
     SemanticGrid,
     TokenGrid,
     ValidationError,
 )
-from .distributions import ScopedDistributions
+from .distributions import COUNT_CELL_LIMIT, ScopedDistributions
 
 GRID_VERSION = 1
 _HEADER = struct.Struct("<4sHHIII")
@@ -147,88 +150,74 @@ def load_json(path: str | Path) -> Any:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def distribution_to_dict(dist: CategoricalDistribution) -> dict:
-    return {
-        "codebook_size": dist.codebook_size,
-        "probs": [float(p) for p in dist.probs],
-        "source_mass": float(dist.source_mass),
-    }
-
-
-def distribution_from_dict(payload: dict) -> CategoricalDistribution:
-    for key in ("codebook_size", "probs", "source_mass"):
-        if key not in payload:
-            raise FormatError(f"distribution JSON is missing key {key!r}")
-    try:
-        return CategoricalDistribution(
-            codebook_size=int(payload["codebook_size"]),
-            probs=np.asarray(payload["probs"], dtype=np.float64),
-            source_mass=float(payload["source_mass"]),
-        )
-    except ValidationError as exc:
-        raise FormatError(f"distribution JSON violates invariants: {exc}") from exc
-
-
 def scoped_to_dict(stats: ScopedDistributions) -> dict:
-    """The v1 "regional" (per label) or "spatial" (per cell rows) layout."""
-    if stats.cells is None:
+    """The v1 layout of the statistics' kind."""
+    entries = [
+        {"codebook_size": probs.size, "probs": probs.tolist(), "source_mass": mass}
+        if present else None
+        for probs, mass, present in zip(stats.probs, stats.masses.tolist(), stats.present)
+    ]
+    if stats.kind == "global":
+        return {"kind": "global", **entries[0]}
+    if stats.kind == "regional":
         return {
             "kind": "regional",
-            "label_count": len(stats.scopes),
-            "per_label": [
-                None if dist is None else distribution_to_dict(dist)
-                for dist in stats.scopes
-            ],
-            "per_label_mass": list(stats.masses),
+            "label_count": len(entries),
+            "per_label": entries,
+            "per_label_mass": stats.masses.tolist(),
         }
     rows, cols = stats.cells
     return {
         "kind": "spatial",
         "cell_rows": rows,
         "cell_cols": cols,
-        "per_cell": [
-            [distribution_to_dict(dist) for dist in stats.scopes[r * cols:(r + 1) * cols]]
-            for r in range(rows)
-        ],
+        "per_cell": [entries[r * cols:(r + 1) * cols] for r in range(rows)],
     }
 
 
 def scoped_from_dict(payload: dict, kind: str) -> ScopedDistributions:
-    """Read either v1 scoped layout.  Its redundant fields (label count,
-    masses, cell rows) must be exactly what the decoded entries imply."""
-    try:
-        if kind == "regional":
-            entries, cells = payload["per_label"], None
-        else:
-            entries = [entry for row in payload["per_cell"] for entry in row]
-            cells = (int(payload["cell_rows"]), int(payload["cell_cols"]))
-        stats = ScopedDistributions(
-            tuple(None if e is None else distribution_from_dict(e) for e in entries), cells
+    """Read any v1 layout.  Its redundant fields (codebook size, label
+    count, masses, cell rows) must be exactly what the decoded entries imply."""
+    if kind == "global":
+        entries, layout = [payload], "global"
+    elif kind == "regional":
+        entries, layout = payload["per_label"], "regional"
+    else:
+        entries = [entry for row in payload["per_cell"] for entry in row]
+        layout = (int(payload["cell_rows"]), int(payload["cell_cols"]))
+    sizes = sorted({len(entry["probs"]) for entry in entries if entry is not None})
+    if len(sizes) != 1:
+        raise ValidationError(
+            f"scopes mix codebook sizes {sizes}" if sizes else "no scope carries a distribution"
         )
-        for key, value in sorted(scoped_to_dict(stats).items()):
-            if key != "kind" and payload[key] != value:
-                raise ValidationError(f"{key} does not match the entries")
-        return stats
-    except ValidationError as exc:
-        raise FormatError(f"{kind} stats JSON violates invariants: {exc}") from exc
+    if len(entries) * sizes[0] > COUNT_CELL_LIMIT:
+        raise ValidationError(
+            f"{len(entries)} scopes x {sizes[0]} tokens exceeds the limit {COUNT_CELL_LIMIT}"
+        )
+    probs = np.zeros((len(entries), sizes[0]))
+    masses = np.zeros(len(entries))
+    for j, entry in enumerate(entries):
+        if entry is not None:
+            probs[j], masses[j] = entry["probs"], float(entry["source_mass"])
+    stats = ScopedDistributions(probs, masses, layout)
+    for key, value in sorted(scoped_to_dict(stats).items()):
+        if key != "kind" and payload[key] != value:
+            raise ValidationError(f"{key} does not match the entries")
+    return stats
 
 
-def write_stats(path: str | Path, stats) -> None:
-    """Write a global or scoped statistics file.
+def write_stats(path: str | Path, stats: ScopedDistributions) -> None:
+    """Write a statistics file.
 
     The payload is self-describing via its "kind" field so consumers can
     infer the guidance mode from the file alone.
     """
-    if isinstance(stats, CategoricalDistribution):
-        payload = {"kind": "global", **distribution_to_dict(stats)}
-    elif isinstance(stats, ScopedDistributions):
-        payload = scoped_to_dict(stats)
-    else:
+    if not isinstance(stats, ScopedDistributions):
         raise ValidationError(f"cannot serialize statistics of type {type(stats).__name__}")
-    dump_json(path, payload)
+    dump_json(path, scoped_to_dict(stats))
 
 
-def read_stats(path: str | Path):
+def read_stats(path: str | Path) -> ScopedDistributions:
     """Read a statistics file, dispatching on its declared or implied kind.
 
     Any malformed payload, whatever its shape, is a `FormatError`.
@@ -249,11 +238,11 @@ def read_stats(path: str | Path):
     if kind not in ("global", "regional", "spatial"):
         raise FormatError(f"{path}: unknown statistics kind {kind!r}")
     try:
-        if kind == "global":
-            return distribution_from_dict(payload)
         return scoped_from_dict(payload, kind)
     except FormatError:
         raise
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {kind} stats JSON violates invariants: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"{path}: {kind} statistics are missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -9,10 +9,12 @@ overflow.
 
 A `LikelihoodTable` is a tuple of per-scope vectors plus the scope layout
 of the statistics it came from: one vector per semantic label, or one per
-cell of a (rows, cols) tiling.  Global guidance is the 1x1 tiling of its
-one vector.  `scope_index` is the one position -> scope rule, elementwise
-on arrays: `select_likelihood` applies it to one step, `batch_sample` to
-every position of the grid at once.
+cell of a (rows, cols) tiling.  `scoped_likelihoods` builds every table
+from a style and a dataset `ScopedDistributions` of one layout; global
+statistics give the 1x1 tiling of their one vector.  `scope_index` is the
+one position -> scope rule, elementwise on arrays: `select_likelihood`
+applies it to one step, `batch_sample` to every position of the grid at
+once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalDistribution, SemanticGrid, ValidationError, _readonly
+from .core import SemanticGrid, ValidationError, _readonly
 from .distributions import ScopedDistributions, cell_of_position, check_scope_layout
 
 
@@ -64,33 +66,6 @@ class LikelihoodVector:
         return self.codebook_size == other.codebook_size and bool(
             np.array_equal(self.weights, other.weights)
         )
-
-
-def style_likelihood(
-    style: CategoricalDistribution,
-    dataset: CategoricalDistribution,
-    exponent: float = 1.0,
-) -> LikelihoodVector:
-    """Weights (style[t] / dataset[t]) ** exponent, max-normalized.
-
-    Both inputs must be strictly positive everywhere (guaranteed by
-    smoothed estimation); exponent 0 yields identity guidance.
-    """
-    if style.codebook_size != dataset.codebook_size:
-        raise ValidationError(
-            f"codebook size mismatch: style {style.codebook_size} vs "
-            f"dataset {dataset.codebook_size}"
-        )
-    _check_exponent(exponent)
-    for name, dist in (("style", style), ("dataset", dataset)):
-        if np.any(dist.probs <= 0.0):
-            idx = int(np.argmax(dist.probs <= 0.0))
-            raise ValidationError(
-                f"{name} distribution has zero mass at index {idx}; "
-                "re-estimate with smoothing_alpha > 0"
-            )
-    ratios = (style.probs / dataset.probs) ** float(exponent)
-    return LikelihoodVector(codebook_size=style.codebook_size, weights=ratios)
 
 
 def _check_exponent(exponent: float) -> None:
@@ -138,33 +113,26 @@ class LikelihoodTable:
         check_scope_layout(self.scopes, self.cells, "vectors")
 
 
-def global_likelihood_table(
-    style: CategoricalDistribution,
-    dataset: CategoricalDistribution,
-    exponent: float = 1.0,
-) -> LikelihoodTable:
-    """One guidance vector applied at every step: the 1x1 tiling."""
-    return LikelihoodTable(float(exponent), (style_likelihood(style, dataset, exponent),), (1, 1))
-
-
 def scoped_likelihoods(
     style: ScopedDistributions,
     dataset: ScopedDistributions,
-    style_global: CategoricalDistribution | None,
-    dataset_global: CategoricalDistribution | None,
+    style_global: ScopedDistributions | None,
+    dataset_global: ScopedDistributions | None,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
-    """Per-scope guidance vectors, with a global fallback for labels.
+    """Guidance vectors for every scope of one layout, with a global fallback.
 
-    Style and dataset must share one scope layout.  A scope gets its own
-    vector where both sides carry a distribution for it; a label either
-    side never observed holds the vector of the global distributions.
-    Cells are never missing, so tiled tables ignore the global pair, which
-    may then be None; per-label tables require it.
+    Style and dataset must share one layout.  A scope gets its own vector
+    where both sides carry a distribution for it; a label either side never
+    observed holds the vector of the global statistics ``style_global`` and
+    ``dataset_global``, which may be None when no label is missing.  Global
+    and tiled statistics never miss a scope; global guidance is the 1x1
+    tiling of its one vector.
     """
-    if style.mode != dataset.mode:
+    if style.kind != dataset.kind:
         raise ValidationError(
-            f"style stats are {style.mode} but dataset stats are {dataset.mode}"
+            f"style stats are {style.kind} but dataset stats are {dataset.kind}; "
+            "regenerate one side so the kinds match"
         )
     if style.cells != dataset.cells:
         raise ValidationError(
@@ -172,27 +140,44 @@ def scoped_likelihoods(
                 *style.cells, *dataset.cells
             )
         )
-    if len(style.scopes) != len(dataset.scopes):
+    if len(style.probs) != len(dataset.probs):
         raise ValidationError(
-            f"label count mismatch: style {len(style.scopes)} vs "
-            f"dataset {len(dataset.scopes)}"
+            f"label count mismatch: style {len(style.probs)} vs "
+            f"dataset {len(dataset.probs)}"
         )
+    if style.codebook_size != dataset.codebook_size:
+        raise ValidationError(
+            f"codebook size mismatch: style {style.codebook_size} vs "
+            f"dataset {dataset.codebook_size}"
+        )
+    _check_exponent(exponent)
+    both = style.present & dataset.present
+    for name, stats in (("style", style), ("dataset", dataset)):
+        zeros = stats.probs[both] <= 0.0
+        if zeros.any():
+            raise ValidationError(
+                f"{name} distribution has zero mass at index {np.argwhere(zeros)[0, 1]}; "
+                "re-estimate with smoothing_alpha > 0"
+            )
+    ratios = (style.probs[both] / dataset.probs[both]) ** float(exponent)
+    vectors = iter([LikelihoodVector(style.codebook_size, row) for row in ratios])
     fallback = None
-    if not style.cells:
+    if not both.all():
         if style_global is None or dataset_global is None:
             raise ValidationError(
                 "per-label guidance requires the global style and dataset distributions"
             )
-        fallback = style_likelihood(style_global, dataset_global, exponent)
-    vectors = tuple(
-        fallback if s is None or d is None else style_likelihood(s, d, exponent)
-        for s, d in zip(style.scopes, dataset.scopes)
-    )
-    return LikelihoodTable(float(exponent), vectors, style.cells)
+        fallback = scoped_likelihoods(style_global, dataset_global, None, None, exponent).scopes[0]
+    scopes = tuple(next(vectors) if found else fallback for found in both.tolist())
+    return LikelihoodTable(float(exponent), scopes, style.cells)
 
 
-# Names the benchmark harness calls; both scope kinds share one body.
+# Names the benchmark harness calls; every layout shares one body.
 regional_likelihoods = spatial_likelihoods = scoped_likelihoods
+
+
+def global_likelihood_table(style, dataset, exponent=1.0) -> LikelihoodTable:
+    return scoped_likelihoods(style, dataset, None, None, exponent)
 
 
 def scope_index(

@@ -5,7 +5,12 @@ histogram (exact counts, no smoothing: the sample is data) and compared to
 smoothed full-support reference distributions.  KL direction is always
 KL(sample || reference), which penalizes sample mass on tokens the
 reference style never uses.  `distributions._grid_counts` counts each
-sample set (grids or a batch) once, per label only where labels are used."""
+sample set (grids or a batch) once, per label only where labels are used.
+
+References are `ScopedDistributions`: a `StyleReference` holds global
+statistics and, for per-label breakdowns, regional ones; any statistics
+file becomes one through `collapse_scoped`.  Divergences compare
+probability rows, one per scope."""
 
 from __future__ import annotations
 
@@ -27,61 +32,61 @@ from .formats import dump_json
 
 
 def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    return _kl(p.probs, q)
+    return _kl(p.probs, q.probs)
 
 
 def total_variation(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    return _tv(p.probs, q)
+    return _tv(p.probs, q.probs)
 
 
-def _kl(p: np.ndarray, q: CategoricalDistribution) -> float:
-    """KL(p || q) for a probability row p, summed over p's support."""
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) for probability rows, summed over p's support."""
     _check_sizes(p, q)
     support = p > 0.0
-    missing = support & (q.probs <= 0.0)
+    missing = support & (q <= 0.0)
     if missing.any():
         raise ValidationError(f"q lacks support at index {int(np.flatnonzero(missing)[0])}")
-    value = float(np.sum(p[support] * np.log(p[support] / q.probs[support])))
+    value = float(np.sum(p[support] * np.log(p[support] / q[support])))
     # Cancellation can leave a tiny negative residue when p ~= q.
     return max(value, 0.0)
 
 
-def _tv(p: np.ndarray, q: CategoricalDistribution) -> float:
+def _tv(p: np.ndarray, q: np.ndarray) -> float:
     _check_sizes(p, q)
-    return 0.5 * float(np.abs(p - q.probs).sum())
+    return 0.5 * float(np.abs(p - q).sum())
 
 
-def _check_sizes(p: np.ndarray, q: CategoricalDistribution) -> None:
-    if p.size != q.codebook_size:
-        raise ValidationError(f"codebook size mismatch: {p.size} vs {q.codebook_size}")
+def _check_sizes(p: np.ndarray, q: np.ndarray) -> None:
+    if p.size != q.size:
+        raise ValidationError(f"codebook size mismatch: {p.size} vs {q.size}")
 
 
 @dataclass(frozen=True)
 class StyleReference:
-    """Named target distribution; regional adds per-label targets."""
+    """Named global target statistics; regional adds per-label targets."""
 
     name: str
-    distribution: CategoricalDistribution
+    distribution: ScopedDistributions
     regional: ScopedDistributions | None = None
 
     def __post_init__(self) -> None:
-        if self.regional is not None and self.regional.cells is not None:
+        if self.distribution.kind != "global":
+            raise ValidationError("a reference's distribution must be global statistics")
+        if self.regional is not None and self.regional.kind != "regional":
             raise ValidationError("regional targets must be per label, not per cell")
 
     @classmethod
-    def from_stats(
-        cls, name: str, stats: CategoricalDistribution | ScopedDistributions
-    ) -> StyleReference:
+    def from_stats(cls, name: str, stats: ScopedDistributions) -> StyleReference:
         """A reference for any statistics file: scoped stats collapse to their
         global margin, and only per-label stats add per-label targets."""
-        if isinstance(stats, CategoricalDistribution):
-            return cls(name, stats)
-        return cls(name, collapse_scoped(stats), stats if stats.cells is None else None)
+        return cls(name, collapse_scoped(stats), stats if stats.kind == "regional" else None)
 
-    def label_target(self, label: int) -> CategoricalDistribution | None:
-        """The target for one label, None where the reference has none."""
-        scopes = () if self.regional is None else self.regional.scopes
-        return scopes[label] if label < len(scopes) else None
+
+def _target(stats: ScopedDistributions | None, label: int) -> np.ndarray | None:
+    """The target row of one scope, None where the statistics have none."""
+    if stats is None or label >= len(stats.probs) or not stats.present[label]:
+        return None
+    return stats.probs[label]
 
 
 def _label_rows(counts: np.ndarray, alpha: float) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -132,25 +137,23 @@ def style_match_rate(
     if regional_mode and any(sem is None for sem in maps):
         raise ValidationError("regional style matching requires a semantic map per sample")
 
+    # Global references are one-scope statistics: their score is one KL.
+    targets = [ref.regional if regional_mode else ref.distribution for ref in styles]
     assigned = []
     for counts in chain.from_iterable(_grid_counts(grids, maps if regional_mode else None)):
-        if regional_mode:
-            present, probs, masses = _label_rows(counts, smoothing_alpha)
-            total = float(masses.sum())
-            scores = []
-            for ref in styles:
-                score = 0.0
-                for label, row in zip(present, probs):
-                    target = ref.label_target(label)
-                    if target is None:
-                        raise ValidationError(
-                            f"reference {ref.name!r} has no distribution for label {label}"
-                        )
-                    score += (float(masses[label]) / total) * _kl(row, target)
-                scores.append(score)
-        else:
-            hist = smoothed_rows(counts, smoothing_alpha)[0]
-            scores = [_kl(hist, ref.distribution) for ref in styles]
+        present, probs, masses = _label_rows(counts, smoothing_alpha)
+        total = float(masses.sum())
+        scores = []
+        for ref, stats in zip(styles, targets):
+            score = 0.0
+            for label, row in zip(present, probs):
+                target = _target(stats, label)
+                if target is None:
+                    raise ValidationError(
+                        f"reference {ref.name!r} has no distribution for label {label}"
+                    )
+                score += (float(masses[label]) / total) * _kl(row, target)
+            scores.append(score)
         assigned.append(styles[int(np.argmin(scores))].name)
 
     counts: dict = {ref.name: 0 for ref in styles}
@@ -206,6 +209,7 @@ def _set_summary(
     seeds: Sequence[int] | None,
 ) -> SetSummary:
     by_label = regions is not None and target.regional is not None
+    goal = target.distribution.probs[0]
     # Per-label pools add each sample's probs x mass in sample order, as
     # floats; (c / m) * m is not always c.
     rows, pooled, pooled_labels = [], 0, 0.0
@@ -221,12 +225,12 @@ def _set_summary(
             label_probs[present] = probs
             pooled_labels = pooled_labels + label_probs * masses[:, None]
             for label, row in zip(present, probs):
-                ref = target.label_target(label)
+                ref = _target(target.regional, label)
                 if ref is not None:
                     kl_labels[label] = _kl(row, ref)
         rows.append(SampleRow(
             sample_id=f"{prefix}-{i:03d}", seed=None if seeds is None else seeds[i],
-            kl_global=_kl(hist, target.distribution), tv_global=_tv(hist, target.distribution),
+            kl_global=_kl(hist, goal), tv_global=_tv(hist, goal),
             kl_per_label=kl_labels, assigned_style=None,
         ))
 
@@ -235,13 +239,13 @@ def _set_summary(
     if by_label:
         present = np.flatnonzero(pooled_labels.any(axis=1)).tolist()
         for label, row in zip(present, smoothed_rows(pooled_labels[present], 0.0)):
-            ref = target.label_target(label)
+            ref = _target(target.regional, label)
             if ref is not None:
                 kl_per_label[label] = _kl(row, ref)
                 tv_per_label[label] = _tv(row, ref)
     return SetSummary(
-        pooled_kl=_kl(pooled, target.distribution),
-        pooled_tv=_tv(pooled, target.distribution),
+        pooled_kl=_kl(pooled, goal),
+        pooled_tv=_tv(pooled, goal),
         mean_kl=float(np.mean([row.kl_global for row in rows])),
         kl_per_label=kl_per_label,
         tv_per_label=tv_per_label,
@@ -299,18 +303,14 @@ def spatial_divergence(
     Sensitive to where tokens sit, not just how often they occur, so it
     separates styles that share a global histogram.
     """
-    if reference.cells is None:
+    if reference.kind != "spatial":
         raise ValidationError("spatial divergence needs per-cell reference statistics")
     if not samples:
         raise ValidationError("empty sample set")
     pooled = histogram_by_cell(samples, *reference.cells, 0.0)
-    masses = []
-    kls = []
-    for dist, ref in zip(pooled.scopes, reference.scopes):
-        masses.append(dist.source_mass)
-        kls.append(kl_divergence(dist, ref))
-    total = sum(masses)
-    return float(sum(m * k for m, k in zip(masses, kls)) / total)
+    masses = pooled.masses.tolist()
+    kls = [_kl(p, q) for p, q in zip(pooled.probs, reference.probs)]
+    return float(sum(m * k for m, k in zip(masses, kls)) / sum(masses))
 
 
 def _summary_to_dict(summary: SetSummary) -> dict:

@@ -81,11 +81,16 @@ def parse_context_template(spec: str) -> tuple[tuple[int, int], ...]:
 def validate_context_template(
     offsets: Sequence[tuple[int, int]],
 ) -> tuple[tuple[int, int], ...]:
-    """Offsets must be non-empty, unique and strictly earlier in raster order."""
+    """Offsets must be non-empty, unique, strictly earlier in raster order and
+    no longer than `GRID_VOCAB_LIMIT` on either axis."""
     if not offsets:
         raise ValidationError("empty context template")
     result = []
     for dr, dc in offsets:
+        if max(abs(dr), abs(dc)) > GRID_VOCAB_LIMIT:
+            raise ValidationError(
+                f"context offset ({dr}, {dc}) exceeds the limit {GRID_VOCAB_LIMIT}"
+            )
         if not (dr < 0 or (dr == 0 and dc < 0)):
             raise ValidationError(
                 f"context offset ({dr}, {dc}) is not strictly earlier in raster order"

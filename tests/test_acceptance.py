@@ -50,7 +50,7 @@ from gcs.world import (
     spatial_contrast_config,
 )
 
-from conftest import random_grid, record_criterion
+from conftest import global_stats, random_grid, record_criterion
 
 DRAWS = 700
 
@@ -117,11 +117,11 @@ def test_criterion_1_identity_guidance_is_bit_exact():
         seed = int(rng.integers(0, 2**32))
         temperature = float(rng.choice([0.7, 1.0, 1.5]))
         top_k = int(rng.integers(2, size + 1)) if rng.random() < 0.5 else None
-        style = normalize(rng.uniform(0.1, 1.0, size))
+        style = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
         if rng.random() < 0.5:
             table = global_likelihood_table(style, style, float(rng.uniform(0.0, 3.0)))
         else:
-            dataset = normalize(rng.uniform(0.1, 1.0, size))
+            dataset = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
             table = global_likelihood_table(style, dataset, 0.0)
         base = SamplingConfig(seed=seed, temperature=temperature, top_k=top_k)
         plain = sample_grid(model, height, width, None, base)
@@ -147,8 +147,8 @@ def test_criterion_2_sampler_matches_exact_chain():
     for p in range(5):
         size = 3
         model = train_markov_prior([random_grid(rng, 4, 4, size)])
-        style = normalize(rng.uniform(0.1, 1.0, size))
-        dataset = normalize(rng.uniform(0.1, 1.0, size))
+        style = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
+        dataset = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
         tables = [None, global_likelihood_table(style, dataset, 1.0),
                   global_likelihood_table(style, dataset, 2.0)]
         configs = [SamplingConfig(guidance=table) for table in tables] + [
@@ -224,8 +224,12 @@ def test_criterion_5_regional_guidance_is_per_label(landscape):
     style_b = average_scoped(
         [histogram_by_region(g, s, 0.5) for g, s in load_exemplars(landscape.dir, "style2")]
     )
-    mixed = ScopedDistributions((style_a.scopes[0], style_b.scopes[1]))
-    label0_only = ScopedDistributions((style_a.scopes[0], dataset_reg.scopes[1]))
+    mixed = ScopedDistributions(
+        [style_a.probs[0], style_b.probs[1]], [style_a.masses[0], style_b.masses[1]]
+    )
+    label0_only = ScopedDistributions(
+        [style_a.probs[0], dataset_reg.probs[1]], [style_a.masses[0], dataset_reg.masses[1]]
+    )
     both_table = scoped_likelihoods(
         mixed, dataset_reg, collapse_scoped(mixed), collapse_scoped(dataset_reg)
     )

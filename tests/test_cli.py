@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcs.cli import main
-from gcs.core import CategoricalDistribution, SemanticGrid, TokenGrid
+from gcs.core import SemanticGrid, TokenGrid
 from gcs.distributions import (
     COUNT_CELL_LIMIT,
     ScopedDistributions,
@@ -196,7 +196,7 @@ class TestTrainPrior:
 class TestDatasetStats:
     def test_global_stats(self, trained):
         stats = read_stats(trained["dataset"])
-        assert isinstance(stats, CategoricalDistribution)
+        assert stats.kind == "global"
         assert stats.codebook_size == 4
 
     def test_regional_and_spatial_variants(self, world, tmp_path):
@@ -219,7 +219,7 @@ class TestDatasetStats:
             == 0
         )
         reg = read_stats(reg_path)
-        assert isinstance(reg, ScopedDistributions) and reg.cells is None
+        assert reg.kind == "regional" and reg.cells is None
         assert (
             main(
                 [
@@ -237,7 +237,7 @@ class TestDatasetStats:
             == 0
         )
         stats = read_stats(spat_path)
-        assert isinstance(stats, ScopedDistributions)
+        assert stats.kind == "spatial"
         assert stats.cells == (2, 2)
 
     def test_by_region_needs_semantics(self, tmp_path, rng, capsys):
@@ -863,6 +863,9 @@ HOSTILE_MODEL_FIELDS = {
     "offset-float": (["context", 0, 1], -1.7),
     "conditional-number": (["conditional"], 0),
     "alpha-text": (["smoothing_alpha"], "0.5"),
+    # alpha x codebook size overflows, or an offset overflows int64 indexing.
+    "alpha-1e308": (["smoothing_alpha"], 1e308),
+    "offset-2**70": (["context", 0], [-(2**70), 0]),
 }
 
 
@@ -890,6 +893,25 @@ def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert rc == 2
     assert "malformed model JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    "train-prior --corpus corpus --out m.json",
+    "dataset-stats --corpus corpus --out d.json --k 2",
+    "dataset-stats --corpus corpus --out d.json --k 2 --by-region",
+    "style-stats corpus/g0.tgrd --out s.json",
+], ids=["train-prior", "dataset-stats", "dataset-stats-by-region", "style-stats"])
+def test_overflowing_alpha_exits_2(tmp_path, monkeypatch, capsys, rng, command):
+    # 4 tokens x 1e308 overflows every row total, which would zero every row.
+    monkeypatch.chdir(tmp_path)
+    Path("corpus").mkdir()
+    for i in range(2):
+        write_token_grid(f"corpus/g{i}.tgrd", random_grid(rng, 2, 3, 4))
+        write_semantic_grid(f"corpus/g{i}.sgrd", random_semantics(rng, 2, 3, 2))
+    rc = main([*command.split(), "--alpha", "1e308"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("what", ["model", "stats"])
@@ -1352,3 +1374,70 @@ def test_golden_artifact_hashes(world, tmp_path, monkeypatch, mode, flags):
     digests = {name: _sha256(tmp_path / name) for name in expected if name != "bench"}
     digests["bench"] = _sha256(world)
     assert digests == expected
+
+
+def one_scope_artifacts(base: Path, flags: list[str]) -> tuple[str, dict]:
+    """Guided sampling and evaluation from one-scope statistics: the sample
+    manifest's mode and the sha256 of the stats files and the report.  Each
+    stats file must also read back and write out to the same bytes."""
+    rng = np.random.default_rng(16)
+    corpus = base / "corpus"
+    corpus.mkdir()
+    for i in range(6):
+        write_token_grid(corpus / f"g{i}.tgrd", random_grid(rng, 4, 5, 5))
+        write_semantic_grid(corpus / f"g{i}.sgrd", SemanticGrid(4, 5, 1, np.zeros((4, 5))))
+    names = {name: str(base / name) for name in (
+        "model.json", "style.json", "dataset.json", "guided", "plain", "report.json", "copy.json"
+    )}
+    common = ["--model", names["model.json"], "--semantics", str(corpus / "g0.sgrd"),
+              "--n", "3", "--seed", "2"]
+    for argv in (
+        ["train-prior", "--corpus", str(corpus), "--out", names["model.json"]],
+        ["dataset-stats", "--corpus", str(corpus), "--out", names["dataset.json"],
+         "--k", "9", "--seed", "1", *flags],
+        ["style-stats", str(corpus / "g0.tgrd"), str(corpus / "g1.tgrd"), "--average",
+         "--out", names["style.json"], *flags],
+        ["sample", *common, "--out", names["guided"], "--style-stats", names["style.json"],
+         "--dataset-stats", names["dataset.json"]],
+        ["sample", *common, "--out", names["plain"], "--no-guidance"],
+        ["evaluate", "--guided", names["guided"], "--unguided", names["plain"],
+         "--style-stats", names["style.json"], "--semantics", str(corpus / "g0.sgrd"),
+         "--out", names["report.json"]],
+    ):
+        assert main(argv) == 0, " ".join(argv)
+    for name in ("style.json", "dataset.json"):
+        write_stats(names["copy.json"], read_stats(names[name]))
+        assert Path(names["copy.json"]).read_bytes() == Path(names[name]).read_bytes()
+    digests = {name: _sha256(base / name) for name in ("style.json", "dataset.json", "report.json")}
+    return load_json(base / "guided" / "manifest.json")["mode"], digests
+
+
+# A global file, a regional file over one label and a 1x1 spatial file each
+# hold one scope; the files keep their kind, so each guides and evaluates as
+# the same mode.  Digests taken before statistics became one array type.
+ONE_SCOPE_SHA256 = {
+    "global": {
+        "style.json": "372b9261e02c307f10ff429b66858f875df6e3c178c39ced7ceb929c976459b9",
+        "dataset.json": "dc3ca0bce01afae57e389cfb42dc05cb67b724fa2acbb5e751a7a9e8345b7527",
+        "report.json": "fae3aec7a48e8a525ca39e4dbb5dba5f09a8c919965160776f0ac17f86460cc6",
+    },
+    "regional": {
+        "style.json": "15dad18a9eec3aab5091c7343a726fb3ffb8fbbf03ce4624e60a24d460e5070e",
+        "dataset.json": "a1aa0963ace78c4ae7ab48cf114603e3bfb49cb48616476a9a24d18e79d80c44",
+        "report.json": "fb3f6ad276c50519e2156382537e18d361ac5825f49c414de6eaf8b446ac93ab",
+    },
+    "spatial": {
+        "style.json": "d2aeeb3e5f57269098e772a206c46ac7be77c92615fe167219e39d5999acf956",
+        "dataset.json": "26c7a1a0719084bcd50451b75d6099f76f676a376da2cf0a834bd898efa4e45d",
+        "report.json": "fae3aec7a48e8a525ca39e4dbb5dba5f09a8c919965160776f0ac17f86460cc6",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode, flags",
+    [("global", []), ("regional", ["--by-region"]), ("spatial", ["--by-cell", "1x1"])],
+    ids=["global", "regional-one-label", "spatial-1x1"],
+)
+def test_one_scope_stats_keep_their_kind(tmp_path, mode, flags):
+    assert one_scope_artifacts(tmp_path, flags) == (mode, ONE_SCOPE_SHA256[mode])

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, FormatError, SemanticGrid, TokenGrid, ValidationError
-from gcs.distributions import ScopedDistributions, smoothed_distribution
+from gcs.distributions import histogram_from_grid
 from gcs.formats import (
     GRID_VOCAB_LIMIT,
-    distribution_from_dict,
-    distribution_to_dict,
     dump_json,
     load_json,
     read_semantic_grid,
@@ -19,6 +17,9 @@ from gcs.formats import (
     write_stats,
     write_token_grid,
 )
+
+from conftest import global_stats, scoped
+
 
 GRID = TokenGrid(2, 2, 4, [[0, 1], [2, 3]])
 
@@ -100,23 +101,26 @@ class TestBinaryGrids:
 
 class TestDistributionJson:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        d = CategoricalDistribution(3, np.array([1, 1, 1]) / 3.0, source_mass=9.0)
+        d = global_stats(np.array([1, 1, 1]) / 3.0, mass=9.0)
         path = tmp_path / "d.json"
         write_stats(path, d)
         back = read_stats(path)
-        assert back == d
+        assert (back.kind, list(back.masses)) == ("global", [9.0])
         assert back.probs.tobytes() == d.probs.tobytes()
 
-    def test_missing_key_is_named(self):
+    def test_missing_key_is_named(self, tmp_path):
+        path = tmp_path / "d.json"
+        dump_json(path, {"kind": "global", "probs": [0.5, 0.5], "source_mass": 1.0})
         with pytest.raises(FormatError) as exc:
-            distribution_from_dict({"probs": [0.5, 0.5], "source_mass": 1.0})
+            read_stats(path)
         assert "missing key 'codebook_size'" in str(exc.value)
 
-    def test_invalid_probs_reported_as_format_error(self):
-        payload = distribution_to_dict(CategoricalDistribution(2, [0.5, 0.5]))
-        payload["probs"] = [0.9, 0.5]
+    def test_invalid_probs_reported_as_format_error(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_stats(path, global_stats([0.5, 0.5]))
+        dump_json(path, {**load_json(path), "probs": [0.9, 0.5]})
         with pytest.raises(FormatError) as exc:
-            distribution_from_dict(payload)
+            read_stats(path)
         assert "violates invariants" in str(exc.value)
 
     def test_non_object_file(self, tmp_path):
@@ -146,43 +150,39 @@ class TestDumpJson:
 
 class TestStatsFiles:
     def test_global_round_trip(self, tmp_path):
-        d = smoothed_distribution(np.array([3.0, 1.0, 0.0]), 0.5)
+        d = histogram_from_grid(TokenGrid(1, 4, 3, [0, 0, 0, 1]), 0.5)
         path = tmp_path / "stats.json"
         write_stats(path, d)
         assert load_json(path)["kind"] == "global"
         back = read_stats(path)
-        assert isinstance(back, CategoricalDistribution)
+        assert back.kind == "global"
         assert back == d
 
     def test_regional_round_trip_with_absent_label(self, tmp_path):
-        reg = ScopedDistributions(
-            (CategoricalDistribution(3, [0.5, 0.25, 0.25], source_mass=4.0), None)
-        )
+        reg = scoped((CategoricalDistribution(3, [0.5, 0.25, 0.25], source_mass=4.0), None))
         path = tmp_path / "stats.json"
         write_stats(path, reg)
         payload = load_json(path)
         assert (payload["label_count"], payload["per_label_mass"]) == (2, [4.0, 0.0])
         back = read_stats(path)
-        assert isinstance(back, ScopedDistributions) and back.cells is None
-        assert back.scopes[1] is None
-        assert back.scopes[0] == reg.scopes[0]
-        assert back.masses == (4.0, 0.0)
+        assert back.kind == "regional" and back.cells is None
+        assert list(back.present) == [True, False]
+        assert back == reg
+        assert list(back.masses) == [4.0, 0.0]
 
     def test_spatial_round_trip(self, tmp_path):
         cell = CategoricalDistribution(2, [0.75, 0.25], source_mass=8.0)
-        spat = ScopedDistributions((cell, cell), (1, 2))
+        spat = scoped((cell, cell), (1, 2))
         path = tmp_path / "stats.json"
         write_stats(path, spat)
         assert len(load_json(path)["per_cell"]) == 1
         back = read_stats(path)
-        assert isinstance(back, ScopedDistributions)
+        assert back.kind == "spatial"
         assert back.cells == (1, 2)
-        assert back.scopes[1] == cell
+        assert back == spat
 
     def test_kind_inferred_when_absent(self, tmp_path):
-        reg = ScopedDistributions(
-            (CategoricalDistribution(2, [0.5, 0.5], source_mass=2.0),)
-        )
+        reg = scoped((CategoricalDistribution(2, [0.5, 0.5], source_mass=2.0),))
         path = tmp_path / "stats.json"
         write_stats(path, reg)
         payload = load_json(path)
@@ -192,7 +192,7 @@ class TestStatsFiles:
 
     def test_invalid_global_probs(self, tmp_path):
         path = tmp_path / "stats.json"
-        write_stats(path, CategoricalDistribution(2, [0.5, 0.5]))
+        write_stats(path, global_stats([0.5, 0.5]))
         payload = load_json(path)
         payload["probs"] = [0.9, 0.5]
         dump_json(path, payload)
@@ -208,7 +208,10 @@ class TestStatsFiles:
         ]
         dump_json(path, {
             "kind": "regional", "label_count": 2, "per_label_mass": [1.0, 1.0],
-            "per_label": [distribution_to_dict(d) for d in per_label],
+            "per_label": [
+                {"codebook_size": d.codebook_size, "probs": list(d.probs), "source_mass": 0.0}
+                for d in per_label
+            ],
         })
         with pytest.raises(FormatError) as exc:
             read_stats(path)

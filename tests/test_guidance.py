@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gcs.core import CategoricalDistribution, SemanticGrid, ValidationError
-from gcs.distributions import ScopedDistributions
 from gcs.guidance import (
     LikelihoodTable,
     LikelihoodVector,
@@ -13,8 +12,9 @@ from gcs.guidance import (
     scope_index,
     scoped_likelihoods,
     select_likelihood,
-    style_likelihood,
 )
+
+from conftest import global_stats, likelihood_vector, scoped
 
 
 def dist(probs, mass=0.0):
@@ -23,6 +23,7 @@ def dist(probs, mass=0.0):
 
 STYLE = dist([0.5, 0.25, 0.25])
 DATASET = dist([0.25, 0.5, 0.25])
+STYLE_STATS, DATASET_STATS = global_stats(STYLE.probs), global_stats(DATASET.probs)
 
 
 class TestLikelihoodVector:
@@ -58,33 +59,33 @@ class TestLikelihoodVector:
 
 class TestStyleLikelihood:
     def test_ratio_then_max_normalize(self):
-        v = style_likelihood(STYLE, DATASET)
+        v = likelihood_vector(STYLE, DATASET)
         assert np.allclose(v.weights, [1.0, 0.25, 0.5], atol=1e-15)
 
     def test_exponent_squares_ratios(self):
-        v = style_likelihood(STYLE, DATASET, exponent=2.0)
+        v = likelihood_vector(STYLE, DATASET, exponent=2.0)
         assert np.allclose(v.weights, [1.0, 0.0625, 0.25], atol=1e-15)
 
     def test_identical_inputs_give_identity(self):
-        v = style_likelihood(STYLE, STYLE, exponent=3.0)
+        v = likelihood_vector(STYLE, STYLE, exponent=3.0)
         assert v.is_identity
 
     def test_zero_exponent_is_identity(self):
-        v = style_likelihood(STYLE, DATASET, exponent=0.0)
+        v = likelihood_vector(STYLE, DATASET, exponent=0.0)
         assert v.is_identity
 
     def test_zero_mass_needs_smoothing(self):
         with pytest.raises(ValidationError) as exc:
-            style_likelihood(dist([1.0, 0.0]), dist([0.5, 0.5]))
+            likelihood_vector(dist([1.0, 0.0]), dist([0.5, 0.5]))
         assert "smoothing_alpha" in str(exc.value)
 
     def test_codebook_mismatch(self):
         with pytest.raises(ValidationError):
-            style_likelihood(dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]))
+            likelihood_vector(dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]))
 
     def test_negative_exponent(self):
         with pytest.raises(ValidationError):
-            style_likelihood(STYLE, DATASET, exponent=-1.0)
+            likelihood_vector(STYLE, DATASET, exponent=-1.0)
 
 
 class TestRebalancePrior:
@@ -126,7 +127,7 @@ class TestRebalancePrior:
         # The guided posterior matches the closed form at every strength.
         prior = dist([0.1, 0.6, 0.3])
         for lam in (0.0, 0.5, 1.0, 2.0):
-            out = rebalance_rows(prior.probs[None], style_likelihood(STYLE, DATASET, lam))
+            out = rebalance_rows(prior.probs[None], likelihood_vector(STYLE, DATASET, lam))
             direct = prior.probs * (STYLE.probs / DATASET.probs) ** lam
             direct /= direct.sum()
             assert np.allclose(out[0], direct, atol=1e-12)
@@ -139,7 +140,7 @@ class TestLikelihoodTable:
         assert [f.name for f in dataclasses.fields(LikelihoodTable)] == [
             "exponent", "scopes", "cells"
         ]
-        table = global_likelihood_table(STYLE, DATASET)
+        table = global_likelihood_table(STYLE_STATS, DATASET_STATS)
         assert (len(table.scopes), table.cells) == (1, (1, 1))
         assert LikelihoodTable(1.0, [v, v]).scopes == (v, v)
 
@@ -160,16 +161,16 @@ class TestLikelihoodTable:
 
 class TestSelectLikelihood:
     def build_regional(self):
-        style = ScopedDistributions((dist([0.75, 0.25], 4.0), None))
-        data = ScopedDistributions((dist([0.5, 0.5], 4.0), dist([0.5, 0.5], 4.0)))
-        return scoped_likelihoods(style, data, dist([0.6, 0.4]), dist([0.5, 0.5]))
+        style = scoped((dist([0.75, 0.25], 4.0), None))
+        data = scoped((dist([0.5, 0.5], 4.0), dist([0.5, 0.5], 4.0)))
+        return scoped_likelihoods(style, data, global_stats([0.6, 0.4]), global_stats([0.5, 0.5]))
 
     def test_global_everywhere(self):
-        table = global_likelihood_table(STYLE, DATASET)
+        table = global_likelihood_table(STYLE_STATS, DATASET_STATS)
         a = select_likelihood(table, (0, 0), grid_shape=(10, 10))
         b = select_likelihood(table, (9, 9), grid_shape=(10, 10))
         assert a is b is table.scopes[0]
-        assert a == style_likelihood(STYLE, DATASET)
+        assert a == likelihood_vector(STYLE, DATASET)
 
     def test_regional_label_lookup_and_fallback(self):
         table = self.build_regional()
@@ -179,7 +180,7 @@ class TestSelectLikelihood:
         # Label 1 was never observed in the style, so fall back globally.
         at_label1 = select_likelihood(table, (0, 3), semantics=sem)
         assert at_label1 is table.scopes[1]
-        assert at_label1 == style_likelihood(dist([0.6, 0.4]), dist([0.5, 0.5]))
+        assert at_label1 == likelihood_vector(dist([0.6, 0.4]), dist([0.5, 0.5]))
 
     def test_regional_needs_semantics(self):
         with pytest.raises(ValidationError) as exc:
@@ -198,11 +199,11 @@ class TestSelectLikelihood:
             select_likelihood(table, (0, 1), semantics=sem)
         assert "outside the table's 2 labels" in str(exc.value)
 
-    def build_spatial(self, global_pair=(dist([0.5, 0.5]), dist([0.5, 0.5]))):
+    def build_spatial(self, global_pair=(global_stats([0.5, 0.5]), global_stats([0.5, 0.5]))):
         cells = tuple(dist([0.5 + 0.1 * i, 0.5 - 0.1 * i], 4.0) for i in range(4))
-        style = ScopedDistributions(cells, (2, 2))
+        style = scoped(cells, (2, 2))
         flat = dist([0.5, 0.5], 4.0)
-        data = ScopedDistributions((flat,) * 4, (2, 2))
+        data = scoped((flat,) * 4, (2, 2))
         return scoped_likelihoods(style, data, *global_pair)
 
     def test_spatial_cell_dispatch(self):
@@ -219,17 +220,18 @@ class TestSelectLikelihood:
         assert "grid's shape" in str(exc.value)
         # Global guidance is the 1x1 tiling, and the message says so.
         with pytest.raises(ValidationError, match="1x1 tiling requires the generated grid's shape"):
-            select_likelihood(global_likelihood_table(STYLE, DATASET), (0, 0))
+            select_likelihood(global_likelihood_table(STYLE_STATS, DATASET_STATS), (0, 0))
 
     def test_global_pair_only_for_labels(self):
         # Tiled tables never read the global pair, so None builds the same
         # table; a per-label table needs it for its fallback vector.
         assert self.build_spatial((None, None)) == self.build_spatial()
         flat = dist([0.5, 0.5], 4.0)
-        labels = ScopedDistributions((flat, None))
-        for pair in [(None, None), (flat, None), (None, flat)]:
+        labels = scoped((flat, None))
+        whole = global_stats(flat.probs, 4.0)
+        for pair in [(None, None), (whole, None), (None, whole)]:
             with pytest.raises(ValidationError, match="requires the global style and dataset"):
-                scoped_likelihoods(labels, ScopedDistributions((flat, flat)), *pair)
+                scoped_likelihoods(labels, scoped((flat, flat)), *pair)
 
     def test_spatial_position_bounds(self):
         with pytest.raises(ValidationError):
@@ -237,21 +239,22 @@ class TestSelectLikelihood:
 
     def test_spatial_tiling_mismatch(self):
         flat = dist([0.5, 0.5], 4.0)
-        a = ScopedDistributions((flat, flat), (1, 2))
-        b = ScopedDistributions((flat, flat), (2, 1))
+        a = scoped((flat, flat), (1, 2))
+        b = scoped((flat, flat), (2, 1))
         with pytest.raises(ValidationError) as exc:
-            scoped_likelihoods(a, b, dist([0.5, 0.5]), dist([0.5, 0.5]))
+            scoped_likelihoods(a, b, global_stats([0.5, 0.5]), global_stats([0.5, 0.5]))
         assert "cell tiling mismatch: style 1x2 vs dataset 2x1" in str(exc.value)
 
     def test_scope_layouts_must_match(self):
         flat = dist([0.5, 0.5], 4.0)
-        labels = ScopedDistributions((flat, flat))
-        cells = ScopedDistributions((flat, flat), (1, 2))
+        labels = scoped((flat, flat))
+        cells = scoped((flat, flat), (1, 2))
+        whole = global_stats(flat.probs, 4.0)
         with pytest.raises(ValidationError) as exc:
-            scoped_likelihoods(labels, cells, flat, flat)
+            scoped_likelihoods(labels, cells, whole, whole)
         assert "style stats are regional but dataset stats are spatial" in str(exc.value)
         with pytest.raises(ValidationError) as exc:
-            scoped_likelihoods(labels, ScopedDistributions((flat,) * 3), flat, flat)
+            scoped_likelihoods(labels, scoped((flat,) * 3), whole, whole)
         assert "label count mismatch: style 2 vs dataset 3" in str(exc.value)
 
 

@@ -31,7 +31,7 @@ from gcs.metrics import (
     write_report_csv,
 )
 
-from conftest import random_grid
+from conftest import global_stats, random_grid, scoped
 
 
 def dist(probs, mass=0.0):
@@ -91,8 +91,8 @@ def low_grid(*tokens):
 
 class TestStyleMatchRate:
     REFS = (
-        StyleReference("low", dist([0.45, 0.45, 0.05, 0.05])),
-        StyleReference("high", dist([0.05, 0.05, 0.45, 0.45])),
+        StyleReference("low", global_stats([0.45, 0.45, 0.05, 0.05])),
+        StyleReference("high", global_stats([0.05, 0.05, 0.45, 0.45])),
     )
 
     def test_disjoint_supports_classify_perfectly(self):
@@ -108,8 +108,8 @@ class TestStyleMatchRate:
 
     def test_tie_resolves_to_first_reference(self):
         refs = (
-            StyleReference("first", dist([0.75, 0.25, 0.0, 0.0])),
-            StyleReference("second", dist([0.25, 0.75, 0.0, 0.0])),
+            StyleReference("first", global_stats([0.75, 0.25, 0.0, 0.0])),
+            StyleReference("second", global_stats([0.25, 0.75, 0.0, 0.0])),
         )
         result = style_match_rate([low_grid(0, 1)], refs)
         assert result.assigned == ("first",)
@@ -121,32 +121,32 @@ class TestStyleMatchRate:
     def test_mixed_reference_kinds_rejected(self):
         regional = StyleReference(
             "r",
-            dist([0.25] * 4),
-            ScopedDistributions((dist([0.25] * 4, 4.0),)),
+            global_stats([0.25] * 4),
+            scoped((dist([0.25] * 4, 4.0),)),
         )
         with pytest.raises(ValidationError) as exc:
             style_match_rate([low_grid(0)], (self.REFS[0], regional))
         assert "all global or all regional" in str(exc.value)
 
     def test_tiled_regional_reference_rejected(self):
-        cells = ScopedDistributions((dist([0.25] * 4, 4.0),) * 2, (1, 2))
+        cells = scoped((dist([0.25] * 4, 4.0),) * 2, (1, 2))
         with pytest.raises(ValidationError) as exc:
-            StyleReference("r", dist([0.25] * 4), cells)
+            StyleReference("r", global_stats([0.25] * 4), cells)
         assert "per label, not per cell" in str(exc.value)
 
     def test_regional_mode(self):
         refs = (
             StyleReference(
                 "a",
-                dist([0.45, 0.45, 0.05, 0.05]),
-                ScopedDistributions(
+                global_stats([0.45, 0.45, 0.05, 0.05]),
+                scoped(
                     (dist([0.9, 0.04, 0.03, 0.03], 2.0), dist([0.04, 0.9, 0.03, 0.03], 2.0)),
                 ),
             ),
             StyleReference(
                 "b",
-                dist([0.05, 0.05, 0.45, 0.45]),
-                ScopedDistributions(
+                global_stats([0.05, 0.05, 0.45, 0.45]),
+                scoped(
                     (dist([0.03, 0.03, 0.9, 0.04], 2.0), dist([0.03, 0.03, 0.04, 0.9], 2.0)),
                 ),
             ),
@@ -159,10 +159,10 @@ class TestStyleMatchRate:
     def test_regional_mode_needs_semantics(self):
         regional_refs = (
             StyleReference(
-                "a", dist([0.25] * 4), ScopedDistributions((dist([0.25] * 4, 1.0),))
+                "a", global_stats([0.25] * 4), scoped((dist([0.25] * 4, 1.0),))
             ),
             StyleReference(
-                "b", dist([0.25] * 4), ScopedDistributions((dist([0.25] * 4, 1.0),))
+                "b", global_stats([0.25] * 4), scoped((dist([0.25] * 4, 1.0),))
             ),
         )
         with pytest.raises(ValidationError) as exc:
@@ -185,7 +185,7 @@ class TestStyleMatchRate:
         ]
         inverse = np.argsort(perm)
         permuted_refs = tuple(
-            StyleReference(ref.name, dist(ref.distribution.probs[inverse]))
+            StyleReference(ref.name, global_stats(ref.distribution.probs[0][inverse]))
             for ref in self.REFS
         )
         a = style_match_rate(samples, self.REFS)
@@ -215,7 +215,7 @@ def skewed_grids(token, n, size=4):
 
 
 class TestGuidanceReport:
-    TARGET = StyleReference("goal", dist([0.7, 0.1, 0.1, 0.1]))
+    TARGET = StyleReference("goal", global_stats([0.7, 0.1, 0.1, 0.1]))
 
     def test_identical_sets_report_zero_reduction(self):
         grids = skewed_grids(0, 6)
@@ -246,8 +246,8 @@ class TestGuidanceReport:
     def test_per_label_breakdown(self):
         target = StyleReference(
             "goal",
-            dist([0.45, 0.45, 0.05, 0.05]),
-            ScopedDistributions(
+            global_stats([0.45, 0.45, 0.05, 0.05]),
+            scoped(
                 (dist([0.9, 0.04, 0.03, 0.03], 8.0), dist([0.04, 0.9, 0.03, 0.03], 8.0)),
             ),
         )
@@ -275,8 +275,8 @@ class TestGuidanceReport:
         monkeypatch.setattr(TokenBatch, "__getitem__", refuse)
         target = StyleReference(
             "goal",
-            dist([0.45, 0.45, 0.05, 0.05]),
-            ScopedDistributions((dist([0.9, 0.04, 0.03, 0.03], 8.0), None)),
+            global_stats([0.45, 0.45, 0.05, 0.05]),
+            scoped((dist([0.9, 0.04, 0.03, 0.03], 8.0), None)),
         )
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, 4, (12, 8, 8))
@@ -287,8 +287,8 @@ class TestGuidanceReport:
         assert counted == [5, 7]
         assert set(report.guided.kl_per_label) == {0}
 
-        smoothed = ScopedDistributions((dist([0.4, 0.3, 0.2, 0.1], 8.0),) * 2)
-        refs = [StyleReference(name, dist([0.25] * 4), smoothed) for name in "abc"]
+        smoothed = scoped((dist([0.4, 0.3, 0.2, 0.1], 8.0),) * 2)
+        refs = [StyleReference(name, global_stats([0.25] * 4), smoothed) for name in "abc"]
         counted.clear()
         global_refs = [StyleReference(ref.name, ref.distribution) for ref in refs]
         style_match_rate(TokenBatch(tokens, 4), global_refs)
@@ -361,7 +361,7 @@ class TestSpatialDivergence:
             spatial_divergence([], reference)
 
     def test_label_scoped_reference_rejected(self):
-        reference = ScopedDistributions((dist([0.5, 0.5], 2.0),))
+        reference = scoped((dist([0.5, 0.5], 2.0),))
         with pytest.raises(ValidationError) as exc:
             spatial_divergence([TokenGrid(1, 2, 2, [0, 1])], reference)
         assert "per-cell reference" in str(exc.value)
@@ -376,13 +376,15 @@ def _styled_grids(rng, n, height, width, size, favoured, weight=6.0):
 
 
 def _stats_bytes(stats) -> bytes:
-    """A byte encoding of a distribution or scoped statistics, floats exact."""
-    if isinstance(stats, CategoricalDistribution):
-        return stats.probs.tobytes() + repr(stats.source_mass).encode()
-    parts = [repr(stats.cells).encode()]
-    for scope in stats.scopes:
-        parts.append(b"none" if scope is None else _stats_bytes(scope))
-    return b"|".join(parts)
+    """A byte encoding of statistics, floats exact: a global row with its
+    mass, or the tiling (None for labels) and each scope's row and mass."""
+    rows = [
+        probs.tobytes() + repr(float(mass)).encode() if present else b"none"
+        for probs, mass, present in zip(stats.probs, stats.masses, stats.present)
+    ]
+    if stats.kind == "global":
+        return rows[0]
+    return b"|".join([repr(stats.cells).encode(), *rows])
 
 
 def metrics_and_stats_digests(tmp_path) -> dict:
@@ -407,7 +409,7 @@ def metrics_and_stats_digests(tmp_path) -> dict:
     ref_a = StyleReference.from_stats("a", regional_a)
     ref_b = StyleReference.from_stats("b", regional_b)
     # No target for label 1: the report skips it.
-    partial_scopes = ScopedDistributions((regional_a.scopes[0], None, regional_a.scopes[2]))
+    partial_scopes = ScopedDistributions(regional_a.probs * [[1], [0], [1]], regional_a.masses * [1, 0, 1])
     partial = StyleReference("partial", ref_a.distribution, partial_scopes)
     out: dict = {}
 

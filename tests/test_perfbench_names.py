@@ -101,3 +101,33 @@ def test_spanned_functions_keep_their_span_names(perfbench, layer):
     module = importlib.import_module(f"gcs.{layer}")
     for name in SPANNED[layer]:
         assert perfbench["spans"].span_name(getattr(module, name)) == f"{layer}.{name}"
+
+
+def test_benchmark_set_up_runs_on_every_stats_kind(perfbench, tmp_path):
+    # The name checks above cannot see a changed statistics type; this runs
+    # the calls the benchmark makes on the statistics it builds.
+    from gcs.distributions import collapse_regional
+    from gcs.formats import read_stats, write_stats
+    from gcs.metrics import StyleReference, guidance_report
+
+    inproc = perfbench["inproc"]
+    inputs = importlib.import_module("inputs").derive(0, quick=True)
+    world = tmp_path / "world"
+    world.mkdir()
+    setup = inproc.build("small-batch", inputs, world, perfbench["spans"].NullTracer())
+    assert sorted(setup.stats) == ["global", "regional", "spatial"]
+    for mode, pair in setup.stats.items():
+        for side, stats in zip(("style", "dataset"), pair):
+            write_stats(tmp_path / f"{side}-{mode}.json", stats)
+        read = [read_stats(tmp_path / f"{side}-{mode}.json") for side in ("style", "dataset")]
+        assert [stats.kind for stats in read] == [mode, mode]
+        assert inproc.build_table(mode, *read) == setup.tables[mode]
+    style = setup.stats["regional"][0]
+    target = StyleReference("style0", collapse_regional(style), regional=style)
+    kinds = inproc.SMALL_KINDS
+    guided, plain = (
+        inproc.request(setup, kinds[name], 1, 4, perfbench["spans"].NullTracer())
+        for name in ("regional-cond", "unguided")
+    )
+    report = guidance_report(guided, plain, target, regions=setup.semantics)
+    assert set(report.kl_reduction_per_label) == {0, 1}

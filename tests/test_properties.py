@@ -45,8 +45,8 @@ from gcs.distributions import (
     monte_carlo_dataset_distribution,
 )
 from gcs.formats import (
-    distribution_from_dict,
-    distribution_to_dict,
+    scoped_from_dict,
+    scoped_to_dict,
     semantic_grid_from_bytes,
     semantic_grid_to_bytes,
     token_grid_from_bytes,
@@ -56,7 +56,6 @@ from gcs.guidance import (
     LikelihoodVector,
     global_likelihood_table,
     rebalance_rows,
-    style_likelihood,
 )
 from gcs.metrics import (
     StyleReference,
@@ -67,6 +66,7 @@ from gcs.metrics import (
 from gcs.prior import train_markov_prior
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
+from conftest import global_stats, likelihood_vector
 from test_world import realize_layout
 
 prop = settings(
@@ -238,10 +238,10 @@ class TestRoundTrips:
     @prop
     @given(count_priors())
     def test_distribution_json_is_bit_exact(self, dist):
-        payload = json.loads(json.dumps(distribution_to_dict(dist)))
-        back = distribution_from_dict(payload)
-        assert back.probs.tobytes() == dist.probs.tobytes()
-        assert back.source_mass == dist.source_mass
+        payload = json.loads(json.dumps(scoped_to_dict(global_stats(dist.probs, dist.source_mass))))
+        back = scoped_from_dict(payload, "global")
+        assert back.probs[0].tobytes() == dist.probs.tobytes()
+        assert back.masses[0] == dist.source_mass
 
 
 class TestAggregationConsistency:
@@ -252,11 +252,10 @@ class TestAggregationConsistency:
         total = histogram_from_grid(grid, 0.0)
         regional = histogram_by_region(grid, semantics, 0.0)
         pooled = np.zeros(grid.codebook_size)
-        for dist in regional.scopes:
-            if dist is not None:
-                pooled += dist.probs * dist.source_mass
+        for probs, mass in zip(regional.probs, regional.masses):
+            pooled += probs * mass
         assert np.array_equal(
-            np.rint(pooled), np.rint(total.probs * total.source_mass)
+            np.rint(pooled), np.rint(total.probs[0] * total.masses[0])
         )
 
     @prop
@@ -268,12 +267,12 @@ class TestAggregationConsistency:
         spatial = histogram_by_cell([grid], rows, cols, 0.0)
         merged = np.zeros(grid.codebook_size)
         mass = 0.0
-        for dist in spatial.scopes:
-            merged += dist.probs * dist.source_mass
-            mass += dist.source_mass
+        for probs, cell_mass in zip(spatial.probs, spatial.masses):
+            merged += probs * cell_mass
+            mass += cell_mass
         merged /= mass
         assert np.allclose(
-            merged, histogram_from_grid(grid, 0.0).probs, atol=1e-12, rtol=0.0
+            merged, histogram_from_grid(grid, 0.0).probs[0], atol=1e-12, rtol=0.0
         )
 
 
@@ -299,7 +298,7 @@ class TestPermutationEquivariance:
         perm = data.draw(permutations(grid.codebook_size))
         original = histogram_from_grid(grid, 0.0)
         relabeled = histogram_from_grid(permute_grid(grid, perm), 0.0)
-        assert np.array_equal(relabeled.probs[perm], original.probs)
+        assert np.array_equal(relabeled.probs[0][perm], original.probs[0])
 
     @prop
     @given(st.data())
@@ -321,21 +320,22 @@ class TestPermutationEquivariance:
         size = data.draw(st.integers(2, 6))
         count = data.draw(st.integers(2, 3))
         dists = data.draw(tuples_of(full_support_dists(size), count))
-        refs = [StyleReference(f"s{i}", dist) for i, dist in enumerate(dists)]
+        refs = [StyleReference(f"s{i}", global_stats(dist.probs)) for i, dist in enumerate(dists)]
         samples = data.draw(tuples_of(token_grids(max_side=4, max_codebook=2), 2))
         samples = [
             TokenGrid(g.height, g.width, size, np.minimum(g.tokens, size - 1))
             for g in samples
         ]
         for grid in samples:
-            hist = histogram_from_grid(grid, 0.0)
-            scores = sorted(kl_divergence(hist, r.distribution) for r in refs)
+            hist = CategoricalDistribution(size, histogram_from_grid(grid, 0.0).probs[0])
+            scores = sorted(kl_divergence(hist, dist) for dist in dists)
             assume(scores[1] - scores[0] > 1e-9)
         perm = data.draw(permutations(size))
         base = style_match_rate(samples, refs)
         moved = style_match_rate(
             [permute_grid(g, perm) for g in samples],
-            [StyleReference(r.name, permute_dist(r.distribution, perm)) for r in refs],
+            [StyleReference(r.name, global_stats(permute_dist(d, perm).probs))
+             for r, d in zip(refs, dists)],
         )
         assert moved.assigned == base.assigned
 
@@ -356,7 +356,7 @@ class TestRebalancingInvariants:
         dist = data.draw(full_support_dists())
         exponent = data.draw(st.floats(0.0, 4.0))
         prior = data.draw(count_priors(dist.codebook_size))
-        vector = style_likelihood(dist, dist, exponent)
+        vector = likelihood_vector(dist, dist, exponent)
         assert vector.is_identity
         row = prior.probs[None]
         assert rebalance_rows(row, vector) is row
@@ -367,7 +367,7 @@ class TestRebalancingInvariants:
         size = data.draw(sizes)
         style = data.draw(full_support_dists(size))
         dataset = data.draw(full_support_dists(size))
-        assert style_likelihood(style, dataset, 0.0).is_identity
+        assert likelihood_vector(style, dataset, 0.0).is_identity
 
     @prop
     @given(prior_and_weights())
@@ -401,7 +401,7 @@ class TestRebalancingInvariants:
         exponent = data.draw(
             st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
         )
-        post = rebalance_rows(prior.probs[None], style_likelihood(style, dataset, exponent))
+        post = rebalance_rows(prior.probs[None], likelihood_vector(style, dataset, exponent))
         direct = prior.probs * (style.probs / dataset.probs) ** exponent
         direct /= direct.sum()
         assert np.allclose(post[0], direct, atol=1e-12, rtol=0.0)
@@ -469,7 +469,9 @@ class TestDeterminismAndSplitting:
             style = data.draw(full_support_dists(grid.codebook_size))
             dataset = data.draw(full_support_dists(grid.codebook_size))
             config = dataclasses.replace(
-                config, guidance=global_likelihood_table(style, dataset, 2.0)
+                config, guidance=global_likelihood_table(
+                    global_stats(style.probs), global_stats(dataset.probs), 2.0
+                )
             )
         first = sample_grid(model, 3, 3, None, config)
         second = sample_grid(model, 3, 3, None, config)
@@ -502,7 +504,9 @@ class TestDeterminismAndSplitting:
             3,
             2,
             None,
-            SamplingConfig(seed=seed, guidance=global_likelihood_table(dist, dist)),
+            SamplingConfig(seed=seed, guidance=global_likelihood_table(
+                global_stats(dist.probs), global_stats(dist.probs)
+            )),
         )
         assert plain == guided
 
@@ -536,7 +540,9 @@ class TestPriorChain:
         if data.draw(st.booleans()):
             style = data.draw(full_support_dists(grid.codebook_size))
             dataset = data.draw(full_support_dists(grid.codebook_size))
-            guidance = global_likelihood_table(style, dataset)
+            guidance = global_likelihood_table(
+                global_stats(style.probs), global_stats(dataset.probs)
+            )
         exact = exact_sequence_distribution(
             model, height, width, None, SamplingConfig(guidance=guidance)
         )
