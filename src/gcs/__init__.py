@@ -8,13 +8,11 @@ whose layout is global, per semantic region or per spatial cell.
 """
 
 from .core import (
-    CategoricalDistribution,
     FormatError,
     SemanticGrid,
     TokenBatch,
     TokenGrid,
     ValidationError,
-    normalize,
     validate_grid,
 )
 from .distributions import (
@@ -29,7 +27,6 @@ from .distributions import (
 )
 from .guidance import (
     LikelihoodTable,
-    LikelihoodVector,
     global_likelihood_table,
     scoped_likelihoods,
     select_likelihood,

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from .core import TokenGrid, ValidationError
-from .distributions import average_scoped, collapse_scoped, histograms, monte_carlo_distribution
+from .distributions import average_scoped, check_draws, collapse_scoped, histograms, monte_carlo_distribution
 from .formats import (
+    _typed,
     dump_json,
     load_json,
     read_semantic_grid,
@@ -96,8 +97,11 @@ def _load_samples(directory) -> tuple[list[TokenGrid], list | None]:
         grids = [grid for grid, _ in read_entries(base, entries, with_semantics=False)]
         seeds = [entry.get("seed") for entry in entries]
         if any(seed is None for seed in seeds):
-            seeds = None
-        return grids, seeds
+            return grids, None
+        try:
+            return grids, [_typed(seed, int) for seed in seeds]
+        except ValueError as exc:
+            raise ValidationError(f"{manifest_path}: sample seed {exc}") from exc
     paths = sorted(base.glob("*.tgrd"))
     if not paths:
         raise ValidationError(f"{directory}: no samples found")
@@ -141,6 +145,7 @@ def cmd_train_prior(args) -> int:
 def cmd_dataset_stats(args) -> int:
     # Every grid and semantic map is read and validated; only --by-region
     # keeps the maps.
+    check_draws(args.k)
     grids, maps = [], []
     for grid, sem in iter_grid_directory(args.corpus, with_semantics=True):
         grids.append(grid)

@@ -1,4 +1,4 @@
-"""Core value types: codebooks, token grids, semantic grids, distributions.
+"""Core value types: token grids, semantic grids, and probability-row checks.
 
 All types validate their invariants at construction and are immutable
 afterwards (ndarray payloads are marked read-only), so instances can be
@@ -201,69 +201,6 @@ def check_rows(probs: np.ndarray, masses: np.ndarray) -> np.ndarray:
     off = (np.abs(sums - 1.0) > PROB_SUM_TOL) & (present | (masses > 0.0))
     if off.any():
         raise ValidationError(
-            f"probabilities sum to {sums[off][0]!r}, outside 1 +/- {PROB_SUM_TOL}"
+            f"probabilities sum to {float(sums[off][0])!r}, outside 1 +/- {PROB_SUM_TOL}"
         )
     return present
-
-
-@dataclass(frozen=True, eq=False)
-class CategoricalDistribution:
-    """A normalized probability vector over codebook indices.
-
-    ``source_mass`` records how many token observations back the estimate
-    (0 for analytic distributions); downstream averaging can weight by it.
-    """
-
-    codebook_size: int
-    probs: np.ndarray
-    source_mass: float = 0.0
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size != self.codebook_size:
-            raise ValidationError(
-                f"probability vector must have length {self.codebook_size}, "
-                f"got shape {probs.shape}"
-            )
-        mass = float(self.source_mass)
-        if not check_rows(probs[None], np.array([mass]))[0]:
-            raise ValidationError("an all-zero vector is not a distribution")
-        object.__setattr__(self, "probs", _readonly(probs.copy()))
-        object.__setattr__(self, "source_mass", mass)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CategoricalDistribution):
-            return NotImplemented
-        return (
-            self.codebook_size == other.codebook_size
-            and self.source_mass == other.source_mass
-            and bool(np.array_equal(self.probs, other.probs))
-        )
-
-
-def normalize(
-    weights: Sequence[float] | np.ndarray, source_mass: float = 0.0
-) -> CategoricalDistribution:
-    """Scale a non-negative weight vector so it sums to one.
-
-    Rejects vectors of length < 2 (a degenerate codebook), any negative or
-    non-finite entry, and all-zero input.
-    """
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"weights must be 1-D, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ValidationError(
-            f"weights length {arr.size} implies a codebook of size < 2"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("weights contain non-finite entries")
-    if np.any(arr < 0.0):
-        idx = int(np.argmax(arr < 0.0))
-        raise ValidationError(f"negative weight {arr[idx]} at index {idx}")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ValidationError("zero total mass: cannot normalize")
-    return CategoricalDistribution(
-        codebook_size=arr.size, probs=arr / total, source_mass=source_mass
-    )

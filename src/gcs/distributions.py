@@ -39,6 +39,8 @@ DEFAULT_ALPHA = 0.5
 _CHUNK_POSITIONS = 2**14
 # Largest scopes x codebook size one count may hold; it sizes the count arrays.
 COUNT_CELL_LIMIT = 2**26
+# Most Monte-Carlo draws one estimate may take; it sizes the draw arrays.
+DRAW_LIMIT = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +72,7 @@ class ScopedDistributions:
                 raise ValidationError(f"unknown statistics layout {self.layout!r}")
         else:
             object.__setattr__(self, "layout", tuple(int(n) for n in self.layout))
-        check_scope_layout(tuple(p or None for p in present.tolist()), self.cells, "distributions")
+        check_scope_layout(present, self.cells, "distributions")
         object.__setattr__(self, "probs", _readonly(probs))
         object.__setattr__(self, "masses", _readonly(masses))
         object.__setattr__(self, "present", _readonly(present))
@@ -96,19 +98,19 @@ class ScopedDistributions:
                 and np.array_equal(self.masses, other.masses))
 
 
-def check_scope_layout(scopes: tuple, cells: tuple[int, int] | None, what: str) -> None:
-    """Statistics and guidance tables alike hold at least one scope, and a
-    (rows, cols) tiling holds rows * cols of them, none None."""
-    if not scopes:
+def check_scope_layout(present: np.ndarray, cells: tuple[int, int] | None, what: str) -> None:
+    """Statistics and guidance tables alike hold at least one scope (one
+    ``present`` flag each), and a (rows, cols) tiling rows * cols of them,
+    all present."""
+    if not present.size:
         raise ValidationError(f"{what} need at least one scope")
     if cells is not None:
         rows, cols = cells
         if rows < 1 or cols < 1:
             raise ValidationError(f"cell tiling must be positive, got {rows}x{cols}")
-        present = sum(scope is not None for scope in scopes)
-        if len(scopes) != rows * cols or present != len(scopes):
+        if present.size != rows * cols or not present.all():
             raise ValidationError(
-                f"a {rows}x{cols} tiling needs {rows * cols} cell {what}, got {present}"
+                f"a {rows}x{cols} tiling needs {rows * cols} cell {what}, got {np.count_nonzero(present)}"
             )
 
 
@@ -343,6 +345,12 @@ def collapse_scoped(stats: ScopedDistributions) -> ScopedDistributions:
     return ScopedDistributions((mean / mean.sum())[None], [total], "global")
 
 
+def check_draws(draws: int) -> None:
+    """Reject a Monte-Carlo draw count outside [1, DRAW_LIMIT], before any draw."""
+    if not 1 <= draws <= DRAW_LIMIT:
+        raise ValidationError(f"draw count must be in [1, {DRAW_LIMIT}], got {draws}")
+
+
 def monte_carlo_distribution(
     grids: Sequence[TokenGrid],
     draws: int,
@@ -356,8 +364,7 @@ def monte_carlo_distribution(
     ``maps``, or per cell of a (rows, cols) tiling.  Deterministic for a
     given seed; each distinct drawn grid is counted once."""
     alpha = _check_alpha(smoothing_alpha)
-    if draws < 1:
-        raise ValidationError(f"draw count must be >= 1, got {draws}")
+    check_draws(draws)
     if not grids:
         raise ValidationError("empty corpus")
     drawn, order = np.unique(draw_indices(len(grids), draws, seed), return_inverse=True)

@@ -143,6 +143,13 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return dict(pairs)
 
 
+def _typed(value, *kinds: type):
+    """`value` if its JSON type is one of `kinds`; a bool is no int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{value!r} is not {' or '.join(kind.__name__ for kind in kinds)}")
+    return value
+
+
 def load_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)

@@ -7,11 +7,11 @@ sampling.  Weight vectors are defined up to positive scale; canonical
 storage normalizes the maximum entry to 1 so large exponents cannot
 overflow.
 
-A `LikelihoodTable` is a tuple of per-scope vectors plus the scope layout
-of the statistics it came from: one vector per semantic label, or one per
-cell of a (rows, cols) tiling.  `scoped_likelihoods` builds every table
+A `LikelihoodTable` is one (scopes, K) weight array plus the scope layout
+of the statistics it came from: one row per semantic label, or one per
+cell of a (rows, cols) tiling.  `scoped_likelihoods` fills every table
 from a style and a dataset `ScopedDistributions` of one layout; global
-statistics give the 1x1 tiling of their one vector.  `scope_index` is the
+statistics give the 1x1 tiling of their one row.  `scope_index` is the
 one position -> scope rule, elementwise on arrays: `select_likelihood`
 applies it to one step, `batch_sample` to every position of the grid at
 once.
@@ -27,90 +27,59 @@ from .core import SemanticGrid, ValidationError, _readonly
 from .distributions import ScopedDistributions, cell_of_position, check_scope_layout
 
 
-@dataclass(frozen=True, eq=False)
-class LikelihoodVector:
-    """Strictly positive guidance weights over the codebook, max-normalized."""
+def rebalance_rows(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Multiply (R, K) prior rows by one row of guidance weights and
+    renormalize each.
 
-    codebook_size: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.codebook_size < 2:
-            raise ValidationError(
-                f"codebook size must be >= 2, got {self.codebook_size}"
-            )
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size != self.codebook_size:
-            raise ValidationError(
-                f"weight vector must have length {self.codebook_size}, "
-                f"got shape {w.shape}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("guidance weights contain non-finite entries")
-        if np.any(w <= 0.0):
-            idx = int(np.argmax(w <= 0.0))
-            raise ValidationError(
-                f"guidance weight {w[idx]} at index {idx} is not strictly positive; "
-                "estimate the input distributions with smoothing_alpha > 0"
-            )
-        object.__setattr__(self, "weights", _readonly(w / w.max()))
-
-    @property
-    def is_identity(self) -> bool:
-        """True when every weight is 1, i.e. rebalancing is a no-op."""
-        return bool(np.all(self.weights == 1.0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LikelihoodVector):
-            return NotImplemented
-        return self.codebook_size == other.codebook_size and bool(
-            np.array_equal(self.weights, other.weights)
-        )
-
-
-def _check_exponent(exponent: float) -> None:
-    if not np.isfinite(exponent) or exponent < 0.0:
-        raise ValidationError(
-            f"guidance exponent must be finite and >= 0, got {exponent}"
-        )
-
-
-def rebalance_rows(probs: np.ndarray, likelihood: LikelihoodVector) -> np.ndarray:
-    """Multiply (R, K) prior rows by guidance weights and renormalize each.
-
-    All-ones weight vectors return the rows themselves, so identity
-    guidance is exact to the bit, not merely within rounding.
+    All-ones weights return the rows themselves, so identity guidance is
+    exact to the bit, not merely within rounding.
     """
-    if probs.shape[1] != likelihood.codebook_size:
-        raise ValidationError(
-            f"codebook size mismatch: prior {probs.shape[1]} vs "
-            f"weights {likelihood.codebook_size}"
-        )
-    if likelihood.is_identity:
+    if probs.shape[1] != weights.size:
+        raise ValidationError(f"codebook size mismatch: prior {probs.shape[1]} vs weights {weights.size}")
+    if np.all(weights == 1.0):
         return probs
-    scaled = probs * likelihood.weights
+    scaled = probs * weights
     totals = scaled.sum(axis=1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValidationError("rebalanced distribution has zero total mass")
     return scaled / totals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LikelihoodTable:
     """Guidance weights per scope, plus the layout that picks one per step.
 
-    ``scopes`` holds one vector per semantic label when ``cells`` is None,
-    or one per cell of a (rows, cols) tiling in row-major order.
+    ``weights`` (scopes, K) holds one row per semantic label when ``cells``
+    is None, or one per cell of a (rows, cols) tiling in row-major order.
+    Rows must be finite and > 0; each is stored divided by its maximum, in
+    a read-only copy, so large exponents cannot overflow.
     """
 
     exponent: float
-    scopes: tuple[LikelihoodVector, ...]
+    weights: np.ndarray
     cells: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _check_exponent(self.exponent)
-        object.__setattr__(self, "scopes", tuple(self.scopes))
-        check_scope_layout(self.scopes, self.cells, "vectors")
+        if not np.isfinite(self.exponent) or self.exponent < 0.0:
+            raise ValidationError(f"guidance exponent must be finite and >= 0, got {self.exponent}")
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] < 2:
+            raise ValidationError(f"guidance weights must be (scopes, K >= 2), got shape {w.shape}")
+        bad = ~(np.isfinite(w) & (w > 0.0))
+        if bad.any():
+            scope, idx = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"guidance weight {w[scope, idx]} at index {idx} of scope {scope} is not finite "
+                "and > 0; estimate the input distributions with smoothing_alpha > 0"
+            )
+        check_scope_layout(np.ones(len(w), dtype=bool), self.cells, "vectors")
+        object.__setattr__(self, "weights", _readonly(w / w.max(axis=1, keepdims=True)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LikelihoodTable):
+            return NotImplemented
+        same = (self.exponent, self.cells) == (other.exponent, other.cells)
+        return same and np.array_equal(self.weights, other.weights)
 
 
 def scoped_likelihoods(
@@ -120,14 +89,14 @@ def scoped_likelihoods(
     dataset_global: ScopedDistributions | None,
     exponent: float = 1.0,
 ) -> LikelihoodTable:
-    """Guidance vectors for every scope of one layout, with a global fallback.
+    """Guidance weights for every scope of one layout, with a global fallback.
 
-    Style and dataset must share one layout.  A scope gets its own vector
-    where both sides carry a distribution for it; a label either side never
-    observed holds the vector of the global statistics ``style_global`` and
-    ``dataset_global``, which may be None when no label is missing.  Global
-    and tiled statistics never miss a scope; global guidance is the 1x1
-    tiling of its one vector.
+    Style and dataset must share one layout.  A scope gets its own row of
+    ratios where both sides carry a distribution for it; a label either
+    side never observed holds the row of the global statistics
+    ``style_global`` and ``dataset_global``, which may be None when no label
+    is missing.  Global and tiled statistics never miss a scope; global
+    guidance is the 1x1 tiling of its one row.
     """
     if style.kind != dataset.kind:
         raise ValidationError(
@@ -150,7 +119,6 @@ def scoped_likelihoods(
             f"codebook size mismatch: style {style.codebook_size} vs "
             f"dataset {dataset.codebook_size}"
         )
-    _check_exponent(exponent)
     both = style.present & dataset.present
     for name, stats in (("style", style), ("dataset", dataset)):
         zeros = stats.probs[both] <= 0.0
@@ -159,17 +127,15 @@ def scoped_likelihoods(
                 f"{name} distribution has zero mass at index {np.argwhere(zeros)[0, 1]}; "
                 "re-estimate with smoothing_alpha > 0"
             )
-    ratios = (style.probs[both] / dataset.probs[both]) ** float(exponent)
-    vectors = iter([LikelihoodVector(style.codebook_size, row) for row in ratios])
-    fallback = None
+    weights = np.empty(style.probs.shape)
+    weights[both] = (style.probs[both] / dataset.probs[both]) ** float(exponent)
     if not both.all():
         if style_global is None or dataset_global is None:
             raise ValidationError(
                 "per-label guidance requires the global style and dataset distributions"
             )
-        fallback = scoped_likelihoods(style_global, dataset_global, None, None, exponent).scopes[0]
-    scopes = tuple(next(vectors) if found else fallback for found in both.tolist())
-    return LikelihoodTable(float(exponent), scopes, style.cells)
+        weights[~both] = scoped_likelihoods(style_global, dataset_global, None, None, exponent).weights
+    return LikelihoodTable(float(exponent), weights, style.cells)
 
 
 # Names the benchmark harness calls; every layout shares one body.
@@ -186,7 +152,7 @@ def scope_index(
     semantics: SemanticGrid | None = None,
     grid_shape: tuple[int, int] | None = None,
 ) -> np.ndarray | int:
-    """Index into ``table.scopes`` of each position (row, col).
+    """Row of ``table.weights`` for each position (row, col).
 
     The scope is the semantic label at the position for per-label tables,
     or the row-major index of the cell holding it for tiled ones, which
@@ -212,9 +178,9 @@ def scope_index(
         )
     if table.cells is None:
         labels = semantics.labels[row, col]
-        if np.count_nonzero(labels >= len(table.scopes)):
+        if np.count_nonzero(labels >= len(table.weights)):
             raise ValidationError(
-                f"label {np.max(labels)} outside the table's {len(table.scopes)} labels"
+                f"label {np.max(labels)} outside the table's {len(table.weights)} labels"
             )
         return labels
     cell_rows, cell_cols = table.cells
@@ -227,6 +193,6 @@ def select_likelihood(
     position: tuple[int, int],
     semantics: SemanticGrid | None = None,
     grid_shape: tuple[int, int] | None = None,
-) -> LikelihoodVector:
-    """The guidance vector governing one generation step (see `scope_index`)."""
-    return table.scopes[int(scope_index(table, position, semantics, grid_shape))]
+) -> np.ndarray:
+    """The guidance weights governing one generation step (see `scope_index`)."""
+    return table.weights[int(scope_index(table, position, semantics, grid_shape))]

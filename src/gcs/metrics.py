@@ -22,21 +22,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError, grid_pairs
-)
+from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError, grid_pairs
 from .distributions import (
     ScopedDistributions, _grid_counts, collapse_scoped, histogram_by_cell, smoothed_rows
 )
 from .formats import dump_json
 
 
-def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    return _kl(p.probs, q.probs)
+def kl_divergence(p: ScopedDistributions, q: ScopedDistributions) -> float:
+    """KL(p || q) between two global statistics."""
+    return _kl(*_global_rows(p, q))
 
 
-def total_variation(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    return _tv(p.probs, q.probs)
+def total_variation(p: ScopedDistributions, q: ScopedDistributions) -> float:
+    """Total variation distance between two global statistics."""
+    return _tv(*_global_rows(p, q))
+
+
+def _global_rows(p: ScopedDistributions, q: ScopedDistributions) -> tuple[np.ndarray, np.ndarray]:
+    for stats in (p, q):
+        if stats.kind != "global":
+            raise ValidationError(f"divergences compare global statistics, not {stats.kind} ones")
+    return p.probs[0], q.probs[0]
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -179,7 +186,6 @@ class SampleRow:
     kl_global: float
     tv_global: float
     kl_per_label: dict
-    assigned_style: str | None
 
 
 @dataclass(frozen=True)
@@ -230,8 +236,7 @@ def _set_summary(
                     kl_labels[label] = _kl(row, ref)
         rows.append(SampleRow(
             sample_id=f"{prefix}-{i:03d}", seed=None if seeds is None else seeds[i],
-            kl_global=_kl(hist, goal), tv_global=_tv(hist, goal),
-            kl_per_label=kl_labels, assigned_style=None,
+            kl_global=_kl(hist, goal), tv_global=_tv(hist, goal), kl_per_label=kl_labels,
         ))
 
     pooled = smoothed_rows(pooled[None], 0.0)[0]
@@ -327,7 +332,7 @@ def _summary_to_dict(summary: SetSummary) -> dict:
                 "kl_global": row.kl_global,
                 "tv_global": row.tv_global,
                 "kl_per_label": {str(k): v for k, v in row.kl_per_label.items()},
-                "assigned_style": row.assigned_style,
+                "assigned_style": None,  # kept in the layout; no style is assigned
             }
             for row in summary.rows
         ],
@@ -377,5 +382,4 @@ def write_report_csv(path: str | Path, report: GuidanceReport) -> None:
                 for label in labels:
                     value = row.kl_per_label.get(label)
                     record.append("" if value is None else repr(value))
-                record.append(row.assigned_style or "")
-                writer.writerow(record)
+                writer.writerow(record + [""])  # assigned_style: no style is assigned

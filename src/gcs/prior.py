@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CategoricalDistribution,
     SemanticGrid,
     TokenGrid,
     ValidationError,
@@ -39,8 +38,8 @@ from .core import (
     grid_pairs,
     require_same_shape,
 )
-from .distributions import smoothed_rows
-from .formats import GRID_VOCAB_LIMIT, unique_keys
+from .distributions import ScopedDistributions, smoothed_rows
+from .formats import GRID_VOCAB_LIMIT, _typed, unique_keys
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
 MODEL_CELL_LIMIT = 2**26
@@ -256,11 +255,12 @@ class MarkovGridPrior:
 
     def distribution_for_context(
         self, context: tuple[int, ...], label: int | None
-    ) -> CategoricalDistribution:
-        """Smoothed count ratio for one (context, label) state."""
+    ) -> ScopedDistributions:
+        """Smoothed count ratio for one (context, label) state, as global
+        statistics whose mass is the state's observation count."""
         state = self.state_of(context, label)
         mass = self.counts[state].sum() if state < len(self.counts) else 0.0
-        return CategoricalDistribution(self.codebook_size, self.smoothed[state], mass)
+        return ScopedDistributions(self.smoothed[state : state + 1], [mass], "global")
 
     def next_distribution(
         self,
@@ -269,7 +269,7 @@ class MarkovGridPrior:
         width: int,
         position: tuple[int, int],
         semantics: SemanticGrid | None = None,
-    ) -> CategoricalDistribution:
+    ) -> ScopedDistributions:
         row, col = position
         expected = divmod(len(prefix), width)
         if expected != (row, col):
@@ -480,13 +480,6 @@ def save_model(path: str | Path, model: MarkovGridPrior) -> None:
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     Path(path).write_text(text + "\n")
-
-
-def _typed(value, *kinds: type):
-    """`value` if its JSON type is one of `kinds`; a bool is no int."""
-    if type(value) not in kinds:
-        raise ValueError(f"{value!r} is not {' or '.join(kind.__name__ for kind in kinds)}")
-    return value
 
 
 def load_model(path: str | Path) -> MarkovGridPrior:

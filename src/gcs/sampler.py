@@ -8,12 +8,12 @@ temperature exactly 1, truncation that removes no mass) leaves its bits
 untouched, so a pipeline of no-ops reproduces the raw prior bit for bit.
 `sample_grid` and the exact chain enumeration `exact_sequence_distribution`
 run it per raster step on the one prior row `MarkovGridPrior.state_of`
-names, with the guidance vector `scope_index` gives the position.
+names, with the guidance weights `scope_index` gives the position.
 
 `batch_sample` draws a wavefront per step: every position with the same
 skew * row + col, whose template slots all lie in earlier wavefronts.  It
 keeps a posterior-row table for the batch: one row per (scope, prior
-state), where a scope indexes the guidance table's `scopes` (`scope_index`
+state), where a scope indexes the guidance table's `weights` (`scope_index`
 maps every position at once), stored with its cumulative sum.  A step gathers its slots from the position-major
 (H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
 prior states, builds the rows it lacks with one `posterior_rows` call per
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
-from .guidance import LikelihoodTable, LikelihoodVector, rebalance_rows, scope_index
+from .guidance import LikelihoodTable, rebalance_rows, scope_index
 from .prior import BOUNDARY, MarkovGridPrior
 from .rng import mix64_array, seed_key, split_seed_array, unit_draw, unit_draws_at
 
@@ -79,7 +79,7 @@ def index_from_unit(
 
 
 def posterior_rows(
-    probs: np.ndarray, vector: LikelihoodVector | None, config: SamplingConfig
+    probs: np.ndarray, weights: np.ndarray | None, config: SamplingConfig
 ) -> np.ndarray:
     """The one guide -> temperature -> top-k pipeline, over (R, K) prior rows.
 
@@ -89,8 +89,8 @@ def posterior_rows(
     mass), and returns its input array when it is a no-op for every row.
     """
     size = probs.shape[1]
-    if vector is not None:
-        probs = rebalance_rows(probs, vector)
+    if weights is not None:
+        probs = rebalance_rows(probs, weights)
     if config.temperature != 1.0:
         powered = probs ** (1.0 / config.temperature)
         totals = powered.sum(axis=1, keepdims=True)
@@ -139,24 +139,24 @@ def _scalar_steps(
 ) -> Callable[[Sequence[int]], np.ndarray]:
     """The posterior row of the next raster step as a function of the prefix.
 
-    Every position's guidance vector is found once, by `scope_index`; a
+    Every position's guidance weights are found once, by `scope_index`; a
     step looks its prior row up with `state_of` and runs `posterior_rows`
     on that one row.
     """
     _check_sampling_args(model, height, width, semantics)
     size = height * width
-    vectors = [None] * size
+    weights = [None] * size
     if config.guidance is not None:
         rows, cols = np.divmod(np.arange(size), width)
         scopes = scope_index(config.guidance, (rows, cols), semantics, (height, width))
-        vectors = [config.guidance.scopes[s] for s in scopes.tolist()]
+        weights = [config.guidance.weights[s] for s in scopes.tolist()]
     labels = semantics.labels.reshape(-1).tolist() if model.conditional else [None] * size
 
     def step(prefix: Sequence[int]) -> np.ndarray:
         i = len(prefix)
         context = model.context_at(prefix, height, width, *divmod(i, width))
         state = model.state_of(context, labels[i])
-        return posterior_rows(model.smoothed[state : state + 1], vectors[i], config)[0]
+        return posterior_rows(model.smoothed[state : state + 1], weights[i], config)[0]
 
     return step
 
@@ -274,7 +274,7 @@ def inverse_cdf_rows(
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    Scope j is ``config.guidance.scopes[j]``, or the one scope None when
+    Scope j is row j of ``config.guidance.weights``, or the one scope None when
     unguided.  Each scope maps prior states (the shared unseen-context
     state included) to rows through S + 1 entries of an int64 array, -1
     until built: 8 (S + 1) bytes whatever the code space, at most the size
@@ -287,9 +287,9 @@ class _RowTable:
     def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
         self.model = model
         self.config = config
-        self.vectors = (None,) if config.guidance is None else config.guidance.scopes
+        self.weights = (None,) if config.guidance is None else config.guidance.weights
         self.stride = len(model.counts) + 1
-        self.row_of = np.full(len(self.vectors) * self.stride, -1, dtype=np.int64)
+        self.row_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
@@ -298,7 +298,7 @@ class _RowTable:
         """Row of each element's (scope, context state), building new ones.
 
         `columns` and `labels` go to `MarkovGridPrior.states`; `scopes`
-        indexes `vectors` and broadcasts against the columns like `labels`.
+        indexes `weights` and broadcasts against the columns like `labels`.
         """
         keys = scopes * self.stride + self.model.states(columns, labels)
         rows = self.row_of[keys]
@@ -309,8 +309,8 @@ class _RowTable:
             self.row_of[fresh] = np.arange(self.size, self.size + fresh.size)
             for part in np.split(fresh, np.flatnonzero(np.diff(fresh // self.stride)) + 1):
                 scope, states = np.divmod(part, self.stride)
-                vector = self.vectors[scope[0]]
-                self._append(posterior_rows(self.model.smoothed[states], vector, self.config))
+                weights = self.weights[scope[0]]
+                self._append(posterior_rows(self.model.smoothed[states], weights, self.config))
             rows = self.row_of[keys]
         return rows
 

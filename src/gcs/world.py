@@ -27,13 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CategoricalDistribution,
-    SemanticGrid,
-    TokenGrid,
-    ValidationError,
+from .core import SemanticGrid, TokenGrid, ValidationError, _readonly, check_rows
+from .formats import (
+    GRID_VOCAB_LIMIT, _typed, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 )
-from .formats import dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 from .rng import MASK64, mix64_array, split_seed, split_seed_array, unit_draws_at
 from .sampler import inverse_cdf_rows
 
@@ -47,14 +44,21 @@ _STREAM_EXEMPLARS = 3
 
 # Grid positions drawn together in one chunk of scenes (at least one scene).
 _CHUNK_POSITIONS = 2**16
+# Most positions one scene and most scenes (corpus and exemplars) one benchmark may hold.
+GRID_POSITION_LIMIT = 2**20
+SCENE_LIMIT = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StyleSpec:
-    """Named per-label token distributions with left-copy coherence."""
+    """Named per-label token distributions with left-copy coherence.
+
+    ``per_label`` is a read-only (labels, K) array: one probability row per
+    label, each summing to one.
+    """
 
     name: str
-    per_label: tuple[CategoricalDistribution, ...]
+    per_label: np.ndarray
     coherence: float = 0.0
 
     def __post_init__(self) -> None:
@@ -64,22 +68,31 @@ class StyleSpec:
             raise ValidationError(
                 f"style name {name!r} must be a non-empty string usable as one directory name"
             )
-        if not self.per_label:
-            raise ValidationError(f"style {self.name!r} has no label distributions")
-        object.__setattr__(self, "per_label", tuple(self.per_label))
-        size = self.per_label[0].codebook_size
-        if any(dist.codebook_size != size for dist in self.per_label):
-            raise ValidationError(f"style {self.name!r} mixes codebook sizes")
+        rows = [np.asarray(row, dtype=np.float64) for row in self.per_label]
+        if not rows:
+            raise ValidationError(f"style {name!r} has no label distributions")
+        if len({row.shape for row in rows}) > 1:
+            raise ValidationError(f"style {name!r} mixes codebook sizes")
+        probs = np.stack(rows)
+        if not check_rows(probs, np.zeros(len(probs))).all():
+            raise ValidationError(f"style {name!r} has an all-zero label distribution")
         if not (0.0 <= self.coherence < 1.0):
             raise ValidationError(f"coherence must lie in [0, 1), got {self.coherence}")
+        object.__setattr__(self, "per_label", _readonly(probs))
 
     @property
     def codebook_size(self) -> int:
-        return self.per_label[0].codebook_size
+        return self.per_label.shape[1]
 
     @property
     def label_count(self) -> int:
         return len(self.per_label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StyleSpec):
+            return NotImplemented
+        same = (self.name, self.coherence) == (other.name, other.coherence)
+        return same and np.array_equal(self.per_label, other.per_label)
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ class LayoutSpec:
         if extra:
             raise ValidationError(f"layout entry: unknown key {sorted(extra)[0]!r}")
         return LayoutSpec(**{
-            key: value if key == "kind" or value is None else int(value)
+            key: value if key == "kind" or value is None else _typed(value, int)
             for key, value in payload.items()
         })
 
@@ -179,7 +192,7 @@ def generate_scenes(
     (size, label_count), *mixed = {(s.codebook_size, s.label_count) for s in distinct.values()}
     if mixed:
         raise ValidationError("scenes drawn together must share a codebook size and label count")
-    probs = np.stack([dist.probs for style in distinct.values() for dist in style.per_label])
+    probs = np.concatenate([style.per_label for style in distinct.values()])
     cumulative = np.cumsum(probs, axis=1)
     coherence = np.array([style.coherence for style in distinct.values()])
     counters = np.arange(2 * height * width, dtype=np.uint64)
@@ -231,36 +244,33 @@ def _style_from_dict(payload: dict, codebook_size: int, label_count: int) -> Sty
         raise ValidationError(
             f"style {name!r}: expected {label_count} label distributions, got {len(raw)}"
         )
-    dists = []
+    rows = []
     for j, entry in enumerate(raw):
+        where = f"style {name!r} label {j}"
         if "probs" in entry:
-            probs = np.asarray(entry["probs"], dtype=float)
-            if probs.shape != (codebook_size,):
-                raise ValidationError(
-                    f"style {name!r} label {j}: probs length {probs.shape[0]} "
-                    f"!= codebook size {codebook_size}"
-                )
-            if not np.all(np.isfinite(probs)):
-                raise ValidationError(f"style {name!r} label {j}: probs contain non-finite entries")
-            total = probs.sum()
-            if total <= 0:
-                raise ValidationError(f"style {name!r} label {j}: zero total mass")
-            dists.append(CategoricalDistribution(codebook_size, probs / total))
+            weights = np.asarray(entry["probs"], dtype=float)
+            if weights.shape != (codebook_size,):
+                raise ValidationError(f"{where}: probs length {weights.shape[0]} != codebook size {codebook_size}")
+            bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+            if bad.size:
+                raise ValidationError(f"{where}: probs entry {weights[bad[0]]} at index {bad[0]} is not finite and >= 0")
         elif "support" in entry:
-            support = np.array([int(t) for t in entry["support"]], dtype=np.int64)
+            support = np.array([_typed(t, int) for t in entry["support"]], dtype=np.int64)
             if not support.size:
-                raise ValidationError(f"style {name!r} label {j}: empty support")
+                raise ValidationError(f"{where}: empty support")
             bad = support[(support < 0) | (support >= codebook_size)]
             if bad.size:
                 raise ValidationError(
-                    f"style {name!r} label {j}: support token {bad[0]} "
-                    f"out of range for codebook size {codebook_size}"
+                    f"{where}: support token {bad[0]} out of range for codebook size {codebook_size}"
                 )
-            probs = np.bincount(support, minlength=codebook_size).astype(float)
-            dists.append(CategoricalDistribution(codebook_size, probs / probs.sum()))
+            weights = np.bincount(support, minlength=codebook_size).astype(float)
         else:
-            raise ValidationError(f"style {name!r} label {j}: needs either 'probs' or 'support'")
-    return StyleSpec(name=name, per_label=tuple(dists), coherence=float(payload.get("coherence", 0.0)))
+            raise ValidationError(f"{where}: needs either 'probs' or 'support'")
+        total = weights.sum()
+        if total <= 0:
+            raise ValidationError(f"{where}: zero total mass")
+        rows.append(weights / total)
+    return StyleSpec(name=name, per_label=rows, coherence=float(payload.get("coherence", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -286,6 +296,11 @@ class BenchmarkConfig:
             raise ValidationError("exemplars_per_style must be positive")
         if not self.styles:
             raise ValidationError("benchmark needs at least one style")
+        if self.height * self.width > GRID_POSITION_LIMIT:
+            raise ValidationError(f"{self.height}x{self.width} scenes exceed the limit of {GRID_POSITION_LIMIT} positions")
+        scenes = self.corpus_size + len(self.styles) * self.exemplars_per_style
+        if scenes > SCENE_LIMIT:
+            raise ValidationError(f"{scenes} scenes exceed the limit of {SCENE_LIMIT}")
         if not self.layouts:
             raise ValidationError("benchmark needs at least one layout")
         object.__setattr__(self, "styles", tuple(self.styles))
@@ -330,9 +345,7 @@ class BenchmarkConfig:
                 {
                     "name": s.name,
                     "coherence": s.coherence,
-                    "per_label": [
-                        {"probs": [float(p) for p in d.probs]} for d in s.per_label
-                    ],
+                    "per_label": [{"probs": row.tolist()} for row in s.per_label],
                 }
                 for s in self.styles
             ],
@@ -349,8 +362,10 @@ class BenchmarkConfig:
             if field.default is MISSING and field.name not in payload:
                 raise ValidationError(f"benchmark config: missing key {field.name!r}")
         try:
-            size = int(payload["codebook_size"])
-            label_count = int(payload["label_count"])
+            size = _typed(payload["codebook_size"], int)
+            if size > GRID_VOCAB_LIMIT:
+                raise ValidationError(f"codebook size {size} exceeds the limit {GRID_VOCAB_LIMIT}")
+            label_count = _typed(payload["label_count"], int)
             styles = tuple(
                 _style_from_dict(entry, size, label_count) for entry in payload["styles"]
             )
@@ -360,11 +375,11 @@ class BenchmarkConfig:
                 name=str(payload["name"]),
                 codebook_size=size,
                 label_count=label_count,
-                height=int(payload["height"]),
-                width=int(payload["width"]),
-                corpus_size=int(payload["corpus_size"]),
-                exemplars_per_style=int(payload["exemplars_per_style"]),
-                seed=int(payload["seed"]),
+                height=_typed(payload["height"], int),
+                width=_typed(payload["width"], int),
+                corpus_size=_typed(payload["corpus_size"], int),
+                exemplars_per_style=_typed(payload["exemplars_per_style"], int),
+                seed=_typed(payload["seed"], int),
                 styles=styles,
                 layouts=layouts,
                 mixture_weights=None if weights is None else tuple(weights),
@@ -379,7 +394,7 @@ def _warn_on_similar_styles(styles: tuple[StyleSpec, ...]) -> None:
     # Guidance and classification both rely on styles being tellable apart;
     # flag pairs whose best-separated label distribution still mostly overlaps.
     for a, b in itertools.combinations(styles, 2):
-        sep = max(0.5 * np.abs(da.probs - db.probs).sum() for da, db in zip(a.per_label, b.per_label))
+        sep = max(0.5 * np.abs(da - db).sum() for da, db in zip(a.per_label, b.per_label))
         if sep < 0.5:
             warnings.warn(
                 f"styles {a.name!r} and {b.name!r} have similar per-label "
@@ -556,14 +571,10 @@ def default_landscape_config() -> BenchmarkConfig:
     for k in range(4):
         support0 = [(4 * k + m) % 16 for m in range(8)]
         support1 = [16 + (4 * k + m) % 16 for m in range(8)]
-        per_label = []
-        for support in (support0, support1):
-            probs = np.zeros(32)
-            probs[support] = 1.0 / len(support)
-            per_label.append(CategoricalDistribution(32, probs))
-        styles.append(
-            StyleSpec(name=f"style{k}", per_label=tuple(per_label), coherence=0.6)
-        )
+        per_label = np.zeros((2, 32))
+        for row, support in zip(per_label, (support0, support1)):
+            row[support] = 1.0 / len(support)
+        styles.append(StyleSpec(name=f"style{k}", per_label=per_label, coherence=0.6))
     layouts = (
         LayoutSpec(kind="horizon", min_row=6, max_row=16),
         LayoutSpec(kind="horizon", min_row=16, max_row=26),
@@ -592,13 +603,10 @@ def spatial_contrast_config() -> BenchmarkConfig:
     """
     low = np.zeros(16)
     low[:8] = 1.0 / 8
-    high = np.zeros(16)
-    high[8:] = 1.0 / 8
-    low_dist = CategoricalDistribution(16, low)
-    high_dist = CategoricalDistribution(16, high)
+    high = low[::-1]
     styles = (
-        StyleSpec(name="low-high", per_label=(low_dist, high_dist), coherence=0.5),
-        StyleSpec(name="high-low", per_label=(high_dist, low_dist), coherence=0.5),
+        StyleSpec(name="low-high", per_label=(low, high), coherence=0.5),
+        StyleSpec(name="high-low", per_label=(high, low), coherence=0.5),
     )
     return BenchmarkConfig(
         name="spatial-swap-2",

@@ -3,7 +3,7 @@ import pytest
 
 from gcs.core import SemanticGrid, TokenGrid
 from gcs.distributions import ScopedDistributions
-from gcs.guidance import scoped_likelihoods
+from gcs.guidance import LikelihoodTable, scoped_likelihoods
 
 # Criterion verdicts from test_acceptance.py, echoed after the test run so
 # they stay visible even with output capture on.
@@ -52,19 +52,21 @@ def global_stats(probs, mass=0.0) -> ScopedDistributions:
     return ScopedDistributions([probs], [mass], "global")
 
 
-def scoped(dists, layout="regional") -> ScopedDistributions:
-    """Statistics whose scopes hold the given distributions, None for an
-    absent label."""
-    size = next(d.codebook_size for d in dists if d is not None)
-    probs = [np.zeros(size) if d is None else d.probs for d in dists]
-    masses = [0.0 if d is None else d.source_mass for d in dists]
-    return ScopedDistributions(probs, masses, layout)
+def scoped(rows, masses=None, layout="regional") -> ScopedDistributions:
+    """Statistics whose scopes hold the given probability rows, None for an
+    absent label; every mass is 0 unless given."""
+    size = len(next(row for row in rows if row is not None))
+    probs = [np.zeros(size) if row is None else row for row in rows]
+    return ScopedDistributions(probs, [0.0] * len(rows) if masses is None else masses, layout)
 
 
-def likelihood_vector(style, dataset, exponent=1.0):
-    """The one guidance vector between two distributions: the table of
-    their global statistics."""
-    table = scoped_likelihoods(
-        global_stats(style.probs), global_stats(dataset.probs), None, None, exponent
-    )
-    return table.scopes[0]
+def likelihood_weights(style, dataset, exponent=1.0) -> np.ndarray:
+    """The guidance weights between two probability rows: the one row of
+    the table of their global statistics."""
+    table = scoped_likelihoods(global_stats(style), global_stats(dataset), None, None, exponent)
+    return table.weights[0]
+
+
+def guidance_row(weights) -> np.ndarray:
+    """One row of guidance weights as a `LikelihoodTable` stores it."""
+    return LikelihoodTable(1.0, [weights]).weights[0]

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, SemanticGrid, normalize
+from gcs.core import SemanticGrid
 from gcs.distributions import (
     ScopedDistributions,
     average_distributions,
@@ -105,6 +105,12 @@ def landscape_runs(landscape):
     )
 
 
+def random_stats(rng, size):
+    """Global statistics of a random full-support distribution."""
+    weights = rng.uniform(0.1, 1.0, size)
+    return global_stats(weights / weights.sum())
+
+
 def test_criterion_1_identity_guidance_is_bit_exact():
     rng = np.random.default_rng(1)
     start = time.perf_counter()
@@ -117,11 +123,11 @@ def test_criterion_1_identity_guidance_is_bit_exact():
         seed = int(rng.integers(0, 2**32))
         temperature = float(rng.choice([0.7, 1.0, 1.5]))
         top_k = int(rng.integers(2, size + 1)) if rng.random() < 0.5 else None
-        style = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
+        style = random_stats(rng, size)
         if rng.random() < 0.5:
             table = global_likelihood_table(style, style, float(rng.uniform(0.0, 3.0)))
         else:
-            dataset = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
+            dataset = random_stats(rng, size)
             table = global_likelihood_table(style, dataset, 0.0)
         base = SamplingConfig(seed=seed, temperature=temperature, top_k=top_k)
         plain = sample_grid(model, height, width, None, base)
@@ -147,8 +153,8 @@ def test_criterion_2_sampler_matches_exact_chain():
     for p in range(5):
         size = 3
         model = train_markov_prior([random_grid(rng, 4, 4, size)])
-        style = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
-        dataset = global_stats(normalize(rng.uniform(0.1, 1.0, size)).probs)
+        style = random_stats(rng, size)
+        dataset = random_stats(rng, size)
         tables = [None, global_likelihood_table(style, dataset, 1.0),
                   global_likelihood_table(style, dataset, 2.0)]
         configs = [SamplingConfig(guidance=table) for table in tables] + [
@@ -261,7 +267,7 @@ def test_criterion_5_regional_guidance_is_per_label(landscape):
             counts = np.zeros(32)
             for grid in grids:
                 counts += np.bincount(grid.tokens[16:].ravel(), minlength=32)
-            return CategoricalDistribution(32, counts / counts.sum())
+            return global_stats(counts / counts.sum())
 
         interference.append(
             total_variation(label1_pooled(partial), label1_pooled(unguided))

@@ -1,6 +1,7 @@
 import glob
 import hashlib
 import json
+import re
 import shlex
 import struct
 import tracemalloc
@@ -13,6 +14,7 @@ from gcs.cli import main
 from gcs.core import SemanticGrid, TokenGrid
 from gcs.distributions import (
     COUNT_CELL_LIMIT,
+    DRAW_LIMIT,
     ScopedDistributions,
     average_distributions,
     histogram_by_cell,
@@ -1015,6 +1017,12 @@ HOSTILE_CONFIGS = {
     "weights-inf": (["mixture_weights"], [float("inf"), 1.0]),
     "probs-inf": (["styles", 0, "per_label", 0, "probs"], [float("inf"), 1.0, 1.0, 1.0]),
     "probs-nan": (["styles", 0, "per_label", 0, "probs"], [float("nan"), 1.0, 1.0, 1.0]),
+    "probs-negative": (["styles", 0, "per_label", 0, "probs"], [2.0, -1.0, 1.0, 1.0]),
+    "height-float": (["height"], 4.7),
+    "height-bool": (["height"], True),
+    "codebook-size-text": (["codebook_size"], "4"),
+    "min-row-float": (["layouts", 0, "min_row"], 1.5),
+    "support-float": (["styles", 0, "per_label", 0], {"support": [1.0]}),
 }
 
 
@@ -1063,6 +1071,71 @@ def test_malformed_samples_manifest_exit_2(trained, tmp_path, capsys, manifest):
                "--style-stats", str(trained["style"]), "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["x", [1], 1.5, True], ids=["text", "list", "float", "bool"])
+def test_non_integer_sample_seed_exits_2(trained, tmp_path, capsys, seed):
+    guided = tmp_path / "guided"
+    guided.mkdir()
+    write_token_grid(guided / "sample_000.tgrd", TokenGrid(2, 2, 4, [0, 1, 2, 3]))
+    dump_json(guided / "manifest.json", {"samples": [{"tokens": "sample_000.tgrd", "seed": seed}]})
+    rc = main(["evaluate", "--guided", str(guided), "--unguided", str(guided),
+               "--style-stats", str(trained["style"]), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "sample seed" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _support_styles():
+    """The small config's styles, each label given as a one-token support."""
+    styles = small_config(corpus_size=2, exemplars=1).to_dict()["styles"]
+    for style in styles:
+        style["per_label"] = [{"support": [0]} for _ in style["per_label"]]
+    return styles
+
+
+OVERSIZED_WORLDS = {
+    "positions": {"height": 100_000, "width": 100_000},
+    "corpus": {"corpus_size": 10**12},
+    "exemplars": {"exemplars_per_style": 10**12},
+    "codebook": {"codebook_size": 10**12, "styles": _support_styles()},
+}
+
+
+@pytest.mark.parametrize("fields", OVERSIZED_WORLDS.values(), ids=OVERSIZED_WORLDS)
+def test_oversized_world_exits_2_before_allocating(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.json"
+    dump_json(bad, {**small_config(corpus_size=2, exemplars=1).to_dict(), **fields})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main(["gen-world", "--config", str(bad), "--out", str(out)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and re.search("exceeds? the limit", err)
+    assert "Traceback" not in err
+    assert peak < 4 * 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [10**12, DRAW_LIMIT + 1])
+def test_oversized_draw_count_exits_2_before_allocating(world, tmp_path, capsys, k):
+    tracemalloc.start()
+    try:
+        rc = main(["dataset-stats", "--corpus", str(world / "corpus"),
+                   "--out", str(tmp_path / "d.json"), "--k", str(k)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: draw count must be in [1, {DRAW_LIMIT}], got {k}")
+    assert "Traceback" not in err
+    assert peak < 4 * 2**20
 
 
 def _hostile_grid(kind: str, fault: str) -> bytes:

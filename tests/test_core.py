@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from gcs.core import (
-    CategoricalDistribution,
     SemanticGrid,
     TokenBatch,
     TokenGrid,
     ValidationError,
-    normalize,
+    check_rows,
     require_same_shape,
     validate_grid,
 )
+from gcs.world import StyleSpec, _style_from_dict
 
 
 class TestTokenGrid:
@@ -157,72 +157,84 @@ class TestRequireSameShape:
         assert "grid is 2x3 but semantic map is 3x2" in str(exc.value)
 
 
+def categorical(probs, mass=0.0):
+    """Whether one probability row with its mass passes `check_rows`."""
+    return bool(check_rows(np.array([probs], dtype=float), np.array([mass]))[0])
+
+
 class TestCategoricalDistribution:
+    # A categorical distribution is one row that `check_rows` accepts.
     def test_accepts_probabilities(self):
-        d = CategoricalDistribution(3, [0.5, 0.25, 0.25])
-        assert d.probs.sum() == 1.0
+        assert categorical([0.5, 0.25, 0.25])
+        assert not categorical([0.0, 0.0])  # an absent scope, not a distribution
 
     def test_rejects_drifted_mass(self):
         with pytest.raises(ValidationError) as exc:
-            CategoricalDistribution(2, [0.6, 0.5])
+            categorical([0.6, 0.5])
         assert "outside 1 +/-" in str(exc.value)
 
     def test_tiny_drift_tolerated(self):
-        CategoricalDistribution(2, [0.5 + 4e-10, 0.5])
+        assert categorical([0.5 + 4e-10, 0.5])
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            CategoricalDistribution(2, [1.5, -0.5])
+            categorical([1.5, -0.5])
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            CategoricalDistribution(2, [float("nan"), 1.0])
+            categorical([float("nan"), 1.0])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValidationError):
-            CategoricalDistribution(3, [0.5, 0.5])
+        with pytest.raises(ValidationError, match="K >= 2"):
+            categorical([1.0])
+        with pytest.raises(ValidationError, match="mixes codebook sizes"):
+            StyleSpec("s", ([0.5, 0.5], [0.5, 0.25, 0.25]))
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValidationError):
-            CategoricalDistribution(2, [0.5, 0.5], source_mass=-1.0)
+            categorical([0.5, 0.5], mass=-1.0)
+        with pytest.raises(ValidationError, match=r"outside 1 \+/-"):
+            categorical([0.0, 0.0], mass=1.0)  # observed, yet no distribution
 
     def test_value_equality(self):
-        a = CategoricalDistribution(2, [0.5, 0.5])
-        b = CategoricalDistribution(2, [0.5, 0.5])
-        assert a == b
-        assert a != CategoricalDistribution(2, [0.25, 0.75])
+        a = StyleSpec("s", [[0.5, 0.5]])
+        assert a == StyleSpec("s", np.array([[0.5, 0.5]]))
+        assert a != StyleSpec("s", [[0.25, 0.75]])
+        assert a != StyleSpec("t", [[0.5, 0.5]])
+        assert not a.per_label.flags.writeable
+
+
+def style_row(weights):
+    """A one-label style's row from a "probs" entry of a benchmark config."""
+    return _style_from_dict({"name": "s", "per_label": [{"probs": weights}]}, len(weights), 1).per_label[0]
 
 
 class TestNormalize:
+    # A style's "probs" entry is where weights are scaled into a distribution.
     def test_simple_ratio(self):
-        d = normalize([2.0, 1.0, 1.0])
-        assert list(d.probs) == [0.5, 0.25, 0.25]
+        assert list(style_row([2.0, 1.0, 1.0])) == [0.5, 0.25, 0.25]
 
     def test_single_entry_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            normalize([5.0])
-        assert "codebook of size < 2" in str(exc.value)
+            style_row([5.0])
+        assert "K >= 2" in str(exc.value)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            normalize([0.0, 0.0, 0.0])
+            style_row([0.0, 0.0, 0.0])
         assert "zero total mass" in str(exc.value)
 
     def test_negative_weight_named(self):
         with pytest.raises(ValidationError) as exc:
-            normalize([1.0, -2.0, 1.0])
-        assert "negative weight -2.0 at index 1" in str(exc.value)
+            style_row([1.0, -2.0, 2.0])
+        assert "probs entry -2.0 at index 1" in str(exc.value)
 
     def test_scale_invariance(self):
         w = np.array([0.3, 1.7, 2.0, 0.01])
-        a = normalize(w).probs
-        b = normalize(w * 1e6).probs
+        a = style_row(w)
+        b = style_row(w * 1e6)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_source_mass_carried(self):
-        d = normalize([2.0, 2.0], source_mass=4.0)
-        assert d.source_mass == 4.0
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ValidationError):
-            normalize(np.ones((2, 2)))
+            _style_from_dict({"name": "s", "per_label": [{"probs": np.ones((2, 2))}]}, 2, 1)

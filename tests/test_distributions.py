@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gcs.distributions
-from gcs.core import CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError
+from gcs.core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from gcs.distributions import (
     ScopedDistributions,
     _grid_counts,
@@ -24,10 +24,6 @@ from gcs.distributions import (
 from gcs.metrics import total_variation
 
 from conftest import global_stats, random_grid, scoped
-
-
-def dist(probs, mass=0.0):
-    return CategoricalDistribution(len(probs), probs, source_mass=mass)
 
 
 class TestSmoothedDistribution:
@@ -72,19 +68,19 @@ class TestHistogramFromGrid:
 
 class TestScopedDistributions:
     def test_mode_and_masses_follow_the_fields(self):
-        labels = scoped((dist([0.5, 0.5], 2.0), None))
+        labels = scoped(([0.5, 0.5], None), [2.0, 0.0])
         assert (labels.kind, list(labels.masses)) == ("regional", [2.0, 0.0])
         assert list(labels.present) == [True, False] and labels.cells is None
-        cells = scoped((dist([0.5, 0.5], 1.0),) * 2, (2, 1))
+        cells = scoped(([0.5, 0.5],) * 2, [1.0, 1.0], (2, 1))
         assert (cells.kind, list(cells.masses)) == ("spatial", [1.0, 1.0])
         whole = global_stats([0.5, 0.5], 3.0)
         assert (whole.kind, whole.cells, list(whole.masses)) == ("global", (1, 1), [3.0])
 
     def test_tiling_needs_one_distribution_per_cell(self):
         with pytest.raises(ValidationError):
-            scoped((dist([0.5, 0.5]),) * 3, (2, 2))
+            scoped(([0.5, 0.5],) * 3, layout=(2, 2))
         with pytest.raises(ValidationError):
-            scoped((dist([0.5, 0.5]), None), (1, 2))
+            scoped(([0.5, 0.5], None), layout=(1, 2))
 
 
 class TestHistogramByRegion:
@@ -231,8 +227,8 @@ class TestAverageDistributions:
 
 class TestAverageRegionalAndSpatial:
     def test_labels_averaged_independently(self):
-        a = scoped((dist([1.0, 0.0], 2.0), None))
-        b = scoped((dist([0.0, 1.0], 2.0), dist([0.5, 0.5], 4.0)))
+        a = scoped(([1.0, 0.0], None), [2.0, 0.0])
+        b = scoped(([0.0, 1.0], [0.5, 0.5]), [2.0, 4.0])
         avg = average_scoped([a, b])
         assert list(avg.probs[0]) == [0.5, 0.5]
         # Only b observed label 1, so its estimate passes through.
@@ -240,29 +236,29 @@ class TestAverageRegionalAndSpatial:
         assert list(avg.masses) == [4.0, 4.0]
 
     def test_label_count_mismatch(self):
-        a = scoped((dist([1.0, 0.0], 1.0),))
-        b = scoped((dist([1.0, 0.0], 1.0), None))
+        a = scoped(([1.0, 0.0],), [1.0])
+        b = scoped(([1.0, 0.0], None), [1.0, 0.0])
         with pytest.raises(ValidationError):
             average_scoped([a, b])
 
     def test_spatial_cellwise(self):
-        a = scoped((dist([1.0, 0.0], 1.0), dist([0.0, 1.0], 1.0)), (1, 2))
-        b = scoped((dist([0.0, 1.0], 1.0), dist([0.0, 1.0], 1.0)), (1, 2))
+        a = scoped(([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], (1, 2))
+        b = scoped(([0.0, 1.0], [0.0, 1.0]), [1.0, 1.0], (1, 2))
         avg = average_scoped([a, b])
         assert avg.cells == (1, 2)
         assert list(avg.probs[0]) == [0.5, 0.5]
         assert list(avg.probs[1]) == [0.0, 1.0]
 
     def test_spatial_tiling_mismatch(self):
-        a = scoped((dist([1.0, 0.0]), dist([0.0, 1.0])), (1, 2))
-        b = scoped((dist([1.0, 0.0]), dist([0.0, 1.0])), (2, 1))
+        a = scoped(([1.0, 0.0], [0.0, 1.0]), layout=(1, 2))
+        b = scoped(([1.0, 0.0], [0.0, 1.0]), layout=(2, 1))
         with pytest.raises(ValidationError):
             average_scoped([a, b])
 
 
 class TestCollapse:
     def test_regional_mass_weighted(self):
-        reg = scoped((dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)))
+        reg = scoped(([1.0, 0.0], [0.0, 1.0]), [3.0, 1.0])
         assert list(collapse_scoped(reg).probs[0]) == [0.75, 0.25]
 
     def test_regional_all_absent(self):
@@ -271,7 +267,7 @@ class TestCollapse:
             collapse_scoped(reg)
 
     def test_spatial_mass_weighted(self):
-        spat = scoped((dist([1.0, 0.0], 3.0), dist([0.0, 1.0], 1.0)), (1, 2))
+        spat = scoped(([1.0, 0.0], [0.0, 1.0]), [3.0, 1.0], (1, 2))
         assert list(collapse_scoped(spat).probs[0]) == [0.75, 0.25]
 
 
@@ -292,12 +288,12 @@ class TestMonteCarloDataset:
         # K = 10000 the estimate should almost always land within TV 0.02.
         a = TokenGrid(1, 2, 2, [0, 0])
         b = TokenGrid(1, 2, 2, [1, 1])
-        target = dist([0.5, 0.5])
+        target = global_stats([0.5, 0.5])
         for seed in range(5):
             est = monte_carlo_dataset_distribution(
                 [a, b], draws=10000, smoothing_alpha=0.0, seed=seed
             )
-            assert total_variation(dist(est.probs[0]), target) < 0.02
+            assert total_variation(est, target) < 0.02
 
     def test_deterministic_per_seed(self, rng):
         corpus = [random_grid(rng, 3, 3, 5) for _ in range(8)]

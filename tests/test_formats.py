@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, FormatError, SemanticGrid, TokenGrid, ValidationError
+from gcs.core import FormatError, SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_from_grid
 from gcs.formats import (
     GRID_VOCAB_LIMIT,
@@ -159,7 +159,7 @@ class TestStatsFiles:
         assert back == d
 
     def test_regional_round_trip_with_absent_label(self, tmp_path):
-        reg = scoped((CategoricalDistribution(3, [0.5, 0.25, 0.25], source_mass=4.0), None))
+        reg = scoped(([0.5, 0.25, 0.25], None), [4.0, 0.0])
         path = tmp_path / "stats.json"
         write_stats(path, reg)
         payload = load_json(path)
@@ -171,8 +171,7 @@ class TestStatsFiles:
         assert list(back.masses) == [4.0, 0.0]
 
     def test_spatial_round_trip(self, tmp_path):
-        cell = CategoricalDistribution(2, [0.75, 0.25], source_mass=8.0)
-        spat = scoped((cell, cell), (1, 2))
+        spat = scoped(([0.75, 0.25],) * 2, [8.0, 8.0], (1, 2))
         path = tmp_path / "stats.json"
         write_stats(path, spat)
         assert len(load_json(path)["per_cell"]) == 1
@@ -182,7 +181,7 @@ class TestStatsFiles:
         assert back == spat
 
     def test_kind_inferred_when_absent(self, tmp_path):
-        reg = scoped((CategoricalDistribution(2, [0.5, 0.5], source_mass=2.0),))
+        reg = scoped(([0.5, 0.5],), [2.0])
         path = tmp_path / "stats.json"
         write_stats(path, reg)
         payload = load_json(path)
@@ -202,15 +201,12 @@ class TestStatsFiles:
 
     def test_regional_mixed_codebooks_rejected(self, tmp_path):
         path = tmp_path / "stats.json"
-        per_label = [
-            CategoricalDistribution(2, [0.5, 0.5]),
-            CategoricalDistribution(3, [0.5, 0.25, 0.25]),
-        ]
+        per_label = [[0.5, 0.5], [0.5, 0.25, 0.25]]
         dump_json(path, {
             "kind": "regional", "label_count": 2, "per_label_mass": [1.0, 1.0],
             "per_label": [
-                {"codebook_size": d.codebook_size, "probs": list(d.probs), "source_mass": 0.0}
-                for d in per_label
+                {"codebook_size": len(probs), "probs": probs, "source_mass": 0.0}
+                for probs in per_label
             ],
         })
         with pytest.raises(FormatError) as exc:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, SemanticGrid, TokenBatch, TokenGrid, ValidationError
+from gcs.core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 import gcs.metrics
 from gcs.distributions import (
     ScopedDistributions,
@@ -35,7 +35,7 @@ from conftest import global_stats, random_grid, scoped
 
 
 def dist(probs, mass=0.0):
-    return CategoricalDistribution(len(probs), probs, source_mass=mass)
+    return global_stats(probs, mass)
 
 
 class TestKlDivergence:
@@ -85,6 +85,16 @@ class TestTotalVariation:
             total_variation(dist([0.5, 0.5]), dist([0.4, 0.3, 0.3]))
 
 
+@pytest.mark.parametrize("divergence", [kl_divergence, total_variation])
+def test_divergences_name_a_non_global_input(divergence):
+    # A regional or spatial input fails by its kind, not as a size mismatch.
+    whole = dist([0.5, 0.25, 0.25])
+    for other in (scoped(([0.5, 0.5], [0.25, 0.75])), scoped(([0.5, 0.5],), layout=(1, 1))):
+        for pair in ((whole, other), (other, whole)):
+            with pytest.raises(ValidationError, match=f"not {other.kind} ones"):
+                divergence(*pair)
+
+
 def low_grid(*tokens):
     return TokenGrid(1, len(tokens), 4, list(tokens))
 
@@ -122,14 +132,14 @@ class TestStyleMatchRate:
         regional = StyleReference(
             "r",
             global_stats([0.25] * 4),
-            scoped((dist([0.25] * 4, 4.0),)),
+            scoped(([0.25] * 4,), [4.0]),
         )
         with pytest.raises(ValidationError) as exc:
             style_match_rate([low_grid(0)], (self.REFS[0], regional))
         assert "all global or all regional" in str(exc.value)
 
     def test_tiled_regional_reference_rejected(self):
-        cells = scoped((dist([0.25] * 4, 4.0),) * 2, (1, 2))
+        cells = scoped(([0.25] * 4,) * 2, [4.0] * 2, (1, 2))
         with pytest.raises(ValidationError) as exc:
             StyleReference("r", global_stats([0.25] * 4), cells)
         assert "per label, not per cell" in str(exc.value)
@@ -139,16 +149,12 @@ class TestStyleMatchRate:
             StyleReference(
                 "a",
                 global_stats([0.45, 0.45, 0.05, 0.05]),
-                scoped(
-                    (dist([0.9, 0.04, 0.03, 0.03], 2.0), dist([0.04, 0.9, 0.03, 0.03], 2.0)),
-                ),
+                scoped(([0.9, 0.04, 0.03, 0.03], [0.04, 0.9, 0.03, 0.03]), [2.0, 2.0]),
             ),
             StyleReference(
                 "b",
                 global_stats([0.05, 0.05, 0.45, 0.45]),
-                scoped(
-                    (dist([0.03, 0.03, 0.9, 0.04], 2.0), dist([0.03, 0.03, 0.04, 0.9], 2.0)),
-                ),
+                scoped(([0.03, 0.03, 0.9, 0.04], [0.03, 0.03, 0.04, 0.9]), [2.0, 2.0]),
             ),
         )
         grid = TokenGrid(1, 4, 4, [0, 0, 1, 1])
@@ -159,10 +165,10 @@ class TestStyleMatchRate:
     def test_regional_mode_needs_semantics(self):
         regional_refs = (
             StyleReference(
-                "a", global_stats([0.25] * 4), scoped((dist([0.25] * 4, 1.0),))
+                "a", global_stats([0.25] * 4), scoped(([0.25] * 4,), [1.0])
             ),
             StyleReference(
-                "b", global_stats([0.25] * 4), scoped((dist([0.25] * 4, 1.0),))
+                "b", global_stats([0.25] * 4), scoped(([0.25] * 4,), [1.0])
             ),
         )
         with pytest.raises(ValidationError) as exc:
@@ -247,9 +253,7 @@ class TestGuidanceReport:
         target = StyleReference(
             "goal",
             global_stats([0.45, 0.45, 0.05, 0.05]),
-            scoped(
-                (dist([0.9, 0.04, 0.03, 0.03], 8.0), dist([0.04, 0.9, 0.03, 0.03], 8.0)),
-            ),
+            scoped(([0.9, 0.04, 0.03, 0.03], [0.04, 0.9, 0.03, 0.03]), [8.0, 8.0]),
         )
         sem = SemanticGrid(4, 4, 2, np.repeat([[0], [0], [1], [1]], 4, axis=1))
         guided = [
@@ -276,7 +280,7 @@ class TestGuidanceReport:
         target = StyleReference(
             "goal",
             global_stats([0.45, 0.45, 0.05, 0.05]),
-            scoped((dist([0.9, 0.04, 0.03, 0.03], 8.0), None)),
+            scoped(([0.9, 0.04, 0.03, 0.03], None), [8.0, 0.0]),
         )
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, 4, (12, 8, 8))
@@ -287,7 +291,7 @@ class TestGuidanceReport:
         assert counted == [5, 7]
         assert set(report.guided.kl_per_label) == {0}
 
-        smoothed = scoped((dist([0.4, 0.3, 0.2, 0.1], 8.0),) * 2)
+        smoothed = scoped(([0.4, 0.3, 0.2, 0.1],) * 2, [8.0, 8.0])
         refs = [StyleReference(name, global_stats([0.25] * 4), smoothed) for name in "abc"]
         counted.clear()
         global_refs = [StyleReference(ref.name, ref.distribution) for ref in refs]
@@ -361,7 +365,7 @@ class TestSpatialDivergence:
             spatial_divergence([], reference)
 
     def test_label_scoped_reference_rejected(self):
-        reference = scoped((dist([0.5, 0.5], 2.0),))
+        reference = scoped(([0.5, 0.5],), [2.0])
         with pytest.raises(ValidationError) as exc:
             spatial_divergence([TokenGrid(1, 2, 2, [0, 1])], reference)
         assert "per-cell reference" in str(exc.value)

@@ -9,6 +9,7 @@ without running the benchmark.
 
 import ast
 import importlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -108,10 +109,13 @@ def test_benchmark_set_up_runs_on_every_stats_kind(perfbench, tmp_path):
     # the calls the benchmark makes on the statistics it builds.
     from gcs.distributions import collapse_regional
     from gcs.formats import read_stats, write_stats
+    from gcs.guidance import select_likelihood
     from gcs.metrics import StyleReference, guidance_report
 
     inproc = perfbench["inproc"]
-    inputs = importlib.import_module("inputs").derive(0, quick=True)
+    bench_inputs = importlib.import_module("inputs")
+    inputs = bench_inputs.derive(0, quick=True)
+    shape = (bench_inputs.HEIGHT, bench_inputs.WIDTH)
     world = tmp_path / "world"
     world.mkdir()
     setup = inproc.build("small-batch", inputs, world, perfbench["spans"].NullTracer())
@@ -122,6 +126,12 @@ def test_benchmark_set_up_runs_on_every_stats_kind(perfbench, tmp_path):
         read = [read_stats(tmp_path / f"{side}-{mode}.json") for side in ("style", "dataset")]
         assert [stats.kind for stats in read] == [mode, mode]
         assert inproc.build_table(mode, *read) == setup.tables[mode]
+        # The selection probe of the traced run (perfbench/layers.py) reads
+        # every position's guidance weights from each table.
+        table = setup.tables[mode]
+        for position in itertools.product(*map(range, shape)):
+            weights = select_likelihood(table, position, setup.semantics, shape)
+            assert weights.shape == (pair[0].codebook_size,)
     style = setup.stats["regional"][0]
     target = StyleReference("style0", collapse_regional(style), regional=style)
     kinds = inproc.SMALL_KINDS

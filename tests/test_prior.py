@@ -8,7 +8,7 @@ import pytest
 from gcs import prior
 from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_from_grid
-from gcs.guidance import LikelihoodVector, LikelihoodTable, global_likelihood_table
+from gcs.guidance import LikelihoodTable, global_likelihood_table
 from gcs.prior import (
     BOUNDARY,
     DEFAULT_CONTEXT,
@@ -19,7 +19,6 @@ from gcs.prior import (
     train_markov_prior,
     validate_context_template,
 )
-from gcs.core import CategoricalDistribution
 from gcs.sampler import SamplingConfig, exact_sequence_distribution
 
 from conftest import random_grid, random_semantics
@@ -189,7 +188,7 @@ class TestTraining:
         d = model.distribution_for_context((2,), None)
         assert np.allclose(d.probs, [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-15)
         start = model.distribution_for_context((BOUNDARY,), None)
-        assert list(start.probs) == [0.0, 0.0, 1.0, 0.0]
+        assert start.probs.tolist() == [[0.0, 0.0, 1.0, 0.0]]
 
     def test_unseen_context_smoothing(self):
         model = train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT)
@@ -215,7 +214,7 @@ class TestTraining:
         a = model.distribution_for_context((2,), None)
         assert a == model.distribution_for_context((3,), None)
         assert a != model.distribution_for_context((0,), None)
-        assert a.source_mass == 0.0
+        assert (a.kind, a.masses.tolist()) == ("global", [0.0])
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
@@ -241,9 +240,9 @@ class TestTraining:
         d = model.distribution_for_context((BOUNDARY,), 0)
         n = float(model.counts[model.state_of((BOUNDARY,), 0)].sum())
         expected_in = (n + 2 * alpha) / (n + 4 * alpha)
-        assert abs(float(d.probs[:2].sum()) - expected_in) < 1e-12
+        assert abs(float(d.probs[0, :2].sum()) - expected_in) < 1e-12
         d1 = model.distribution_for_context((BOUNDARY,), 1)
-        assert float(d1.probs[2:].sum()) > 0.8
+        assert float(d1.probs[0, 2:].sum()) > 0.8
 
     def test_training_is_deterministic(self, rng):
         corpus = [random_grid(rng, 4, 4, 5) for _ in range(10)]
@@ -411,7 +410,7 @@ class TestExactSequenceDistribution:
 
     def test_guided_two_cells(self):
         model = MarkovGridPrior(codebook_size=2)
-        table = LikelihoodTable(1.0, (LikelihoodVector(2, np.array([1.0, 3.0])),), (1, 1))
+        table = LikelihoodTable(1.0, [[1.0, 3.0]], (1, 1))
         dist = exact_sequence_distribution(model, 1, 2, config=SamplingConfig(guidance=table))
         assert abs(dist[(1, 1)] - 0.5625) < 1e-12
 
@@ -419,7 +418,7 @@ class TestExactSequenceDistribution:
         # The oracle runs the sampler's whole step pipeline: guided to
         # (0.2, 0.3, 0.5), tempered at 0.5 to (4, 9, 25) / 38, top-2 keeps 1 and 2.
         model = MarkovGridPrior(codebook_size=3)
-        table = LikelihoodTable(1.0, (LikelihoodVector(3, np.array([2.0, 3.0, 5.0])),), (1, 1))
+        table = LikelihoodTable(1.0, [[2.0, 3.0, 5.0]], (1, 1))
         config = SamplingConfig(guidance=table, temperature=0.5, top_k=2)
         dist = exact_sequence_distribution(model, 1, 1, config=config)
         assert dist.keys() == {(1,), (2,)}

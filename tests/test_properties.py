@@ -30,19 +30,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gcs.core import (
-    CategoricalDistribution,
-    SemanticGrid,
-    TokenGrid,
-    ValidationError,
-    normalize,
-    validate_grid,
-)
+from gcs.core import SemanticGrid, TokenGrid, ValidationError, validate_grid
 from gcs.distributions import (
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
     monte_carlo_dataset_distribution,
+    smoothed_rows,
 )
 from gcs.formats import (
     scoped_from_dict,
@@ -52,11 +46,7 @@ from gcs.formats import (
     token_grid_from_bytes,
     token_grid_to_bytes,
 )
-from gcs.guidance import (
-    LikelihoodVector,
-    global_likelihood_table,
-    rebalance_rows,
-)
+from gcs.guidance import global_likelihood_table, rebalance_rows
 from gcs.metrics import (
     StyleReference,
     kl_divergence,
@@ -66,7 +56,7 @@ from gcs.metrics import (
 from gcs.prior import train_markov_prior
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
-from conftest import global_stats, likelihood_vector
+from conftest import global_stats, guidance_row, likelihood_weights
 from test_world import realize_layout
 
 prop = settings(
@@ -94,10 +84,16 @@ def nonzero_counts(size):
     return tuples_of(st.integers(0, 12), size).filter(any)
 
 
+def normalized(weights, mass=0.0):
+    """Global statistics of ``weights`` scaled to sum to one, as unsmoothed
+    counts are."""
+    return global_stats(smoothed_rows(np.array(weights, dtype=np.float64)[None], 0.0)[0], mass)
+
+
 def draw_count_prior(draw, size):
     """A distribution built from integer counts; may carry exact zeros."""
     counts = np.array(draw(nonzero_counts(size)))
-    return normalize(counts.astype(np.float64), source_mass=float(counts.sum()))
+    return normalized(counts, float(counts.sum()))
 
 
 def draw_digit_grid(draw, height, width, base):
@@ -133,7 +129,7 @@ def count_priors(draw, size=None):
 def full_support_dists(draw, size=None):
     if size is None:
         size = draw(sizes)
-    return normalize(draw_weights(draw, size))
+    return normalized(draw_weights(draw, size))
 
 
 @functools.cache
@@ -175,9 +171,9 @@ def permutations(size):
 
 
 def permute_dist(dist, perm):
-    out = np.empty_like(dist.probs)
-    out[perm] = dist.probs
-    return CategoricalDistribution(dist.codebook_size, out, dist.source_mass)
+    out = np.empty(dist.codebook_size)
+    out[perm] = dist.probs[0]
+    return global_stats(out, dist.masses[0])
 
 
 def permute_grid(grid, perm):
@@ -188,17 +184,18 @@ class TestNormalization:
     @prop
     @given(weight_vectors(), st.floats(1e-3, 1e3))
     def test_scale_invariance(self, weights, scale):
-        base = normalize(weights)
-        scaled = normalize(scale * weights)
+        base = normalized(weights)
+        scaled = normalized(scale * weights)
         assert np.allclose(scaled.probs, base.probs, atol=1e-12, rtol=0.0)
 
     @prop
     @given(count_priors())
     def test_output_is_a_distribution_preserving_zeros(self, dist):
-        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
-        assert np.all(dist.probs >= 0.0)
-        counts = dist.probs * dist.source_mass
-        assert np.array_equal(dist.probs == 0.0, np.rint(counts) == 0)
+        probs = dist.probs[0]
+        assert abs(float(probs.sum()) - 1.0) <= 1e-9
+        assert np.all(probs >= 0.0)
+        counts = probs * dist.masses[0]
+        assert np.array_equal(probs == 0.0, np.rint(counts) == 0)
 
 
 class TestGridValidation:
@@ -238,10 +235,10 @@ class TestRoundTrips:
     @prop
     @given(count_priors())
     def test_distribution_json_is_bit_exact(self, dist):
-        payload = json.loads(json.dumps(scoped_to_dict(global_stats(dist.probs, dist.source_mass))))
+        payload = json.loads(json.dumps(scoped_to_dict(dist)))
         back = scoped_from_dict(payload, "global")
-        assert back.probs[0].tobytes() == dist.probs.tobytes()
-        assert back.masses[0] == dist.source_mass
+        assert back.probs.tobytes() == dist.probs.tobytes()
+        assert back.masses[0] == dist.masses[0]
 
 
 class TestAggregationConsistency:
@@ -305,13 +302,10 @@ class TestPermutationEquivariance:
     def test_rebalanced_posterior(self, data):
         prior, weights = data.draw(prior_and_weights())
         perm = data.draw(permutations(prior.codebook_size))
-        base = rebalance_rows(prior.probs[None], LikelihoodVector(prior.codebook_size, weights))
+        base = rebalance_rows(prior.probs, guidance_row(weights))
         permuted_weights = np.empty_like(weights)
         permuted_weights[perm] = weights
-        moved = rebalance_rows(
-            permute_dist(prior, perm).probs[None],
-            LikelihoodVector(prior.codebook_size, permuted_weights),
-        )
+        moved = rebalance_rows(permute_dist(prior, perm).probs, guidance_row(permuted_weights))
         assert np.allclose(moved[0, perm], base[0], atol=1e-12, rtol=0.0)
 
     @prop
@@ -320,22 +314,21 @@ class TestPermutationEquivariance:
         size = data.draw(st.integers(2, 6))
         count = data.draw(st.integers(2, 3))
         dists = data.draw(tuples_of(full_support_dists(size), count))
-        refs = [StyleReference(f"s{i}", global_stats(dist.probs)) for i, dist in enumerate(dists)]
+        refs = [StyleReference(f"s{i}", dist) for i, dist in enumerate(dists)]
         samples = data.draw(tuples_of(token_grids(max_side=4, max_codebook=2), 2))
         samples = [
             TokenGrid(g.height, g.width, size, np.minimum(g.tokens, size - 1))
             for g in samples
         ]
         for grid in samples:
-            hist = CategoricalDistribution(size, histogram_from_grid(grid, 0.0).probs[0])
+            hist = histogram_from_grid(grid, 0.0)
             scores = sorted(kl_divergence(hist, dist) for dist in dists)
             assume(scores[1] - scores[0] > 1e-9)
         perm = data.draw(permutations(size))
         base = style_match_rate(samples, refs)
         moved = style_match_rate(
             [permute_grid(g, perm) for g in samples],
-            [StyleReference(r.name, global_stats(permute_dist(d, perm).probs))
-             for r, d in zip(refs, dists)],
+            [StyleReference(r.name, permute_dist(d, perm)) for r, d in zip(refs, dists)],
         )
         assert moved.assigned == base.assigned
 
@@ -345,9 +338,8 @@ class TestRebalancingInvariants:
     @given(prior_and_weights(), st.floats(1e-3, 1e3))
     def test_scale_invariance(self, pair, scale):
         prior, weights = pair
-        size = prior.codebook_size
-        base = rebalance_rows(prior.probs[None], LikelihoodVector(size, weights))
-        scaled = rebalance_rows(prior.probs[None], LikelihoodVector(size, scale * weights))
+        base = rebalance_rows(prior.probs, guidance_row(weights))
+        scaled = rebalance_rows(prior.probs, guidance_row(scale * weights))
         assert np.allclose(scaled, base, atol=1e-12, rtol=0.0)
 
     @prop
@@ -356,10 +348,9 @@ class TestRebalancingInvariants:
         dist = data.draw(full_support_dists())
         exponent = data.draw(st.floats(0.0, 4.0))
         prior = data.draw(count_priors(dist.codebook_size))
-        vector = likelihood_vector(dist, dist, exponent)
-        assert vector.is_identity
-        row = prior.probs[None]
-        assert rebalance_rows(row, vector) is row
+        weights = likelihood_weights(dist.probs[0], dist.probs[0], exponent)
+        assert np.all(weights == 1.0)
+        assert rebalance_rows(prior.probs, weights) is prior.probs
 
     @prop
     @given(st.data())
@@ -367,14 +358,14 @@ class TestRebalancingInvariants:
         size = data.draw(sizes)
         style = data.draw(full_support_dists(size))
         dataset = data.draw(full_support_dists(size))
-        assert likelihood_vector(style, dataset, 0.0).is_identity
+        assert np.all(likelihood_weights(style.probs[0], dataset.probs[0], 0.0) == 1.0)
 
     @prop
     @given(prior_and_weights())
     def test_support_preservation(self, pair):
         prior, weights = pair
-        post = rebalance_rows(prior.probs[None], LikelihoodVector(prior.codebook_size, weights))
-        assert np.array_equal(post[0] == 0.0, prior.probs == 0.0)
+        post = rebalance_rows(prior.probs, guidance_row(weights))
+        assert np.array_equal(post == 0.0, prior.probs == 0.0)
 
     @prop
     @given(st.data())
@@ -385,10 +376,10 @@ class TestRebalancingInvariants:
         factor = data.draw(st.floats(1.1, 10.0))
         boosted = weights.copy()
         boosted[index] *= factor
-        before = rebalance_rows(prior.probs[None], LikelihoodVector(size, weights))[0, index]
-        after = rebalance_rows(prior.probs[None], LikelihoodVector(size, boosted))[0, index]
+        before = rebalance_rows(prior.probs, guidance_row(weights))[0, index]
+        after = rebalance_rows(prior.probs, guidance_row(boosted))[0, index]
         assert after >= before
-        if 1e-6 < prior.probs[index] < 1.0 - 1e-6:
+        if 1e-6 < prior.probs[0, index] < 1.0 - 1e-6:
             assert after > before
 
     @prop
@@ -401,10 +392,10 @@ class TestRebalancingInvariants:
         exponent = data.draw(
             st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
         )
-        post = rebalance_rows(prior.probs[None], likelihood_vector(style, dataset, exponent))
+        post = rebalance_rows(prior.probs, likelihood_weights(style.probs[0], dataset.probs[0], exponent))
         direct = prior.probs * (style.probs / dataset.probs) ** exponent
         direct /= direct.sum()
-        assert np.allclose(post[0], direct, atol=1e-12, rtol=0.0)
+        assert np.allclose(post, direct, atol=1e-12, rtol=0.0)
 
 
 class TestMetricProperties:
@@ -470,7 +461,7 @@ class TestDeterminismAndSplitting:
             dataset = data.draw(full_support_dists(grid.codebook_size))
             config = dataclasses.replace(
                 config, guidance=global_likelihood_table(
-                    global_stats(style.probs), global_stats(dataset.probs), 2.0
+                    style, dataset, 2.0
                 )
             )
         first = sample_grid(model, 3, 3, None, config)
@@ -505,7 +496,7 @@ class TestDeterminismAndSplitting:
             2,
             None,
             SamplingConfig(seed=seed, guidance=global_likelihood_table(
-                global_stats(dist.probs), global_stats(dist.probs)
+                dist, dist
             )),
         )
         assert plain == guided
@@ -541,7 +532,7 @@ class TestPriorChain:
             style = data.draw(full_support_dists(grid.codebook_size))
             dataset = data.draw(full_support_dists(grid.codebook_size))
             guidance = global_likelihood_table(
-                global_stats(style.probs), global_stats(dataset.probs)
+                style, dataset
             )
         exact = exact_sequence_distribution(
             model, height, width, None, SamplingConfig(guidance=guidance)

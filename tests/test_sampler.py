@@ -9,11 +9,7 @@ from scipy.stats import chi2_contingency
 
 from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_by_cell, histogram_by_region, histogram_from_grid
-from gcs.guidance import (
-    LikelihoodVector,
-    global_likelihood_table,
-    scoped_likelihoods,
-)
+from gcs.guidance import global_likelihood_table, scoped_likelihoods
 from gcs.prior import BOUNDARY, MarkovGridPrior, parse_context_template, train_markov_prior
 from gcs.rng import split_seed, unit_draw, seed_key
 from gcs import sampler
@@ -28,7 +24,7 @@ from gcs.sampler import (
     sample_grid,
 )
 
-from conftest import random_grid, random_semantics
+from conftest import guidance_row, random_grid, random_semantics
 
 
 class TestSamplingConfig:
@@ -221,18 +217,17 @@ class TestPosteriorRows:
         probs = self.rows(rng, size)
         vectors = [
             None,
-            LikelihoodVector(size, np.ones(size)),
-            LikelihoodVector(size, rng.uniform(0.01, 2.0, size)),
+            guidance_row(np.ones(size)),
+            guidance_row(rng.uniform(0.01, 2.0, size)),
         ]
         for vector in vectors:
             for temperature in (1.0, 0.8, 1.7, 0.5):
                 for top_k in sorted({None, 1, 2, min(8, size), size}, key=str):
                     config = SamplingConfig(temperature=temperature, top_k=top_k)
                     matrix = posterior_rows(probs, vector, config)
-                    weights = None if vector is None else vector.weights
                     for row, out in zip(probs, matrix):
                         one = posterior_rows(row[None], vector, config)[0]
-                        ref = reference_posterior(row, weights, temperature, top_k)
+                        ref = reference_posterior(row, vector, temperature, top_k)
                         assert one.tobytes() == out.tobytes() == ref.tobytes()
                     assert np.cumsum(matrix, axis=1).tobytes() == b"".join(
                         np.cumsum(out).tobytes() for out in matrix
@@ -243,18 +238,18 @@ class TestPosteriorRows:
         config = SamplingConfig(top_k=2)
         first = probs[:1]
         assert posterior_rows(first, None, config) is first
-        out = posterior_rows(probs, LikelihoodVector(3, np.ones(3)), config)
+        out = posterior_rows(probs, guidance_row(np.ones(3)), config)
         assert out[0].tobytes() == probs[0].tobytes()  # drops no mass
         assert np.allclose(out[1], [0.0, 0.375, 0.625], atol=1e-15)
         plain = SamplingConfig(top_k=3)
-        assert posterior_rows(probs, LikelihoodVector(3, np.ones(3)), plain) is probs
+        assert posterior_rows(probs, guidance_row(np.ones(3)), plain) is probs
 
     def test_errors_name_the_stage(self):
         probs = np.array([[0.5, 0.5], [1e-200, 0.0]])  # its mass underflows below
         with pytest.raises(ValidationError, match="zero total mass"):
-            posterior_rows(probs, LikelihoodVector(2, np.array([1e-200, 1.0])), SamplingConfig())
+            posterior_rows(probs, guidance_row(np.array([1e-200, 1.0])), SamplingConfig())
         with pytest.raises(ValidationError, match="codebook size mismatch"):
-            posterior_rows(probs, LikelihoodVector(3, np.ones(3)), SamplingConfig())
+            posterior_rows(probs, guidance_row(np.ones(3)), SamplingConfig())
         with pytest.raises(ValidationError, match="unnormalizable"):
             posterior_rows(np.full((1, 2), 0.5), None, SamplingConfig(temperature=1e-4))
         with pytest.raises(ValidationError, match="exceeds codebook size"):
@@ -263,7 +258,7 @@ class TestPosteriorRows:
 
 class TestStepPosterior:
     def test_guided_step(self):
-        vector = LikelihoodVector(2, np.array([1.0, 3.0]))
+        vector = guidance_row(np.array([1.0, 3.0]))
         out = posterior_rows(one_row([0.5, 0.5]), vector, SamplingConfig())
         assert np.allclose(out[0], [0.25, 0.75], atol=1e-12)
 
@@ -273,7 +268,7 @@ class TestStepPosterior:
 
     def test_pipeline_order(self):
         # Guidance first, then temperature, then truncation.
-        vector = LikelihoodVector(3, np.array([1.0, 2.0, 4.0]))
+        vector = guidance_row(np.array([1.0, 2.0, 4.0]))
         cfg = SamplingConfig(temperature=2.0, top_k=2)
         out = posterior_rows(one_row([0.5, 0.3, 0.2]), vector, cfg)
         guided = np.array([0.5, 0.6, 0.8]) / 1.9

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcs.core import CategoricalDistribution, ValidationError
+from gcs.core import ValidationError
 from gcs.distributions import histogram_from_grid
 from gcs.metrics import total_variation
 from gcs.world import (
@@ -24,9 +24,12 @@ from gcs.world import (
 )
 from gcs.formats import read_token_grid, write_semantic_grid, write_token_grid
 
+from conftest import global_stats
+
 
 def dist(probs):
-    return CategoricalDistribution(len(probs), probs)
+    """One label's probability row."""
+    return np.array(probs, dtype=float)
 
 
 def disjoint_styles(coherence=0.0):
@@ -174,7 +177,7 @@ class TestGenerateScene:
         for seed in range(20):
             grid, _ = generate_scene(style, layout, 64, 64, seed=seed)
             hist = histogram_from_grid(grid, smoothing_alpha=0.0)
-            assert total_variation(hist, target) <= 0.05
+            assert total_variation(hist, global_stats(target)) <= 0.05
 
     def test_coherence_raises_left_copy_rate(self):
         smooth = StyleSpec("s", (dist([0.25] * 4),), coherence=0.8)
@@ -295,8 +298,7 @@ class TestBenchmarkConfig:
         payload = small_config().to_dict()
         payload["styles"][0]["per_label"] = [{"support": [0, 1]}, {"support": [1]}]
         config = BenchmarkConfig.from_dict(payload)
-        assert list(config.styles[0].per_label[0].probs) == [0.5, 0.5, 0.0, 0.0]
-        assert list(config.styles[0].per_label[1].probs) == [0.0, 1.0, 0.0, 0.0]
+        assert config.styles[0].per_label.tolist() == [[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
 
     def test_empty_support_rejected(self):
         payload = small_config().to_dict()
@@ -478,7 +480,7 @@ class TestBuiltinConfigs:
         # distinguishable enough that no similarity warning fires.
         config = default_landscape_config()
         a, b = config.styles[0], config.styles[1]
-        tv = total_variation(a.per_label[0], b.per_label[0])
+        tv = total_variation(global_stats(a.per_label[0]), global_stats(b.per_label[0]))
         assert abs(tv - 0.5) < 1e-12
         make_benchmark(
             BenchmarkConfig.from_dict({**config.to_dict(), "corpus_size": 1}),
@@ -494,7 +496,5 @@ class TestBuiltinConfigs:
         # The two styles share their global token histogram; only the
         # arrangement across labels differs.
         a, b = config.styles
-        merged_a = np.mean([d.probs for d in a.per_label], axis=0)
-        merged_b = np.mean([d.probs for d in b.per_label], axis=0)
-        assert np.allclose(merged_a, merged_b, atol=1e-12)
-        assert total_variation(a.per_label[0], b.per_label[0]) == 1.0
+        assert np.allclose(a.per_label.mean(axis=0), b.per_label.mean(axis=0), atol=1e-12)
+        assert total_variation(global_stats(a.per_label[0]), global_stats(b.per_label[0])) == 1.0
