@@ -16,10 +16,9 @@ import re
 import sys
 from pathlib import Path
 
-from .core import TokenGrid, ValidationError
+from .core import TokenGrid, ValidationError, _typed
 from .distributions import average_scoped, check_draws, collapse_scoped, histograms, monte_carlo_distribution
 from .formats import (
-    _typed,
     dump_json,
     load_json,
     read_semantic_grid,

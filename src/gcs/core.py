@@ -1,4 +1,4 @@
-"""Core value types: token grids, semantic grids, and probability-row checks.
+"""Core value types and checks: token and semantic grids, probability rows, strict JSON.
 
 All types validate their invariants at construction and are immutable
 afterwards (ndarray payloads are marked read-only), so instances can be
@@ -8,7 +8,7 @@ shared freely between threads and reused across sampling runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -21,6 +21,22 @@ class ValidationError(ValueError):
 
 class FormatError(ValidationError):
     """A serialized artifact is malformed (bad magic, version, truncation)."""
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """`object_pairs_hook` refusing a key repeated in one object, of which
+    `json` would keep only the last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
+def _typed(value, *kinds: type):
+    """`value` if its JSON type is one of `kinds`; a bool is no int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{value!r} is not {' or '.join(kind.__name__ for kind in kinds)}")
+    return value
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

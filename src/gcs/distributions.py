@@ -214,6 +214,8 @@ def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
 def _grid_shapes(grids: TokenBatch | Sequence[TokenGrid]) -> list[tuple[int, int]]:
     batch = isinstance(grids, TokenBatch)
     return [grids.tokens.shape[1:]] * len(grids) if batch else [g.tokens.shape for g in grids]
+
+
 def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
     """(grid, scope, token) counts of a batch or of grids of one codebook
     size, one array per chunk of consecutive grids.
@@ -256,7 +258,6 @@ def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
             index = np.bincount(index.reshape(-1), minlength=n * size * scopes)
             yield index.reshape(n, size, scopes).transpose(0, 2, 1)
         start = end
-
 
 
 def _smoothed(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -34,12 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import (
-    FormatError,
-    SemanticGrid,
-    TokenGrid,
-    ValidationError,
-)
+from .core import FormatError, SemanticGrid, TokenGrid, ValidationError, unique_keys
 from .distributions import COUNT_CELL_LIMIT, ScopedDistributions
 
 GRID_VERSION = 1
@@ -134,22 +129,6 @@ def dump_json(path: str | Path, payload: Any) -> None:
     Path(path).write_text(text + "\n")
 
 
-def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """`object_pairs_hook` refusing a key repeated in one object, of which
-    `json` would keep only the last value."""
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return dict(pairs)
-
-
-def _typed(value, *kinds: type):
-    """`value` if its JSON type is one of `kinds`; a bool is no int."""
-    if type(value) not in kinds:
-        raise ValueError(f"{value!r} is not {' or '.join(kind.__name__ for kind in kinds)}")
-    return value
-
-
 def load_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
@@ -182,9 +161,24 @@ def scoped_to_dict(stats: ScopedDistributions) -> dict:
     }
 
 
+def _same_json(found, expected) -> bool:
+    """`found == expected`, where an int in `expected` matches only a JSON
+    integer and a float only a JSON number; a bool is neither."""
+    if type(expected) is dict:
+        return type(found) is dict and found.keys() == expected.keys() and all(
+            _same_json(found[key], value) for key, value in expected.items()
+        )
+    if type(expected) is list:
+        return type(found) is list and len(found) == len(expected) and all(map(_same_json, found, expected))
+    kinds = (int, float) if type(expected) is float else (type(expected),)
+    return type(found) in kinds and found == expected
+
+
 def scoped_from_dict(payload: dict, kind: str) -> ScopedDistributions:
-    """Read any v1 layout.  Its redundant fields (codebook size, label
-    count, masses, cell rows) must be exactly what the decoded entries imply."""
+    """Read any v1 layout.  Every field must be exactly what the decoded
+    entries imply, redundant ones (codebook size, label count, masses, cell
+    rows) too, with integers as JSON integers and probabilities and masses
+    as JSON numbers."""
     if kind == "global":
         entries, layout = [payload], "global"
     elif kind == "regional":
@@ -208,8 +202,8 @@ def scoped_from_dict(payload: dict, kind: str) -> ScopedDistributions:
             probs[j], masses[j] = entry["probs"], float(entry["source_mass"])
     stats = ScopedDistributions(probs, masses, layout)
     for key, value in sorted(scoped_to_dict(stats).items()):
-        if key != "kind" and payload[key] != value:
-            raise ValidationError(f"{key} does not match the entries")
+        if key != "kind" and not _same_json(payload[key], value):
+            raise ValidationError(f"{key} does not match the entries in value or JSON type")
     return stats
 
 

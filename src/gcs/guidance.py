@@ -13,8 +13,8 @@ cell of a (rows, cols) tiling.  `scoped_likelihoods` fills every table
 from a style and a dataset `ScopedDistributions` of one layout; global
 statistics give the 1x1 tiling of their one row.  `scope_index` is the
 one position -> scope rule, elementwise on arrays: `select_likelihood`
-applies it to one step, `batch_sample` to every position of the grid at
-once.
+checks one step's position and applies it, the sampler applies it to every
+position of the grid at once.
 """
 
 from __future__ import annotations
@@ -52,16 +52,14 @@ class LikelihoodTable:
     ``weights`` (scopes, K) holds one row per semantic label when ``cells``
     is None, or one per cell of a (rows, cols) tiling in row-major order.
     Rows must be finite and > 0; each is stored divided by its maximum, in
-    a read-only copy, so large exponents cannot overflow.
+    a read-only copy, so large exponents cannot overflow.  The identity
+    table, an unguided run's, is one all-ones row over the 1x1 tiling.
     """
 
-    exponent: float
     weights: np.ndarray
     cells: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.exponent) or self.exponent < 0.0:
-            raise ValidationError(f"guidance exponent must be finite and >= 0, got {self.exponent}")
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] < 2:
             raise ValidationError(f"guidance weights must be (scopes, K >= 2), got shape {w.shape}")
@@ -78,8 +76,7 @@ class LikelihoodTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LikelihoodTable):
             return NotImplemented
-        same = (self.exponent, self.cells) == (other.exponent, other.cells)
-        return same and np.array_equal(self.weights, other.weights)
+        return self.cells == other.cells and np.array_equal(self.weights, other.weights)
 
 
 def scoped_likelihoods(
@@ -98,6 +95,8 @@ def scoped_likelihoods(
     is missing.  Global and tiled statistics never miss a scope; global
     guidance is the 1x1 tiling of its one row.
     """
+    if not np.isfinite(exponent) or exponent < 0.0:
+        raise ValidationError(f"guidance exponent must be finite and >= 0, got {exponent}")
     if style.kind != dataset.kind:
         raise ValidationError(
             f"style stats are {style.kind} but dataset stats are {dataset.kind}; "
@@ -135,7 +134,7 @@ def scoped_likelihoods(
                 "per-label guidance requires the global style and dataset distributions"
             )
         weights[~both] = scoped_likelihoods(style_global, dataset_global, None, None, exponent).weights
-    return LikelihoodTable(float(exponent), weights, style.cells)
+    return LikelihoodTable(weights, style.cells)
 
 
 # Names the benchmark harness calls; every layout shares one body.
@@ -156,35 +155,25 @@ def scope_index(
 
     The scope is the semantic label at the position for per-label tables,
     or the row-major index of the cell holding it for tiled ones, which
-    requires the full grid shape.  ``row`` and ``col`` may be integers or
-    integer arrays of one shape; the result has that shape.
+    requires the full grid shape.  ``row`` and ``col`` are in-grid integers
+    or integer arrays of one shape; the result has that shape.
     """
     row, col = position
     if table.cells is None:
         if semantics is None:
             raise ValidationError("regional guidance requires a semantic map")
-        height, width = semantics.height, semantics.width
-    elif grid_shape is None:
-        raise ValidationError(
-            "guidance over a {}x{} tiling requires the generated grid's shape".format(*table.cells)
-        )
-    else:
-        height, width = grid_shape
-    outside = (row < 0) | (row >= height) | (col < 0) | (col >= width)
-    if np.count_nonzero(outside):
-        i = np.argmax(outside)
-        raise ValidationError(
-            f"position ({np.ravel(row)[i]}, {np.ravel(col)[i]}) outside the {height}x{width} grid"
-        )
-    if table.cells is None:
         labels = semantics.labels[row, col]
         if np.count_nonzero(labels >= len(table.weights)):
             raise ValidationError(
                 f"label {np.max(labels)} outside the table's {len(table.weights)} labels"
             )
         return labels
+    if grid_shape is None:
+        raise ValidationError(
+            "guidance over a {}x{} tiling requires the generated grid's shape".format(*table.cells)
+        )
     cell_rows, cell_cols = table.cells
-    cr, cc = cell_of_position(row, col, height, width, cell_rows, cell_cols)
+    cr, cc = cell_of_position(row, col, *grid_shape, cell_rows, cell_cols)
     return cr * cell_cols + cc
 
 
@@ -194,5 +183,9 @@ def select_likelihood(
     semantics: SemanticGrid | None = None,
     grid_shape: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """The guidance weights governing one generation step (see `scope_index`)."""
+    """The guidance weights of one generation step inside the grid (see `scope_index`)."""
+    shape = semantics.labels.shape if table.cells is None and semantics is not None else grid_shape
+    row, col = position
+    if shape is not None and not (0 <= row < shape[0] and 0 <= col < shape[1]):
+        raise ValidationError(f"position ({row}, {col}) outside the {shape[0]}x{shape[1]} grid")
     return table.weights[int(scope_index(table, position, semantics, grid_shape))]

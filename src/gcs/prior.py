@@ -31,15 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    SemanticGrid,
-    TokenGrid,
-    ValidationError,
-    _readonly,
-    grid_pairs,
-    require_same_shape,
+    SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, require_same_shape, unique_keys
 )
 from .distributions import ScopedDistributions, smoothed_rows
-from .formats import GRID_VOCAB_LIMIT, _typed, unique_keys
+from .formats import GRID_VOCAB_LIMIT
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
 MODEL_CELL_LIMIT = 2**26

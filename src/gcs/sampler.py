@@ -5,16 +5,16 @@ in this order: likelihood rebalancing, temperature, then top-k truncation.
 `posterior_rows` is the one implementation of that pipeline, over a matrix
 of prior rows; a stage that is a no-op for a row (identity likelihood,
 temperature exactly 1, truncation that removes no mass) leaves its bits
-untouched, so a pipeline of no-ops reproduces the raw prior bit for bit.
+untouched, so a pipeline of no-ops reproduces the raw prior bit for bit,
+and an unguided run is guided by the identity table (one all-ones row).
 `sample_grid` and the exact chain enumeration `exact_sequence_distribution`
 run it per raster step on the one prior row `MarkovGridPrior.state_of`
-names, with the guidance weights `scope_index` gives the position.
+names, with the weight row of the position's scope.
 
 `batch_sample` draws a wavefront per step: every position with the same
 skew * row + col, whose template slots all lie in earlier wavefronts.  It
-keeps a posterior-row table for the batch: one row per (scope, prior
-state), where a scope indexes the guidance table's `weights` (`scope_index`
-maps every position at once), stored with its cumulative sum.  A step gathers its slots from the position-major
+keeps a table of posterior rows, one per (scope, prior state), with their
+cumulative sums.  A step gathers its slots from the position-major
 (H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
 prior states, builds the rows it lacks with one `posterior_rows` call per
 scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
@@ -79,9 +79,9 @@ def index_from_unit(
 
 
 def posterior_rows(
-    probs: np.ndarray, weights: np.ndarray | None, config: SamplingConfig
+    probs: np.ndarray, weights: np.ndarray, config: SamplingConfig
 ) -> np.ndarray:
-    """The one guide -> temperature -> top-k pipeline, over (R, K) prior rows.
+    """The one guide -> temperature -> top-k pipeline over (R, K) prior rows and a weight row.
 
     Top-k keeps the k most probable tokens, breaking ties toward the lower
     index.  A stage leaves a row's bits untouched where it is a no-op
@@ -89,8 +89,7 @@ def posterior_rows(
     mass), and returns its input array when it is a no-op for every row.
     """
     size = probs.shape[1]
-    if weights is not None:
-        probs = rebalance_rows(probs, weights)
+    probs = rebalance_rows(probs, weights)
     if config.temperature != 1.0:
         powered = probs ** (1.0 / config.temperature)
         totals = powered.sum(axis=1, keepdims=True)
@@ -113,12 +112,15 @@ def posterior_rows(
     return probs
 
 
-def _check_sampling_args(
+def _guidance_scopes(
     model: MarkovGridPrior,
     height: int,
     width: int,
     semantics: SemanticGrid | None,
-) -> None:
+    config: SamplingConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a run's arguments; return its guidance weight rows and each
+    raster position's scope.  An unguided run has the identity table."""
     if height < 1 or width < 1:
         raise ValidationError(f"grid shape {height}x{width} must be positive")
     if model.conditional and semantics is None:
@@ -128,6 +130,9 @@ def _check_sampling_args(
             f"semantic map is {semantics.height}x{semantics.width}, "
             f"requested grid is {height}x{width}"
         )
+    table = config.guidance or LikelihoodTable(np.ones((1, model.codebook_size)), (1, 1))
+    rows, cols = np.divmod(np.arange(height * width), width)
+    return table.weights, scope_index(table, (rows, cols), semantics, (height, width))
 
 
 def _scalar_steps(
@@ -139,24 +144,18 @@ def _scalar_steps(
 ) -> Callable[[Sequence[int]], np.ndarray]:
     """The posterior row of the next raster step as a function of the prefix.
 
-    Every position's guidance weights are found once, by `scope_index`; a
-    step looks its prior row up with `state_of` and runs `posterior_rows`
-    on that one row.
+    Every position's scope is found once; a step looks its prior row up
+    with `state_of` and runs `posterior_rows` on that one row.
     """
-    _check_sampling_args(model, height, width, semantics)
-    size = height * width
-    weights = [None] * size
-    if config.guidance is not None:
-        rows, cols = np.divmod(np.arange(size), width)
-        scopes = scope_index(config.guidance, (rows, cols), semantics, (height, width))
-        weights = [config.guidance.weights[s] for s in scopes.tolist()]
-    labels = semantics.labels.reshape(-1).tolist() if model.conditional else [None] * size
+    weights, scopes = _guidance_scopes(model, height, width, semantics, config)
+    scopes = scopes.tolist()
+    labels = semantics.labels.reshape(-1).tolist() if model.conditional else [None] * len(scopes)
 
     def step(prefix: Sequence[int]) -> np.ndarray:
         i = len(prefix)
         context = model.context_at(prefix, height, width, *divmod(i, width))
         state = model.state_of(context, labels[i])
-        return posterior_rows(model.smoothed[state : state + 1], weights[i], config)[0]
+        return posterior_rows(model.smoothed[state : state + 1], weights[scopes[i]], config)[0]
 
     return step
 
@@ -201,12 +200,12 @@ def batch_sample(
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
-    _check_sampling_args(model, height, width, semantics)
     if count * (height * width + 1) > BATCH_CELL_LIMIT:
         raise ValidationError(
             f"{count} samples of {height}x{width} need {count * (height * width + 1)} "
             f"token cells, over the limit of {BATCH_CELL_LIMIT}"
         )
+    weights, scopes = _guidance_scopes(model, height, width, semantics, config)
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     size = height * width
     rows, cols = np.divmod(np.arange(size), width)
@@ -218,10 +217,7 @@ def batch_sample(
         r, c = rows + dr, cols + dc
         slots.append(np.where((r >= 0) & (c >= 0) & (c < width), r * width + c, size))
     labels = semantics.labels.reshape(-1, 1) if model.conditional else None
-    scopes = np.zeros((size, 1), dtype=np.int64)
-    if config.guidance is not None:
-        scopes = scope_index(config.guidance, (rows, cols), semantics, (height, width))[:, None]
-    table = _RowTable(model, config)
+    table = _RowTable(model, weights, config)
 
     # Wavefront t = skew * row + col: the smallest skew >= 0 that puts
     # every template slot in an earlier wavefront.
@@ -230,7 +226,7 @@ def batch_sample(
     order = np.argsort(wave, kind="stable")
     for front in np.split(order, np.flatnonzero(np.diff(wave[order])) + 1):
         columns = [grids[slot[front]] for slot in slots]
-        picked = table.rows(columns, None if labels is None else labels[front], scopes[front])
+        picked = table.rows(columns, None if labels is None else labels[front], scopes[front, None])
         draws = unit_draws_at(keys, front)
         grids[front] = inverse_cdf_rows(
             table.probs, table.cumulative, picked.ravel(), draws.ravel()
@@ -274,20 +270,19 @@ def inverse_cdf_rows(
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    Scope j is row j of ``config.guidance.weights``, or the one scope None when
-    unguided.  Each scope maps prior states (the shared unseen-context
-    state included) to rows through S + 1 entries of an int64 array, -1
-    until built: 8 (S + 1) bytes whatever the code space, at most the size
-    of the prior's smoothed matrix while a table has at most K scopes.  A
-    call's new rows go through `posterior_rows` once per scope and are
-    stored with their cumulative sums; the row arrays grow by at least a
-    quarter when full.
+    Scope j is row j of the run's guidance ``weights``.  Each scope maps
+    prior states (the shared unseen-context state included) to rows through
+    S + 1 entries of an int64 array, -1 until built: 8 (S + 1) bytes
+    whatever the code space, at most the size of the prior's smoothed
+    matrix while a table has at most K scopes.  A call's new rows go through
+    `posterior_rows` once per scope and are stored with their cumulative
+    sums; the row arrays grow by at least a quarter when full.
     """
 
-    def __init__(self, model: MarkovGridPrior, config: SamplingConfig) -> None:
+    def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:
         self.model = model
         self.config = config
-        self.weights = (None,) if config.guidance is None else config.guidance.weights
+        self.weights = weights
         self.stride = len(model.counts) + 1
         self.row_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
         self.size = 0

@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SemanticGrid, TokenGrid, ValidationError, _readonly, check_rows
+from .core import SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, check_rows
 from .formats import (
-    GRID_VOCAB_LIMIT, _typed, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
+    GRID_VOCAB_LIMIT, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 )
 from .rng import MASK64, mix64_array, split_seed, split_seed_array, unit_draws_at
 from .sampler import inverse_cdf_rows

@@ -69,4 +69,4 @@ def likelihood_weights(style, dataset, exponent=1.0) -> np.ndarray:
 
 def guidance_row(weights) -> np.ndarray:
     """One row of guidance weights as a `LikelihoodTable` stores it."""
-    return LikelihoodTable(1.0, [weights]).weights[0]
+    return LikelihoodTable([weights]).weights[0]

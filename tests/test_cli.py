@@ -834,6 +834,17 @@ def test_malformed_stats_json_is_a_format_error(
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_style_mass_must_be_a_json_number(trained, tmp_path, capsys):
+    # A mass of true equals 1.0 in value; only the JSON number is accepted.
+    style = tmp_path / "style.json"
+    common = ["--model", str(trained["model"]), "--style-stats", str(style),
+              "--dataset-stats", str(trained["dataset"]), "--height", "4", "--width", "4"]
+    for mass, code in ((1.0, 0), (True, 2)):
+        dump_json(style, {**load_json(trained["style"]), "source_mass": mass})
+        assert main(["sample", "--out", str(tmp_path / str(mass)), *common]) == code
+    assert "source_mass does not match the entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "counts",
     [{"-1": 5}, {"0": -3}, {"1": 3, "01": 4}, {"+1": 2}, {"0": 2.5}, {"0": True}, {"0": "2"}],

@@ -229,3 +229,40 @@ class TestStatsFiles:
     def test_unserializable_stats(self, tmp_path):
         with pytest.raises(ValidationError):
             write_stats(tmp_path / "x.json", object())
+
+
+# Fields equal in value to what the entries imply, in another JSON type.
+ONE_LABEL = scoped(([0.5, 0.5],), [1.0])
+TWO_CELLS = scoped(([0.5, 0.5],) * 2, [1.0, 1.0], (1, 2))
+MISTYPED_FIELDS = {
+    "probs-bools": (global_stats([1.0, 0.0], 1.0), "probs", [True, False]),
+    "source_mass-true": (global_stats([0.5, 0.5], 1.0), "source_mass", True),
+    "codebook_size-float": (global_stats([0.5, 0.5], 1.0), "codebook_size", 2.0),
+    "per_label_mass-true": (ONE_LABEL, "per_label_mass", [True]),
+    "label_count-true": (ONE_LABEL, "label_count", True),
+    "entry-codebook_size-float": (
+        ONE_LABEL, "per_label", [{"codebook_size": 2.0, "probs": [0.5, 0.5], "source_mass": 1.0}]
+    ),
+    "cell_rows-true": (TWO_CELLS, "cell_rows", True),
+    "cell_rows-float": (TWO_CELLS, "cell_rows", 1.0),
+}
+
+
+@pytest.mark.parametrize("stats, key, value", MISTYPED_FIELDS.values(), ids=MISTYPED_FIELDS)
+def test_mistyped_stats_fields_are_format_errors(tmp_path, stats, key, value):
+    path = tmp_path / "stats.json"
+    write_stats(path, stats)
+    payload = load_json(path)
+    assert payload[key] == value
+    dump_json(path, {**payload, key: value})
+    with pytest.raises(FormatError, match=f"{key} does not match the entries in value or JSON type"):
+        read_stats(path)
+
+
+def test_stats_numbers_may_be_json_integers(tmp_path):
+    # Probabilities and masses are JSON numbers: an integer reads as its float.
+    path = tmp_path / "stats.json"
+    stats = global_stats([1.0, 0.0], 3.0)
+    write_stats(path, stats)
+    dump_json(path, {**load_json(path), "probs": [1, 0], "source_mass": 3})
+    assert read_stats(path) == stats

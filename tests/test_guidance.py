@@ -23,24 +23,24 @@ STYLE_STATS, DATASET_STATS = global_stats(STYLE), global_stats(DATASET)
 class TestLikelihoodVector:
     # Each row of a table's weights is one scope's guidance vector.
     def test_max_normalized_storage(self):
-        table = LikelihoodTable(1.0, [[2.0, 0.5, 1.0], [0.5, 0.25, 0.125]])
+        table = LikelihoodTable([[2.0, 0.5, 1.0], [0.5, 0.25, 0.125]])
         assert table.weights.tolist() == [[1.0, 0.25, 0.5], [1.0, 0.5, 0.25]]
         assert not table.weights.flags.writeable
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            LikelihoodTable(1.0, [[1.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+            LikelihoodTable([[1.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
         assert "index 1 of scope 1" in str(exc.value)
         assert "smoothing_alpha" in str(exc.value)
 
     def test_wrong_length(self):
         for weights in ([1.0, 2.0], [[1.0]], [[[1.0, 2.0]]]):
             with pytest.raises(ValidationError, match="must be \\(scopes, K >= 2\\)"):
-                LikelihoodTable(1.0, weights)
+                LikelihoodTable(weights)
 
     def test_non_finite(self):
         with pytest.raises(ValidationError):
-            LikelihoodTable(1.0, [[1.0, 1.0], [1.0, np.inf]])
+            LikelihoodTable([[1.0, 1.0], [1.0, np.inf]])
 
     def test_identity_flag(self):
         # Rows of equal weights are stored as exact ones: rebalancing by
@@ -132,25 +132,22 @@ class TestRebalancePrior:
 class TestLikelihoodTable:
     def test_layout_fields(self):
         # One weight row per scope plus a layout; global guidance is the 1x1 tiling.
-        assert [f.name for f in dataclasses.fields(LikelihoodTable)] == [
-            "exponent", "weights", "cells"
-        ]
+        assert [f.name for f in dataclasses.fields(LikelihoodTable)] == ["weights", "cells"]
         table = global_likelihood_table(STYLE_STATS, DATASET_STATS)
         assert (table.weights.shape, table.cells) == ((1, 3), (1, 1))
-        assert LikelihoodTable(1.0, np.ones((2, 2))) == LikelihoodTable(1.0, [[3.0, 3.0]] * 2)
-        assert LikelihoodTable(1.0, np.ones((2, 2))) != LikelihoodTable(2.0, np.ones((2, 2)))
-        assert LikelihoodTable(1.0, np.ones((2, 2))) != LikelihoodTable(1.0, np.ones((2, 2)), (1, 2))
+        assert LikelihoodTable(np.ones((2, 2))) == LikelihoodTable([[3.0, 3.0]] * 2)
+        assert LikelihoodTable(np.ones((2, 2))) != LikelihoodTable(np.ones((2, 2)), (1, 2))
 
     def test_global_mode_rejects_extras(self):
         # A 1x1 tiling holds exactly one row, and no table holds none.
         with pytest.raises(ValidationError, match="1x1 tiling needs 1 cell vectors, got 2"):
-            LikelihoodTable(1.0, np.ones((2, 2)), (1, 1))
+            LikelihoodTable(np.ones((2, 2)), (1, 1))
         with pytest.raises(ValidationError, match="at least one scope"):
-            LikelihoodTable(1.0, np.ones((0, 2)))
+            LikelihoodTable(np.ones((0, 2)))
 
     def test_spatial_mode_requires_cells(self):
         with pytest.raises(ValidationError) as exc:
-            LikelihoodTable(1.0, np.ones((1, 2)), (0, 2))
+            LikelihoodTable(np.ones((1, 2)), (0, 2))
         assert "tiling must be positive" in str(exc.value)
 
 
@@ -232,6 +229,20 @@ class TestSelectLikelihood:
         with pytest.raises(ValidationError):
             select_likelihood(self.build_spatial(), (4, 0), grid_shape=(4, 4))
 
+    @pytest.mark.parametrize("position", [(-1, 0), (0, -1), (4, 0), (0, 4), (-1, 4)])
+    def test_tiled_position_outside_grid_shape(self, position):
+        # Cell arithmetic would place these in a wrong cell or past the
+        # table; the step's position is checked against the grid shape.
+        for table in (self.build_spatial(), global_likelihood_table(STYLE_STATS, DATASET_STATS)):
+            with pytest.raises(ValidationError, match=r"position \(.+\) outside the 4x4 grid"):
+                select_likelihood(table, position, grid_shape=(4, 4))
+
+    def test_regional_negative_position(self):
+        # A negative index would wrap around the semantic map.
+        sem = SemanticGrid(1, 4, 2, [0, 0, 1, 1])
+        with pytest.raises(ValidationError, match=r"position \(0, -1\) outside the 1x4 grid"):
+            select_likelihood(self.build_regional(), (0, -1), semantics=sem)
+
     def test_spatial_tiling_mismatch(self):
         flat = [0.5, 0.5]
         a = scoped((flat, flat), [4.0, 4.0], (1, 2))
@@ -256,7 +267,7 @@ class TestSelectLikelihood:
 def test_spatial_vectors_shape_checked():
     # A tiling needs exactly one weight row per cell.
     with pytest.raises(ValidationError, match="2x2 tiling needs 4 cell vectors, got 2"):
-        LikelihoodTable(1.0, np.ones((2, 2)), (2, 2))
+        LikelihoodTable(np.ones((2, 2)), (2, 2))
 
 
 @pytest.mark.parametrize("cells", [None, (1, 1), (2, 3), (5, 7)], ids=["labels", "1x1", "2x3", "5x7"])
@@ -265,7 +276,7 @@ def test_scope_index_matches_per_position_selection(cells):
     height, width = 3, 4
     sem = SemanticGrid(height, width, 3, np.arange(height * width) % 3)
     count = 3 if cells is None else cells[0] * cells[1]
-    table = LikelihoodTable(1.0, [[1.0, 1.0 + j] for j in range(count)], cells)
+    table = LikelihoodTable([[1.0, 1.0 + j] for j in range(count)], cells)
     rows, cols = np.divmod(np.arange(height * width), width)
     scopes = scope_index(table, (rows, cols), sem, (height, width))
     for r, c, scope in zip(rows, cols, scopes):

@@ -81,6 +81,24 @@ def test_every_gcs_name_perfbench_reads_exists(perfbench):
     assert not missing
 
 
+def test_traced_model_load_is_one_span(perfbench, tmp_path):
+    # The tracer leaves gcs.core unwrapped, and the strict JSON helpers a
+    # load calls per field live there: a traced load is its own span plus at
+    # most the smoothing it calls, not one span per field read.
+    import gcs.cli
+    from gcs.core import TokenGrid
+    from gcs.prior import save_model, train_markov_prior
+
+    grids = [TokenGrid(4, 4, 3, [(seed + i * i) % 3 for i in range(16)]) for seed in range(5)]
+    path = tmp_path / "model.json"
+    save_model(path, train_markov_prior(grids))
+    tracer = perfbench["spans"].Tracer()
+    with tracer.instrument():
+        gcs.cli.load_model(path)
+    assert tracer.names[tracer.name_id[0]] == "prior.load_model"
+    assert len(tracer.start) <= 2
+
+
 # Functions whose spans perfbench reads by `<layer>.<function>` name.  An
 # alias under another `__name__` still passes the name check above but
 # records its spans under the other name.

@@ -410,7 +410,7 @@ class TestExactSequenceDistribution:
 
     def test_guided_two_cells(self):
         model = MarkovGridPrior(codebook_size=2)
-        table = LikelihoodTable(1.0, [[1.0, 3.0]], (1, 1))
+        table = LikelihoodTable([[1.0, 3.0]], (1, 1))
         dist = exact_sequence_distribution(model, 1, 2, config=SamplingConfig(guidance=table))
         assert abs(dist[(1, 1)] - 0.5625) < 1e-12
 
@@ -418,7 +418,7 @@ class TestExactSequenceDistribution:
         # The oracle runs the sampler's whole step pipeline: guided to
         # (0.2, 0.3, 0.5), tempered at 0.5 to (4, 9, 25) / 38, top-2 keeps 1 and 2.
         model = MarkovGridPrior(codebook_size=3)
-        table = LikelihoodTable(1.0, [[2.0, 3.0, 5.0]], (1, 1))
+        table = LikelihoodTable([[2.0, 3.0, 5.0]], (1, 1))
         config = SamplingConfig(guidance=table, temperature=0.5, top_k=2)
         dist = exact_sequence_distribution(model, 1, 1, config=config)
         assert dist.keys() == {(1,), (2,)}

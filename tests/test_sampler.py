@@ -140,11 +140,11 @@ def one_row(probs):
 
 
 def tempered(probs, temperature):
-    return posterior_rows(probs, None, SamplingConfig(temperature=temperature))
+    return posterior_rows(probs, np.ones(probs.shape[1]), SamplingConfig(temperature=temperature))
 
 
 def truncated(probs, top_k):
-    return posterior_rows(probs, None, SamplingConfig(top_k=top_k))
+    return posterior_rows(probs, np.ones(probs.shape[1]), SamplingConfig(top_k=top_k))
 
 
 class TestTemperature:
@@ -216,7 +216,7 @@ class TestPosteriorRows:
     def test_matrix_equals_rows_and_reference(self, rng, size):
         probs = self.rows(rng, size)
         vectors = [
-            None,
+            np.ones(size),
             guidance_row(np.ones(size)),
             guidance_row(rng.uniform(0.01, 2.0, size)),
         ]
@@ -237,7 +237,7 @@ class TestPosteriorRows:
         probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         config = SamplingConfig(top_k=2)
         first = probs[:1]
-        assert posterior_rows(first, None, config) is first
+        assert posterior_rows(first, np.ones(3), config) is first
         out = posterior_rows(probs, guidance_row(np.ones(3)), config)
         assert out[0].tobytes() == probs[0].tobytes()  # drops no mass
         assert np.allclose(out[1], [0.0, 0.375, 0.625], atol=1e-15)
@@ -251,9 +251,9 @@ class TestPosteriorRows:
         with pytest.raises(ValidationError, match="codebook size mismatch"):
             posterior_rows(probs, guidance_row(np.ones(3)), SamplingConfig())
         with pytest.raises(ValidationError, match="unnormalizable"):
-            posterior_rows(np.full((1, 2), 0.5), None, SamplingConfig(temperature=1e-4))
+            posterior_rows(np.full((1, 2), 0.5), np.ones(2), SamplingConfig(temperature=1e-4))
         with pytest.raises(ValidationError, match="exceeds codebook size"):
-            posterior_rows(probs, None, SamplingConfig(top_k=3))
+            posterior_rows(probs, np.ones(2), SamplingConfig(top_k=3))
 
 
 class TestStepPosterior:
@@ -264,7 +264,7 @@ class TestStepPosterior:
 
     def test_plain_config_returns_prior_object(self):
         probs = one_row([0.6, 0.4])
-        assert posterior_rows(probs, None, SamplingConfig()) is probs
+        assert posterior_rows(probs, np.ones(2), SamplingConfig()) is probs
 
     def test_pipeline_order(self):
         # Guidance first, then temperature, then truncation.
