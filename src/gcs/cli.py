@@ -35,10 +35,11 @@ from .sampler import SamplingConfig, batch_sample
 from .world import (
     BenchmarkConfig,
     default_landscape_config,
+    grid_entries,
+    iter_entries,
     iter_grid_directory,
     load_grid_directory,
     make_benchmark,
-    read_entries,
     spatial_contrast_config,
 )
 
@@ -86,25 +87,18 @@ def _build_guidance(style_path, dataset_path, exponent, mode_override):
 
 
 def _load_samples(directory) -> tuple[list[TokenGrid], list | None]:
-    base = Path(directory)
-    manifest_path = base / "manifest.json"
-    if manifest_path.exists():
-        manifest = load_json(manifest_path)
-        entries = manifest.get("samples") if isinstance(manifest, dict) else None
-        if not entries:
-            raise ValidationError(f"{directory}: manifest lists no samples")
-        grids = [grid for grid, _ in read_entries(base, entries, with_semantics=False)]
-        seeds = [entry.get("seed") for entry in entries]
-        if any(seed is None for seed in seeds):
-            return grids, None
-        try:
-            return grids, [_typed(seed, int) for seed in seeds]
-        except ValueError as exc:
-            raise ValidationError(f"{manifest_path}: sample seed {exc}") from exc
-    paths = sorted(base.glob("*.tgrd"))
-    if not paths:
+    """A sample directory's grids, and their seeds when every entry records one."""
+    entries = grid_entries(directory, "samples")
+    if entries == []:
         raise ValidationError(f"{directory}: no samples found")
-    return [read_token_grid(path) for path in paths], None
+    grids = [grid for grid, _ in iter_entries(Path(directory), entries, with_semantics=False)]
+    seeds = [entry.get("seed") for entry in entries]
+    if any(seed is None for seed in seeds):
+        return grids, None
+    try:
+        return grids, [_typed(seed, int) for seed in seeds]
+    except ValueError as exc:
+        raise ValidationError(f"{Path(directory) / 'manifest.json'}: sample seed {exc}") from exc
 
 
 def cmd_gen_world(args) -> int:

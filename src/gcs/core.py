@@ -44,29 +44,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _coerce_grid_values(values, height: int, width: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim == 1:
-        if arr.size != height * width:
-            raise ValidationError(
-                f"{what} length mismatch: expected {height * width} "
-                f"({height}x{width}), got {arr.size}"
-            )
-        arr = arr.reshape(height, width)
-    elif arr.shape != (height, width):
+# (least vocabulary size, value noun, vocabulary name) of each grid kind.
+_TOKENS = (2, "token", "codebook size")
+_LABELS = (1, "label", "label count")
+
+
+def _grid_values(height: int, width: int, vocab: int, values, kind: tuple) -> np.ndarray:
+    """One read-only int64 (height, width) copy of a grid's flat or 2-D
+    values, checked in this order: dimensions, vocabulary size, shape, range."""
+    least, noun, vocab_name = kind
+    if height < 1 or width < 1:
+        raise ValidationError(f"grid dimensions must be positive, got {height}x{width}")
+    if vocab < least:
+        raise ValidationError(f"{vocab_name} must be >= {least}, got {vocab}")
+    arr = np.asarray(values)
+    if arr.shape not in ((height * width,), (height, width)):
         raise ValidationError(
-            f"{what} shape mismatch: expected ({height}, {width}), got {arr.shape}"
+            f"{noun}s length mismatch: expected {height * width} ({height}x{width}), "
+            f"got {arr.size if arr.ndim == 1 else arr.shape}"
         )
-    return arr.copy()
-
-
-def _check_range(values: np.ndarray, limit: int, what: str, limit_name: str) -> None:
-    bad = (values < 0) | (values >= limit)
+    arr = _readonly(np.array(arr.reshape(height, width), dtype=np.int64, order="C"))
+    bad = (arr < 0) | (arr >= vocab)
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValidationError(
-            f"{what} {values[r, c]} out of range at ({r}, {c}); {limit_name} is {limit}"
+            f"{noun} {arr[r, c]} out of range at ({r}, {c}); {vocab_name} is {vocab}"
         )
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +83,8 @@ class TokenGrid:
     tokens: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise ValidationError(
-                f"grid dimensions must be positive, got {self.height}x{self.width}"
-            )
-        if self.codebook_size < 2:
-            raise ValidationError(
-                f"codebook size must be >= 2, got {self.codebook_size}"
-            )
-        arr = _coerce_grid_values(self.tokens, self.height, self.width, "tokens")
-        object.__setattr__(self, "tokens", _readonly(arr))
-        validate_grid(self)
+        tokens = _grid_values(self.height, self.width, self.codebook_size, self.tokens, _TOKENS)
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def flat(self) -> np.ndarray:
@@ -150,17 +145,8 @@ class SemanticGrid:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise ValidationError(
-                f"grid dimensions must be positive, got {self.height}x{self.width}"
-            )
-        if self.label_count < 1:
-            raise ValidationError(
-                f"label count must be >= 1, got {self.label_count}"
-            )
-        arr = _coerce_grid_values(self.labels, self.height, self.width, "labels")
-        _check_range(arr, self.label_count, "label", "label count")
-        object.__setattr__(self, "labels", _readonly(arr))
+        labels = _grid_values(self.height, self.width, self.label_count, self.labels, _LABELS)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def flat(self) -> np.ndarray:
@@ -173,18 +159,9 @@ class SemanticGrid:
 
 
 def validate_grid(grid: TokenGrid) -> None:
-    """Re-check every TokenGrid invariant, raising on the first violation.
-
-    Runs at construction; exposed separately so freshly deserialized grids
-    can be re-verified explicitly.
-    """
-    tokens = np.asarray(grid.tokens)
-    if tokens.shape != (grid.height, grid.width):
-        raise ValidationError(
-            f"tokens length mismatch: expected {grid.height * grid.width} "
-            f"({grid.height}x{grid.width}), got {tokens.size}"
-        )
-    _check_range(tokens, grid.codebook_size, "token", "codebook size")
+    """Re-run the constructor's check on a grid, raising on the first
+    violation, so a grid altered after construction can be re-verified."""
+    _grid_values(grid.height, grid.width, grid.codebook_size, grid.tokens, _TOKENS)
 
 
 def grid_pairs(items) -> list[tuple[TokenGrid, SemanticGrid | None]]:

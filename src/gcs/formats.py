@@ -86,8 +86,8 @@ def _grid_from_bytes(data: bytes, magic: bytes, what: str):
         raise FormatError(
             f"{what} payload is {len(data)} bytes, header implies {expected}"
         )
-    values = np.frombuffer(data, dtype="<u4", offset=_HEADER.size).astype(np.int64)
-    return height, width, vocab, values
+    # The grid's constructor makes the one int64 copy of these values.
+    return height, width, vocab, np.frombuffer(data, dtype="<u4", offset=_HEADER.size)
 
 
 def _check_vocab(vocab: int, what: str) -> None:

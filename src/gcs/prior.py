@@ -34,7 +34,7 @@ from .core import (
     SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, require_same_shape, unique_keys
 )
 from .distributions import ScopedDistributions, smoothed_rows
-from .formats import GRID_VOCAB_LIMIT
+from .formats import GRID_VOCAB_LIMIT, dump_json
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
 MODEL_CELL_LIMIT = 2**26
@@ -136,6 +136,12 @@ class MarkovGridPrior:
             raise ValidationError("count vector length mismatch")
         if (counts < 0).any():
             raise ValidationError("next-token counts must be >= 0")
+        # A running int64 total turns negative where it first overflows.
+        overflow = (np.cumsum(counts, axis=1) < 0).any(axis=1)
+        if overflow.any():
+            raise ValidationError(
+                f"the next-token counts of state {np.argmax(overflow)} overflow int64 in total"
+            )
         contexts = np.array(
             np.zeros((0, slots)) if self.contexts is None else self.contexts, np.int64
         )
@@ -473,8 +479,7 @@ def save_model(path: str | Path, model: MarkovGridPrior) -> None:
         "smoothing_alpha": model.smoothing_alpha,
         "tables": tables,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+    dump_json(path, payload)
 
 
 def load_model(path: str | Path) -> MarkovGridPrior:
@@ -485,10 +490,12 @@ def load_model(path: str | Path) -> MarkovGridPrior:
         raise ValidationError(f"{path}: invalid model JSON ({exc})") from exc
     try:
         size = _typed(payload["codebook_size"], int)
-        if size > GRID_VOCAB_LIMIT:
-            raise ValueError(f"codebook size {size} exceeds the format limit {GRID_VOCAB_LIMIT}")
-        context = tuple((_typed(dr, int), _typed(dc, int)) for dr, dc in payload["context"])
         label_count = payload.get("label_count")
+        label_count = None if label_count is None else _typed(label_count, int)
+        for name, value in (("codebook size", size), ("label count", label_count or 0)):
+            if value > GRID_VOCAB_LIMIT:
+                raise ValueError(f"{name} {value} exceeds the format limit {GRID_VOCAB_LIMIT}")
+        context = tuple((_typed(dr, int), _typed(dc, int)) for dr, dc in payload["context"])
         tables = payload["tables"]
         if len(tables) * size > MODEL_CELL_LIMIT:
             raise ValueError(f"{len(tables)} states x {size} tokens exceeds the limit {MODEL_CELL_LIMIT}")
@@ -508,7 +515,7 @@ def load_model(path: str | Path) -> MarkovGridPrior:
             codebook_size=size,
             context=context,
             conditional=_typed(payload["conditional"], bool),
-            label_count=None if label_count is None else _typed(label_count, int),
+            label_count=label_count,
             smoothing_alpha=float(_typed(payload["smoothing_alpha"], int, float)),
             contexts=contexts,
             labels=labels,

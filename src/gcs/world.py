@@ -471,14 +471,26 @@ def make_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> dict:
     return manifest
 
 
-def load_manifest(bench_dir: str | Path) -> dict:
+def load_manifest(bench_dir: str | Path, key: str = "scenes") -> dict:
     path = Path(bench_dir) / "manifest.json"
     if not path.exists():
         raise ValidationError(f"{bench_dir}: no manifest.json")
     manifest = load_json(path)
-    if not isinstance(manifest, dict) or "scenes" not in manifest:
-        raise ValidationError(f"{path}: manifest has no 'scenes' list")
+    if not isinstance(manifest, dict) or key not in manifest:
+        raise ValidationError(f"{path}: manifest has no {key!r} list")
     return manifest
+
+
+def grid_entries(directory: str | Path, key: str) -> list:
+    """A grid directory's entries: its manifest's `key` list when it has a
+    manifest, else each sorted *.tgrd with its sibling .sgrd when one exists."""
+    base = Path(directory)
+    if (base / "manifest.json").exists():
+        return load_manifest(base, key)[key]
+    return [
+        {"tokens": path.name, "semantics": (sem := path.with_suffix(".sgrd")).exists() and sem.name}
+        for path in sorted(base.glob("*.tgrd"))
+    ]
 
 
 def iter_entries(
@@ -505,18 +517,11 @@ def iter_entries(
         yield grid, semantics
 
 
-def read_entries(
-    base: Path, entries: list[dict], with_semantics: bool
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    """`iter_entries`, all read into a list."""
-    return list(iter_entries(base, entries, with_semantics))
-
-
 def load_corpus(
     bench_dir: str | Path, with_semantics: bool = True
 ) -> list[tuple[TokenGrid, SemanticGrid | None]]:
     base = Path(bench_dir)
-    return read_entries(base, load_manifest(base)["scenes"], with_semantics)
+    return list(iter_entries(base, load_manifest(base)["scenes"], with_semantics))
 
 
 def load_exemplars(
@@ -526,30 +531,19 @@ def load_exemplars(
     entries = load_manifest(base).get("exemplars", {}).get(style)
     if not entries:
         raise ValidationError(f"{bench_dir}: no exemplars recorded for style {style!r}")
-    return read_entries(base, entries, with_semantics)
+    return list(iter_entries(base, entries, with_semantics))
 
 
 def iter_grid_directory(
     directory: str | Path, with_semantics: bool = True
 ) -> Iterator[tuple[TokenGrid, SemanticGrid | None]]:
-    """Stream a corpus, one grid at a time, from a manifest if present, else
-    by sorted *.tgrd glob.  A missing manifest list or an empty directory
-    raises at once; each file is read and validated when reached.
-
-    Without a manifest, a grid's semantic map is the sibling file with the
-    .sgrd suffix when it exists.
-    """
-    base = Path(directory)
-    if (base / "manifest.json").exists():
-        return iter_entries(base, load_manifest(base)["scenes"], with_semantics)
-    paths = sorted(base.glob("*.tgrd"))
-    if not paths:
+    """Stream a corpus, one grid at a time, from its `grid_entries` under
+    "scenes".  A missing manifest list or an empty directory raises at once;
+    each file is read and validated when reached."""
+    entries = grid_entries(directory, "scenes")
+    if entries == []:
         raise ValidationError(f"{directory}: no token grids found")
-    entries = []
-    for path in paths:
-        sem_path = path.with_suffix(".sgrd")
-        entries.append({"tokens": path.name, "semantics": sem_path.exists() and sem_path.name})
-    return iter_entries(base, entries, with_semantics)
+    return iter_entries(Path(directory), entries, with_semantics)
 
 
 def load_grid_directory(

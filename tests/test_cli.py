@@ -879,6 +879,9 @@ HOSTILE_MODEL_FIELDS = {
     # alpha x codebook size overflows, or an offset overflows int64 indexing.
     "alpha-1e308": (["smoothing_alpha"], 1e308),
     "offset-2**70": (["context", 0], [-(2**70), 0]),
+    "label-count-2**70": (["label_count"], 2**70),
+    # Four counts of 2**62 total 2**64, past the int64 range.
+    "counts-total-2**64": (["tables", 0, "counts"], {str(t): 2**62 for t in range(4)}),
 }
 
 
@@ -906,6 +909,21 @@ def test_malformed_model_states_exit_2(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert rc == 2
     assert "malformed model JSON" in err and "Traceback" not in err
+
+
+def test_conditional_model_with_huge_label_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    corpus = [(TokenGrid(1, 2, 4, [0, 1]), SemanticGrid(1, 2, 2, [0, 1]))]
+    save_model(path, train_markov_prior(corpus, conditional=True))
+    payload = json.loads(path.read_text())
+    payload["label_count"] = 2**70
+    path.write_text(json.dumps(payload))
+    write_semantic_grid(tmp_path / "map.sgrd", SemanticGrid(2, 2, 2, [0, 1, 1, 0]))
+    rc = main(["sample", "--model", str(path), "--no-guidance", "--semantics",
+               str(tmp_path / "map.sgrd"), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed model JSON" in err and "label count" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
@@ -1082,6 +1100,24 @@ def test_malformed_samples_manifest_exit_2(trained, tmp_path, capsys, manifest):
                "--style-stats", str(trained["style"]), "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("train-prior --corpus d --out m.json", "scenes"),
+     ("dataset-stats --corpus d --out s.json", "scenes"),
+     ("evaluate --guided d --unguided d --style-stats {style} --out r.json", "samples")],
+    ids=["train-prior", "dataset-stats", "evaluate"],
+)
+def test_manifest_without_the_list_names_it(trained, tmp_path, monkeypatch, capsys, command, key):
+    # Each directory reads one list; a manifest holding only the other one lacks it.
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    write_token_grid("d/g.tgrd", TokenGrid(2, 2, 4, [0, 1, 2, 3]))
+    other = "samples" if key == "scenes" else "scenes"
+    dump_json("d/manifest.json", {other: [{"tokens": "g.tgrd"}]})
+    assert main(command.format(style=trained["style"]).split()) == 2
+    assert f"manifest has no {key!r} list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["x", [1], 1.5, True], ids=["text", "list", "float", "bool"])
@@ -1293,6 +1329,27 @@ class TestEvaluate:
         )
         assert rc == 0
         assert load_json(out)["kl_reduction"] == 0.0
+
+    def test_directories_without_manifest(self, trained, sample_dirs, tmp_path):
+        # Without manifest.json the sorted *.tgrd files are the samples, and
+        # no seed is known.
+        reports = []
+        for stripped in (False, True):
+            if stripped:
+                for directory in sample_dirs:
+                    (directory / "manifest.json").unlink()
+            out = tmp_path / f"report-{stripped}.json"
+            rc = main(["evaluate", "--guided", str(sample_dirs[0]), "--unguided",
+                       str(sample_dirs[1]), "--style-stats", str(trained["style"]),
+                       "--out", str(out)])
+            assert rc == 0
+            reports.append(load_json(out))
+        full, bare = reports
+        for side in ("guided", "unguided"):
+            assert all(entry["seed"] is not None for entry in full[side]["samples"])
+            for entry in full[side]["samples"]:
+                entry["seed"] = None
+        assert bare == full
 
     def test_empty_sample_directory(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty"

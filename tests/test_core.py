@@ -117,6 +117,10 @@ class TestSemanticGrid:
             SemanticGrid(1, 2, 2, [[0, 2]])
         assert "label 2 out of range at (0, 1)" in str(exc.value)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="labels length mismatch: expected 4"):
+            SemanticGrid(2, 2, 2, [0, 1, 0])
+
     def test_single_label_allowed(self):
         g = SemanticGrid(2, 2, 1, [[0, 0], [0, 0]])
         assert g.label_count == 1

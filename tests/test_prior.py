@@ -138,6 +138,16 @@ class TestConstruction:
                 codebook_size=4, context=LEFT, contexts=[[0]], counts=[[3, -1, 0, 0]]
             )
 
+    @pytest.mark.parametrize(
+        "counts", [[2**62] * 4, [2**63 - 1, 2, 0, 0]], ids=["four-2**62", "max-plus-2"]
+    )
+    def test_count_totals_must_fit_int64(self, counts):
+        with pytest.raises(ValidationError, match="state 1 overflow int64"):
+            MarkovGridPrior(
+                codebook_size=4, context=LEFT, contexts=[[0], [1]], counts=[[1, 0, 0, 0], counts]
+            )
+        MarkovGridPrior(codebook_size=4, context=LEFT, contexts=[[0]], counts=[[2**63 - 1, 0, 0, 0]])
+
     def test_states_must_be_distinct(self):
         with pytest.raises(ValidationError, match="appears more than once"):
             MarkovGridPrior(
