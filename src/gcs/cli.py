@@ -17,7 +17,9 @@ import sys
 from pathlib import Path
 
 from .core import TokenGrid, ValidationError, _typed
-from .distributions import average_scoped, check_draws, collapse_scoped, histograms, monte_carlo_distribution
+from .distributions import (
+    DEFAULT_ALPHA, average_scoped, check_draws, collapse_scoped, histograms, monte_carlo_distribution
+)
 from .formats import (
     dump_json,
     load_json,
@@ -306,37 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="condition next-token counts on the semantic label",
     )
-    p.add_argument("--alpha", type=float, default=0.5, help="additive smoothing")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="additive smoothing")
     p.set_defaults(func=cmd_train_prior)
 
-    p = sub.add_parser("dataset-stats", help="Monte-Carlo corpus distribution")
+    # Guidance divides style by dataset statistics: both take these options.
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--out", required=True, help="statistics JSON output path")
+    stats.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="additive smoothing")
+    variant = stats.add_mutually_exclusive_group()
+    variant.add_argument("--by-region", action="store_true", help="per-label statistics from each grid's .sgrd label map")
+    variant.add_argument("--by-cell", type=parse_tiling, metavar="RxC", help="per-cell statistics")
+
+    p = sub.add_parser("dataset-stats", parents=[stats], help="Monte-Carlo corpus distribution")
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--out", required=True, help="statistics JSON output path")
     p.add_argument("--k", type=int, default=DEFAULT_DRAWS, help="Monte-Carlo draws")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.5, help="additive smoothing")
-    variant = p.add_mutually_exclusive_group()
-    variant.add_argument(
-        "--by-region", action="store_true", help="per-semantic-label statistics"
-    )
-    variant.add_argument(
-        "--by-cell", type=parse_tiling, metavar="RxC", help="per-cell statistics"
-    )
     p.set_defaults(func=cmd_dataset_stats)
 
-    p = sub.add_parser("style-stats", help="style reference distribution")
+    p = sub.add_parser("style-stats", parents=[stats], help="style reference distribution")
     p.add_argument("inputs", nargs="+", metavar="TGRD", help="style exemplar grids")
-    p.add_argument("--out", required=True, help="statistics JSON output path")
-    p.add_argument("--alpha", type=float, default=0.5, help="additive smoothing")
-    variant = p.add_mutually_exclusive_group()
-    variant.add_argument(
-        "--by-region",
-        action="store_true",
-        help="per-label statistics (reads the .sgrd next to each input)",
-    )
-    variant.add_argument(
-        "--by-cell", type=parse_tiling, metavar="RxC", help="per-cell statistics"
-    )
     p.add_argument(
         "--average",
         action="store_true",

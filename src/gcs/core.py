@@ -14,6 +14,9 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-9
 
+# What decoding a JSON document of the wrong shape raises, whatever the shape.
+MALFORMED_JSON = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+
 
 class ValidationError(ValueError):
     """A value violates a structural invariant or an operation precondition."""

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import FormatError, SemanticGrid, TokenGrid, ValidationError, unique_keys
+from .core import MALFORMED_JSON, FormatError, SemanticGrid, TokenGrid, ValidationError, unique_keys
 from .distributions import COUNT_CELL_LIMIT, ScopedDistributions
 
 GRID_VERSION = 1
@@ -246,5 +246,5 @@ def read_stats(path: str | Path) -> ScopedDistributions:
         raise FormatError(f"{path}: {kind} stats JSON violates invariants: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"{path}: {kind} statistics are missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except MALFORMED_JSON as exc:
         raise FormatError(f"{path}: malformed {kind} statistics ({exc})") from exc

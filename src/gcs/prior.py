@@ -31,9 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, require_same_shape, unique_keys
+    MALFORMED_JSON, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, require_same_shape,
+    unique_keys,
 )
-from .distributions import ScopedDistributions, smoothed_rows
+from .distributions import DEFAULT_ALPHA, ScopedDistributions, smoothed_rows
 from .formats import GRID_VOCAB_LIMIT, dump_json
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
@@ -112,7 +113,7 @@ class MarkovGridPrior:
     context: tuple[tuple[int, int], ...] = DEFAULT_CONTEXT
     conditional: bool = False
     label_count: int | None = None
-    smoothing_alpha: float = 0.5
+    smoothing_alpha: float = DEFAULT_ALPHA
     contexts: np.ndarray | None = None
     labels: np.ndarray | None = None
     counts: np.ndarray | None = None
@@ -304,7 +305,7 @@ def train_markov_prior(
     corpus: Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
     context: Sequence[tuple[int, int]] = DEFAULT_CONTEXT,
     conditional: bool = False,
-    smoothing_alpha: float = 0.5,
+    smoothing_alpha: float = DEFAULT_ALPHA,
 ) -> MarkovGridPrior:
     """Accumulate (context, label) -> next-token counts over a corpus.
 
@@ -354,6 +355,12 @@ def _shifted_tokens(tokens: np.ndarray, dr: int, dc: int) -> np.ndarray:
     if r0 < r1 and c0 < c1:
         out[..., r0:r1, c0:c1] = tokens[..., r0 + dr : r1 + dr, c0 + dc : c1 + dc]
     return out
+
+
+def _check_model_size(states: int, size: int) -> None:
+    """Refuse more than `MODEL_CELL_LIMIT` states x codebook size, in training and on load."""
+    if states * size > MODEL_CELL_LIMIT:
+        raise ValidationError(f"{states} states x {size} tokens exceeds the limit {MODEL_CELL_LIMIT}")
 
 
 def _count_states(
@@ -420,6 +427,7 @@ def _count_states(
 
     code, tokens = np.divmod(values, size)
     code, state = np.unique(code, return_inverse=True)
+    _check_model_size(code.size, size)
     counts = np.zeros((code.size, size), dtype=np.int64)
     counts[state, tokens] = freq
     last = len(radices) - 1
@@ -497,8 +505,7 @@ def load_model(path: str | Path) -> MarkovGridPrior:
                 raise ValueError(f"{name} {value} exceeds the format limit {GRID_VOCAB_LIMIT}")
         context = tuple((_typed(dr, int), _typed(dc, int)) for dr, dc in payload["context"])
         tables = payload["tables"]
-        if len(tables) * size > MODEL_CELL_LIMIT:
-            raise ValueError(f"{len(tables)} states x {size} tokens exceeds the limit {MODEL_CELL_LIMIT}")
+        _check_model_size(len(tables), size)
         contexts = np.array(
             [[BOUNDARY if t == "B" else _typed(t, int) for t in entry["context"]] for entry in tables],
             dtype=np.int64,
@@ -521,5 +528,5 @@ def load_model(path: str | Path) -> MarkovGridPrior:
             labels=labels,
             counts=counts,
         )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+    except MALFORMED_JSON as exc:
         raise ValidationError(f"{path}: malformed model JSON ({exc})") from exc

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, check_rows
+from .core import MALFORMED_JSON, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, check_rows
 from .formats import (
     GRID_VOCAB_LIMIT, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 )
@@ -35,6 +35,9 @@ from .rng import MASK64, mix64_array, split_seed, split_seed_array, unit_draws_a
 from .sampler import inverse_cdf_rows
 
 LAYOUT_KINDS = ("horizon", "bands", "constant")
+# LayoutSpec's optional fields, and a benchmark config's integer fields.
+_LAYOUT_FIELDS = ("min_row", "max_row", "bands", "label")
+_CONFIG_INTS = ("codebook_size", "label_count", "height", "width", "corpus_size", "exemplars_per_style", "seed")
 
 # Stream indices under a benchmark seed.
 _STREAM_ASSIGN = 0
@@ -119,19 +122,14 @@ class LayoutSpec:
             raise ValidationError("constant layout requires a label >= 0")
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for key in ("min_row", "max_row", "bands", "label"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        values = {key: getattr(self, key) for key in _LAYOUT_FIELDS}
+        return {"kind": self.kind, **{key: value for key, value in values.items() if value is not None}}
 
     @staticmethod
     def from_dict(payload: dict) -> "LayoutSpec":
         if "kind" not in payload:
             raise ValidationError("layout entry: missing key 'kind'")
-        known = {"kind", "min_row", "max_row", "bands", "label"}
-        extra = set(payload) - known
+        extra = set(payload) - {"kind", *_LAYOUT_FIELDS}
         if extra:
             raise ValidationError(f"layout entry: unknown key {sorted(extra)[0]!r}")
         return LayoutSpec(**{
@@ -334,13 +332,7 @@ class BenchmarkConfig:
     def to_dict(self) -> dict:
         payload = {
             "name": self.name,
-            "codebook_size": self.codebook_size,
-            "label_count": self.label_count,
-            "height": self.height,
-            "width": self.width,
-            "corpus_size": self.corpus_size,
-            "exemplars_per_style": self.exemplars_per_style,
-            "seed": self.seed,
+            **{key: getattr(self, key) for key in _CONFIG_INTS},
             "styles": [
                 {
                     "name": s.name,
@@ -362,31 +354,23 @@ class BenchmarkConfig:
             if field.default is MISSING and field.name not in payload:
                 raise ValidationError(f"benchmark config: missing key {field.name!r}")
         try:
-            size = _typed(payload["codebook_size"], int)
+            ints = {key: _typed(payload[key], int) for key in _CONFIG_INTS}
+            size = ints["codebook_size"]
             if size > GRID_VOCAB_LIMIT:
                 raise ValidationError(f"codebook size {size} exceeds the limit {GRID_VOCAB_LIMIT}")
-            label_count = _typed(payload["label_count"], int)
-            styles = tuple(
-                _style_from_dict(entry, size, label_count) for entry in payload["styles"]
-            )
+            styles = tuple(_style_from_dict(entry, size, ints["label_count"]) for entry in payload["styles"])
             layouts = tuple(LayoutSpec.from_dict(entry) for entry in payload["layouts"])
             weights = payload.get("mixture_weights")
             return BenchmarkConfig(
                 name=str(payload["name"]),
-                codebook_size=size,
-                label_count=label_count,
-                height=_typed(payload["height"], int),
-                width=_typed(payload["width"], int),
-                corpus_size=_typed(payload["corpus_size"], int),
-                exemplars_per_style=_typed(payload["exemplars_per_style"], int),
-                seed=_typed(payload["seed"], int),
+                **ints,
                 styles=styles,
                 layouts=layouts,
                 mixture_weights=None if weights is None else tuple(weights),
             )
         except ValidationError:
             raise
-        except (AttributeError, TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+        except MALFORMED_JSON as exc:
             raise ValidationError(f"benchmark config: malformed ({exc})") from exc
 
 
@@ -528,7 +512,10 @@ def load_exemplars(
     bench_dir: str | Path, style: str, with_semantics: bool = True
 ) -> list[tuple[TokenGrid, SemanticGrid | None]]:
     base = Path(bench_dir)
-    entries = load_manifest(base).get("exemplars", {}).get(style)
+    exemplars = load_manifest(base, "exemplars")["exemplars"]
+    if not isinstance(exemplars, dict):
+        raise ValidationError(f"{base / 'manifest.json'}: 'exemplars' must map style names to lists")
+    entries = exemplars.get(style)
     if not entries:
         raise ValidationError(f"{bench_dir}: no exemplars recorded for style {style!r}")
     return list(iter_entries(base, entries, with_semantics))

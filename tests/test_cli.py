@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcs.prior
 from gcs.cli import main
 from gcs.core import SemanticGrid, TokenGrid
 from gcs.distributions import (
@@ -193,6 +194,26 @@ class TestTrainPrior:
         )
         assert rc == 2
         assert "no token grids found" in capsys.readouterr().err
+
+    def test_conditional_label_counts_must_agree(self, tmp_path, rng, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, labels in enumerate((2, 3)):
+            write_token_grid(corpus / f"g{i}.tgrd", random_grid(rng, 4, 4, 4))
+            write_semantic_grid(corpus / f"g{i}.sgrd", random_semantics(rng, 4, 4, labels))
+        rc = main(["train-prior", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"), "--conditional"])
+        assert rc == 2
+        assert "training corpus mixes label counts" in capsys.readouterr().err
+
+    def test_refuses_a_model_too_large_to_load(self, world, tmp_path, monkeypatch, capsys):
+        # The bound load_model applies holds at training time too, checked
+        # before the (states x codebook size) counts are allocated.
+        monkeypatch.setattr(gcs.prior, "MODEL_CELL_LIMIT", 64)
+        out = tmp_path / "model.json"
+        assert main(["train-prior", "--corpus", str(world / "corpus"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: \d+ states x 4 tokens exceeds the limit 64$", err.strip())
+        assert not out.exists()
 
 
 class TestDatasetStats:
@@ -808,9 +829,13 @@ class TestSample:
         ("regional", "per_label_mass", ["x"]),
         ("regional", "label_count", None),
         ("regional", "per_label_mass", [99.0, 99.0]),
+        ("global", "source_mass", 10**400),
+        ("global", "probs", [10**400, 0, 0, 0]),
+        ("spatial", "cell_rows", float("inf")),
     ],
     ids=["per_label-5", "probs-ab", "per_cell-nested-int", "per_cell-7", "codebook_size-x",
-         "per_label_mass-x", "label_count-null", "per_label_mass-disagrees"],
+         "per_label_mass-x", "label_count-null", "per_label_mass-disagrees",
+         "source_mass-10**400", "probs-10**400", "cell_rows-inf"],
 )
 def test_malformed_stats_json_is_a_format_error(
     trained, tmp_path, rng, capsys, kind, key, value
@@ -1017,14 +1042,26 @@ def test_oversized_counts_exit_2_before_allocating(tmp_path, monkeypatch, capsys
     assert peak < 4 * 2**20
 
 
-def _config_with(path, value) -> dict:
+DROP = object()  # an edit that deletes the key
+
+
+def _config_edited(edits) -> dict:
+    """The small config's dict with each (path, value) edit applied."""
     payload = small_config(corpus_size=2, exemplars=1).to_dict()
-    *parents, last = path
-    node = payload
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    for path, value in edits:
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
     return payload
+
+
+def _config_with(path, value) -> dict:
+    return _config_edited([(path, value)])
 
 
 HOSTILE_CONFIGS = {
@@ -1064,6 +1101,45 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, path, value):
     assert main(["gen-world", "--config", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "evil").exists()
+
+
+REJECTED_CONFIGS = {
+    "label-count-0": ([(["label_count"], 0), (["styles", 0, "per_label"], [])], "has no label distributions"),
+    "style-without-name": ([(["styles", 0, "name"], DROP)], "style entry: missing key 'name'"),
+    "style-without-per-label": ([(["styles", 0, "per_label"], DROP)], "style 'low': missing key 'per_label'"),
+    "one-label-row": ([(["styles", 0, "per_label"], [{"support": [0]}])],
+                      "style 'low': expected 2 label distributions, got 1"),
+    "support-out-of-range": ([(["styles", 0, "per_label", 0], {"support": [9]})],
+                             "support token 9 out of range for codebook size 4"),
+    "row-without-weights": ([(["styles", 0, "per_label", 0], {})], "needs either 'probs' or 'support'"),
+    "corpus-size-0": ([(["corpus_size"], 0)], "height, width, and corpus_size must be positive"),
+    "exemplars-0": ([(["exemplars_per_style"], 0)], "exemplars_per_style must be positive"),
+    "no-styles": ([(["styles"], [])], "benchmark needs at least one style"),
+    "no-layouts": ([(["layouts"], [])], "benchmark needs at least one layout"),
+}
+
+
+@pytest.mark.parametrize("edits, message", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS)
+def test_rejected_configs_name_the_fault(tmp_path, capsys, edits, message):
+    bad = tmp_path / "bad.json"
+    dump_json(bad, _config_edited(edits))
+    assert main(["gen-world", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["dataset-stats --corpus {corpus}", "style-stats {exemplar}"])
+def test_zero_cell_tiling_exits_2(world, tmp_path, capsys, command):
+    argv = command.format(corpus=world / "corpus", exemplar=world / "exemplars" / "low" / "ex_00.tgrd").split()
+    assert main([*argv, "--out", str(tmp_path / "s.json"), "--by-cell", "0x2"]) == 2
+    assert "cell tiling must be positive" in capsys.readouterr().err
+
+
+def test_zero_height_exits_2(trained, tmp_path, capsys):
+    rc = main(["sample", "--model", str(trained["model"]), "--no-guidance",
+               "--height", "0", "--width", "4", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "grid shape 0x4 must be positive" in capsys.readouterr().err
 
 
 CORPUS_MANIFESTS = {

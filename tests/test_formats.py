@@ -189,6 +189,21 @@ class TestStatsFiles:
         dump_json(path, payload)
         assert read_stats(path) == reg
 
+    @pytest.mark.parametrize("kind", ["global", "spatial"])
+    def test_global_and_spatial_kinds_inferred_when_absent(self, tmp_path, kind):
+        stats = {
+            "global": lambda: global_stats([0.25, 0.75], 4.0),
+            "spatial": lambda: scoped(([0.75, 0.25], [0.5, 0.5]), [8.0, 8.0], (2, 1)),
+        }[kind]()
+        path = tmp_path / "stats.json"
+        write_stats(path, stats)
+        payload = load_json(path)
+        del payload["kind"]
+        dump_json(path, payload)
+        back = read_stats(path)
+        assert back.kind == kind
+        assert back == stats
+
     def test_invalid_global_probs(self, tmp_path):
         path = tmp_path / "stats.json"
         write_stats(path, global_stats([0.5, 0.5]))

@@ -7,6 +7,7 @@ such a name breaks only a benchmark run; these tests check the names
 without running the benchmark.
 """
 
+import argparse
 import ast
 import importlib
 import itertools
@@ -34,6 +35,34 @@ def perfbench(monkeypatch):
 def test_modules_import_and_instrument(perfbench):
     with perfbench["spans"].Tracer().instrument():
         pass
+
+
+def test_benchmark_command_lines_still_parse(perfbench, tmp_path):
+    # The benchmark runs the README commands with argv of its own; each must
+    # still reach its stage's handler, with the smoothing its digests used.
+    import gcs.cli as cli
+
+    walkthrough = perfbench["walkthrough"]
+    inputs = importlib.import_module("inputs").derive(0, quick=True)
+    exemplar = tmp_path / "work/bench/exemplars/style0/ex_00.tgrd"
+    exemplar.parent.mkdir(parents=True)
+    exemplar.touch()
+    handlers = {
+        "gen_world": cli.cmd_gen_world, "train_prior": cli.cmd_train_prior,
+        "dataset_stats": cli.cmd_dataset_stats, "style_stats": cli.cmd_style_stats,
+        "sample_guided": cli.cmd_sample, "sample_plain": cli.cmd_sample, "evaluate": cli.cmd_evaluate,
+    }
+    parser = cli.build_parser()
+    for stage in walkthrough.STAGES:
+        args = parser.parse_args(walkthrough.stage_argv(stage, inputs, tmp_path))
+        assert args.func is handlers[stage]
+        if stage in ("train_prior", "dataset_stats", "style_stats"):
+            assert args.alpha == 0.5
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
 
 
 def gcs_reads(tree):

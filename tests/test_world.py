@@ -22,7 +22,7 @@ from gcs.world import (
     make_benchmark,
     spatial_contrast_config,
 )
-from gcs.formats import read_token_grid, write_semantic_grid, write_token_grid
+from gcs.formats import dump_json, read_token_grid, write_semantic_grid, write_token_grid
 
 from conftest import global_stats
 
@@ -82,6 +82,10 @@ class TestStyleSpec:
     def test_empty_name(self):
         with pytest.raises(ValidationError):
             StyleSpec("", (dist([0.5, 0.5]),))
+
+    def test_all_zero_label_row(self):
+        with pytest.raises(ValidationError, match="'z' has an all-zero label distribution"):
+            StyleSpec("z", (dist([0.5, 0.5]), dist([0.0, 0.0])))
 
 
 class TestLayoutSpec:
@@ -287,6 +291,22 @@ class TestBenchmarkConfig:
         again = BenchmarkConfig.from_dict(config.to_dict())
         assert again == config
 
+    def test_dict_round_trip_with_mixture_weights(self):
+        config = replace(small_config(), mixture_weights=(1.0, 3.0))
+        payload = config.to_dict()
+        assert payload["mixture_weights"] == [1.0, 3.0]
+        assert BenchmarkConfig.from_dict(payload) == config
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"codebook_size": 8}, "'low' codebook size 4 != benchmark codebook size 8"),
+         ({"label_count": 3}, "'low' has 2 label distributions; benchmark declares 3")],
+        ids=["codebook-size", "label-count"],
+    )
+    def test_constructor_rejects_styles_of_another_shape(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(small_config(), **change)
+
     def test_missing_key_named(self):
         payload = small_config().to_dict()
         del payload["corpus_size"]
@@ -420,6 +440,15 @@ class TestLoaders:
         with pytest.raises(ValidationError) as exc:
             load_exemplars(tmp_path, "nosuch")
         assert "no exemplars recorded" in str(exc.value)
+
+    def test_corpus_needs_a_manifest(self, tmp_path):
+        with pytest.raises(ValidationError, match="no manifest.json"):
+            load_corpus(tmp_path)
+
+    def test_exemplars_must_be_an_object(self, tmp_path):
+        dump_json(tmp_path / "manifest.json", {"scenes": [], "exemplars": [{"tokens": "a.tgrd"}]})
+        with pytest.raises(ValidationError, match="'exemplars' must map style names to lists"):
+            load_exemplars(tmp_path, "low")
 
     def test_directory_without_manifest(self, tmp_path, grid_factory):
         grids = [grid_factory(4, 4, 6) for _ in range(3)]
