@@ -91,15 +91,24 @@ def unit_draws_for_keys(keys: np.ndarray, counter: int) -> np.ndarray:
 def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Draws of many streams at many counters: [j, i] is unit_draw(keys[i], counters[j]).
 
-    Works in two result-sized buffers: the mixed sums, and a scratch that
-    takes the shifts and then, viewed as float64, the draws.
+    The integers of `unit_bits_at` times 2^-53; at most two result-sized
+    buffers are live at once.
+    """
+    bits = unit_bits_at(keys, counters)
+    return bits * _U53_SCALE
+
+
+def unit_bits_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The 53-bit integers of `unit_draws_at`: [j, i] * 2^-53 is unit_draw(keys[i], counters[j]).
+
+    Works in two result-sized uint64 buffers: the mixed sums, which it
+    returns, and a scratch for the shifts.
     """
     c = np.asarray(counters, dtype=np.uint64)[:, None]
     x = np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN)
-    scratch = np.empty_like(x)
-    _mix64_in_place(x, scratch)
+    _mix64_in_place(x, np.empty_like(x))
     x >>= np.uint64(11)
-    return np.multiply(x, _U53_SCALE, out=scratch.view(np.float64))
+    return x
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

@@ -14,10 +14,12 @@ names, with the weight row of the position's scope.
 `batch_sample` draws a wavefront per step: every position with the same
 skew * row + col, whose template slots all lie in earlier wavefronts.  It
 keeps a table of posterior rows, one per (scope, prior state), with their
-cumulative sums.  A step gathers its slots from the position-major
-(H * W + 1, n) token array, maps them with `MarkovGridPrior.states` to
-prior states, builds the rows it lacks with one `posterior_rows` call per
-scope, and picks every token of the wavefront in one `inverse_cdf_rows`.
+cumulative sums and bucket tables.  A step gathers its slots from the
+position-major (H * W + 1, n) token array, maps them with
+`MarkovGridPrior.states` to prior states, builds the rows it lacks with one
+`posterior_rows` call per scope, and picks every token of the wavefront
+with one bucket-table lookup per draw; `inverse_cdf_rows` picks the draws
+whose bucket holds a cumulative value, so every pick is the binary search's.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  Sample i of a `batch_sample` call draws from the
@@ -35,7 +37,7 @@ import numpy as np
 from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from .guidance import LikelihoodTable, rebalance_rows, scope_index
 from .prior import BOUNDARY, MarkovGridPrior
-from .rng import mix64_array, seed_key, split_seed_array, unit_draw, unit_draws_at
+from .rng import _U53_SCALE, mix64_array, seed_key, split_seed_array, unit_bits_at, unit_draw
 
 
 @dataclass(frozen=True)
@@ -193,9 +195,10 @@ def batch_sample(
 
     The batch is drawn one anti-diagonal wavefront of the grid at a time:
     a `_RowTable` of step posteriors keyed by (scope, prior state) gives
-    each element its row, and one inverse-CDF pick draws them all, each
-    with its raster position's unit draw.  The token sequences equal
-    `count` independent `sample_grid` calls.  The returned batch's
+    each element its row, and one `_RowTable.pick` draws them all, each
+    with its raster position's 53-bit unit draw: a bucket-table lookup,
+    with `inverse_cdf_rows` as the exact fallback.  The token sequences
+    equal `count` independent `sample_grid` calls.  The returned batch's
     `tokens` is a read-only view of the array the batch was drawn into.
     """
     if count < 1:
@@ -227,10 +230,7 @@ def batch_sample(
     for front in np.split(order, np.flatnonzero(np.diff(wave[order])) + 1):
         columns = [grids[slot[front]] for slot in slots]
         picked = table.rows(columns, None if labels is None else labels[front], scopes[front, None])
-        draws = unit_draws_at(keys, front)
-        grids[front] = inverse_cdf_rows(
-            table.probs, table.cumulative, picked.ravel(), draws.ravel()
-        ).reshape(front.size, count)
+        grids[front] = table.pick(picked, unit_bits_at(keys, front))
 
     grids.setflags(write=False)
     return TokenBatch(grids[:size].T.reshape(count, height, width), model.codebook_size)
@@ -276,7 +276,10 @@ class _RowTable:
     whatever the code space, at most the size of the prior's smoothed
     matrix while a table has at most K scopes.  A call's new rows go through
     `posterior_rows` once per scope and are stored with their cumulative
-    sums; the row arrays grow by at least a quarter when full.
+    sums and their `_bucket_tables` row of M int32 entries, M the least
+    power of two >= 2K: a row takes 16 K bytes in `probs` and `cumulative`
+    and 4 M <= 16 K more in `buckets`.  The row arrays grow by at least a
+    quarter when full.
     """
 
     def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:
@@ -288,6 +291,8 @@ class _RowTable:
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
+        self.log_buckets = (2 * model.codebook_size - 1).bit_length()
+        self.buckets = np.empty((0, 2**self.log_buckets), dtype=np.int32)
 
     def rows(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
         """Row of each element's (scope, context state), building new ones.
@@ -302,22 +307,75 @@ class _RowTable:
             # return_inverse keeps np.unique from importing numpy.ma.
             fresh = np.unique(keys[missing], return_inverse=True)[0]
             self.row_of[fresh] = np.arange(self.size, self.size + fresh.size)
+            parts = []
             for part in np.split(fresh, np.flatnonzero(np.diff(fresh // self.stride)) + 1):
                 scope, states = np.divmod(part, self.stride)
                 weights = self.weights[scope[0]]
-                self._append(posterior_rows(self.model.smoothed[states], weights, self.config))
+                parts.append(posterior_rows(self.model.smoothed[states], weights, self.config))
+            self._append(parts)
             rows = self.row_of[keys]
         return rows
 
-    def _append(self, probs: np.ndarray) -> None:
-        end = self.size + len(probs)
+    def pick(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """`inverse_cdf_rows` of each row at draw bits * 2^-53, from 53-bit integer draws.
+
+        A draw's bucket is its top log2 M bits.  The bucket table answers
+        every draw whose bucket holds one token; `inverse_cdf_rows` answers
+        the rest, with their draws made floats only there.
+        """
+        flat = np.right_shift(bits, np.uint64(53 - self.log_buckets)).view(np.int64)
+        flat += rows << self.log_buckets
+        picks = self.buckets.reshape(-1).take(flat)
+        ambiguous = np.flatnonzero(picks < 0)
+        if ambiguous.size:
+            picks.reshape(-1)[ambiguous] = inverse_cdf_rows(
+                self.probs,
+                self.cumulative,
+                rows.reshape(-1)[ambiguous],
+                bits.reshape(-1)[ambiguous] * _U53_SCALE,
+            )
+        return picks
+
+    def _append(self, parts: list[np.ndarray]) -> None:
+        """Store new posterior rows, their cumulative sums and their bucket tables."""
+        end = self.size + sum(map(len, parts))
         if end > self.probs.shape[0]:
-            extra = np.empty((max(end - self.probs.shape[0], self.size // 4), probs.shape[1]))
+            grow = max(end - self.probs.shape[0], self.size // 4)
+            extra = np.empty((grow, self.probs.shape[1]))
             self.probs = np.concatenate((self.probs, extra))
             self.cumulative = np.concatenate((self.cumulative, extra))
-        self.probs[self.size : end] = probs
-        self.cumulative[self.size : end] = np.cumsum(probs, axis=1)
+            extra = np.empty((grow, self.buckets.shape[1]), dtype=np.int32)
+            self.buckets = np.concatenate((self.buckets, extra))
+        new = slice(self.size, end)
+        np.concatenate(parts, out=self.probs[new])
+        np.cumsum(self.probs[new], axis=1, out=self.cumulative[new])
+        self.buckets[new] = _bucket_tables(self.cumulative[new], self.buckets.shape[1])
         self.size = end
+
+
+def _bucket_tables(cumulative: np.ndarray, buckets: int) -> np.ndarray:
+    """Guide tables (Chen & Asau's indexed search) of (R, K) cumulative rows.
+
+    Entry b of a row is the `inverse_cdf_rows` pick of every draw u in
+    [b / M, (b + 1) / M), M = `buckets`, or -1 where that is not one token.
+    M is a power of two, so floor(cumulative * M) is exact.  When no
+    cumulative value lies in the bucket, every u in it has the same count t
+    of cumulative values below it, and for t < K the pick is t itself:
+    entry t is positive, because a zero entry repeats the cumulative value
+    before it, which lies below the bucket.  Buckets that hold a cumulative
+    value, and those past the row's last one (t = K, after a float
+    shortfall), hold -1.
+    """
+    count, size = cumulative.shape
+    # The bucket of each cumulative value (M for those >= 1), offset per row.
+    bucket = np.minimum(cumulative * buckets, buckets).astype(np.intp)
+    bucket += np.arange(0, count * (buckets + 1), buckets + 1)[:, None]
+    held = np.bincount(bucket.reshape(-1), minlength=count * (buckets + 1))
+    held = held.reshape(count, buckets + 1)[:, :buckets]
+    # Up to a bucket that holds no value, the count is the count below it.
+    below = np.cumsum(held, axis=1, dtype=np.int32)
+    keep = (held == 0) & (below < size)
+    return (below + 1) * keep - 1
 
 
 EXACT_STATE_LIMIT = 10**6

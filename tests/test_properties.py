@@ -46,14 +46,14 @@ from gcs.formats import (
     token_grid_from_bytes,
     token_grid_to_bytes,
 )
-from gcs.guidance import global_likelihood_table, rebalance_rows
+from gcs.guidance import LikelihoodTable, global_likelihood_table, rebalance_rows
 from gcs.metrics import (
     StyleReference,
     kl_divergence,
     style_match_rate,
     total_variation,
 )
-from gcs.prior import train_markov_prior
+from gcs.prior import parse_context_template, train_markov_prior
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
 from conftest import global_stats, guidance_row, likelihood_weights
@@ -427,6 +427,19 @@ class TestMetricProperties:
         )
 
 
+KNOB_TEMPLATES = st.sampled_from(
+    [parse_context_template(spec) for spec in ("left,above", "above-right", "above-left")]
+)
+KNOB_TILINGS = st.sampled_from([None, (1, 1), (2, 2), (3, 1)])  # None: one row per label
+KNOB_TEMPERATURES = st.sampled_from([1.0, 0.5, 2.0])
+
+
+@functools.cache
+def top_ks(size):
+    """No truncation, or a top-k below K that leaves zero entries."""
+    return st.sampled_from([None, *range(1, size)])
+
+
 class TestDeterminismAndSplitting:
     @prop
     @given(
@@ -479,6 +492,36 @@ class TestDeterminismAndSplitting:
         for i, sampled in enumerate(batch):
             solo = sample_grid(
                 model, 2, 3, None, dataclasses.replace(config, seed=split_seed(seed, i))
+            )
+            assert sampled == solo
+
+    @prop
+    @given(st.data())
+    def test_batch_equals_split_sequential_across_knobs(self, data):
+        # Wavefront skews 1, 2 and 0; a conditional prior; per-label and
+        # tiled tables; temperature; top-k truncation.
+        size = data.draw(st.integers(2, 4))
+        context = data.draw(KNOB_TEMPLATES)
+        tokens = draw_digit_grid(data.draw, 3, 3, size)
+        semantics = SemanticGrid(3, 3, 2, draw_digit_grid(data.draw, 3, 3, 2))
+        grid = TokenGrid(3, 3, size, tokens)
+        conditional = data.draw(st.booleans())
+        model = train_markov_prior(
+            [(grid, semantics)] if conditional else [grid], context=context, conditional=conditional
+        )
+        cells = data.draw(KNOB_TILINGS)
+        scopes = 2 if cells is None else cells[0] * cells[1]
+        guidance = LikelihoodTable(draw_weights(data.draw, scopes * size).reshape(scopes, size), cells)
+        config = SamplingConfig(
+            seed=data.draw(st.integers(0, 2**32)),
+            temperature=data.draw(KNOB_TEMPERATURES),
+            top_k=data.draw(top_ks(size)),
+            guidance=guidance,
+        )
+        batch = batch_sample(model, 3, 3, 3, semantics, config)
+        for i, sampled in enumerate(batch):
+            solo = sample_grid(
+                model, 3, 3, semantics, dataclasses.replace(config, seed=split_seed(config.seed, i))
             )
             assert sampled == solo
 

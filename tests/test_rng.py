@@ -11,6 +11,7 @@ from gcs.rng import (
     seed_key,
     split_seed,
     split_seed_array,
+    unit_bits_at,
     unit_draw,
     unit_draws_at,
     unit_draws_for_keys,
@@ -109,6 +110,16 @@ class TestUnitDraws:
         vec = unit_draws_at(np.array([key], dtype=np.uint64), counters)[:, 0]
         for n, u in zip(counters.tolist(), vec.tolist()):
             assert unit_draw(key, n) == u
+
+    def test_bits_are_the_draws_integers(self):
+        # One mixing path: the float draws are the 53-bit integers times 2^-53.
+        keys = split_seed_array(13, np.arange(40))
+        counters = np.array([0, 1, 99, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        bits = unit_bits_at(keys, counters)
+        assert bits.dtype == np.uint64 and (bits < 2**53).all()
+        assert (bits * 2.0**-53).tobytes() == unit_draws_at(keys, counters).tobytes()
+        for row, counter in zip(bits.tolist(), counters.tolist()):
+            assert [b * 2.0**-53 for b in row] == [unit_draw(k, counter) for k in keys.tolist()]
 
     def test_draw_matrix_is_built_in_place(self):
         # The mixed sums and one scratch buffer (which becomes the draws):

@@ -135,6 +135,74 @@ class TestInverseCdfRows:
             assert np.array_equal(before, after)
 
 
+class TestBucketTable:
+    """`_RowTable.pick` looks most draws up in a row's bucket table and
+    sends the rest through `inverse_cdf_rows`; both give the pick of the
+    binary search and of `index_from_unit`, bit for bit."""
+
+    @staticmethod
+    def table_of(probs):
+        size = probs.shape[1]
+        model = train_markov_prior([TokenGrid(1, size, size, np.arange(size))])
+        table = sampler._RowTable(model, np.ones((1, size)), SamplingConfig())
+        table._append([probs])
+        return table
+
+    @staticmethod
+    def adversarial_rows(rng, size):
+        weights = rng.random((9, size)) + 0.01
+        weights[0, : (size + 1) // 2] = 0.0  # zeros at the head
+        weights[1, 1:-1] = 0.0  # zeros in the middle
+        weights[2, size // 2 + 1 :] = 0.0  # zeros at the tail
+        weights[3, rng.random(size) < 0.4] = 0.0
+        weights[3, rng.integers(size)] = 1.0
+        weights[4, :2] = 1.0, 1e-30  # a positive entry that repeats a cumulative value
+        weights[5] = 1.0  # cumulative values k / K, on bucket edges when K is a power of two
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        probs[6] *= 0.6  # the cumulative ends below 1 by more than a bucket
+        probs[7] *= 1.0 - 1e-12
+        probs[8] *= 1.3  # the cumulative ends above 1
+        return probs
+
+    @staticmethod
+    def draws_of(cumulative, buckets):
+        """53-bit draws on and one below every bucket edge and cumulative value."""
+        edges = np.arange(buckets, dtype=np.uint64) * np.uint64(2**53 // buckets)
+        at = np.minimum(cumulative * 2.0**53, 2**53 - 1).astype(np.uint64)
+        bits = np.concatenate((edges, at, [2**53 - 1])).astype(np.uint64)
+        return np.concatenate((bits, np.maximum(bits, 1) - np.uint64(1)))
+
+    def test_pinned_tables(self):
+        assert self.table_of(one_row([0.25, 0.75])).buckets.tolist() == [[0, -1, 1, 1]]
+        # A shortfall past the last bucket edge: those draws take the fallback.
+        table = self.table_of(one_row([0.5, 0.1]))
+        assert table.buckets.tolist() == [[0, 0, -1, -1]]
+        assert table.pick(np.array([0]), np.array([2**53 - 1], dtype=np.uint64)).tolist() == [1]
+
+    @pytest.mark.parametrize("size, buckets", [(2, 4), (3, 8), (4, 8), (5, 16), (32, 64), (100, 256), (4000, 8192)])
+    def test_picks_match_binary_search(self, size, buckets):
+        rng = np.random.default_rng(size)
+        table = self.table_of(self.adversarial_rows(rng, size))
+        assert table.buckets.dtype == np.int32 and table.buckets.shape[1] == buckets
+        probs, cumulative = table.probs[: table.size], table.cumulative[: table.size]
+        draws = [self.draws_of(row, buckets) for row in cumulative]
+        rows = np.repeat(np.arange(len(draws)), [d.size for d in draws])
+        bits = np.concatenate(draws)
+        us = bits * 2.0**-53
+        # The integer bucket is the float draw's, with no rounding.
+        assert (np.floor(us * buckets) == bits // np.uint64(2**53 // buckets)).all()
+
+        picked = table.pick(rows, bits)
+
+        assert picked.tolist() == inverse_cdf_rows(probs, cumulative, rows, us).tolist()
+        sample = slice(None) if size < 4000 else slice(None, None, 16)
+        expected = [
+            index_from_unit(probs[r], cumulative[r], u) for r, u in zip(rows[sample], us[sample])
+        ]
+        assert picked[sample].tolist() == expected
+        assert (table.buckets[: table.size] >= 0).any()
+
+
 def one_row(probs):
     return np.array([probs], dtype=np.float64)
 
@@ -412,12 +480,13 @@ class TestWavefront:
             [random_grid(rng, 4, 4, 3) for _ in range(2)], context=self.TEMPLATES[template]
         )
         calls = []
+        pick = sampler._RowTable.pick
 
-        def counted(probs, cumulative, rows, us):
-            calls.append(us.size)
-            return inverse_cdf_rows(probs, cumulative, rows, us)
+        def counted(table, rows, bits):
+            calls.append(bits.size)
+            return pick(table, rows, bits)
 
-        monkeypatch.setattr(sampler, "inverse_cdf_rows", counted)
+        monkeypatch.setattr(sampler._RowTable, "pick", counted)
         batch_sample(model, 32, 32, 3, config=SamplingConfig(seed=1))
         assert len(calls) == steps and sum(calls) == 32 * 32 * 3
 
