@@ -191,19 +191,24 @@ class MarkovGridPrior:
             )
         return len(self.counts)
 
-    def _codes(self, digits: list, ranks: dict) -> tuple[np.ndarray, int]:
-        """Mixed-radix codes of digit rows (template tokens + 1, then label),
-        ranked by `_rank` where they would overflow int64 and at the end
-        where they could pass DENSE_STATE_CODES; returns codes and bound."""
+    def _codes(self, columns: list, labels, ranks: dict) -> tuple[np.ndarray, int]:
+        """Mixed-radix codes of template token rows (digits token + 1), then
+        label digits, ranked by `_rank` where they would overflow int64 and
+        at the end where they could pass DENSE_STATE_CODES; returns codes
+        and bound.  Writes only the fresh int64 array it builds codes in."""
         # The label radix keeps a spare digit, label_count, for labels no
         # state has; without a label radix, zip drops the label digit.
-        radices = [self.codebook_size + 1] * len(self.context)
+        radices = [self.codebook_size + 1] * len(columns)
         radices += [self.label_count + 1] if self.conditional else []
-        code, bound = np.zeros(np.shape(digits[0]), dtype=np.int64), 1
-        for i, (digit, radix) in enumerate(zip(digits, radices)):
+        code, bound = np.add(columns[0], 1, dtype=np.int64), radices[0]
+        for i, (digit, radix) in enumerate(zip([*columns[1:], labels], radices[1:]), 1):
             if bound * radix > 2**63:
                 code, bound = _rank(ranks, i, code)
-            code, bound = code * radix + digit, bound * radix
+            code *= radix
+            code += digit
+            if i < len(columns):
+                code += 1
+            bound *= radix
         if bound > DENSE_STATE_CODES:
             code, bound = _rank(ranks, len(radices), code)
         return code, bound
@@ -212,7 +217,7 @@ class MarkovGridPrior:
     def _code_index(self) -> tuple[dict, np.ndarray]:
         """The rank tables of the states' codes, and the state at each code."""
         ranks, unseen = {}, len(self.counts)
-        code, bound = self._codes(list(self.contexts.T + 1) + [self.labels], ranks)
+        code, bound = self._codes(list(self.contexts.T), self.labels, ranks)
         state = np.full(bound, unseen, dtype=np.int64)
         state[code] = np.arange(unseen)
         return ranks, state
@@ -225,15 +230,15 @@ class MarkovGridPrior:
         columns[j] holds template slot j of each element, a token or
         BOUNDARY; `labels` (None when unconditional) is a label or an array
         of them that broadcasts against the columns.  A label outside
-        [0, label_count) matches no state.
+        [0, label_count) matches no state.  Returns a fresh array.
         """
         ranks, state = self._code_index
-        digits = [column + 1 for column in columns]
+        digits = None
         if self.conditional:
             labels = np.asarray(labels)
             valid = (labels >= 0) & (labels < self.label_count)
-            digits.append(np.where(valid, labels, self.label_count))
-        states = state[self._codes(digits, ranks)[0]]
+            digits = np.where(valid, labels, self.label_count)
+        states = state[self._codes(columns, digits, ranks)[0]]
         if self.smoothing_alpha == 0.0 and (states == len(self.counts)).any():
             first = np.unravel_index(np.argmax(states == len(self.counts)), states.shape)
             context = tuple(int(column[first]) for column in columns)

@@ -99,16 +99,21 @@ def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 def unit_bits_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """The 53-bit integers of `unit_draws_at`: [j, i] * 2^-53 is unit_draw(keys[i], counters[j]).
+    """The 53-bit integers of `unit_draws_at`: [j, i] * 2^-53 is unit_draw(keys[i], counters[j])."""
+    x = draws_u64_at(keys, counters)
+    x >>= np.uint64(11)
+    return x
+
+
+def draws_u64_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Raw draws of many streams at many counters: [j, i] is draw_u64(keys[i], counters[j]).
 
     Works in two result-sized uint64 buffers: the mixed sums, which it
     returns, and a scratch for the shifts.
     """
     c = np.asarray(counters, dtype=np.uint64)[:, None]
     x = np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN)
-    _mix64_in_place(x, np.empty_like(x))
-    x >>= np.uint64(11)
-    return x
+    return _mix64_in_place(x, np.empty_like(x))
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

@@ -16,10 +16,11 @@ skew * row + col, whose template slots all lie in earlier wavefronts.  It
 keeps a table of posterior rows, one per (scope, prior state), with their
 cumulative sums and bucket tables.  A step gathers its slots from the
 position-major (H * W + 1, n) token array, maps them with
-`MarkovGridPrior.states` to prior states, builds the rows it lacks with one
-`posterior_rows` call per scope, and picks every token of the wavefront
-with one bucket-table lookup per draw; `inverse_cdf_rows` picks the draws
-whose bucket holds a cumulative value, so every pick is the binary search's.
+`MarkovGridPrior.states` to prior states and those to each row's flat
+bucket offset, builds the rows it lacks with one `posterior_rows` call per
+scope, and picks every token of the wavefront with one bucket-table lookup
+per raw 64-bit draw; `inverse_cdf_rows` picks the draws whose bucket holds
+a cumulative value, so every pick is the binary search's.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  Sample i of a `batch_sample` call draws from the
@@ -37,7 +38,7 @@ import numpy as np
 from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from .guidance import LikelihoodTable, rebalance_rows, scope_index
 from .prior import BOUNDARY, MarkovGridPrior
-from .rng import _U53_SCALE, mix64_array, seed_key, split_seed_array, unit_bits_at, unit_draw
+from .rng import _U53_SCALE, draws_u64_at, mix64_array, seed_key, split_seed_array, unit_draw
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,10 @@ def batch_sample(
 
     The batch is drawn one anti-diagonal wavefront of the grid at a time:
     a `_RowTable` of step posteriors keyed by (scope, prior state) gives
-    each element its row, and one `_RowTable.pick` draws them all, each
-    with its raster position's 53-bit unit draw: a bucket-table lookup,
-    with `inverse_cdf_rows` as the exact fallback.  The token sequences
+    each element its row's flat bucket offset, and one `_RowTable.pick`
+    draws them all, each with its raster position's raw 64-bit draw: a
+    lookup in a table of 8K to 16K buckets, with `inverse_cdf_rows` at the
+    draw's 53-bit unit value as the exact fallback.  The token sequences
     equal `count` independent `sample_grid` calls.  The returned batch's
     `tokens` is a read-only view of the array the batch was drawn into.
     """
@@ -229,8 +231,8 @@ def batch_sample(
     order = np.argsort(wave, kind="stable")
     for front in np.split(order, np.flatnonzero(np.diff(wave[order])) + 1):
         columns = [grids[slot[front]] for slot in slots]
-        picked = table.rows(columns, None if labels is None else labels[front], scopes[front, None])
-        grids[front] = table.pick(picked, unit_bits_at(keys, front))
+        offsets = table.offsets(columns, None if labels is None else labels[front], scopes[front, None])
+        grids[front] = table.pick(offsets, draws_u64_at(keys, front))
 
     grids.setflags(write=False)
     return TokenBatch(grids[:size].T.reshape(count, height, width), model.codebook_size)
@@ -272,14 +274,15 @@ class _RowTable:
 
     Scope j is row j of the run's guidance ``weights``.  Each scope maps
     prior states (the shared unseen-context state included) to rows through
-    S + 1 entries of an int64 array, -1 until built: 8 (S + 1) bytes
-    whatever the code space, at most the size of the prior's smoothed
-    matrix while a table has at most K scopes.  A call's new rows go through
-    `posterior_rows` once per scope and are stored with their cumulative
-    sums and their `_bucket_tables` row of M int32 entries, M the least
-    power of two >= 2K: a row takes 16 K bytes in `probs` and `cumulative`
-    and 4 M <= 16 K more in `buckets`.  The row arrays grow by at least a
-    quarter when full.
+    S + 1 entries of an int64 array, each row's flat bucket offset
+    (row << log2 M) or -1 until built: 8 (S + 1) bytes whatever the code
+    space, at most the size of the prior's smoothed matrix while a table has
+    at most K scopes.  A call's new rows go through `posterior_rows` once per
+    scope and are stored with their cumulative sums and their
+    `_bucket_tables` row of M entries, M the least power of two >= 8K: a
+    row takes 16 K bytes in `probs` and `cumulative` and 1, 2 or 4 bytes
+    per entry, at most 4 M < 64 K, in `buckets`.  The row arrays double
+    when full.
     """
 
     def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:
@@ -287,65 +290,69 @@ class _RowTable:
         self.config = config
         self.weights = weights
         self.stride = len(model.counts) + 1
-        self.row_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
+        self.offset_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
-        self.log_buckets = (2 * model.codebook_size - 1).bit_length()
-        self.buckets = np.empty((0, 2**self.log_buckets), dtype=np.int32)
+        self.log_buckets = (8 * model.codebook_size - 1).bit_length()
+        self.buckets = _bucket_tables(self.cumulative, 2**self.log_buckets)  # no rows yet
 
-    def rows(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
-        """Row of each element's (scope, context state), building new ones.
+    def offsets(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
+        """Flat bucket offset of each element's (scope, context state) row, building new rows.
 
         `columns` and `labels` go to `MarkovGridPrior.states`; `scopes`
         indexes `weights` and broadcasts against the columns like `labels`.
         """
-        keys = scopes * self.stride + self.model.states(columns, labels)
-        rows = self.row_of[keys]
-        missing = rows < 0
-        if missing.any():
-            # return_inverse keeps np.unique from importing numpy.ma.
-            fresh = np.unique(keys[missing], return_inverse=True)[0]
-            self.row_of[fresh] = np.arange(self.size, self.size + fresh.size)
+        keys = self.model.states(columns, labels)
+        keys += scopes * self.stride
+        offsets = self.offset_of.take(keys)
+        if offsets.min() < 0:
+            missing = offsets < 0
+            fresh, inverse = np.unique(keys[missing], return_inverse=True)
+            rows = np.arange(self.size, self.size + fresh.size) << self.log_buckets
+            self.offset_of[fresh] = rows
+            offsets[missing] = rows[inverse]
             parts = []
             for part in np.split(fresh, np.flatnonzero(np.diff(fresh // self.stride)) + 1):
                 scope, states = np.divmod(part, self.stride)
                 weights = self.weights[scope[0]]
                 parts.append(posterior_rows(self.model.smoothed[states], weights, self.config))
             self._append(parts)
-            rows = self.row_of[keys]
-        return rows
+        return offsets
 
-    def pick(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """`inverse_cdf_rows` of each row at draw bits * 2^-53, from 53-bit integer draws.
+    def pick(self, offsets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """`inverse_cdf_rows` of each element's row at unit draw (draws >> 11) * 2^-53.
 
-        A draw's bucket is its top log2 M bits.  The bucket table answers
+        `offsets` are rows' flat bucket offsets and `draws` raw 64-bit
+        draws.  A draw's bucket is its top log2 M bits, which are
+        (draws >> 11) >> (53 - log2 M) exactly.  The bucket table answers
         every draw whose bucket holds one token; `inverse_cdf_rows` answers
         the rest, with their draws made floats only there.
         """
-        flat = np.right_shift(bits, np.uint64(53 - self.log_buckets)).view(np.int64)
-        flat += rows << self.log_buckets
+        flat = np.right_shift(draws, np.uint64(64 - self.log_buckets)).view(np.int64)
+        flat += offsets
         picks = self.buckets.reshape(-1).take(flat)
         ambiguous = np.flatnonzero(picks < 0)
         if ambiguous.size:
             picks.reshape(-1)[ambiguous] = inverse_cdf_rows(
                 self.probs,
                 self.cumulative,
-                rows.reshape(-1)[ambiguous],
-                bits.reshape(-1)[ambiguous] * _U53_SCALE,
+                offsets.reshape(-1)[ambiguous] >> self.log_buckets,
+                (draws.reshape(-1)[ambiguous] >> np.uint64(11)) * _U53_SCALE,
             )
         return picks
 
     def _append(self, parts: list[np.ndarray]) -> None:
         """Store new posterior rows, their cumulative sums and their bucket tables."""
         end = self.size + sum(map(len, parts))
-        if end > self.probs.shape[0]:
-            grow = max(end - self.probs.shape[0], self.size // 4)
-            extra = np.empty((grow, self.probs.shape[1]))
-            self.probs = np.concatenate((self.probs, extra))
-            self.cumulative = np.concatenate((self.cumulative, extra))
-            extra = np.empty((grow, self.buckets.shape[1]), dtype=np.int32)
-            self.buckets = np.concatenate((self.buckets, extra))
+        if end > len(self.probs):
+            # Double, copying only the rows in use: the rest stays unwritten.
+            arrays = self.probs, self.cumulative, self.buckets
+            self.probs, self.cumulative, self.buckets = (
+                np.empty((max(end, 2 * len(a)), a.shape[1]), a.dtype) for a in arrays
+            )
+            for grown, array in zip((self.probs, self.cumulative, self.buckets), arrays):
+                grown[: self.size] = array[: self.size]
         new = slice(self.size, end)
         np.concatenate(parts, out=self.probs[new])
         np.cumsum(self.probs[new], axis=1, out=self.cumulative[new])
@@ -357,25 +364,29 @@ def _bucket_tables(cumulative: np.ndarray, buckets: int) -> np.ndarray:
     """Guide tables (Chen & Asau's indexed search) of (R, K) cumulative rows.
 
     Entry b of a row is the `inverse_cdf_rows` pick of every draw u in
-    [b / M, (b + 1) / M), M = `buckets`, or -1 where that is not one token.
-    M is a power of two, so floor(cumulative * M) is exact.  When no
-    cumulative value lies in the bucket, every u in it has the same count t
-    of cumulative values below it, and for t < K the pick is t itself:
-    entry t is positive, because a zero entry repeats the cumulative value
-    before it, which lies below the bucket.  Buckets that hold a cumulative
-    value, and those past the row's last one (t = K, after a float
-    shortfall), hold -1.
+    [b / M, (b + 1) / M), M = `buckets`, or -1 where that is not one token;
+    entries take the smallest signed integer type that holds -K.  M is a
+    power of two, so the bucket b_t = min(floor(c_t * M), M) of each
+    cumulative value c_t is exact.  A bucket strictly between b_{t-1} and
+    b_t (b_{-1} = -1) holds no cumulative value and has t of them below
+    it, so its pick is t: positive, because c_t > c_{t-1}.  Bucket b_t,
+    which holds c_t, is -1, and so are the buckets past the row's last
+    value (where t = K after a float shortfall).  The rows are built as
+    runs with one `np.repeat`, over M + 1 buckets whose last (bucket M)
+    is dropped.
     """
     count, size = cumulative.shape
-    # The bucket of each cumulative value (M for those >= 1), offset per row.
-    bucket = np.minimum(cumulative * buckets, buckets).astype(np.intp)
-    bucket += np.arange(0, count * (buckets + 1), buckets + 1)[:, None]
-    held = np.bincount(bucket.reshape(-1), minlength=count * (buckets + 1))
-    held = held.reshape(count, buckets + 1)[:, :buckets]
-    # Up to a bucket that holds no value, the count is the count below it.
-    below = np.cumsum(held, axis=1, dtype=np.int32)
-    keep = (held == 0) & (below < size)
-    return (below + 1) * keep - 1
+    edges = np.empty((count, size + 1), dtype=np.intp)
+    edges[:, 0] = -1
+    edges[:, 1:] = np.minimum(cumulative * buckets, buckets)
+    gaps = edges[:, 1:] - edges[:, :-1]
+    runs = np.empty((count, size, 2), dtype=np.intp)  # token t's run, then its -1 run
+    np.maximum(gaps - 1, 0, out=runs[:, :, 0])
+    runs[:, :, 1] = gaps > 0
+    runs[:, -1, 1] += buckets - edges[:, -1]  # the buckets past the last value, through M
+    values = np.full((count, size, 2), -1, dtype=np.min_scalar_type(-size))
+    values[:, :, 0] = np.arange(size)
+    return np.repeat(values, runs.reshape(-1)).reshape(count, buckets + 1)[:, :buckets]
 
 
 EXACT_STATE_LIMIT = 10**6

@@ -6,6 +6,7 @@ import pytest
 from gcs.rng import (
     draw_indices,
     draw_u64,
+    draws_u64_at,
     mix64,
     mix64_array,
     seed_key,
@@ -120,6 +121,17 @@ class TestUnitDraws:
         assert (bits * 2.0**-53).tobytes() == unit_draws_at(keys, counters).tobytes()
         for row, counter in zip(bits.tolist(), counters.tolist()):
             assert [b * 2.0**-53 for b in row] == [unit_draw(k, counter) for k in keys.tolist()]
+
+    def test_raw_draws_are_the_bits_before_the_shift(self):
+        # The raw 64-bit draws are the scalar ones, and shifted right by 11
+        # they are the 53-bit integers.
+        keys = split_seed_array(21, np.arange(40))
+        counters = np.array([0, 1, 99, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        raw = draws_u64_at(keys, counters)
+        assert raw.dtype == np.uint64 and raw.shape == (counters.size, keys.size)
+        assert (raw >> np.uint64(11)).tobytes() == unit_bits_at(keys, counters).tobytes()
+        for row, counter in zip(raw.tolist(), counters.tolist()):
+            assert row == [draw_u64(k, counter) for k in keys.tolist()]
 
     def test_draw_matrix_is_built_in_place(self):
         # The mixed sums and one scratch buffer (which becomes the draws):

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from gcs.sampler import (
 )
 
 from conftest import guidance_row, random_grid, random_semantics
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestSamplingConfig:
@@ -143,7 +149,7 @@ class TestBucketTable:
     @staticmethod
     def table_of(probs):
         size = probs.shape[1]
-        model = train_markov_prior([TokenGrid(1, size, size, np.arange(size))])
+        model = MarkovGridPrior(codebook_size=size)
         table = sampler._RowTable(model, np.ones((1, size)), SamplingConfig())
         table._append([probs])
         return table
@@ -166,33 +172,70 @@ class TestBucketTable:
 
     @staticmethod
     def draws_of(cumulative, buckets):
-        """53-bit draws on and one below every bucket edge and cumulative value."""
+        """Raw 64-bit draws whose 53-bit draws lie on and one below every
+        bucket edge and cumulative value, with their low 11 bits all clear
+        and all set."""
         edges = np.arange(buckets, dtype=np.uint64) * np.uint64(2**53 // buckets)
         at = np.minimum(cumulative * 2.0**53, 2**53 - 1).astype(np.uint64)
         bits = np.concatenate((edges, at, [2**53 - 1])).astype(np.uint64)
-        return np.concatenate((bits, np.maximum(bits, 1) - np.uint64(1)))
+        bits = np.concatenate((bits, np.maximum(bits, 1) - np.uint64(1))) << np.uint64(11)
+        return np.concatenate((bits, bits | np.uint64(2**11 - 1)))
+
+    @staticmethod
+    def reference_tables(cumulative, buckets):
+        """Entry b: the count t of cumulative values below b / M, or -1 where
+        the bucket holds a value or t = K (a shortfall past the last one)."""
+        below = np.stack(
+            [np.searchsorted(row, np.arange(buckets + 1) / buckets, side="left") for row in cumulative]
+        )
+        held = below[:, 1:] > below[:, :-1]
+        return np.where(held | (below[:, :-1] == cumulative.shape[1]), -1, below[:, :-1])
 
     def test_pinned_tables(self):
-        assert self.table_of(one_row([0.25, 0.75])).buckets.tolist() == [[0, -1, 1, 1]]
-        # A shortfall past the last bucket edge: those draws take the fallback.
+        # K = 2: M = 16 buckets; 0.25 lies in bucket 4 and 1.0 in bucket 16, past the table.
+        assert self.table_of(one_row([0.25, 0.75])).buckets.tolist() == [[0] * 4 + [-1] + [1] * 11]
+        # K = 3: M = 32; the zero entry repeats 0.5 (bucket 16), so no bucket picks token 1.
+        table = self.table_of(one_row([0.5, 0.0, 0.5]))
+        assert table.buckets.tolist() == [[0] * 16 + [-1] + [2] * 15]
+        # A shortfall past the last bucket edge: 0.5 and 0.6 lie in buckets 8 and 9,
+        # and draws from 0.6 on take the fallback.
         table = self.table_of(one_row([0.5, 0.1]))
-        assert table.buckets.tolist() == [[0, 0, -1, -1]]
-        assert table.pick(np.array([0]), np.array([2**53 - 1], dtype=np.uint64)).tolist() == [1]
+        assert table.buckets.tolist() == [[0] * 8 + [-1] * 8]
+        assert table.pick(np.array([0]), np.array([2**64 - 1], dtype=np.uint64)).tolist() == [1]
+        # K = 40,000 (M = 2^19) needs int32 entries: token 35,000 is picked from the table.
+        probs = np.zeros((1, 40000))
+        probs[0, [0, 35000, 39999]] = 0.5, 0.25, 0.25
+        table = self.table_of(probs)
+        quarter = 2**17
+        assert table.buckets.dtype == np.int32
+        assert table.buckets.tolist() == [
+            [0] * 2 * quarter + [-1] + [35000] * (quarter - 1) + [-1] + [39999] * (quarter - 1)
+        ]
+        draw = np.array([int(0.6 * 2**53) << 11], dtype=np.uint64)
+        assert table.pick(np.array([0]), draw).tolist() == [35000]
 
-    @pytest.mark.parametrize("size, buckets", [(2, 4), (3, 8), (4, 8), (5, 16), (32, 64), (100, 256), (4000, 8192)])
-    def test_picks_match_binary_search(self, size, buckets):
+    @pytest.mark.parametrize(
+        "size, coarse", [(2, 4), (3, 8), (4, 8), (5, 16), (32, 64), (100, 256), (4000, 8192)]
+    )
+    def test_picks_match_binary_search(self, size, coarse):
+        # `coarse` is the least power of two >= 2K; the row table's M is 4x finer.
+        buckets = 4 * coarse
         rng = np.random.default_rng(size)
         table = self.table_of(self.adversarial_rows(rng, size))
-        assert table.buckets.dtype == np.int32 and table.buckets.shape[1] == buckets
+        # Entries take the smallest signed type holding -K: int8 up to K = 128.
+        assert table.buckets.dtype == np.min_scalar_type(-size) and table.buckets.shape[1] == buckets
         probs, cumulative = table.probs[: table.size], table.cumulative[: table.size]
+        for m in (coarse, buckets):
+            reference = self.reference_tables(cumulative, m).tolist()
+            assert sampler._bucket_tables(cumulative, m).tolist() == reference
         draws = [self.draws_of(row, buckets) for row in cumulative]
         rows = np.repeat(np.arange(len(draws)), [d.size for d in draws])
-        bits = np.concatenate(draws)
-        us = bits * 2.0**-53
-        # The integer bucket is the float draw's, with no rounding.
-        assert (np.floor(us * buckets) == bits // np.uint64(2**53 // buckets)).all()
+        raw = np.concatenate(draws)
+        us = (raw >> np.uint64(11)) * 2.0**-53
+        # The bucket of the raw draw's top bits is the float draw's, with no rounding.
+        assert (np.floor(us * buckets) == raw // np.uint64(2**64 // buckets)).all()
 
-        picked = table.pick(rows, bits)
+        picked = table.pick(rows << table.log_buckets, raw)
 
         assert picked.tolist() == inverse_cdf_rows(probs, cumulative, rows, us).tolist()
         sample = slice(None) if size < 4000 else slice(None, None, 16)
@@ -738,6 +781,34 @@ class TestBatchSample:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_sampling_leaves_numpy_ma_unimported(self):
+        # numpy.ma takes milliseconds to import; some numpy calls (np.unique
+        # without return_inverse) import it, which would double a fresh
+        # process's first small batch.
+        script = """
+import sys
+import numpy as np
+import gcs.cli
+from gcs.core import TokenGrid
+from gcs.distributions import histogram_from_grid
+from gcs.guidance import global_likelihood_table
+from gcs.prior import train_markov_prior
+from gcs.sampler import SamplingConfig, batch_sample
+rng = np.random.default_rng(0)
+grids = [TokenGrid(8, 8, 6, rng.integers(0, 6, 64)) for _ in range(3)]
+model = train_markov_prior(grids)
+table = global_likelihood_table(histogram_from_grid(grids[0], 0.5), histogram_from_grid(grids[1], 0.5))
+batch_sample(model, 8, 8, 5, config=SamplingConfig(seed=1, guidance=table))
+batch_sample(model, 8, 8, 5, config=SamplingConfig(seed=2))
+print("numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False"]
 
     def test_batch_tokens_are_a_view_of_the_drawn_array(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 4, 5) for _ in range(2)])
