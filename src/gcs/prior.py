@@ -14,8 +14,9 @@ Training packs each corpus position's state and token into one code and
 counts the codes in chunks of whole grids, adding each chunk's sparse
 (code, count) pairs into a running total, so its memory does not grow
 with the corpus.
-`states` maps a batch of contexts to rows through such codes, by a dense
-array or by sorted int64 codes; `state_of` is the per-step scalar lookup.
+`codes` maps a batch of contexts to such codes, each below the length of
+a code -> state array, by a dense mixed radix or by sorted int64 codes;
+`states` looks the codes up, and `state_of` is the per-step scalar lookup.
 Turning prior rows into step posteriors (guidance, temperature, top-k) and
 the exact chain enumeration built on them live in `sampler.py`.
 """
@@ -222,23 +223,26 @@ class MarkovGridPrior:
         state[code] = np.arange(unseen)
         return ranks, state
 
-    def states(
-        self, columns: Sequence[np.ndarray], labels: int | np.ndarray | None
-    ) -> np.ndarray:
-        """`state_of` for a batch: the row of `smoothed` of each element.
+    def codes(self, columns: Sequence[np.ndarray], labels: int | np.ndarray | None) -> np.ndarray:
+        """The (context, label) code of each element, in [0, len(_code_index[1])).
 
         columns[j] holds template slot j of each element, a token or
         BOUNDARY; `labels` (None when unconditional) is a label or an array
         of them that broadcasts against the columns.  A label outside
-        [0, label_count) matches no state.  Returns a fresh array.
+        [0, label_count) matches no state.  Returns a fresh int64 array.
         """
-        ranks, state = self._code_index
         digits = None
         if self.conditional:
             labels = np.asarray(labels)
-            valid = (labels >= 0) & (labels < self.label_count)
-            digits = np.where(valid, labels, self.label_count)
-        states = state[self._codes(columns, digits, ranks)[0]]
+            digits = np.where((labels >= 0) & (labels < self.label_count), labels, self.label_count)
+        return self._codes(columns, digits, self._code_index[0])[0]
+
+    def states(
+        self, columns: Sequence[np.ndarray], labels: int | np.ndarray | None
+    ) -> np.ndarray:
+        """`state_of` for a batch: the row of `smoothed` of each element's
+        `codes`, in a fresh array."""
+        states = self._code_index[1][self.codes(columns, labels)]
         if self.smoothing_alpha == 0.0 and (states == len(self.counts)).any():
             first = np.unravel_index(np.argmax(states == len(self.counts)), states.shape)
             context = tuple(int(column[first]) for column in columns)

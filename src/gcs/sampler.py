@@ -16,11 +16,13 @@ skew * row + col, whose template slots all lie in earlier wavefronts.  It
 keeps a table of posterior rows, one per (scope, prior state), with their
 cumulative sums and bucket tables.  A step gathers its slots from the
 position-major (H * W + 1, n) token array, maps them with
-`MarkovGridPrior.states` to prior states and those to each row's flat
-bucket offset, builds the rows it lacks with one `posterior_rows` call per
-scope, and picks every token of the wavefront with one bucket-table lookup
-per raw 64-bit draw; `inverse_cdf_rows` picks the draws whose bucket holds
-a cumulative value, so every pick is the binary search's.
+`MarkovGridPrior.codes` to context codes and those to each row's flat
+bucket offset, and picks every token of the wavefront with one
+bucket-table lookup per raw 64-bit draw; `inverse_cdf_rows` picks the
+draws whose bucket holds a cumulative value, so every pick is the binary
+search's.  A batch with as many draws as scopes x codes x M buckets builds
+every row first and lays the bucket rows out code-major, so a code is its
+offset; a smaller one maps codes to states and builds rows as met.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  Sample i of a `batch_sample` call draws from the
@@ -184,6 +186,11 @@ def sample_grid(
 BATCH_CELL_LIMIT = 2**28
 
 
+def _complete_pays(entries: int, draws: int) -> bool:
+    """The size rule: complete a table of `entries` for a batch of `draws`."""
+    return entries <= draws
+
+
 def batch_sample(
     model: MarkovGridPrior,
     height: int,
@@ -195,13 +202,16 @@ def batch_sample(
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
     The batch is drawn one anti-diagonal wavefront of the grid at a time:
-    a `_RowTable` of step posteriors keyed by (scope, prior state) gives
-    each element its row's flat bucket offset, and one `_RowTable.pick`
-    draws them all, each with its raster position's raw 64-bit draw: a
-    lookup in a table of 8K to 16K buckets, with `inverse_cdf_rows` at the
-    draw's 53-bit unit value as the exact fallback.  The token sequences
-    equal `count` independent `sample_grid` calls.  The returned batch's
-    `tokens` is a read-only view of the array the batch was drawn into.
+    a `_RowTable` of step posteriors gives each element its row's flat
+    bucket offset, and one `_RowTable.pick` draws them all, each with its
+    raster position's raw 64-bit draw: a lookup in a table of 8K to 16K
+    buckets, with `inverse_cdf_rows` at the draw's 53-bit unit value as the
+    exact fallback.  A smoothed prior's table is completed up front when
+    its scopes x codes x M entries are no more than the batch's draws
+    (`_complete_pays`), so building every row costs at most about one pass
+    of sampling.  The token sequences equal `count` independent
+    `sample_grid` calls.  The returned batch's `tokens` is a read-only view
+    of the array the batch was drawn into.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
@@ -223,6 +233,9 @@ def batch_sample(
         slots.append(np.where((r >= 0) & (c >= 0) & (c < width), r * width + c, size))
     labels = semantics.labels.reshape(-1, 1) if model.conditional else None
     table = _RowTable(model, weights, config)
+    entries = len(weights) * table.bound << table.log_buckets
+    if model.smoothing_alpha > 0 and _complete_pays(entries, count * size):
+        table.complete()  # unsmoothed priors stay lazy: `states` rejects unseen contexts
 
     # Wavefront t = skew * row + col: the smallest skew >= 0 that puts
     # every template slot in an earlier wavefront.
@@ -272,17 +285,19 @@ def inverse_cdf_rows(
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
-    Scope j is row j of the run's guidance ``weights``.  Each scope maps
-    prior states (the shared unseen-context state included) to rows through
-    S + 1 entries of an int64 array, each row's flat bucket offset
-    (row << log2 M) or -1 until built: 8 (S + 1) bytes whatever the code
-    space, at most the size of the prior's smoothed matrix while a table has
-    at most K scopes.  A call's new rows go through `posterior_rows` once per
-    scope and are stored with their cumulative sums and their
-    `_bucket_tables` row of M entries, M the least power of two >= 8K: a
-    row takes 16 K bytes in `probs` and `cumulative` and 1, 2 or 4 bytes
-    per entry, at most 4 M < 64 K, in `buckets`.  The row arrays double
-    when full.
+    Scope j is row j of the run's guidance ``weights``.  Rows go through
+    `posterior_rows` once per scope and are stored with their cumulative
+    sums and their `_bucket_tables` row of M entries, M the least power of
+    two >= 8K: a row takes 16 K bytes in `probs` and `cumulative` and 1, 2
+    or 4 bytes per entry, at most 4 M < 64 K, in `buckets`.  A lazy table
+    builds rows as met; each scope maps prior states (the shared unseen
+    state included) to each row's flat bucket offset (row << log2 M) or -1
+    through S + 1 int64 entries, at most the size of the prior's smoothed
+    matrix while a table has at most K scopes, and its rows double when
+    full.  A batch completes its table only when the code-major table's
+    scopes x ``bound`` x M entries are at most its count x H x W draws, so
+    ``by_code`` takes at most half of the int64 token array, and the at
+    most scopes x (bound + 1) rows of 16 K <= 2 M bytes about a quarter.
     """
 
     def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:
@@ -296,13 +311,34 @@ class _RowTable:
         self.cumulative = np.empty((0, model.codebook_size))
         self.log_buckets = (8 * model.codebook_size - 1).bit_length()
         self.buckets = _bucket_tables(self.cumulative, 2**self.log_buckets)  # no rows yet
+        self.bound = len(model._code_index[1])
+        self.row_of_code = None  # set by `complete`
+
+    def complete(self) -> None:
+        """Build every (scope, state) row, with one `posterior_rows` call per
+        scope, and the code-major table ``by_code``: the bucket row of
+        ``row_of_code[scope * bound + code]``, the row of that code's state,
+        at flat offset (scope * bound + code) << log2 M.  Codes that share
+        the unseen state share a row and repeat its buckets."""
+        self._append([posterior_rows(self.model.smoothed, w, self.config) for w in self.weights])
+        scope_rows = np.arange(len(self.weights))[:, None] * len(self.model.smoothed)
+        self.row_of_code = (scope_rows + self.model._code_index[1]).reshape(-1)
+        self.by_code = self.buckets[self.row_of_code]
 
     def offsets(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
-        """Flat bucket offset of each element's (scope, context state) row, building new rows.
+        """Flat bucket offset of each element's (scope, context) row, building new rows.
 
-        `columns` and `labels` go to `MarkovGridPrior.states`; `scopes`
+        `columns` and `labels` go to `MarkovGridPrior.codes`; `scopes`
         indexes `weights` and broadcasts against the columns like `labels`.
+        A complete table's are (scope * bound + code) << log2 M; a lazy one
+        maps codes to states and (scope, state) keys to rows, built as met.
         """
+        if self.row_of_code is not None:
+            code = self.model.codes(columns, labels)
+            if len(self.weights) > 1:
+                code += scopes * self.bound
+            code <<= self.log_buckets
+            return code
         keys = self.model.states(columns, labels)
         keys += scopes * self.stride
         offsets = self.offset_of.take(keys)
@@ -323,21 +359,25 @@ class _RowTable:
     def pick(self, offsets: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """`inverse_cdf_rows` of each element's row at unit draw (draws >> 11) * 2^-53.
 
-        `offsets` are rows' flat bucket offsets and `draws` raw 64-bit
-        draws.  A draw's bucket is its top log2 M bits, which are
-        (draws >> 11) >> (53 - log2 M) exactly.  The bucket table answers
-        every draw whose bucket holds one token; `inverse_cdf_rows` answers
-        the rest, with their draws made floats only there.
+        `offsets` are flat bucket offsets from `offsets` and `draws` raw
+        64-bit draws.  A draw's bucket is its top log2 M bits, which are
+        (draws >> 11) >> (53 - log2 M) exactly; one bounds-checked `take`
+        from ``by_code``, or from ``buckets`` while the table is lazy,
+        answers every draw whose bucket holds one token.  `inverse_cdf_rows`
+        answers the rest, on rows mapped through ``row_of_code`` in a
+        complete table, with their draws made floats only there.
         """
         flat = np.right_shift(draws, np.uint64(64 - self.log_buckets)).view(np.int64)
         flat += offsets
-        picks = self.buckets.reshape(-1).take(flat)
+        complete = self.row_of_code is not None
+        picks = (self.by_code if complete else self.buckets).reshape(-1).take(flat)
         ambiguous = np.flatnonzero(picks < 0)
         if ambiguous.size:
+            rows = offsets.reshape(-1)[ambiguous] >> self.log_buckets
             picks.reshape(-1)[ambiguous] = inverse_cdf_rows(
                 self.probs,
                 self.cumulative,
-                offsets.reshape(-1)[ambiguous] >> self.log_buckets,
+                self.row_of_code.take(rows) if complete else rows,
                 (draws.reshape(-1)[ambiguous] >> np.uint64(11)) * _U53_SCALE,
             )
         return picks

@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from gcs.metrics import (
     total_variation,
 )
 from gcs.prior import parse_context_template, train_markov_prior
+from gcs import sampler
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, batch_sample, exact_sequence_distribution, sample_grid
 from conftest import global_stats, guidance_row, likelihood_weights
@@ -518,12 +520,17 @@ class TestDeterminismAndSplitting:
             top_k=data.draw(top_ks(size)),
             guidance=guidance,
         )
-        batch = batch_sample(model, 3, 3, 3, semantics, config)
-        for i, sampled in enumerate(batch):
+        # Each case runs on the lazy row table and on the complete code-major
+        # table, forced past the size rule that 3x3 batches of 3 fail.
+        batches = []
+        for complete in (False, True):
+            with mock.patch.object(sampler, "_complete_pays", return_value=complete):
+                batches.append(batch_sample(model, 3, 3, 3, semantics, config))
+        for i, (lazy, full) in enumerate(zip(*batches)):
             solo = sample_grid(
                 model, 3, 3, semantics, dataclasses.replace(config, seed=split_seed(config.seed, i))
             )
-            assert sampled == solo
+            assert lazy == solo and full == solo
 
     @prop
     @given(st.data())

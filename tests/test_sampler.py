@@ -14,7 +14,7 @@ from scipy.stats import chi2_contingency
 from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_by_cell, histogram_by_region, histogram_from_grid
 from gcs.guidance import global_likelihood_table, scoped_likelihoods
-from gcs.prior import BOUNDARY, MarkovGridPrior, parse_context_template, train_markov_prior
+from gcs.prior import BOUNDARY, DENSE_STATE_CODES, MarkovGridPrior, parse_context_template, train_markov_prior
 from gcs.rng import split_seed, unit_draw, seed_key
 from gcs import sampler
 from gcs.sampler import (
@@ -607,6 +607,101 @@ class TestWavefront:
             sample_grid(model, 3, 3, sem, cfg)
 
 
+class TestCompleteTable:
+    """A batch with at least as many draws as the code-major table has
+    entries builds every posterior row first and indexes the bucket rows by
+    the prior's context code; every row and pick equals the lazy table's,
+    bit for bit."""
+
+    @pytest.fixture
+    def completed(self, monkeypatch):
+        """The tables completed while the test runs."""
+        tables = []
+        complete = sampler._RowTable.complete
+        monkeypatch.setattr(sampler._RowTable, "complete", lambda t: tables.append(t) or complete(t))
+        return tables
+
+    @pytest.fixture
+    def forced(self, monkeypatch, completed):
+        """Completes the table of every batch, past the size rule."""
+        monkeypatch.setattr(sampler, "_complete_pays", lambda entries, draws: True)
+        return completed
+
+    def test_rows_equal_the_lazy_rows(self, rng):
+        size = 5
+        model = train_markov_prior([random_grid(rng, 4, 4, size)])
+        weights = rng.random((2, size)) + 0.1
+        cfg = SamplingConfig(temperature=0.8, top_k=3)
+        full = sampler._RowTable(model, weights, cfg)
+        full.complete()
+        lazy = sampler._RowTable(model, weights, cfg)
+        # Every template context under both scopes, asked of the lazy table
+        # a few keys at a time in shuffled order.
+        contexts = np.array(list(itertools.product(range(BOUNDARY, size), repeat=2)))
+        states = model.states(list(contexts.T), None)
+        unseen = len(model.counts)
+        assert unseen in states
+        keys = rng.permutation([(scope, *c) for scope in range(2) for c in contexts])
+        draws = rng.integers(0, 2**64, len(keys), dtype=np.uint64)
+        for chunk in np.array_split(np.arange(len(keys)), 15):
+            columns, scopes = list(keys[chunk, 1:].T), keys[chunk, 0]
+            picked = lazy.pick(lazy.offsets(columns, None, scopes), draws[chunk])
+            assert (full.pick(full.offsets(columns, None, scopes), draws[chunk]) == picked).all()
+
+        rows = len(model.smoothed)
+        assert full.size == 2 * rows
+        for scope in range(2):
+            for state in range(rows):
+                mine = scope * rows + state
+                theirs = lazy.offset_of[scope * lazy.stride + state] >> lazy.log_buckets
+                for name in ("probs", "cumulative", "buckets"):
+                    assert getattr(full, name)[mine].tobytes() == getattr(lazy, name)[theirs].tobytes()
+
+        bound, buckets = full.bound, 2**full.log_buckets
+        by_code = full.by_code.reshape(-1)
+        for at in range(2 * bound):
+            start = at << full.log_buckets
+            assert by_code[start : start + buckets].tobytes() == full.buckets[full.row_of_code[at]].tobytes()
+        codes = model.codes(list(contexts.T), None)
+        for scope in range(2):
+            assert (full.row_of_code[scope * bound + codes] == scope * rows + states).all()
+
+    def test_ranked_codes_match_sequential(self, rng, forced):
+        # 33 ** 4 codes pass DENSE_STATE_CODES, so codes are ranks of the
+        # trained states' codes and every other code shares rank 0.
+        corpus = [random_grid(rng, 6, 6, 32) for _ in range(3)]
+        model = train_markov_prior(corpus, context=TestWavefront.TEMPLATES["four-slot"])
+        assert 33**4 > DENSE_STATE_CODES and len(model._code_index[1]) == len(model.counts) + 1
+        d = histogram_from_grid(corpus[0], 0.5)
+        cfg = SamplingConfig(seed=5, guidance=global_likelihood_table(d, histogram_from_grid(corpus[1], 0.5)))
+        assert_matches_sequential(model, 6, 6, 8, None, cfg)
+        assert len(forced) == 1
+
+    def test_labels_past_a_conditional_model_match_sequential(self, rng, forced):
+        # Labels 2 and 3 take the spare label digit; two tiling scopes offset the codes.
+        corpus = [(random_grid(rng, 5, 5, 6), random_semantics(rng, 5, 5, 2)) for _ in range(4)]
+        model = train_markov_prior(corpus, conditional=True)
+        sem = random_semantics(rng, 5, 5, 4)
+        assert {2, 3} <= set(sem.labels.flat)
+        grids = [grid for grid, _ in corpus]
+        table = scoped_likelihoods(
+            histogram_by_cell(grids[:2], 1, 2),
+            histogram_by_cell(grids[2:], 1, 2),
+            histogram_from_grid(grids[0]),
+            histogram_from_grid(grids[2]),
+        )
+        assert_matches_sequential(model, 5, 5, 9, sem, SamplingConfig(seed=3, guidance=table))
+        assert len(forced) == 1 and len(forced[0].weights) == 2
+
+    def test_size_rule(self, rng, completed):
+        # One left slot over K = 4: 5 codes x 32 buckets = 160 entries, the
+        # draws of 10 4x4 grids; 9 grids stay on the lazy table.
+        model = train_markov_prior([random_grid(rng, 4, 4, 4)], context=((0, -1),))
+        for count in (9, 10):
+            assert_matches_sequential(model, 4, 4, count, None, SamplingConfig(seed=count))
+        assert len(completed) == 1 and completed[0].bound << completed[0].log_buckets == 160
+
+
 class TestBatchSample:
     def test_matches_sequential_sampling(self, rng):
         # The vectorized path must be bit-identical to per-sample runs.
@@ -695,6 +790,12 @@ class TestBatchSample:
             sample_grid(model, 1, 3)
         with pytest.raises(ValidationError, match="never observed"):
             batch_sample(model, 1, 3, 5)
+        # Unsmoothed models keep the lazy table, whose state lookup raises,
+        # even where the batch would pay for the complete table.
+        table = sampler._RowTable(model, np.ones((1, 4)), SamplingConfig())
+        assert sampler._complete_pays(len(model._code_index[1]) << table.log_buckets, 1 * 3 * 100)
+        with pytest.raises(ValidationError, match="never observed"):
+            batch_sample(model, 1, 3, 100)
 
     def test_large_batch_through_sorted_index_matches_sequential(self, rng):
         # (600 + 1) ** 2 template codes exceed the dense budget, so states
@@ -785,7 +886,8 @@ class TestBatchSample:
     def test_sampling_leaves_numpy_ma_unimported(self):
         # numpy.ma takes milliseconds to import; some numpy calls (np.unique
         # without return_inverse) import it, which would double a fresh
-        # process's first small batch.
+        # process's first small batch.  The last batch builds the complete
+        # table, whose numpy calls a fresh process also meets first.
         script = """
 import sys
 import numpy as np
@@ -794,6 +896,7 @@ from gcs.core import TokenGrid
 from gcs.distributions import histogram_from_grid
 from gcs.guidance import global_likelihood_table
 from gcs.prior import train_markov_prior
+from gcs import sampler
 from gcs.sampler import SamplingConfig, batch_sample
 rng = np.random.default_rng(0)
 grids = [TokenGrid(8, 8, 6, rng.integers(0, 6, 64)) for _ in range(3)]
@@ -801,14 +904,19 @@ model = train_markov_prior(grids)
 table = global_likelihood_table(histogram_from_grid(grids[0], 0.5), histogram_from_grid(grids[1], 0.5))
 batch_sample(model, 8, 8, 5, config=SamplingConfig(seed=1, guidance=table))
 batch_sample(model, 8, 8, 5, config=SamplingConfig(seed=2))
-print("numpy.ma" in sys.modules)
+# 60 grids have at least as many draws as the complete table has entries.
+completed = []
+complete = sampler._RowTable.complete
+sampler._RowTable.complete = lambda table: completed.append(table) or complete(table)
+batch_sample(model, 8, 8, 60, config=SamplingConfig(seed=3, guidance=table))
+print("numpy.ma" in sys.modules, len(completed))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == ["False", "1"]
 
     def test_batch_tokens_are_a_view_of_the_drawn_array(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 4, 5) for _ in range(2)])
