@@ -2,7 +2,10 @@
 
 All types validate their invariants at construction and are immutable
 afterwards (ndarray payloads are marked read-only), so instances can be
-shared freely between threads and reused across sampling runs.
+shared freely between threads and reused across sampling runs.  Values
+must be integers: a grid copies them to int64, and a batch keeps an
+integer array's type, so a sampled batch stays one byte per token at
+K <= 128.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ _LABELS = (1, "label", "label count")
 
 def _grid_values(height: int, width: int, vocab: int, values, kind: tuple) -> np.ndarray:
     """One read-only int64 (height, width) copy of a grid's flat or 2-D
-    values, checked in this order: dimensions, vocabulary size, shape, range."""
+    values, checked in this order: dimensions, vocabulary size, shape,
+    integers (unless of an integer or bool type), range."""
     least, noun, vocab_name = kind
     if height < 1 or width < 1:
         raise ValidationError(f"grid dimensions must be positive, got {height}x{width}")
@@ -66,7 +70,14 @@ def _grid_values(height: int, width: int, vocab: int, values, kind: tuple) -> np
             f"{noun}s length mismatch: expected {height * width} ({height}x{width}), "
             f"got {arr.size if arr.ndim == 1 else arr.shape}"
         )
-    arr = _readonly(np.array(arr.reshape(height, width), dtype=np.int64, order="C"))
+    arr = arr.reshape(height, width)
+    if arr.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            wrong = arr.astype(np.int64) != arr
+        if wrong.any():
+            r, c = np.argwhere(wrong)[0]
+            raise ValidationError(f"{noun} {arr[r, c]} at ({r}, {c}) is not an integer")
+    arr = _readonly(np.array(arr, dtype=np.int64, order="C"))
     bad = (arr < 0) | (arr >= vocab)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -104,22 +115,25 @@ class TokenGrid:
 class TokenBatch(Sequence):
     """n equally shaped `TokenGrid`s held as one read-only (n, height, width) array.
 
-    The array is range-checked once; an invalid one fails as its first
-    invalid grid's constructor does.  A read-only array is kept as it is, a
-    writable one copied.  `batch[i]` builds grid i; a slice is a batch.
+    An integer array keeps its type (`batch_sample`'s is the smallest that
+    holds -K); other values become int64.  The array is checked once; an
+    invalid one fails as its first invalid grid's constructor does.  A
+    read-only array is kept as it is, a writable one copied.  `batch[i]`
+    builds grid i, with int64 tokens; a slice is a batch.
     """
 
     tokens: np.ndarray
     codebook_size: int
 
     def __post_init__(self) -> None:
-        tokens = np.asarray(self.tokens, dtype=np.int64)
+        tokens = np.asarray(self.tokens)
         if tokens.ndim != 3:
             raise ValidationError(f"token batch must be 3-D, got shape {tokens.shape}")
-        size = self.codebook_size
-        if tokens.size == 0 or size < 2 or not 0 <= tokens.min() <= tokens.max() < size:
+        size, whole = self.codebook_size, tokens.dtype.kind in "biu"
+        if not whole or tokens.size == 0 or size < 2 or not 0 <= tokens.min() <= tokens.max() < size:
             for block in tokens:
                 TokenGrid(*tokens.shape[1:], size, block)
+        tokens = tokens if whole else _readonly(tokens.astype(np.int64))
         if tokens.flags.writeable:
             tokens = _readonly(tokens.copy())
         object.__setattr__(self, "tokens", tokens)

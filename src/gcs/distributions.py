@@ -250,7 +250,7 @@ def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
         for first in range(start, end, step):
             n = min(step, end - first)
             # (grid, token, scope) codes, built in place and dropped before the yield.
-            index = np.concatenate(tokens[first : first + n]).reshape(n, -1)
+            index = np.concatenate(tokens[first : first + n], dtype=np.int64).reshape(n, -1)
             index += (np.arange(n) * size)[:, None]
             if maps:
                 index *= scopes

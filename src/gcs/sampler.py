@@ -182,7 +182,7 @@ def sample_grid(
     return TokenGrid(height, width, model.codebook_size, prefix)
 
 
-# Largest count x (height x width + 1) a batch may draw: it sizes the int64 token array.
+# Largest count x (height x width + 1) a batch may draw: it sizes the token array.
 BATCH_CELL_LIMIT = 2**28
 
 
@@ -211,7 +211,8 @@ def batch_sample(
     (`_complete_pays`), so building every row costs at most about one pass
     of sampling.  The token sequences equal `count` independent
     `sample_grid` calls.  The returned batch's `tokens` is a read-only view
-    of the array the batch was drawn into.
+    of the array the batch was drawn into, of the smallest signed integer
+    type that holds -K.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
@@ -224,8 +225,9 @@ def batch_sample(
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     size = height * width
     rows, cols = np.divmod(np.arange(size), width)
-    # Position-major tokens; the last row is the BOUNDARY every off-grid slot reads.
-    grids = np.empty((size + 1, count), dtype=np.int64)
+    # Position-major tokens in the bucket tables' type (int8 up to K = 128);
+    # the last row is the BOUNDARY every off-grid slot reads.
+    grids = np.empty((size + 1, count), dtype=np.min_scalar_type(-model.codebook_size))
     grids[size] = BOUNDARY
     slots = []
     for dr, dc in model.context:
@@ -296,8 +298,8 @@ class _RowTable:
     matrix while a table has at most K scopes, and its rows double when
     full.  A batch completes its table only when the code-major table's
     scopes x ``bound`` x M entries are at most its count x H x W draws, so
-    ``by_code`` takes at most half of the int64 token array, and the at
-    most scopes x (bound + 1) rows of 16 K <= 2 M bytes about a quarter.
+    ``by_code`` is no larger than the token array, of the same type, and
+    the at most scopes x (bound + 1) rows of 16 K <= 2 M bytes twice that.
     """
 
     def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:

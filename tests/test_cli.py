@@ -28,12 +28,14 @@ from gcs.formats import (
     load_json,
     read_stats,
     read_token_grid,
+    token_grid_to_bytes,
     write_semantic_grid,
     write_token_grid,
     write_stats,
 )
-from gcs.prior import MODEL_CELL_LIMIT, save_model, train_markov_prior
+from gcs.prior import MODEL_CELL_LIMIT, load_model, save_model, train_markov_prior
 from gcs.rng import split_seed
+from gcs.sampler import SamplingConfig, sample_grid
 from gcs.world import BenchmarkConfig, LayoutSpec, StyleSpec
 
 from conftest import random_grid, random_semantics
@@ -643,6 +645,18 @@ class TestSample:
         assert main(args + ["--out", str(b)]) == 0
         for name in ("sample_000.tgrd", "sample_001.tgrd", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_wide_codebook_samples_match_sequential(self, tmp_path, rng):
+        # K = 200 draws into int16; every file holds the bytes of its grid's
+        # own `sample_grid` run.
+        save_model(tmp_path / "model.json", train_markov_prior([random_grid(rng, 5, 6, 200) for _ in range(3)]))
+        model = load_model(tmp_path / "model.json")
+        out = tmp_path / "samples"
+        args = ["sample", "--model", str(tmp_path / "model.json"), "--out", str(out), "--no-guidance"]
+        assert main(args + ["--height", "5", "--width", "6", "--n", "7", "--seed", "4"]) == 0
+        for i in range(7):
+            grid = sample_grid(model, 5, 6, config=SamplingConfig(seed=split_seed(4, i)))
+            assert (out / f"sample_{i:03d}.tgrd").read_bytes() == token_grid_to_bytes(grid)
 
     def test_guidance_flags_are_exclusive(self, trained, tmp_path, capsys):
         rc = main(

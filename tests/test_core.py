@@ -50,6 +50,15 @@ class TestTokenGrid:
         with pytest.raises(ValueError):
             g.tokens[0, 0] = 3
 
+    def test_non_integer_value_names_position(self):
+        for value in (0.5, 1.9, -0.5, np.nan, np.inf):
+            with pytest.raises(ValidationError) as exc:
+                TokenGrid(2, 2, 4, np.array([0.0, 1.0, 2.0, value]))
+            assert str(exc.value) == f"token {value} at (1, 1) is not an integer"
+        g = TokenGrid(2, 2, 4, np.zeros(4))  # integral floats are integers
+        assert g.tokens.dtype == np.int64 and g == TokenGrid(2, 2, 4, [0, 0, 0, 0])
+        assert TokenGrid(1, 2, 4, np.array([True, False])).tokens.tolist() == [[1, 0]]
+
     def test_equality_is_by_value(self):
         a = TokenGrid(1, 2, 4, [0, 1])
         b = TokenGrid(1, 2, 4, [0, 1])
@@ -110,6 +119,24 @@ class TestTokenBatch:
         assert np.shares_memory(view.tokens, owner)
         assert not view.tokens.base.flags.writeable
 
+    def test_integer_types_are_kept(self):
+        for dtype in (np.int8, np.int16, np.int32, np.uint8):
+            batch = TokenBatch(self.TOKENS.astype(dtype), 5)
+            assert batch.tokens.dtype == dtype and batch[1:].tokens.dtype == dtype
+            assert batch[0].tokens.dtype == np.int64 and batch[0] == TokenGrid(2, 2, 5, self.TOKENS[0])
+        narrow = self.TOKENS.astype(np.int8)
+        narrow.setflags(write=False)
+        assert TokenBatch(narrow, 5).tokens is narrow  # read-only: kept, not copied
+        assert np.shares_memory(TokenBatch(narrow, 5)[::2].tokens, narrow)
+
+    def test_non_integer_values_are_named(self):
+        tokens = self.TOKENS.astype(np.float64)
+        batch = TokenBatch(tokens, 5)  # integral floats become int64
+        assert batch.tokens.dtype == np.int64 and batch == TokenBatch(self.TOKENS, 5)
+        tokens[2, 0, 1] = 2.5
+        with pytest.raises(ValidationError, match=r"^token 2.5 at \(0, 1\) is not an integer$"):
+            TokenBatch(tokens, 5)
+
 
 class TestSemanticGrid:
     def test_label_out_of_range(self):
@@ -120,6 +147,11 @@ class TestSemanticGrid:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="labels length mismatch: expected 4"):
             SemanticGrid(2, 2, 2, [0, 1, 0])
+
+    def test_non_integer_label_names_position(self):
+        with pytest.raises(ValidationError, match=r"^label 1.5 at \(0, 1\) is not an integer$"):
+            SemanticGrid(1, 2, 2, [0.0, 1.5])
+        assert SemanticGrid(1, 2, 2, [0.0, 1.0]).labels.tolist() == [[0, 1]]
 
     def test_single_label_allowed(self):
         g = SemanticGrid(2, 2, 1, [[0, 0], [0, 0]])

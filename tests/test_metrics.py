@@ -13,6 +13,7 @@ from gcs.distributions import (
     average_scoped,
     histogram_by_cell,
     histogram_by_region,
+    histograms,
     monte_carlo_dataset_distribution,
     monte_carlo_regional_distribution,
     monte_carlo_spatial_distribution,
@@ -369,6 +370,26 @@ class TestSpatialDivergence:
         with pytest.raises(ValidationError) as exc:
             spatial_divergence([TokenGrid(1, 2, 2, [0, 1])], reference)
         assert "per-cell reference" in str(exc.value)
+
+
+@pytest.mark.parametrize("size, dtype", [(32, np.int8), (200, np.int16)])
+def test_narrow_batches_count_as_their_grids(size, dtype):
+    # Codes of grid, token and scope pass the batch's type: in a chunk of
+    # int8 grids, and at 169 scopes (one per position) x 200 tokens.
+    rng = np.random.default_rng(7)
+    batch = TokenBatch(rng.integers(0, size, (200, 13, 13)).astype(dtype), size)
+    grids = list(batch)
+    assert batch.tokens.dtype == dtype
+    labels = SemanticGrid(13, 13, 169, np.arange(169))
+    for args in ((0.5,), (0.0, [labels] * 200), (0.5, None, (13, 13))):
+        assert histograms(batch, *args) == histograms(grids, *args)
+    assert histogram_by_cell(batch, 13, 13) == histogram_by_cell(grids, 13, 13)
+    target = StyleReference.from_stats("goal", histogram_by_region(grids[0], labels))
+    assert report_to_dict(guidance_report(batch[:90], batch[90:], target, labels)) == report_to_dict(
+        guidance_report(grids[:90], grids[90:], target, labels)
+    )
+    refs = [StyleReference(f"s{i}", histograms(grids[i : i + 1])[0]) for i in range(2)]
+    assert style_match_rate(batch, refs, 0.5) == style_match_rate(grids, refs, 0.5)
 
 
 def _styled_grids(rng, n, height, width, size, favoured, weight=6.0):

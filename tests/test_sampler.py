@@ -693,6 +693,27 @@ class TestCompleteTable:
         assert_matches_sequential(model, 5, 5, 9, sem, SamplingConfig(seed=3, guidance=table))
         assert len(forced) == 1 and len(forced[0].weights) == 2
 
+    @pytest.mark.parametrize("complete", [False, True])
+    @pytest.mark.parametrize(
+        "size, dtype",
+        [(2, np.int8), (128, np.int8), (129, np.int16), (2**15, np.int16), (2**15 + 1, np.int32)],
+    )
+    def test_tokens_take_the_bucket_type(self, rng, monkeypatch, completed, size, dtype, complete):
+        # Either table draws into, and hands back, the smallest signed type
+        # holding -K.  Three slots keep the code-major table small (ranked
+        # codes past K = 63); a corpus grid of K - 1 alone makes that token likely.
+        corpus = [random_grid(rng, 3, 3, size), TokenGrid(3, 3, size, [size - 1] * 9)]
+        template = parse_context_template("left,above,above-left")
+        model = train_markov_prior(corpus, template, smoothing_alpha=1e-6)
+        monkeypatch.setattr(sampler, "_complete_pays", lambda entries, draws: complete)
+        cfg = SamplingConfig(seed=size)
+        batch = batch_sample(model, 3, 3, 6, config=cfg)
+        assert len(completed) == complete
+        assert batch.tokens.dtype == dtype == np.min_scalar_type(-size)
+        assert batch.tokens.max() == size - 1 and batch.tokens.base[-1].tolist() == [BOUNDARY] * 6
+        assert batch[2:].tokens.dtype == dtype and batch[0].tokens.dtype == np.int64
+        assert_matches_sequential(model, 3, 3, 6, None, cfg)
+
     def test_size_rule(self, rng, completed):
         # One left slot over K = 4: 5 codes x 32 buckets = 160 entries, the
         # draws of 10 4x4 grids; 9 grids stay on the lazy table.
@@ -865,6 +886,22 @@ class TestBatchSample:
             tracemalloc.stop()
         assert len(batch) == 2000
         assert peak <= 1.5 * 2000 * 32 * 32 * 8
+
+    def test_narrow_tokens_bound_the_batch_memory(self, rng):
+        # K = 32 draws into int8: the batch takes one byte per token cell
+        # and the whole call at most four.
+        corpus = [random_grid(rng, 32, 32, 32) for _ in range(3)]
+        model = train_markov_prior(corpus)
+        d = histogram_from_grid(corpus[0], 0.5)
+        guidance = global_likelihood_table(d, histogram_from_grid(corpus[1], 0.5))
+        tracemalloc.start()
+        try:
+            batch = batch_sample(model, 32, 32, 2000, config=SamplingConfig(seed=3, guidance=guidance))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.tokens.nbytes == 2000 * 32 * 32
+        assert peak <= 4 * 2000 * 32 * 32
 
     def test_count_validated(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 3, 4)])
