@@ -39,7 +39,6 @@ from .world import (
     default_landscape_config,
     grid_entries,
     iter_entries,
-    iter_grid_directory,
     load_grid_directory,
     make_benchmark,
     spatial_contrast_config,
@@ -131,7 +130,7 @@ def cmd_train_prior(args) -> int:
     )
     save_model(args.out, model)
     print(
-        f"trained prior on {len(corpus)} grids "
+        f"trained prior on {sum(len(run.grids) for run in corpus)} grids "
         f"({len(model.counts)} context states) -> {args.out}"
     )
     return 0
@@ -141,23 +140,18 @@ def cmd_dataset_stats(args) -> int:
     # Every grid and semantic map is read and validated; only --by-region
     # keeps the maps.
     check_draws(args.k)
-    grids, maps = [], []
-    for grid, sem in iter_grid_directory(args.corpus, with_semantics=True):
-        grids.append(grid)
-        if args.by_region:
-            maps.append(sem)
-    if args.k > len(grids):
+    corpus = load_grid_directory(args.corpus, with_semantics=True, keep_semantics=args.by_region)
+    grids = sum(len(run.grids) for run in corpus)
+    if args.k > grids:
         print(
-            f"note: K={args.k} exceeds the corpus size {len(grids)}; "
+            f"note: K={args.k} exceeds the corpus size {grids}; "
             "drawing with replacement as always",
             file=sys.stderr,
         )
     seed = resolve_seed(args.seed)
-    if args.by_region and any(sem is None for sem in maps):
+    if args.by_region and any(run.labels is None for run in corpus):
         raise ValidationError("--by-region needs a semantic map for every corpus grid")
-    stats = monte_carlo_distribution(
-        grids, args.k, args.alpha, seed, maps if args.by_region else None, args.by_cell
-    )
+    stats = monte_carlo_distribution(corpus, args.k, args.alpha, seed, cells=args.by_cell)
     mode = stats.kind if args.by_cell is None else "spatial {}x{}".format(*args.by_cell)
     write_stats(args.out, stats)
     print(f"wrote {mode} dataset statistics (K={args.k}, seed={seed}) to {args.out}")

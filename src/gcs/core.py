@@ -175,10 +175,24 @@ class SemanticGrid:
         return self.label_count == other.label_count and np.array_equal(self.labels, other.labels)
 
 
-def validate_grid(grid: TokenGrid) -> None:
-    """Re-run the constructor's check on a grid, raising on the first
-    violation, so a grid altered after construction can be re-verified."""
-    _grid_values(grid.height, grid.width, grid.codebook_size, grid.tokens, _TOKENS)
+@dataclass(frozen=True, eq=False)
+class GridRun:
+    """Consecutive equally shaped grids of one codebook, packed: a
+    `TokenBatch`, and when known their label maps as one read-only integer
+    array shaped like the batch's, with labels in [0, label_count)."""
+
+    grids: TokenBatch
+    labels: np.ndarray | None = None
+    label_count: int | None = None
+
+    def __post_init__(self) -> None:
+        labels = self.labels
+        if labels is not None and not (
+            labels.shape == self.grids.tokens.shape and labels.dtype.kind in "iu" and not labels.flags.writeable
+            and isinstance(self.label_count, int)
+            and (not labels.size or 0 <= labels.min() <= labels.max() < self.label_count)
+        ):
+            raise ValidationError("run labels must be a read-only array of labels in [0, label_count), one per token")
 
 
 def grid_pairs(items) -> list[tuple[TokenGrid, SemanticGrid | None]]:

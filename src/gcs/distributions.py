@@ -4,9 +4,10 @@ Every statistic is a `ScopedDistributions`: one smoothed probability row
 and one observation mass per scope of a layout.  The layout is "global"
 (one scope covering every position, `histogram_from_grid`), "regional" (one
 scope per semantic label, `histogram_by_region`) or a (rows, cols) tiling
-(one scope per cell of aligned grids, `histogram_by_cell`).  `_grid_counts`
-counts every layout, for a list of grids or a batch, as (grid, scope,
-token) counts: one bincount per chunk of grids.  `_estimates` turns them
+(one scope per cell of aligned grids, `histogram_by_cell`).  `_counts`
+counts every layout, for the `_blocks` of a list of grids, a batch or a
+packed corpus, as (grid, scope, token) counts: one bincount per chunk of
+grids.  `_estimates` turns them
 into each grid's own rows, and one rule each averages rows in draw order
 (`average_scoped`, `monte_carlo_distribution`) and collapses scoped rows
 into global ones (`collapse_scoped`), whatever the layout.
@@ -29,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, check_rows
+from .core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, check_rows
 from .rng import draw_indices
 
 DEFAULT_ALPHA = 0.5
@@ -136,7 +137,9 @@ def smoothed_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
         raise ValidationError(
             "zero observations with zero smoothing: distribution is undefined"
         )
-    return (counts + alpha) / denominators
+    rows = np.add(counts, alpha, dtype=np.float64)
+    rows /= denominators
+    return rows
 
 
 def _check_alpha(alpha: float) -> float:
@@ -147,16 +150,17 @@ def _check_alpha(alpha: float) -> float:
 
 
 def histograms(
-    grids: TokenBatch | Sequence[TokenGrid],
+    grids: TokenBatch | Sequence[TokenGrid] | Sequence[GridRun],
     smoothing_alpha: float = DEFAULT_ALPHA,
     maps: Sequence[SemanticGrid] | None = None,
     cells: tuple[int, int] | None = None,
 ) -> list[ScopedDistributions]:
     """Each grid's own smoothed distributions: global, per label of its map
-    in ``maps``, or per cell of a (rows, cols) tiling of its shape."""
-    rows, masses = _estimates(grids, _check_alpha(smoothing_alpha), maps, cells)
-    layout = _layout(maps, cells)
-    return [ScopedDistributions(r, m, layout) for r, m in zip(rows, masses)]
+    in ``maps`` (or in its packed run), or per cell of a (rows, cols)
+    tiling of its shape."""
+    size, scopes, blocks = _blocks(grids, maps, cells)
+    rows, masses = _estimates(size, scopes, blocks, _check_alpha(smoothing_alpha))
+    return [ScopedDistributions(r, m, _layout(scopes, cells)) for r, m in zip(rows, masses)]
 
 
 def histogram_from_grid(
@@ -188,17 +192,16 @@ def histogram_by_cell(
     position.
     """
     alpha = _check_alpha(smoothing_alpha)
-    shapes = _grid_shapes(grids)
-    if not shapes:
+    if not len(grids):
         raise ValidationError("empty grid list")
-    cells = _cell_map(shapes[0], (cell_rows, cell_cols))
-    if any(shape != shapes[0] for shape in shapes):
+    size, scopes, blocks = _blocks(grids, cells=(cell_rows, cell_cols))
+    if len(blocks) > 1:
         raise ValidationError("grids must share dimensions")
-    counts = sum(chunk.sum(axis=0) for chunk in _grid_counts(grids, cells))
+    counts = sum(chunk.sum(axis=0) for chunk in _counts(size, scopes, blocks))
     return ScopedDistributions(*_smoothed(counts, alpha), (cell_rows, cell_cols))
 
 
-def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
+def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> np.ndarray:
     """Each position's cell under a (rows, cols) tiling, as a label map."""
     (height, width), (rows, cols) = shape, cells
     if rows < 1 or cols < 1:
@@ -208,56 +211,78 @@ def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> SemanticGrid:
     row, col = cell_of_position(
         np.arange(height)[:, None], np.arange(width)[None, :], height, width, rows, cols
     )
-    return SemanticGrid(height, width, rows * cols, row * cols + col)
+    return row * cols + col
 
 
-def _grid_shapes(grids: TokenBatch | Sequence[TokenGrid]) -> list[tuple[int, int]]:
-    batch = isinstance(grids, TokenBatch)
-    return [grids.tokens.shape[1:]] * len(grids) if batch else [g.tokens.shape for g in grids]
+def _blocks(grids, maps=None, cells=None) -> tuple[int, set, list]:
+    """Codebook size, label counts and (tokens, labels) blocks of a batch, a
+    packed corpus (`GridRun`s, whose labels are their maps) or a list of
+    grids with `maps`, one per grid or one for all.  A block is consecutive
+    grids of one shape and their maps (None without), each a sequence of 2-D
+    arrays; `cells` gives every grid its shape's cell map instead."""
+    runs = [GridRun(grids)] if isinstance(grids, TokenBatch) else grids
+    if runs and isinstance(runs[0], GridRun):
+        sizes = {run.grids.codebook_size for run in runs}
+        blocks = [(run.grids.tokens, run.labels) for run in runs]
+        scopes = {run.label_count for run in runs if run.labels is not None}
+        if scopes and any(run.labels is None for run in runs):
+            raise ValidationError("some runs hold label maps and some do not")
+    else:
+        sizes = {grid.codebook_size for grid in grids}
+        blocks = [([grid.tokens for grid in run], None) for _, run in groupby(grids, lambda g: g.tokens.shape)]
+        scopes = set()
+    if len(sizes) != 1:
+        raise ValidationError(f"codebook size mismatch across grids: {sorted(sizes)}" if sizes else "empty grid list")
+    if maps is not None:
+        maps = [maps] * sum(len(tokens) for tokens, _ in blocks) if isinstance(maps, SemanticGrid) else maps
+        scopes, start = {sem.label_count for sem in maps}, 0
+        for i, (tokens, _) in enumerate(blocks):
+            part, start = maps[start : start + len(tokens)], start + len(tokens)
+            for sem in part:
+                if sem.labels.shape != tokens[0].shape:
+                    raise ValidationError(
+                        "grid is {}x{} but semantic map is {}x{}".format(*tokens[0].shape, *sem.labels.shape)
+                    )
+            blocks[i] = (tokens, [sem.labels for sem in part])
+    if cells is not None:
+        blocks = [(tokens, [_cell_map(tokens[0].shape, cells)] * len(tokens)) for tokens, _ in blocks]
+        scopes = {cells[0] * cells[1]}
+    return sizes.pop(), scopes, blocks
+
+
+def _chunks(blocks: list, limit: int, floor: int = 0) -> Iterator[tuple]:
+    """(tokens, labels) slices of each block: limit // max(positions per
+    grid, floor) consecutive grids at a time, or one."""
+    for tokens, labels in blocks:
+        step = max(1, limit // max(tokens[0].size if len(tokens) else 1, floor))
+        for first in range(0, len(tokens), step):
+            part = slice(first, first + step)
+            yield tokens[part], None if labels is None else labels[part]
 
 
 def _grid_counts(grids, maps=None) -> Iterator[np.ndarray]:
-    """(grid, scope, token) counts of a batch or of grids of one codebook
-    size, one array per chunk of consecutive grids.
+    """(grid, scope, token) counts of `_blocks(grids, maps)`, one array per chunk."""
+    return _counts(*_blocks(grids, maps))
 
-    A position's scope is its label in its grid's map (``maps`` holds one
-    per grid, or one for all): a semantic label, or a cell (`_cell_map`).
-    Without maps every position is in scope 0.  A chunk holds consecutive
-    grids of one shape, _CHUNK_POSITIONS // max(positions, scopes x codebook
-    size) of them or one.
-    """
-    shapes = _grid_shapes(grids)
-    if isinstance(grids, TokenBatch):
-        size, tokens = grids.codebook_size, grids.tokens
-    else:
-        sizes = {grid.codebook_size for grid in grids}
-        if len(sizes) > 1:
-            raise ValidationError(f"codebook size mismatch across grids: {sorted(sizes)}")
-        size, tokens = sizes.pop(), [grid.tokens for grid in grids]
-    maps = [maps] * len(shapes) if isinstance(maps, SemanticGrid) else maps
-    scopes = max(sem.label_count for sem in maps) if maps else 1
+
+def _counts(size: int, scopes: set, blocks: list) -> Iterator[np.ndarray]:
+    """(grid, scope, token) counts of blocks, one array per chunk of
+    _CHUNK_POSITIONS // max(positions, scopes x codebook size) grids of one
+    block, or one.  A position's scope is its label (0 without labels), and
+    there are as many scopes as the largest label count."""
+    scopes = max(scopes, default=1)
     if scopes * size > COUNT_CELL_LIMIT:
         raise ValidationError(f"{scopes} scopes x {size} tokens exceeds the limit {COUNT_CELL_LIMIT}")
-    for (height, width), sem in zip(shapes, maps or ()):
-        if (sem.height, sem.width) != (height, width):
-            raise ValidationError(
-                f"grid is {height}x{width} but semantic map is {sem.height}x{sem.width}"
-            )
-    start = 0
-    for (height, width), run in groupby(shapes):
-        end = start + len(list(run))
-        step = max(1, _CHUNK_POSITIONS // max(height * width, scopes * size))
-        for first in range(start, end, step):
-            n = min(step, end - first)
-            # (grid, token, scope) codes, built in place and dropped before the yield.
-            index = np.concatenate(tokens[first : first + n], dtype=np.int64).reshape(n, -1)
-            index += (np.arange(n) * size)[:, None]
-            if maps:
-                index *= scopes
-                index += np.concatenate([sem.labels for sem in maps[first : first + n]]).reshape(n, -1)
-            index = np.bincount(index.reshape(-1), minlength=n * size * scopes)
-            yield index.reshape(n, size, scopes).transpose(0, 2, 1)
-        start = end
+    for tokens, labels in _chunks(blocks, _CHUNK_POSITIONS, scopes * size):
+        n = len(tokens)
+        # (grid, token, scope) codes, built in place and dropped before the yield.
+        index = np.concatenate(tokens, dtype=np.int64).reshape(n, -1)
+        index += (np.arange(n) * size)[:, None]
+        if labels is not None:
+            index *= scopes
+            index += np.concatenate(labels).reshape(n, -1)
+        index = np.bincount(index.reshape(-1), minlength=n * size * scopes)
+        yield index.reshape(n, size, scopes).transpose(0, 2, 1)
 
 
 def _smoothed(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,22 +295,17 @@ def _smoothed(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]
     return rows, masses
 
 
-def _estimates(grids, alpha: float, maps=None, cells=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each grid's own smoothed rows and masses, as (grids, scopes, K) and
-    (grids, scopes) arrays: global, per label of its map in ``maps`` (all
-    with one label count), or per cell of a (rows, cols) tiling of its shape."""
-    if cells is not None:
-        shapes = _grid_shapes(grids)
-        by_shape = {shape: _cell_map(shape, cells) for shape in dict.fromkeys(shapes)}
-        maps = [by_shape[shape] for shape in shapes]
-    elif maps is not None and len({sem.label_count for sem in maps}) > 1:
+def _estimates(size: int, scopes: set, blocks: list, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid's own smoothed rows and masses of `_blocks`, as (grids,
+    scopes, K) and (grids, scopes) arrays; maps must share one label count."""
+    if len(scopes) > 1:
         raise ValidationError("scope layout mismatch across estimates")
-    parts = [_smoothed(counts, alpha) for counts in _grid_counts(grids, maps)]
+    parts = [_smoothed(counts, alpha) for counts in _counts(size, scopes, blocks)]
     return np.concatenate([rows for rows, _ in parts]), np.concatenate([m for _, m in parts])
 
 
-def _layout(maps, cells) -> str | tuple[int, int]:
-    return tuple(cells) if cells is not None else "global" if maps is None else "regional"
+def _layout(scopes: set, cells) -> str | tuple[int, int]:
+    return tuple(cells) if cells is not None else "regional" if scopes else "global"
 
 
 def _mean_rows(rows: np.ndarray, masses: np.ndarray, order, layout) -> ScopedDistributions:
@@ -353,7 +373,7 @@ def check_draws(draws: int) -> None:
 
 
 def monte_carlo_distribution(
-    grids: Sequence[TokenGrid],
+    grids: Sequence[TokenGrid] | Sequence[GridRun],
     draws: int,
     smoothing_alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
@@ -362,17 +382,25 @@ def monte_carlo_distribution(
 ) -> ScopedDistributions:
     """Uniformly average, in draw order, the estimates of ``draws`` grids
     drawn with replacement: global, per label of each grid's map in
-    ``maps``, or per cell of a (rows, cols) tiling.  Deterministic for a
-    given seed; each distinct drawn grid is counted once."""
+    ``maps`` (a packed corpus, a list of `GridRun`s, holds its maps in its
+    runs), or per cell of a (rows, cols) tiling.  Deterministic for a given
+    seed; each distinct drawn grid is counted once, read from its run
+    without a copy of the corpus.  The whole corpus must share one codebook
+    size and, with maps, one label count."""
     alpha = _check_alpha(smoothing_alpha)
     check_draws(draws)
     if not grids:
         raise ValidationError("empty corpus")
-    drawn, order = np.unique(draw_indices(len(grids), draws, seed), return_inverse=True)
-    picked = drawn.tolist()
-    maps = None if maps is None else [maps[i] for i in picked]
-    rows, masses = _estimates([grids[i] for i in picked], alpha, maps, cells)
-    return _mean_rows(rows, masses, order, _layout(maps, cells))
+    size, scopes, blocks = _blocks(grids, maps, cells)
+    starts = np.cumsum([0] + [len(tokens) for tokens, _ in blocks])
+    drawn, order = np.unique(draw_indices(int(starts[-1]), draws, seed), return_inverse=True)
+    picked = []
+    for (tokens, labels), first, stop in zip(blocks, starts, starts[1:]):
+        rows = (drawn[(drawn >= first) & (drawn < stop)] - first).tolist()
+        if rows:
+            picked.append(([tokens[i] for i in rows], None if labels is None else [labels[i] for i in rows]))
+    rows, masses = _estimates(size, scopes, picked, alpha)
+    return _mean_rows(rows, masses, order, _layout(scopes, cells))
 
 
 # Names the benchmark harness calls: each layout's one body, and the

@@ -32,11 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MALFORMED_JSON, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, require_same_shape,
-    unique_keys,
+    MALFORMED_JSON, GridRun, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, unique_keys,
 )
-from .distributions import DEFAULT_ALPHA, ScopedDistributions, smoothed_rows
-from .formats import GRID_VOCAB_LIMIT, dump_json
+from .distributions import DEFAULT_ALPHA, ScopedDistributions, _blocks, _chunks, smoothed_rows
+from .formats import GRID_VOCAB_LIMIT
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
 MODEL_CELL_LIMIT = 2**26
@@ -54,6 +53,9 @@ DEFAULT_CONTEXT = (OFFSET_NAMES["left"], OFFSET_NAMES["above"])
 # Training codes and counts the corpus in chunks of whole grids of about
 # this many positions (a single larger grid is a chunk of its own).
 _CHUNK_POSITIONS = 2**16
+
+# `save_model` encodes and writes this many table entries at a time.
+_SAVE_ENTRIES = 1024
 
 # `states` looks codes up in a dense array (2 MiB of int64) up to this many
 # codes, and in the sorted codes of the states beyond it.
@@ -311,37 +313,43 @@ def _rank(ranks: dict, i: int, code: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def train_markov_prior(
-    corpus: Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
+    corpus: Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]] | Sequence[GridRun],
     context: Sequence[tuple[int, int]] = DEFAULT_CONTEXT,
     conditional: bool = False,
     smoothing_alpha: float = DEFAULT_ALPHA,
 ) -> MarkovGridPrior:
-    """Accumulate (context, label) -> next-token counts over a corpus.
+    """Accumulate (context, label) -> next-token counts over a corpus: grids,
+    (grid, semantics) pairs, or a packed corpus (`load_grid_directory`'s
+    runs, counted straight from their arrays; a run's labels are its maps).
 
     Purely deterministic: the tables depend only on the corpus content, not
     on iteration order.
     """
     context = validate_context_template(context)
-    pairs = grid_pairs(corpus)
-    if not pairs:
+    packed = bool(corpus) and isinstance(corpus[0], GridRun)
+    if packed:
+        keys = [(run.grids.codebook_size, None if run.labels is None else run.label_count) for run in corpus]
+    else:
+        pairs = grid_pairs(corpus)
+        keys = [(grid.codebook_size, None if sem is None else sem.label_count) for grid, sem in pairs]
+    if not keys:
         raise ValidationError("empty training corpus")
-    size = pairs[0][0].codebook_size
-    label_count = None
-    for grid, sem in pairs:
-        if grid.codebook_size != size:
+    size, label_count = keys[0][0], keys[0][1] if conditional else None
+    for key_size, labels in keys:
+        if key_size != size:
             raise ValidationError("training corpus mixes codebook sizes")
         if conditional:
-            if sem is None:
+            if labels is None:
                 raise ValidationError(
                     "conditional training requires a semantic map for every grid"
                 )
-            require_same_shape(grid, sem)
-            if label_count is None:
-                label_count = sem.label_count
-            elif sem.label_count != label_count:
+            if labels != label_count:
                 raise ValidationError("training corpus mixes label counts")
+    # A list's maps are checked against their grids' shapes, and kept, when conditional.
+    maps = [sem for _, sem in pairs] if conditional and not packed else None
+    blocks = _blocks(corpus if packed else [grid for grid, _ in pairs], maps)[2]
 
-    contexts, labels, counts = _count_states(pairs, context, conditional, size, label_count)
+    contexts, labels, counts = _count_states(blocks, context, conditional, size, label_count)
     return MarkovGridPrior(
         codebook_size=size,
         context=context,
@@ -373,7 +381,7 @@ def _check_model_size(states: int, size: int) -> None:
 
 
 def _count_states(
-    pairs: Sequence[tuple[TokenGrid, SemanticGrid | None]],
+    blocks: list,
     context: tuple[tuple[int, int], ...],
     conditional: bool,
     size: int,
@@ -383,11 +391,12 @@ def _count_states(
 
     Each position becomes one mixed-radix code whose digits are its
     template tokens (plus one, so the boundary marker is 0), its label when
-    conditional, and its token, added one digit at a time.  The corpus is
-    coded in chunks of whole grids, about _CHUNK_POSITIONS positions each;
-    np.unique counts a chunk's codes, and these sparse (code, count) runs
-    are added into one sorted running total whenever they hold as many
-    codes as it does.  Before a digit would overflow int64, the code so far
+    conditional, and its token, added one digit at a time.  The corpus's
+    `_blocks` are coded in chunks of whole grids, about _CHUNK_POSITIONS
+    positions each: a packed run's slices as they are, a list's grids (and
+    maps) stacked.  np.unique counts a chunk's codes, and these sparse
+    (code, count) runs are added into one sorted running total whenever
+    they hold as many codes as it does.  Before a digit would overflow int64, the code so far
     is replaced by its rank among the codes the whole corpus has there (one
     more pass of the same counting finds them), so ranks agree across
     chunks.  divmod, through the rank tables, decodes the total.  States
@@ -395,11 +404,10 @@ def _count_states(
     """
     slots = len(context)
     radices = [size + 1] * slots + ([label_count] if conditional else []) + [size]
-    chunks = _chunks(pairs)
 
-    def codes(chunk: list, digits: int) -> np.ndarray:
+    def codes(tokens, labels, digits: int) -> np.ndarray:
         """Codes of the first `digits` digits at each position of a chunk."""
-        tokens = np.stack([grid.tokens for grid, _ in chunk])
+        tokens = np.asarray(tokens)
         code = np.zeros(tokens.size, dtype=np.int64)
         for i, radix in enumerate(radices[:digits]):
             if i in ranks:
@@ -408,7 +416,7 @@ def _count_states(
                 digit = _shifted_tokens(tokens, *context[i])
                 digit += 1
             elif i == slots and conditional:
-                digit = np.stack([sem.labels for _, sem in chunk])
+                digit = np.asarray(labels)
             else:
                 digit = tokens
             code *= radix
@@ -419,8 +427,8 @@ def _count_states(
         """Sorted distinct codes of the first `digits` digits, and their counts."""
         total = (np.empty(0, dtype=np.int64),) * 2
         runs, pending = [], 0
-        for chunk in chunks:
-            runs.append(np.unique(codes(chunk, digits), return_counts=True))
+        for tokens, labels in _chunks(blocks, _CHUNK_POSITIONS):
+            runs.append(np.unique(codes(tokens, labels, digits), return_counts=True))
             pending += runs[-1][0].size
             if pending >= total[0].size:
                 total, runs, pending = _add_runs([total, *runs]), [], 0
@@ -449,21 +457,6 @@ def _count_states(
     return digits[:, :slots] - 1, labels, counts
 
 
-def _chunks(pairs: list) -> list[list]:
-    """Consecutive runs of pairs whose grids share one shape: as many as fit
-    in _CHUNK_POSITIONS positions, or a single grid."""
-    chunks = []
-    for pair in pairs:
-        tokens, last = pair[0].tokens, chunks[-1] if chunks else None
-        if last and last[0][0].tokens.shape == tokens.shape and (
-            (len(last) + 1) * tokens.size <= _CHUNK_POSITIONS
-        ):
-            last.append(pair)
-        else:
-            chunks.append([pair])
-    return chunks
-
-
 def _add_runs(runs: list) -> tuple[np.ndarray, np.ndarray]:
     """One sorted run of distinct codes from sorted (codes, counts) runs,
     the counts of equal codes added; at least one run holds a code."""
@@ -475,28 +468,36 @@ def _add_runs(runs: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_model(path: str | Path, model: MarkovGridPrior) -> None:
-    """Write the model as deterministic JSON: states by context, then label."""
-    order = np.lexsort((model.labels, *model.contexts.T[::-1]))
-    tables = []
-    for ctx, label, row in zip(
-        model.contexts[order].tolist(), model.labels[order].tolist(), model.counts[order]
-    ):
-        tokens = np.flatnonzero(row > 0)
-        entry = {
-            "context": ["B" if t == BOUNDARY else t for t in ctx],
-            "label": None if label < 0 else label,
-            "counts": dict(zip(map(str, tokens.tolist()), row[tokens].tolist())),
-        }
-        tables.append(entry)
-    payload = {
+    """Write the model as deterministic JSON, `dump_json`'s bytes: states by
+    context, then label, encoded and written _SAVE_ENTRIES table entries at
+    a time."""
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    head = encode({
         "codebook_size": model.codebook_size,
         "context": [[dr, dc] for dr, dc in model.context],
         "conditional": model.conditional,
         "label_count": model.label_count,
         "smoothing_alpha": model.smoothing_alpha,
-        "tables": tables,
-    }
-    dump_json(path, payload)
+        "tables": [],
+    })
+    order = np.lexsort((model.labels, *model.contexts.T[::-1]))
+    contexts, labels = model.contexts[order].tolist(), model.labels[order].tolist()
+    # "tables" sorts last, so the head ends with its empty list: '[]\n}'.
+    with open(path, "w") as out:
+        out.write(head[:-4] + ("[" if order.size else "[]\n}\n"))
+        for start in range(0, order.size, _SAVE_ENTRIES):
+            entries = []
+            for i in range(start, min(start + _SAVE_ENTRIES, order.size)):
+                row = model.counts[order[i]]
+                tokens = np.flatnonzero(row > 0)
+                entries.append({
+                    "context": ["B" if t == BOUNDARY else t for t in contexts[i]],
+                    "label": None if labels[i] < 0 else labels[i],
+                    "counts": dict(zip(map(str, tokens.tolist()), row[tokens].tolist())),
+                })
+            # A list's entries one level deeper: '[\n  {...},\n  {...}\n]' less its brackets.
+            out.write(("," if start else "") + encode(entries)[1:-2].replace("\n", "\n  "))
+        out.write("\n  ]\n}\n" if order.size else "")
 
 
 def load_model(path: str | Path) -> MarkovGridPrior:

@@ -27,7 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MALFORMED_JSON, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, check_rows
+from .core import (
+    MALFORMED_JSON, GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, _typed, check_rows,
+    require_same_shape,
+)
 from .formats import (
     GRID_VOCAB_LIMIT, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 )
@@ -216,19 +219,6 @@ def generate_scenes(
         tokens = np.take_along_axis(fresh, np.maximum.accumulate(source, axis=2), axis=2)
         for grid, label_map in zip(tokens, labels):
             yield TokenGrid(height, width, size, grid), SemanticGrid(height, width, label_count, label_map)
-
-
-def generate_scene(
-    style: StyleSpec, layout: LayoutSpec, height: int, width: int, seed: int
-) -> tuple[TokenGrid, SemanticGrid]:
-    """Realize a layout and fill it with style-drawn tokens: `generate_scenes`
-    for one scene.
-
-    Both draws are consumed at every position, including column 0 and
-    positions whose left neighbor has a different label, so the stream
-    stays aligned with position indices regardless of layout content.
-    """
-    return next(generate_scenes([style], [layout], height, width, [seed]))
 
 
 def _style_from_dict(payload: dict, codebook_size: int, label_count: int) -> StyleSpec:
@@ -521,23 +511,46 @@ def load_exemplars(
     return list(iter_entries(base, entries, with_semantics))
 
 
-def iter_grid_directory(
-    directory: str | Path, with_semantics: bool = True
-) -> Iterator[tuple[TokenGrid, SemanticGrid | None]]:
-    """Stream a corpus, one grid at a time, from its `grid_entries` under
-    "scenes".  A missing manifest list or an empty directory raises at once;
-    each file is read and validated when reached."""
+def load_grid_directory(
+    directory: str | Path, with_semantics: bool = True, keep_semantics: bool | None = None
+) -> list[GridRun]:
+    """A corpus directory's `grid_entries` under "scenes", packed: runs of
+    consecutive grids of one shape, codebook size and (kept) label count.
+
+    Each file is read and checked as `iter_entries` reads it, maps too with
+    `with_semantics`, and copied into its run's read-only arrays: tokens in
+    `np.min_scalar_type(-K)` (one byte each up to K = 128) and, with
+    `keep_semantics` (default `with_semantics`), labels in the label count's
+    smallest type.  An empty directory raises at once.
+    """
     entries = grid_entries(directory, "scenes")
     if entries == []:
         raise ValidationError(f"{directory}: no token grids found")
-    return iter_entries(Path(directory), entries, with_semantics)
+    keep = with_semantics if keep_semantics is None else keep_semantics
+    runs, key = [], None
+    for read, (grid, sem) in enumerate(iter_entries(Path(directory), entries, with_semantics)):
+        sem = sem if keep else None
+        if sem is not None:
+            require_same_shape(grid, sem)
+        found = (grid.tokens.shape, grid.codebook_size, sem and sem.label_count)
+        if found != key:
+            if key:
+                runs.append(_packed_run(key, tokens, labels, filled))
+            key, filled = found, 0
+            tokens = np.empty((len(entries) - read, *key[0]), np.min_scalar_type(-key[1]))
+            labels = sem and np.empty(tokens.shape, np.min_scalar_type(-key[2]))
+        tokens[filled] = grid.tokens
+        if sem is not None:
+            labels[filled] = sem.labels
+        filled += 1
+    runs.append(_packed_run(key, tokens, labels, filled))
+    return runs
 
 
-def load_grid_directory(
-    directory: str | Path, with_semantics: bool = True
-) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    """`iter_grid_directory`, the whole corpus read into a list."""
-    return list(iter_grid_directory(directory, with_semantics))
+def _packed_run(key: tuple, tokens: np.ndarray, labels: np.ndarray | None, filled: int) -> GridRun:
+    """A run of the first `filled` grids read, copied out of arrays with room to spare."""
+    tokens, labels = (a if a is None or filled == len(a) else a[:filled].copy() for a in (tokens, labels))
+    return GridRun(TokenBatch(_readonly(tokens), key[1]), labels if labels is None else _readonly(labels), key[2])
 
 
 def default_landscape_config() -> BenchmarkConfig:

@@ -36,7 +36,7 @@ from gcs.formats import (
 from gcs.prior import MODEL_CELL_LIMIT, load_model, save_model, train_markov_prior
 from gcs.rng import split_seed
 from gcs.sampler import SamplingConfig, sample_grid
-from gcs.world import BenchmarkConfig, LayoutSpec, StyleSpec
+from gcs.world import BenchmarkConfig, LayoutSpec, StyleSpec, default_landscape_config, make_benchmark
 
 from conftest import random_grid, random_semantics
 from test_world import small_config
@@ -464,6 +464,53 @@ def test_unconditional_training_reads_no_semantic_maps(tmp_path, rng, capsys):
     assert main([*argv, "--conditional"]) == 2
     err = capsys.readouterr().err
     assert "truncated SGRD file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, vary, message", [
+    ("train-prior", "codebook", "training corpus mixes codebook sizes"),
+    ("train-prior --conditional", "labels", "training corpus mixes label counts"),
+    ("dataset-stats --k 1", "codebook", "codebook size mismatch across grids: [4, 6]"),
+    ("dataset-stats --k 1 --by-region", "labels", "scope layout mismatch across estimates"),
+])
+def test_mixed_corpus_vocabularies_are_refused(tmp_path, rng, capsys, command, vary, message):
+    # A grid of another codebook size or label count packs into a run of its
+    # own; the commands refuse the mix whichever grids they draw.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, (size, labels) in enumerate(((4, 2), (6, 2) if vary == "codebook" else (4, 3))):
+        write_token_grid(corpus / f"g{i}.tgrd", random_grid(rng, 4, 4, size))
+        write_semantic_grid(corpus / f"g{i}.sgrd", random_semantics(rng, 4, 4, labels))
+    out = tmp_path / "out.json"
+    assert main([*command.split(), "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_corpus_commands_hold_about_one_byte_per_token(tmp_path, capsys):
+    # Packed runs keep a 32-token corpus at one byte per token: from 200 to
+    # 800 32x32 grids, each command's traced peak grows by at most 3 bytes
+    # per added token (int64 grids took more than 8).
+    commands = {
+        "train-prior": "train-prior --corpus {}/corpus --out {}/model.json",
+        "dataset-stats": "dataset-stats --corpus {}/corpus --out {}/stats.json --seed 0",
+    }
+    config = default_landscape_config().to_dict()
+    peaks = {}
+    for size in (200, 200, 800):  # the first pass warms one-time allocations
+        bench = tmp_path / str(size)
+        if not bench.exists():
+            make_benchmark(BenchmarkConfig.from_dict({**config, "corpus_size": size, "exemplars_per_style": 1}), bench)
+        for name, command in commands.items():
+            tracemalloc.start()
+            try:
+                assert main(command.format(bench, tmp_path).split()) == 0
+                peaks[name, size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    for name in commands:
+        growth = (peaks[name, 800] - peaks[name, 200]) / (600 * 32 * 32)
+        assert growth <= 3, (name, growth)
 
 
 class TestSample:

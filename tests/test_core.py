@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from gcs.core import (
+    GridRun,
     SemanticGrid,
     TokenBatch,
     TokenGrid,
     ValidationError,
     check_rows,
     require_same_shape,
-    validate_grid,
 )
 from gcs.world import StyleSpec, _style_from_dict
 
@@ -158,25 +158,24 @@ class TestSemanticGrid:
         assert g.label_count == 1
 
 
-class TestValidateGrid:
-    def test_passes_good_grid(self):
-        validate_grid(TokenGrid(1, 4, 4, [0, 1, 2, 3]))
-
-    def test_spec_position_report(self):
-        # An offending value is reported with its raster position.  The
-        # constructor already validates, so forge a grid around it.
-        grid = TokenGrid(2, 2, 4, [0, 1, 0, 3])
-        object.__setattr__(grid, "tokens", np.array([[0, 1], [0, 4]]))
-        with pytest.raises(ValidationError) as exc:
-            validate_grid(grid)
-        assert "token 4 out of range at (1, 1)" in str(exc.value)
-
-    def test_length_mismatch(self):
-        grid = TokenGrid(2, 2, 4, [0, 1, 0, 3])
-        object.__setattr__(grid, "tokens", np.array([[0, 1, 0]]))
-        with pytest.raises(ValidationError) as exc:
-            validate_grid(grid)
-        assert "length mismatch" in str(exc.value)
+class TestGridRun:
+    def test_labels_are_checked(self):
+        grids = TokenBatch(np.zeros((2, 2, 3), dtype=np.int8), 4)
+        labels = np.ones((2, 2, 3), dtype=np.int8)
+        labels.setflags(write=False)
+        assert GridRun(grids, labels, 2).labels is labels
+        assert GridRun(grids).labels is None
+        bad = {
+            "writable": (labels.copy(), 2),
+            "shape": (labels[:1], 2),
+            "range": (labels, 1),
+            "float": (labels.astype(float), 2),
+            "no-count": (labels, None),
+        }
+        for name, (values, count) in bad.items():
+            values.setflags(write=name == "writable")
+            with pytest.raises(ValidationError, match="run labels must be"):
+                GridRun(grids, values, count)
 
 
 class TestRequireSameShape:

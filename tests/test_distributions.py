@@ -16,6 +16,7 @@ from gcs.distributions import (
     histogram_by_cell,
     histogram_by_region,
     histogram_from_grid,
+    histograms,
     monte_carlo_dataset_distribution,
     monte_carlo_regional_distribution,
     monte_carlo_spatial_distribution,
@@ -184,6 +185,11 @@ class TestHistogramByCell:
         with pytest.raises(ValidationError) as exc:
             histogram_by_cell([TokenGrid(2, 2, 3, [[0, 1], [2, 0]])], 3, 1)
         assert "finer than" in str(exc.value)
+
+    def test_empty_grid_list_rejected(self):
+        for count in (lambda: histogram_by_cell([], 1, 1), lambda: histograms([])):
+            with pytest.raises(ValidationError, match="^empty grid list$"):
+                count()
 
     def test_mismatched_grids_rejected(self):
         a = TokenGrid(2, 2, 3, [[0, 1], [2, 0]])

@@ -11,6 +11,7 @@ import argparse
 import ast
 import importlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -188,3 +189,30 @@ def test_benchmark_set_up_runs_on_every_stats_kind(perfbench, tmp_path):
     )
     report = guidance_report(guided, plain, target, regions=setup.semantics)
     assert set(report.kl_reduction_per_label) == {0, 1}
+
+
+def replay_span_names():
+    """The span names `layers._replay_metrics` reads through its `spans` helper."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    body = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_replay_metrics")
+    return sorted({
+        node.args[0].value for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "spans"
+    })
+
+
+def test_traced_replay_records_every_span_the_benchmark_reads(perfbench, tmp_path):
+    # A traced run takes per-layer numbers from the spans of the walkthrough
+    # replayed in-process; a command that stops making one of those calls
+    # would end every traced run with a LookupError.
+    bench_inputs = importlib.import_module("inputs")
+    inputs = bench_inputs.derive(0, quick=True)
+    (tmp_path / "world.json").write_text(json.dumps(bench_inputs.world_config_dict(inputs.world_seed, inputs.sizes)))
+    tracer = perfbench["spans"].Tracer()
+    with tracer.instrument(), tracer.span("bench.walkthrough"):
+        codes = perfbench["walkthrough"].replay(inputs, tmp_path, tracer)
+    assert set(codes.values()) == {0}
+    names = replay_span_names()
+    assert "world.load_grid_directory" in names and "formats.read_semantic_grid" in names
+    for name in names:
+        assert len(tracer.durations(name, within="bench.walkthrough")), name

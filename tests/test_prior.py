@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gcs import prior
-from gcs.core import SemanticGrid, TokenGrid, ValidationError
+from gcs.core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from gcs.distributions import histogram_from_grid
 from gcs.guidance import LikelihoodTable, global_likelihood_table
 from gcs.prior import (
@@ -53,6 +53,26 @@ def brute_force_counts(pairs, context, conditional):
                 token = int(grid.tokens[row, col])
                 tokens[token] = tokens.get(token, 0) + 1
     return counts
+
+
+def chunk_sizes(pairs):
+    """Grids per training chunk of a list corpus."""
+    blocks = prior._blocks([grid for grid, _ in pairs])[2]
+    return [len(tokens) for tokens, _ in prior._chunks(blocks, prior._CHUNK_POSITIONS)]
+
+
+def packed(pairs):
+    """The pairs as `load_grid_directory` packs them: runs of one shape,
+    tokens and labels in their vocabularies' smallest types."""
+    runs = []
+    for _, run in itertools.groupby(pairs, lambda pair: pair[0].tokens.shape):
+        grids, maps = zip(*run)
+        size, count = grids[0].codebook_size, maps[0].label_count
+        tokens = np.stack([grid.tokens for grid in grids]).astype(np.min_scalar_type(-size))
+        labels = np.stack([sem.labels for sem in maps]).astype(np.min_scalar_type(-count))
+        labels.setflags(write=False)
+        runs.append(GridRun(TokenBatch(tokens, size), labels, count))
+    return runs
 
 
 class TestContextTemplates:
@@ -287,16 +307,17 @@ class TestTraining:
                 (random_grid(rng, height, width, size), random_semantics(rng, height, width, 3))
                 for _ in range(6)
             ])
-            assert [len(c) for c in prior._chunks(corpora[-1])] == sizes
+            assert chunk_sizes(corpora[-1]) == sizes
         # A change of grid shape starts a new chunk.
         shapes = ((5, 6), (3, 4)) * 3
         mixed = [(random_grid(rng, h, w, 7), random_semantics(rng, h, w, 3)) for h, w in shapes]
-        assert len(prior._chunks(mixed)) == 6
+        assert len(chunk_sizes(mixed)) == 6
         for pairs in corpora + [mixed]:
             for context in (LEFT, DEFAULT_CONTEXT, FOUR_SLOTS):
                 for conditional in (False, True):
                     model = train_markov_prior(pairs, context, conditional)
                     assert table(model) == brute_force_counts(pairs, context, conditional)
+                    assert table(train_markov_prior(packed(pairs), context, conditional)) == table(model)
                     keys = list(zip(model.contexts.tolist(), model.labels.tolist()))
                     assert keys == sorted(keys)  # model-JSON order
 
@@ -481,6 +502,42 @@ class TestModelIO:
         save_model(a, model)
         save_model(b, model)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("batch", [2, 1024])
+    @pytest.mark.parametrize("kind", ["default", "conditional", "4-slot", "single-state", "no-state"])
+    def test_saved_bytes_are_one_json_dump(self, tmp_path, rng, monkeypatch, kind, batch):
+        # Entries are encoded a batch at a time; the file is still the one
+        # sorted, indent-2 dump of the whole payload.
+        monkeypatch.setattr(prior, "_SAVE_ENTRIES", batch)
+        corpus = [(random_grid(rng, 5, 6, 7), random_semantics(rng, 5, 6, 3)) for _ in range(4)]
+        model = {
+            "default": lambda: train_markov_prior(corpus),
+            "conditional": lambda: train_markov_prior(corpus, conditional=True, smoothing_alpha=0.25),
+            "4-slot": lambda: train_markov_prior(corpus, FOUR_SLOTS),
+            "single-state": lambda: train_markov_prior([TokenGrid(1, 1, 3, [2])], LEFT, smoothing_alpha=0),
+            "no-state": lambda: MarkovGridPrior(4, LEFT),
+        }[kind]()
+        order = np.lexsort((model.labels, *model.contexts.T[::-1]))
+        tables = []
+        for ctx, label, row in zip(model.contexts[order].tolist(), model.labels[order].tolist(), model.counts[order]):
+            tokens = np.flatnonzero(row > 0)
+            tables.append({
+                "context": ["B" if t == BOUNDARY else t for t in ctx],
+                "label": None if label < 0 else label,
+                "counts": dict(zip(map(str, tokens.tolist()), row[tokens].tolist())),
+            })
+        payload = {
+            "codebook_size": model.codebook_size,
+            "context": [[dr, dc] for dr, dc in model.context],
+            "conditional": model.conditional,
+            "label_count": model.label_count,
+            "smoothing_alpha": model.smoothing_alpha,
+            "tables": tables,
+        }
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert len(tables) == {"single-state": 1, "no-state": 0}.get(kind, len(model.counts))
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_boundary_serialized_symbolically(self, tmp_path):
         model = train_markov_prior([TokenGrid(1, 2, 4, [0, 0])], context=LEFT)

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gcs.core import SemanticGrid, TokenGrid, ValidationError, validate_grid
+from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import (
     histogram_by_cell,
     histogram_by_region,
@@ -207,19 +207,10 @@ class TestGridValidation:
         height, width, size = data.draw(grid_shapes(4, 6))
         tokens = draw_digit_grid(data.draw, height, width, size + 2)
         if tokens.max() < size:
-            validate_grid(TokenGrid(height, width, size, tokens))
+            assert np.array_equal(TokenGrid(height, width, size, tokens).tokens, tokens)
         else:
             with pytest.raises(ValidationError):
                 TokenGrid(height, width, size, tokens)
-
-    @prop
-    @given(token_grids(max_side=4))
-    def test_forged_out_of_range_token_is_caught(self, grid):
-        bad = grid.tokens.copy()
-        bad[0, 0] = grid.codebook_size
-        object.__setattr__(grid, "tokens", bad)
-        with pytest.raises(ValidationError):
-            validate_grid(grid)
 
 
 class TestRoundTrips:

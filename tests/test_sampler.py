@@ -130,7 +130,7 @@ class TestInverseCdfRows:
         inputs = (probs, cumulative, rows, us)
         saved = [a.copy() for a in inputs]
         for a in inputs:
-            a.flags.writeable = False  # world.generate_scene passes read-only rows
+            a.flags.writeable = False  # world.generate_scenes passes read-only rows
 
         picked = inverse_cdf_rows(*inputs)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcs.core import ValidationError
+from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_from_grid
 from gcs.metrics import total_variation
 from gcs.world import (
@@ -12,9 +12,7 @@ from gcs.world import (
     LayoutSpec,
     StyleSpec,
     default_landscape_config,
-    generate_scene,
     generate_scenes,
-    iter_grid_directory,
     load_corpus,
     load_exemplars,
     load_grid_directory,
@@ -25,6 +23,11 @@ from gcs.world import (
 from gcs.formats import dump_json, read_token_grid, write_semantic_grid, write_token_grid
 
 from conftest import global_stats
+
+
+def generate_scene(style, layout, height, width, seed):
+    """One scene, as `generate_scenes` draws it for (style, layout, seed)."""
+    return next(generate_scenes([style], [layout], height, width, [seed]))
 
 
 def dist(probs):
@@ -455,8 +458,8 @@ class TestLoaders:
         for i, grid in enumerate(grids):
             write_token_grid(tmp_path / f"g{i}.tgrd", grid)
         loaded = load_grid_directory(tmp_path)
-        assert [g for g, _ in loaded] == grids
-        assert all(sem is None for _, sem in loaded)
+        assert unpacked(loaded) == [(grid, None) for grid in grids]
+        assert [run.labels for run in loaded] == [None]
 
     def test_directory_semantics_siblings(self, tmp_path, grid_factory, rng):
         from conftest import random_semantics
@@ -465,33 +468,92 @@ class TestLoaders:
         sem = random_semantics(rng, 4, 4, 2)
         write_token_grid(tmp_path / "g0.tgrd", grid)
         write_semantic_grid(tmp_path / "g0.sgrd", sem)
-        loaded = load_grid_directory(tmp_path)
-        assert loaded == [(grid, sem)]
+        assert unpacked(load_grid_directory(tmp_path)) == [(grid, sem)]
         bare = load_grid_directory(tmp_path, with_semantics=False)
-        assert bare == [(grid, None)]
+        assert unpacked(bare) == [(grid, None)]
 
     def test_streamed_directory_matches_loaded(self, tmp_path):
+        # The packed runs hold the grids and maps `load_corpus` reads, in order.
         make_benchmark(small_config(corpus_size=5, exemplars=1), tmp_path)
-        stream = iter_grid_directory(tmp_path)
-        assert iter(stream) is stream
-        assert list(stream) == load_grid_directory(tmp_path) == load_corpus(tmp_path)
-        bare = list(iter_grid_directory(tmp_path, with_semantics=False))
-        assert bare == load_grid_directory(tmp_path, with_semantics=False)
+        packed = load_grid_directory(tmp_path)
+        assert len(packed) == 1 and unpacked(packed) == load_corpus(tmp_path)
+        bare = unpacked(load_grid_directory(tmp_path, with_semantics=False))
+        assert bare == load_corpus(tmp_path, with_semantics=False)
+        checked = load_grid_directory(tmp_path, keep_semantics=False)
+        assert unpacked(checked) == bare
 
     def test_stream_reads_each_file_when_reached(self, tmp_path, grid_factory):
-        first = grid_factory(4, 4, 6)
-        write_token_grid(tmp_path / "g0.tgrd", first)
+        # Files are read in entry order; the first bad one fails the load.
+        write_token_grid(tmp_path / "g0.tgrd", grid_factory(4, 4, 6))
         (tmp_path / "g1.tgrd").write_bytes(b"TGRD")
-        stream = iter_grid_directory(tmp_path)
-        assert next(stream) == (first, None)
-        with pytest.raises(ValidationError):
-            next(stream)
+        (tmp_path / "g2.tgrd").write_bytes(b"XGRD" + bytes(20))
+        with pytest.raises(ValidationError, match="^truncated TGRD file: 4 bytes is too short$"):
+            load_grid_directory(tmp_path)
 
     def test_empty_directory(self, tmp_path):
-        for load in (load_grid_directory, iter_grid_directory):
-            with pytest.raises(ValidationError) as exc:
-                load(tmp_path)
-            assert "no token grids found" in str(exc.value)
+        with pytest.raises(ValidationError) as exc:
+            load_grid_directory(tmp_path)
+        assert "no token grids found" in str(exc.value)
+
+    def test_runs_split_where_shape_or_maps_change(self, tmp_path, rng):
+        # Bare directory: a run ends where the grid shape, the codebook size,
+        # the label count or the presence of a sibling map changes.
+        from conftest import random_grid, random_semantics
+
+        layout = [((4, 4), 6, 2), ((4, 4), 6, 2), ((3, 5), 6, 2), ((4, 4), 6, None),
+                  ((4, 4), 6, 3), ((4, 4), 6, 3), ((4, 4), 9, 3)]
+        expected = []
+        for i, (shape, size, labels) in enumerate(layout):
+            grid = random_grid(rng, *shape, size)
+            sem = None if labels is None else random_semantics(rng, *shape, labels)
+            write_token_grid(tmp_path / f"g{i}.tgrd", grid)
+            if sem is not None:
+                write_semantic_grid(tmp_path / f"g{i}.sgrd", sem)
+            expected.append((grid, sem))
+        packed = load_grid_directory(tmp_path)
+        assert [len(run.grids) for run in packed] == [2, 1, 1, 2, 1]
+        assert unpacked(packed) == expected
+        bare = load_grid_directory(tmp_path, with_semantics=False)
+        assert [len(run.grids) for run in bare] == [2, 1, 3, 1]
+        assert unpacked(bare) == [(grid, None) for grid, _ in expected]
+        for run in packed + bare:
+            assert not run.grids.tokens.flags.writeable
+            assert run.labels is None or not run.labels.flags.writeable
+
+    def test_a_map_of_another_shape_is_refused(self, tmp_path, grid_factory, rng):
+        from conftest import random_semantics
+
+        write_token_grid(tmp_path / "g0.tgrd", grid_factory(4, 4, 6))
+        write_semantic_grid(tmp_path / "g0.sgrd", random_semantics(rng, 4, 3, 2))
+        with pytest.raises(ValidationError, match="^grid is 4x4 but semantic map is 4x3$"):
+            load_grid_directory(tmp_path)
+        # A map read only to be checked need not match its grid.
+        assert len(load_grid_directory(tmp_path, keep_semantics=False)) == 1
+
+    @pytest.mark.parametrize("size, labels, tokens_type, labels_type", [
+        (2, 1, np.int8, np.int8), (128, 128, np.int8, np.int8),
+        (129, 129, np.int16, np.int16), (32769, 300, np.int32, np.int16),
+    ])
+    def test_run_types_follow_the_vocabularies(self, tmp_path, rng, size, labels, tokens_type, labels_type):
+        from conftest import random_semantics
+
+        grid = TokenGrid(2, 3, size, [[0, 1, size - 1], [size - 2, 0, 1]])
+        sem = random_semantics(rng, 2, 3, labels)
+        write_token_grid(tmp_path / "g0.tgrd", grid)
+        write_semantic_grid(tmp_path / "g0.sgrd", sem)
+        (run,) = load_grid_directory(tmp_path)
+        assert run.grids.tokens.dtype == tokens_type and run.labels.dtype == labels_type
+        assert unpacked([run]) == [(grid, sem)]
+
+
+def unpacked(runs):
+    """A packed corpus as the (grid, semantics) pairs `load_corpus` returns."""
+    pairs = []
+    for run in runs:
+        for i, grid in enumerate(run.grids):
+            sem = None if run.labels is None else SemanticGrid(grid.height, grid.width, run.label_count, run.labels[i])
+            pairs.append((grid, sem))
+    return pairs
 
 
 class TestBuiltinConfigs:
