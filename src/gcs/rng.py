@@ -13,6 +13,9 @@ Weyl sequence:
 domain from the draw domain so a child seed never collides with a parent
 draw.  Scalar (Python int) and vectorized (uint64 ndarray) variants are
 bit-identical, which the test suite checks.
+
+`index_from_unit` and `inverse_cdf_rows`, its binary search over many
+rows, pick every token of the sampler and the world from a unit draw.
 """
 
 from __future__ import annotations
@@ -91,18 +94,12 @@ def unit_draws_for_keys(keys: np.ndarray, counter: int) -> np.ndarray:
 def unit_draws_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Draws of many streams at many counters: [j, i] is unit_draw(keys[i], counters[j]).
 
-    The integers of `unit_bits_at` times 2^-53; at most two result-sized
-    buffers are live at once.
+    The raw draws of `draws_u64_at` shifted right by 11, times 2^-53; at
+    most two result-sized buffers are live at once.
     """
-    bits = unit_bits_at(keys, counters)
-    return bits * _U53_SCALE
-
-
-def unit_bits_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """The 53-bit integers of `unit_draws_at`: [j, i] * 2^-53 is unit_draw(keys[i], counters[j])."""
     x = draws_u64_at(keys, counters)
     x >>= np.uint64(11)
-    return x
+    return x * _U53_SCALE
 
 
 def draws_u64_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -114,6 +111,55 @@ def draws_u64_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     c = np.asarray(counters, dtype=np.uint64)[:, None]
     x = np.asarray(keys, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN)
     return _mix64_in_place(x, np.empty_like(x))
+
+
+def index_from_unit(
+    probs: np.ndarray, cumulative: np.ndarray, u: float
+) -> int:
+    """Map a unit draw through the inverse CDF of `probs`.
+
+    Ties at bin edges resolve to the lower index (searchsorted side="left").
+    Zero-probability entries can never be returned: an index landing on one
+    (possible only at shared cumulative values or after float shortfall at
+    the top) is pushed forward to the next positive entry, or back to the
+    last positive entry when there is none.
+    """
+    idx = int(np.searchsorted(cumulative, u, side="left"))
+    if idx < probs.shape[0] and probs[idx] > 0.0:
+        return idx
+    positive = np.flatnonzero(probs > 0.0)
+    return int(positive[min(np.searchsorted(positive, idx), positive.size - 1)])
+
+
+def inverse_cdf_rows(
+    probs: np.ndarray, cumulative: np.ndarray, rows: np.ndarray, us: np.ndarray
+) -> np.ndarray:
+    """`index_from_unit` for many draws at once: draw j picks from row rows[j].
+
+    `probs` and `cumulative` are (R, K) tables; none of the four inputs is
+    written to.  A branchless binary search counts the entries of each
+    draw's cumulative row below its draw, which is searchsorted(side="left"),
+    using O(len(us)) memory for any K.  It advances one flat index per draw
+    in place: a step gathers flat[base + half] as `flat[half:].take(base)`,
+    which stays inside the draw's row (base + half <= first + K - 1 while
+    the span exceeds 1) and keeps `take`'s bounds check.  Picks past the
+    end or on a zero-probability entry go through `index_from_unit`.
+    """
+    size = probs.shape[1]
+    flat = cumulative.reshape(-1)
+    first = rows * size
+    base, span = first.copy(), size  # each draw's answer lies in base .. base + span
+    while span > 1:
+        half = span // 2
+        base += half * (flat[half:].take(base) < us)
+        span -= half
+    below = base - first + (flat.take(base) < us)  # entries of the row below u
+    picked = np.minimum(below, size - 1)
+    fixup = (below == size) | (probs.reshape(-1).take(first + picked) <= 0.0)
+    for j in np.flatnonzero(fixup):
+        row = rows[j]
+        picked[j] = index_from_unit(probs[row], cumulative[row], float(us[j]))
+    return picked
 
 
 def draw_indices(population: int, count: int, seed: int) -> np.ndarray:

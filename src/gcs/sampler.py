@@ -14,15 +14,15 @@ names, with the weight row of the position's scope.
 `batch_sample` draws a wavefront per step: every position with the same
 skew * row + col, whose template slots all lie in earlier wavefronts.  It
 keeps a table of posterior rows, one per (scope, prior state), with their
-cumulative sums and bucket tables.  A step gathers its slots from the
-position-major (H * W + 1, n) token array, maps them with
-`MarkovGridPrior.codes` to context codes and those to each row's flat
-bucket offset, and picks every token of the wavefront with one
-bucket-table lookup per raw 64-bit draw; `inverse_cdf_rows` picks the
-draws whose bucket holds a cumulative value, so every pick is the binary
-search's.  A batch with as many draws as scopes x codes x M buckets builds
-every row first and lays the bucket rows out code-major, so a code is its
-offset; a smaller one maps codes to states and builds rows as met.
+cumulative sums.  A step gathers its slots from the position-major
+(H * W + 1, n) token array and maps them with `MarkovGridPrior.codes` to
+context codes.  A batch with fewer draws than scopes x codes x M buckets
+maps codes to states and those to rows, built as met, and picks every
+token with the binary search `inverse_cdf_rows`.  A larger one builds
+every row first, with a bucket table per row laid out code-major, so a
+code is its offset; one lookup per raw 64-bit draw picks most tokens,
+and `inverse_cdf_rows` the draws whose bucket holds a cumulative value,
+so every pick is the binary search's.
 
 Randomness is counter-based: one unit draw per raster position, taken from
 a per-grid stream key.  Sample i of a `batch_sample` call draws from the
@@ -40,7 +40,8 @@ import numpy as np
 from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError
 from .guidance import LikelihoodTable, rebalance_rows, scope_index
 from .prior import BOUNDARY, MarkovGridPrior
-from .rng import _U53_SCALE, draws_u64_at, mix64_array, seed_key, split_seed_array, unit_draw
+from .rng import _U53_SCALE, draws_u64_at, index_from_unit, inverse_cdf_rows, mix64_array, seed_key
+from .rng import split_seed_array, unit_draw
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,6 @@ class SamplingConfig:
             )
         if self.top_k is not None and self.top_k < 1:
             raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
-
-
-def index_from_unit(
-    probs: np.ndarray, cumulative: np.ndarray, u: float
-) -> int:
-    """Map a unit draw through the inverse CDF of `probs`.
-
-    Ties at bin edges resolve to the lower index (searchsorted side="left").
-    Zero-probability entries can never be returned: an index landing on one
-    (possible only at shared cumulative values or after float shortfall at
-    the top) is pushed forward to the next positive entry, or back to the
-    last positive entry when there is none.
-    """
-    idx = int(np.searchsorted(cumulative, u, side="left"))
-    if idx < probs.shape[0] and probs[idx] > 0.0:
-        return idx
-    positive = np.flatnonzero(probs > 0.0)
-    return int(positive[min(np.searchsorted(positive, idx), positive.size - 1)])
 
 
 def posterior_rows(
@@ -202,17 +185,18 @@ def batch_sample(
     """Draw `count` grids; sample i uses stream seed split_seed(seed, i).
 
     The batch is drawn one anti-diagonal wavefront of the grid at a time:
-    a `_RowTable` of step posteriors gives each element its row's flat
-    bucket offset, and one `_RowTable.pick` draws them all, each with its
-    raster position's raw 64-bit draw: a lookup in a table of 8K to 16K
-    buckets, with `inverse_cdf_rows` at the draw's 53-bit unit value as the
-    exact fallback.  A smoothed prior's table is completed up front when
-    its scopes x codes x M entries are no more than the batch's draws
-    (`_complete_pays`), so building every row costs at most about one pass
-    of sampling.  The token sequences equal `count` independent
-    `sample_grid` calls.  The returned batch's `tokens` is a read-only view
-    of the array the batch was drawn into, of the smallest signed integer
-    type that holds -K.
+    a `_RowTable` of step posteriors locates each element's row, and one
+    `_RowTable.pick` draws them all, each with its raster position's raw
+    64-bit draw.  A lazy table, which builds rows as met, searches each
+    draw's row with `inverse_cdf_rows` at the draw's 53-bit unit value.  A
+    smoothed prior's table is completed up front when its scopes x codes x
+    M entries are no more than the batch's draws (`_complete_pays`), so
+    building every row costs at most about one pass of sampling; its draws
+    are looked up in bucket tables of 8K to 16K entries, with
+    `inverse_cdf_rows` as the exact fallback.  The token sequences equal
+    `count` independent `sample_grid` calls.  The returned batch's `tokens`
+    is a read-only view of the array the batch was drawn into, of the
+    smallest signed integer type that holds -K.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
@@ -225,7 +209,7 @@ def batch_sample(
     keys = mix64_array(split_seed_array(config.seed, np.arange(count, dtype=np.uint64)))
     size = height * width
     rows, cols = np.divmod(np.arange(size), width)
-    # Position-major tokens in the bucket tables' type (int8 up to K = 128);
+    # Position-major tokens in np.min_scalar_type(-K) (int8 up to K = 128);
     # the last row is the BOUNDARY every off-grid slot reads.
     grids = np.empty((size + 1, count), dtype=np.min_scalar_type(-model.codebook_size))
     grids[size] = BOUNDARY
@@ -253,53 +237,20 @@ def batch_sample(
     return TokenBatch(grids[:size].T.reshape(count, height, width), model.codebook_size)
 
 
-def inverse_cdf_rows(
-    probs: np.ndarray, cumulative: np.ndarray, rows: np.ndarray, us: np.ndarray
-) -> np.ndarray:
-    """`index_from_unit` for many draws at once: draw j picks from row rows[j].
-
-    `probs` and `cumulative` are (R, K) tables; none of the four inputs is
-    written to.  A branchless binary search counts the entries of each
-    draw's cumulative row below its draw, which is searchsorted(side="left"),
-    using O(len(us)) memory for any K.  It advances one flat index per draw
-    in place: a step gathers flat[base + half] as `flat[half:].take(base)`,
-    which stays inside the draw's row (base + half <= first + K - 1 while
-    the span exceeds 1) and keeps `take`'s bounds check.  Picks past the
-    end or on a zero-probability entry go through `index_from_unit`.
-    """
-    size = probs.shape[1]
-    flat = cumulative.reshape(-1)
-    first = rows * size
-    base, span = first.copy(), size  # each draw's answer lies in base .. base + span
-    while span > 1:
-        half = span // 2
-        base += half * (flat[half:].take(base) < us)
-        span -= half
-    below = base - first + (flat.take(base) < us)  # entries of the row below u
-    picked = np.minimum(below, size - 1)
-    fixup = (below == size) | (probs.reshape(-1).take(first + picked) <= 0.0)
-    for j in np.flatnonzero(fixup):
-        row = rows[j]
-        picked[j] = index_from_unit(probs[row], cumulative[row], float(us[j]))
-    return picked
-
-
 class _RowTable:
     """Step posteriors of one batch, one row per (scope, prior state).
 
     Scope j is row j of the run's guidance ``weights``.  Rows go through
     `posterior_rows` once per scope and are stored with their cumulative
-    sums and their `_bucket_tables` row of M entries, M the least power of
-    two >= 8K: a row takes 16 K bytes in `probs` and `cumulative` and 1, 2
-    or 4 bytes per entry, at most 4 M < 64 K, in `buckets`.  A lazy table
-    builds rows as met; each scope maps prior states (the shared unseen
-    state included) to each row's flat bucket offset (row << log2 M) or -1
-    through S + 1 int64 entries, at most the size of the prior's smoothed
-    matrix while a table has at most K scopes, and its rows double when
-    full.  A batch completes its table only when the code-major table's
-    scopes x ``bound`` x M entries are at most its count x H x W draws, so
-    ``by_code`` is no larger than the token array, of the same type, and
-    the at most scopes x (bound + 1) rows of 16 K <= 2 M bytes twice that.
+    sums, 16 K bytes a row.  A lazy table builds rows as met and picks
+    every draw with `inverse_cdf_rows`; each scope maps prior states (the
+    shared unseen state included) to row indices or -1 through S + 1 int64
+    entries, at most the size of the prior's smoothed matrix while a table
+    has at most K scopes, and its rows double when full.  Only a complete
+    table, built when its code-major scopes x ``bound`` x M entries are at
+    most the batch's count x H x W draws, has bucket tables: ``by_code``,
+    M entries per code, M the least power of two >= 8K, no larger than the
+    token array and of the same type, and rows of 16 K <= 2 M bytes twice that.
     """
 
     def __init__(self, model: MarkovGridPrior, weights: np.ndarray, config: SamplingConfig) -> None:
@@ -307,12 +258,11 @@ class _RowTable:
         self.config = config
         self.weights = weights
         self.stride = len(model.counts) + 1
-        self.offset_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
+        self.row_of = np.full(len(self.weights) * self.stride, -1, dtype=np.int64)
         self.size = 0
         self.probs = np.empty((0, model.codebook_size))
         self.cumulative = np.empty((0, model.codebook_size))
         self.log_buckets = (8 * model.codebook_size - 1).bit_length()
-        self.buckets = _bucket_tables(self.cumulative, 2**self.log_buckets)  # no rows yet
         self.bound = len(model._code_index[1])
         self.row_of_code = None  # set by `complete`
 
@@ -325,15 +275,15 @@ class _RowTable:
         self._append([posterior_rows(self.model.smoothed, w, self.config) for w in self.weights])
         scope_rows = np.arange(len(self.weights))[:, None] * len(self.model.smoothed)
         self.row_of_code = (scope_rows + self.model._code_index[1]).reshape(-1)
-        self.by_code = self.buckets[self.row_of_code]
+        self.by_code = _bucket_tables(self.cumulative, 2**self.log_buckets)[self.row_of_code]
 
     def offsets(self, columns: list[np.ndarray], labels, scopes: np.ndarray) -> np.ndarray:
-        """Flat bucket offset of each element's (scope, context) row, building new rows.
+        """Where each element's (scope, context) row is found, building new rows.
 
         `columns` and `labels` go to `MarkovGridPrior.codes`; `scopes`
         indexes `weights` and broadcasts against the columns like `labels`.
-        A complete table's are (scope * bound + code) << log2 M; a lazy one
-        maps codes to states and (scope, state) keys to rows, built as met.
+        A complete table's are flat bucket offsets (scope * bound + code) <<
+        log2 M; a lazy one's are row indices of (scope, state) keys.
         """
         if self.row_of_code is not None:
             code = self.model.codes(columns, labels)
@@ -343,62 +293,57 @@ class _RowTable:
             return code
         keys = self.model.states(columns, labels)
         keys += scopes * self.stride
-        offsets = self.offset_of.take(keys)
-        if offsets.min() < 0:
-            missing = offsets < 0
+        rows = self.row_of.take(keys)
+        if rows.min() < 0:
+            missing = rows < 0
             fresh, inverse = np.unique(keys[missing], return_inverse=True)
-            rows = np.arange(self.size, self.size + fresh.size) << self.log_buckets
-            self.offset_of[fresh] = rows
-            offsets[missing] = rows[inverse]
+            added = np.arange(self.size, self.size + fresh.size)
+            self.row_of[fresh] = added
+            rows[missing] = added[inverse]
             parts = []
             for part in np.split(fresh, np.flatnonzero(np.diff(fresh // self.stride)) + 1):
                 scope, states = np.divmod(part, self.stride)
                 weights = self.weights[scope[0]]
                 parts.append(posterior_rows(self.model.smoothed[states], weights, self.config))
             self._append(parts)
-        return offsets
+        return rows
 
     def pick(self, offsets: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """`inverse_cdf_rows` of each element's row at unit draw (draws >> 11) * 2^-53.
 
-        `offsets` are flat bucket offsets from `offsets` and `draws` raw
-        64-bit draws.  A draw's bucket is its top log2 M bits, which are
-        (draws >> 11) >> (53 - log2 M) exactly; one bounds-checked `take`
-        from ``by_code``, or from ``buckets`` while the table is lazy,
-        answers every draw whose bucket holds one token.  `inverse_cdf_rows`
-        answers the rest, on rows mapped through ``row_of_code`` in a
-        complete table, with their draws made floats only there.
+        `offsets` come from `offsets` and `draws` are raw 64-bit draws; a
+        lazy table searches every draw's row.  In a complete table a draw's
+        bucket is its top log2 M bits, (draws >> 11) >> (53 - log2 M)
+        exactly; one bounds-checked `take` from ``by_code`` answers every
+        draw whose bucket holds one token, and `inverse_cdf_rows` the rest,
+        on rows mapped through ``row_of_code``.
         """
+        if self.row_of_code is None:
+            us = (draws.reshape(-1) >> np.uint64(11)) * _U53_SCALE
+            return inverse_cdf_rows(self.probs, self.cumulative, offsets.reshape(-1), us).reshape(offsets.shape)
         flat = np.right_shift(draws, np.uint64(64 - self.log_buckets)).view(np.int64)
         flat += offsets
-        complete = self.row_of_code is not None
-        picks = (self.by_code if complete else self.buckets).reshape(-1).take(flat)
+        picks = self.by_code.reshape(-1).take(flat)
         ambiguous = np.flatnonzero(picks < 0)
         if ambiguous.size:
-            rows = offsets.reshape(-1)[ambiguous] >> self.log_buckets
+            rows = self.row_of_code.take(offsets.reshape(-1)[ambiguous] >> self.log_buckets)
             picks.reshape(-1)[ambiguous] = inverse_cdf_rows(
-                self.probs,
-                self.cumulative,
-                self.row_of_code.take(rows) if complete else rows,
-                (draws.reshape(-1)[ambiguous] >> np.uint64(11)) * _U53_SCALE,
+                self.probs, self.cumulative, rows, (draws.reshape(-1)[ambiguous] >> np.uint64(11)) * _U53_SCALE
             )
         return picks
 
     def _append(self, parts: list[np.ndarray]) -> None:
-        """Store new posterior rows, their cumulative sums and their bucket tables."""
+        """Store new posterior rows and their cumulative sums."""
         end = self.size + sum(map(len, parts))
         if end > len(self.probs):
             # Double, copying only the rows in use: the rest stays unwritten.
-            arrays = self.probs, self.cumulative, self.buckets
-            self.probs, self.cumulative, self.buckets = (
-                np.empty((max(end, 2 * len(a)), a.shape[1]), a.dtype) for a in arrays
-            )
-            for grown, array in zip((self.probs, self.cumulative, self.buckets), arrays):
+            arrays = self.probs, self.cumulative
+            self.probs, self.cumulative = (np.empty((max(end, 2 * len(a)), a.shape[1])) for a in arrays)
+            for grown, array in zip((self.probs, self.cumulative), arrays):
                 grown[: self.size] = array[: self.size]
         new = slice(self.size, end)
         np.concatenate(parts, out=self.probs[new])
         np.cumsum(self.probs[new], axis=1, out=self.cumulative[new])
-        self.buckets[new] = _bucket_tables(self.cumulative[new], self.buckets.shape[1])
         self.size = end
 
 

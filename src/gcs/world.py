@@ -34,8 +34,7 @@ from .core import (
 from .formats import (
     GRID_VOCAB_LIMIT, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
 )
-from .rng import MASK64, mix64_array, split_seed, split_seed_array, unit_draws_at
-from .sampler import inverse_cdf_rows
+from .rng import MASK64, inverse_cdf_rows, mix64_array, split_seed, split_seed_array, unit_draws_at
 
 LAYOUT_KINDS = ("horizon", "bands", "constant")
 # LayoutSpec's optional fields, and a benchmark config's integer fields.

@@ -12,7 +12,6 @@ from gcs.rng import (
     seed_key,
     split_seed,
     split_seed_array,
-    unit_bits_at,
     unit_draw,
     unit_draws_at,
     unit_draws_for_keys,
@@ -113,10 +112,10 @@ class TestUnitDraws:
             assert unit_draw(key, n) == u
 
     def test_bits_are_the_draws_integers(self):
-        # One mixing path: the float draws are the 53-bit integers times 2^-53.
+        # One mixing path: the float draws are the raw draws' top 53 bits times 2^-53.
         keys = split_seed_array(13, np.arange(40))
         counters = np.array([0, 1, 99, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
-        bits = unit_bits_at(keys, counters)
+        bits = draws_u64_at(keys, counters) >> np.uint64(11)
         assert bits.dtype == np.uint64 and (bits < 2**53).all()
         assert (bits * 2.0**-53).tobytes() == unit_draws_at(keys, counters).tobytes()
         for row, counter in zip(bits.tolist(), counters.tolist()):
@@ -124,12 +123,12 @@ class TestUnitDraws:
 
     def test_raw_draws_are_the_bits_before_the_shift(self):
         # The raw 64-bit draws are the scalar ones, and shifted right by 11
-        # they are the 53-bit integers.
+        # they are the 53-bit integers of the unit draws.
         keys = split_seed_array(21, np.arange(40))
         counters = np.array([0, 1, 99, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
         raw = draws_u64_at(keys, counters)
         assert raw.dtype == np.uint64 and raw.shape == (counters.size, keys.size)
-        assert (raw >> np.uint64(11)).tobytes() == unit_bits_at(keys, counters).tobytes()
+        assert ((raw >> np.uint64(11)) * 2.0**-53).tobytes() == unit_draws_at(keys, counters).tobytes()
         for row, counter in zip(raw.tolist(), counters.tolist()):
             assert row == [draw_u64(k, counter) for k in keys.tolist()]
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +16,13 @@ from gcs.core import SemanticGrid, TokenGrid, ValidationError
 from gcs.distributions import histogram_by_cell, histogram_by_region, histogram_from_grid
 from gcs.guidance import global_likelihood_table, scoped_likelihoods
 from gcs.prior import BOUNDARY, DENSE_STATE_CODES, MarkovGridPrior, parse_context_template, train_markov_prior
-from gcs.rng import split_seed, unit_draw, seed_key
+from gcs.rng import index_from_unit, inverse_cdf_rows, split_seed, unit_draw, seed_key
 from gcs import sampler
 from gcs.sampler import (
     BATCH_CELL_LIMIT,
     SamplingConfig,
     batch_sample,
     exact_sequence_distribution,
-    index_from_unit,
-    inverse_cdf_rows,
     posterior_rows,
     sample_grid,
 )
@@ -142,17 +141,35 @@ class TestInverseCdfRows:
 
 
 class TestBucketTable:
-    """`_RowTable.pick` looks most draws up in a row's bucket table and
-    sends the rest through `inverse_cdf_rows`; both give the pick of the
-    binary search and of `index_from_unit`, bit for bit."""
+    """A complete table looks most draws up in its rows' bucket tables and
+    sends the rest through `inverse_cdf_rows`; a lazy table searches every
+    draw.  Both give the pick of the binary search and of `index_from_unit`,
+    bit for bit."""
 
     @staticmethod
-    def table_of(probs):
+    def tables_of(probs):
+        """A lazy and a complete table over the same rows: the smoothed rows
+        of a stand-in prior, which identity guidance leaves untouched."""
         size = probs.shape[1]
-        model = MarkovGridPrior(codebook_size=size)
-        table = sampler._RowTable(model, np.ones((1, size)), SamplingConfig())
-        table._append([probs])
-        return table
+        model = types.SimpleNamespace(
+            counts=probs[:-1], smoothed=probs, codebook_size=size, _code_index=(None, np.arange(len(probs)))
+        )
+        lazy = sampler._RowTable(model, np.ones((1, size)), SamplingConfig())
+        lazy._append([probs])
+        full = sampler._RowTable(model, np.ones((1, size)), SamplingConfig())
+        full.complete()
+        for name in ("probs", "cumulative"):
+            assert getattr(full, name).tobytes() == getattr(lazy, name)[: lazy.size].tobytes()
+        expected = sampler._bucket_tables(full.cumulative, 2**full.log_buckets)
+        assert full.by_code.dtype == expected.dtype and (full.by_code == expected).all()
+        return lazy, full
+
+    @staticmethod
+    def picks(lazy, full, rows, raw):
+        """The complete table's picks of raw draws from `rows`, which the lazy table's equal."""
+        picked = full.pick(rows << full.log_buckets, raw)
+        assert lazy.pick(rows, raw).tolist() == picked.tolist()
+        return picked
 
     @staticmethod
     def adversarial_rows(rng, size):
@@ -193,38 +210,38 @@ class TestBucketTable:
 
     def test_pinned_tables(self):
         # K = 2: M = 16 buckets; 0.25 lies in bucket 4 and 1.0 in bucket 16, past the table.
-        assert self.table_of(one_row([0.25, 0.75])).buckets.tolist() == [[0] * 4 + [-1] + [1] * 11]
+        assert self.tables_of(one_row([0.25, 0.75]))[1].by_code.tolist() == [[0] * 4 + [-1] + [1] * 11]
         # K = 3: M = 32; the zero entry repeats 0.5 (bucket 16), so no bucket picks token 1.
-        table = self.table_of(one_row([0.5, 0.0, 0.5]))
-        assert table.buckets.tolist() == [[0] * 16 + [-1] + [2] * 15]
+        _, table = self.tables_of(one_row([0.5, 0.0, 0.5]))
+        assert table.by_code.tolist() == [[0] * 16 + [-1] + [2] * 15]
         # A shortfall past the last bucket edge: 0.5 and 0.6 lie in buckets 8 and 9,
         # and draws from 0.6 on take the fallback.
-        table = self.table_of(one_row([0.5, 0.1]))
-        assert table.buckets.tolist() == [[0] * 8 + [-1] * 8]
-        assert table.pick(np.array([0]), np.array([2**64 - 1], dtype=np.uint64)).tolist() == [1]
+        lazy, table = self.tables_of(one_row([0.5, 0.1]))
+        assert table.by_code.tolist() == [[0] * 8 + [-1] * 8]
+        assert self.picks(lazy, table, np.array([0]), np.array([2**64 - 1], dtype=np.uint64)).tolist() == [1]
         # K = 40,000 (M = 2^19) needs int32 entries: token 35,000 is picked from the table.
         probs = np.zeros((1, 40000))
         probs[0, [0, 35000, 39999]] = 0.5, 0.25, 0.25
-        table = self.table_of(probs)
+        lazy, table = self.tables_of(probs)
         quarter = 2**17
-        assert table.buckets.dtype == np.int32
-        assert table.buckets.tolist() == [
+        assert table.by_code.dtype == np.int32
+        assert table.by_code.tolist() == [
             [0] * 2 * quarter + [-1] + [35000] * (quarter - 1) + [-1] + [39999] * (quarter - 1)
         ]
         draw = np.array([int(0.6 * 2**53) << 11], dtype=np.uint64)
-        assert table.pick(np.array([0]), draw).tolist() == [35000]
+        assert self.picks(lazy, table, np.array([0]), draw).tolist() == [35000]
 
     @pytest.mark.parametrize(
         "size, coarse", [(2, 4), (3, 8), (4, 8), (5, 16), (32, 64), (100, 256), (4000, 8192)]
     )
     def test_picks_match_binary_search(self, size, coarse):
-        # `coarse` is the least power of two >= 2K; the row table's M is 4x finer.
+        # `coarse` is the least power of two >= 2K; the complete table's M is 4x finer.
         buckets = 4 * coarse
         rng = np.random.default_rng(size)
-        table = self.table_of(self.adversarial_rows(rng, size))
+        lazy, table = self.tables_of(self.adversarial_rows(rng, size))
         # Entries take the smallest signed type holding -K: int8 up to K = 128.
-        assert table.buckets.dtype == np.min_scalar_type(-size) and table.buckets.shape[1] == buckets
-        probs, cumulative = table.probs[: table.size], table.cumulative[: table.size]
+        assert table.by_code.dtype == np.min_scalar_type(-size) and table.by_code.shape[1] == buckets
+        probs, cumulative = table.probs, table.cumulative
         for m in (coarse, buckets):
             reference = self.reference_tables(cumulative, m).tolist()
             assert sampler._bucket_tables(cumulative, m).tolist() == reference
@@ -235,7 +252,7 @@ class TestBucketTable:
         # The bucket of the raw draw's top bits is the float draw's, with no rounding.
         assert (np.floor(us * buckets) == raw // np.uint64(2**64 // buckets)).all()
 
-        picked = table.pick(rows << table.log_buckets, raw)
+        picked = self.picks(lazy, table, rows, raw)
 
         assert picked.tolist() == inverse_cdf_rows(probs, cumulative, rows, us).tolist()
         sample = slice(None) if size < 4000 else slice(None, None, 16)
@@ -243,7 +260,7 @@ class TestBucketTable:
             index_from_unit(probs[r], cumulative[r], u) for r, u in zip(rows[sample], us[sample])
         ]
         assert picked[sample].tolist() == expected
-        assert (table.buckets[: table.size] >= 0).any()
+        assert (table.by_code >= 0).any()
 
 
 def one_row(probs):
@@ -653,15 +670,17 @@ class TestCompleteTable:
         for scope in range(2):
             for state in range(rows):
                 mine = scope * rows + state
-                theirs = lazy.offset_of[scope * lazy.stride + state] >> lazy.log_buckets
-                for name in ("probs", "cumulative", "buckets"):
+                theirs = lazy.row_of[scope * lazy.stride + state]
+                for name in ("probs", "cumulative"):
                     assert getattr(full, name)[mine].tobytes() == getattr(lazy, name)[theirs].tobytes()
 
         bound, buckets = full.bound, 2**full.log_buckets
+        tables = sampler._bucket_tables(full.cumulative, buckets)
+        assert full.by_code.dtype == tables.dtype
         by_code = full.by_code.reshape(-1)
         for at in range(2 * bound):
             start = at << full.log_buckets
-            assert by_code[start : start + buckets].tobytes() == full.buckets[full.row_of_code[at]].tobytes()
+            assert by_code[start : start + buckets].tobytes() == tables[full.row_of_code[at]].tobytes()
         codes = model.codes(list(contexts.T), None)
         for scope in range(2):
             assert (full.row_of_code[scope * bound + codes] == scope * rows + states).all()
@@ -902,6 +921,31 @@ class TestBatchSample:
             tracemalloc.stop()
         assert batch.tokens.nbytes == 2000 * 32 * 32
         assert peak <= 4 * 2000 * 32 * 32
+
+    def test_lazy_rows_hold_no_bucket_tables(self, monkeypatch):
+        # An n = 50 batch over a K = 1,024 prior of random-walk grids stays
+        # lazy and builds hundreds of rows; a row holds 16 KB in `probs` and
+        # `cumulative`, and the row arrays double when full.  A bucket table
+        # of M = 8K int16 entries, 16 KB more per row, would double the peak.
+        rng = np.random.default_rng(0)
+
+        def walk():
+            steps = rng.integers(-1, 2, (32, 32))
+            return TokenGrid(32, 32, 1024, (rng.integers(1024) + steps.cumsum(0).cumsum(1)) % 1024)
+
+        model = train_markov_prior([walk() for _ in range(24)])
+        tables = []
+        init = sampler._RowTable.__init__
+        monkeypatch.setattr(sampler._RowTable, "__init__", lambda t, *args: tables.append(t) or init(t, *args))
+        tracemalloc.start()
+        try:
+            batch_sample(model, 32, 32, 50, config=SamplingConfig(seed=1))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (table,) = tables
+        assert table.row_of_code is None and table.size > 500
+        assert peak <= 64 * 1024 * table.size
 
     def test_count_validated(self, rng):
         model = train_markov_prior([random_grid(rng, 3, 3, 4)])

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from gcs.world import (
 from gcs.formats import dump_json, read_token_grid, write_semantic_grid, write_token_grid
 
 from conftest import global_stats
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def generate_scene(style, layout, height, width, seed):
@@ -241,6 +247,17 @@ class TestGenerateScenes:
         layout = LayoutSpec("constant", label=0)
         with pytest.raises(ValidationError):
             next(generate_scenes([small, large], [layout] * 2, 2, 2, [0, 1]))
+
+
+def test_import_leaves_the_sampling_stack_unloaded():
+    # The world generator picks its tokens with the inverse-CDF search in
+    # `rng`, so a process that only builds worlds compiles and imports no
+    # sampler, prior or guidance.
+    script = "import sys, gcs.world; print(*(m in sys.modules for m in ('gcs.sampler', 'gcs.prior', 'gcs.guidance')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def _tree_sha256(path):
