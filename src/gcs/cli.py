@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import TokenGrid, ValidationError, _typed
+from .core import GridRun, ValidationError, _typed, pack_grids
 from .distributions import (
     DEFAULT_ALPHA, average_scoped, check_draws, collapse_scoped, histograms, monte_carlo_distribution
 )
@@ -87,12 +87,12 @@ def _build_guidance(style_path, dataset_path, exponent, mode_override):
     return table, style.kind
 
 
-def _load_samples(directory) -> tuple[list[TokenGrid], list | None]:
-    """A sample directory's grids, and their seeds when every entry records one."""
+def _load_samples(directory) -> tuple[list[GridRun], list | None]:
+    """A sample directory's grids, packed, and their seeds when every entry records one."""
     entries = grid_entries(directory, "samples")
     if entries == []:
         raise ValidationError(f"{directory}: no samples found")
-    grids = [grid for grid, _ in iter_entries(Path(directory), entries, with_semantics=False)]
+    grids = pack_grids(iter_entries(Path(directory), entries, with_semantics=False), len(entries))
     seeds = [entry.get("seed") for entry in entries]
     if any(seed is None for seed in seeds):
         return grids, None

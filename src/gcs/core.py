@@ -1,4 +1,4 @@
-"""Core value types and checks: token and semantic grids, probability rows, strict JSON.
+"""Core value types and checks: token and semantic grids, packed runs, probability rows, strict JSON.
 
 All types validate their invariants at construction and are immutable
 afterwards (ndarray payloads are marked read-only), so instances can be
@@ -195,17 +195,51 @@ class GridRun:
             raise ValidationError("run labels must be a read-only array of labels in [0, label_count), one per token")
 
 
-def grid_pairs(items) -> list[tuple[TokenGrid, SemanticGrid | None]]:
-    """(grid, semantics) pairs from a mix of bare grids (no semantics) and pairs."""
-    return [(it, None) if isinstance(it, TokenGrid) else (it[0], it[1]) for it in items]
+def pack_grids(items, count: int | None = None) -> list[GridRun]:
+    """Bare grids and (grid, semantics or None) pairs, packed: runs of
+    consecutive grids of one shape, codebook size and label count, each map
+    checked against its grid's shape.  Tokens are copied into
+    `np.min_scalar_type(-K)` (one byte each up to K = 128), labels into the
+    label count's smallest type, both read-only.  `count` (default
+    `len(items)`) bounds the items, so an iterator is packed as it is read."""
+    count = len(items) if count is None else count
+    runs, key = [], None
+    for read, item in enumerate(items):
+        grid, sem = (item, None) if isinstance(item, TokenGrid) else item
+        if sem is not None:
+            require_same_shape(grid, sem)
+        found = (grid.tokens.shape, grid.codebook_size, sem and sem.label_count)
+        if found != key:
+            if key:
+                runs.append(_packed_run(key, tokens, labels, filled))
+            key, filled = found, 0
+            tokens = np.empty((count - read, *key[0]), np.min_scalar_type(-key[1]))
+            labels = sem and np.empty(tokens.shape, np.min_scalar_type(-key[2]))
+        tokens[filled] = grid.tokens
+        if sem is not None:
+            labels[filled] = sem.labels
+        filled += 1
+    return runs + [_packed_run(key, tokens, labels, filled)] if key else runs
 
 
-def require_same_shape(grid: TokenGrid, semantics: SemanticGrid) -> None:
-    """Shared precondition for every operation pairing tokens with labels."""
-    if (grid.height, grid.width) != (semantics.height, semantics.width):
+def grid_total(grids) -> int:
+    """How many grids a batch, a list of grids or pairs, or packed runs hold."""
+    packed = not isinstance(grids, TokenBatch) and len(grids) and isinstance(grids[0], GridRun)
+    return sum(len(run.grids) for run in grids) if packed else len(grids)
+
+
+def _packed_run(key: tuple, tokens: np.ndarray, labels: np.ndarray | None, filled: int) -> GridRun:
+    """A run of the first `filled` grids packed, copied out of arrays with room to spare."""
+    tokens, labels = (a if a is None or filled == len(a) else a[:filled].copy() for a in (tokens, labels))
+    return GridRun(TokenBatch(_readonly(tokens), key[1]), labels if labels is None else _readonly(labels), key[2])
+
+
+def require_same_shape(grid: TokenGrid | TokenBatch, semantics: SemanticGrid) -> None:
+    """Shared precondition for every operation pairing tokens with labels:
+    each of a batch's grids too must match the map's shape."""
+    if grid.tokens.shape[-2:] != semantics.labels.shape:
         raise ValidationError(
-            f"grid is {grid.height}x{grid.width} but semantic map is "
-            f"{semantics.height}x{semantics.width}"
+            "grid is {}x{} but semantic map is {}x{}".format(*grid.tokens.shape[-2:], *semantics.labels.shape)
         )
 
 

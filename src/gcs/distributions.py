@@ -5,9 +5,9 @@ and one observation mass per scope of a layout.  The layout is "global"
 (one scope covering every position, `histogram_from_grid`), "regional" (one
 scope per semantic label, `histogram_by_region`) or a (rows, cols) tiling
 (one scope per cell of aligned grids, `histogram_by_cell`).  `_counts`
-counts every layout, for the `_blocks` of a list of grids, a batch or a
-packed corpus, as (grid, scope, token) counts: one bincount per chunk of
-grids.  `_estimates` turns them
+counts every layout from packed runs (`_blocks`: a batch is one run, a
+list is packed by `core.pack_grids`), as (grid, scope, token) counts: one
+bincount per chunk of a run's grids.  `_estimates` turns them
 into each grid's own rows, and one rule each averages rows in draw order
 (`average_scoped`, `monte_carlo_distribution`) and collapses scoped rows
 into global ones (`collapse_scoped`), whatever the layout.
@@ -25,12 +25,14 @@ counts when alpha = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, check_rows
+from .core import (
+    GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, check_rows, grid_total, pack_grids,
+    require_same_shape,
+)
 from .rng import draw_indices
 
 DEFAULT_ALPHA = 0.5
@@ -126,18 +128,19 @@ def cell_of_position(
     return (row * cell_rows) // height, (col * cell_cols) // width
 
 
-def smoothed_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
-    """Additively smoothed (R, K) count rows, each as a probability row."""
-    denominators = counts.sum(axis=1, keepdims=True) + alpha * counts.shape[1]
+def smoothed_rows(counts: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Additively smoothed (R, K) count rows, each as a probability row;
+    given `out`, its first R rows, and its rows beyond smooth zero counts."""
+    rows = np.empty(counts.shape) if out is None else out
+    denominators = np.zeros((len(rows), 1))
+    denominators[: len(counts)] = counts.sum(axis=1, keepdims=True)
+    denominators += alpha * counts.shape[1]
     if not np.all(np.isfinite(denominators)):
-        raise ValidationError(
-            f"smoothing alpha {alpha} over {counts.shape[1]} tokens overflows the row total"
-        )
+        raise ValidationError(f"smoothing alpha {alpha} over {counts.shape[1]} tokens overflows the row total")
     if np.any(denominators <= 0.0):
-        raise ValidationError(
-            "zero observations with zero smoothing: distribution is undefined"
-        )
-    rows = np.add(counts, alpha, dtype=np.float64)
+        raise ValidationError("zero observations with zero smoothing: distribution is undefined")
+    np.add(counts, alpha, out=rows[: len(counts)], dtype=np.float64)
+    rows[len(counts) :] = alpha
     rows /= denominators
     return rows
 
@@ -195,7 +198,7 @@ def histogram_by_cell(
     if not len(grids):
         raise ValidationError("empty grid list")
     size, scopes, blocks = _blocks(grids, cells=(cell_rows, cell_cols))
-    if len(blocks) > 1:
+    if len({tokens.shape[1:] for tokens, _ in blocks}) > 1:
         raise ValidationError("grids must share dimensions")
     counts = sum(chunk.sum(axis=0) for chunk in _counts(size, scopes, blocks))
     return ScopedDistributions(*_smoothed(counts, alpha), (cell_rows, cell_cols))
@@ -216,36 +219,32 @@ def _cell_map(shape: tuple[int, int], cells: tuple[int, int]) -> np.ndarray:
 
 def _blocks(grids, maps=None, cells=None) -> tuple[int, set, list]:
     """Codebook size, label counts and (tokens, labels) blocks of a batch, a
-    packed corpus (`GridRun`s, whose labels are their maps) or a list of
-    grids with `maps`, one per grid or one for all.  A block is consecutive
-    grids of one shape and their maps (None without), each a sequence of 2-D
-    arrays; `cells` gives every grid its shape's cell map instead."""
+    packed corpus (`GridRun`s) or a list of grids or (grid, semantics)
+    pairs, which `pack_grids` packs.  A block is one run's (n, H, W) token
+    array and its labels: the run's own maps, or `maps` (one per grid or
+    one for all), or with `cells` its shape's cell map, or None."""
     runs = [GridRun(grids)] if isinstance(grids, TokenBatch) else grids
-    if runs and isinstance(runs[0], GridRun):
-        sizes = {run.grids.codebook_size for run in runs}
-        blocks = [(run.grids.tokens, run.labels) for run in runs]
-        scopes = {run.label_count for run in runs if run.labels is not None}
-        if scopes and any(run.labels is None for run in runs):
-            raise ValidationError("some runs hold label maps and some do not")
-    else:
-        sizes = {grid.codebook_size for grid in grids}
-        blocks = [([grid.tokens for grid in run], None) for _, run in groupby(grids, lambda g: g.tokens.shape)]
-        scopes = set()
+    runs = runs if runs and isinstance(runs[0], GridRun) else pack_grids(runs)
+    sizes = {run.grids.codebook_size for run in runs}
     if len(sizes) != 1:
         raise ValidationError(f"codebook size mismatch across grids: {sorted(sizes)}" if sizes else "empty grid list")
+    blocks = [(run.grids.tokens, run.labels) for run in runs]
+    scopes = {run.label_count for run in runs if run.labels is not None}
+    if scopes and any(run.labels is None for run in runs):
+        raise ValidationError("some runs hold label maps and some do not")
     if maps is not None:
-        maps = [maps] * sum(len(tokens) for tokens, _ in blocks) if isinstance(maps, SemanticGrid) else maps
-        scopes, start = {sem.label_count for sem in maps}, 0
-        for i, (tokens, _) in enumerate(blocks):
-            part, start = maps[start : start + len(tokens)], start + len(tokens)
+        shared, total = isinstance(maps, SemanticGrid), grid_total(runs)
+        if not shared and len(maps) != total:
+            raise ValidationError(f"{len(maps)} semantic maps for {total} grids")
+        scopes, start = {maps.label_count} if shared else {sem.label_count for sem in maps}, 0
+        for i, run in enumerate(runs):
+            part, start = [maps] if shared else maps[start : start + len(run.grids)], start + len(run.grids)
             for sem in part:
-                if sem.labels.shape != tokens[0].shape:
-                    raise ValidationError(
-                        "grid is {}x{} but semantic map is {}x{}".format(*tokens[0].shape, *sem.labels.shape)
-                    )
-            blocks[i] = (tokens, [sem.labels for sem in part])
+                require_same_shape(run.grids, sem)
+            labels = np.stack([sem.labels for sem in part], dtype=np.min_scalar_type(-max(scopes)))
+            blocks[i] = (run.grids.tokens, np.broadcast_to(labels, run.grids.tokens.shape))
     if cells is not None:
-        blocks = [(tokens, [_cell_map(tokens[0].shape, cells)] * len(tokens)) for tokens, _ in blocks]
+        blocks = [(tokens, np.broadcast_to(_cell_map(tokens.shape[1:], cells), tokens.shape)) for tokens, _ in blocks]
         scopes = {cells[0] * cells[1]}
     return sizes.pop(), scopes, blocks
 
@@ -276,11 +275,11 @@ def _counts(size: int, scopes: set, blocks: list) -> Iterator[np.ndarray]:
     for tokens, labels in _chunks(blocks, _CHUNK_POSITIONS, scopes * size):
         n = len(tokens)
         # (grid, token, scope) codes, built in place and dropped before the yield.
-        index = np.concatenate(tokens, dtype=np.int64).reshape(n, -1)
+        index = tokens.reshape(n, -1).astype(np.int64)
         index += (np.arange(n) * size)[:, None]
         if labels is not None:
             index *= scopes
-            index += np.concatenate(labels).reshape(n, -1)
+            index += labels.reshape(n, -1)
         index = np.bincount(index.reshape(-1), minlength=n * size * scopes)
         yield index.reshape(n, size, scopes).transpose(0, 2, 1)
 
@@ -394,11 +393,10 @@ def monte_carlo_distribution(
     size, scopes, blocks = _blocks(grids, maps, cells)
     starts = np.cumsum([0] + [len(tokens) for tokens, _ in blocks])
     drawn, order = np.unique(draw_indices(int(starts[-1]), draws, seed), return_inverse=True)
-    picked = []
-    for (tokens, labels), first, stop in zip(blocks, starts, starts[1:]):
-        rows = (drawn[(drawn >= first) & (drawn < stop)] - first).tolist()
-        if rows:
-            picked.append(([tokens[i] for i in rows], None if labels is None else [labels[i] for i in rows]))
+    # The drawn rows of each run, which np.unique sorted.
+    parts = np.split(drawn, np.searchsorted(drawn, starts[1:-1]))
+    picked = [(tokens[rows - first], labels if labels is None else labels[rows - first])
+              for (tokens, labels), rows, first in zip(blocks, parts, starts)]
     rows, masses = _estimates(size, scopes, picked, alpha)
     return _mean_rows(rows, masses, order, _layout(scopes, cells))
 

@@ -5,7 +5,7 @@ histogram (exact counts, no smoothing: the sample is data) and compared to
 smoothed full-support reference distributions.  KL direction is always
 KL(sample || reference), which penalizes sample mass on tokens the
 reference style never uses.  `distributions._grid_counts` counts each
-sample set (grids or a batch) once, per label only where labels are used.
+sample set (grids, a batch or packed runs) once, per label only where labels are used.
 
 References are `ScopedDistributions`: a `StyleReference` holds global
 statistics and, for per-label breakdowns, regional ones; any statistics
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SemanticGrid, TokenBatch, TokenGrid, ValidationError, grid_pairs
+from .core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, grid_total
 from .distributions import (
     ScopedDistributions, _grid_counts, collapse_scoped, histogram_by_cell, smoothed_rows
 )
@@ -115,12 +115,13 @@ class StyleMatchResult:
 
 
 def style_match_rate(
-    samples: TokenBatch | Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]],
+    samples: TokenBatch | Sequence[TokenGrid | tuple[TokenGrid, SemanticGrid | None]] | Sequence[GridRun],
     styles: Sequence[StyleReference],
     smoothing_alpha: float = 0.0,
     true_styles: Sequence[str] | None = None,
 ) -> StyleMatchResult:
-    """Assign each sample to the KL-nearest reference.
+    """Assign each sample to the KL-nearest reference.  Samples are a batch,
+    grids or (grid, semantics) pairs, or packed runs, whose labels are maps.
 
     With regional references the score is the mass-weighted sum of
     per-label KLs; ties go to the lowest reference index.  `true_styles`
@@ -132,22 +133,26 @@ def style_match_rate(
     if len(regional_flags) != 1:
         raise ValidationError("references must be all global or all regional")
     regional_mode = regional_flags.pop()
+    # Samples are counted with their maps only against regional references.
     if isinstance(samples, TokenBatch):
-        grids, maps = samples, [None] * len(samples)
+        mapped = False
+    elif samples and isinstance(samples[0], GridRun):
+        mapped = all(run.labels is not None for run in samples)
+        samples = samples if regional_mode else [GridRun(run.grids) for run in samples]
     else:
-        pairs = grid_pairs(samples)
-        grids, maps = [grid for grid, _ in pairs], [sem for _, sem in pairs]
-    if not grids:
+        mapped = all(not isinstance(it, TokenGrid) and it[1] is not None for it in samples)
+        samples = [it if regional_mode or isinstance(it, TokenGrid) else it[0] for it in samples]
+    if not (total := grid_total(samples)):
         raise ValidationError("empty sample set")
-    if true_styles is not None and len(true_styles) != len(grids):
-        raise ValidationError(f"{len(true_styles)} true styles for {len(grids)} samples")
-    if regional_mode and any(sem is None for sem in maps):
+    if true_styles is not None and len(true_styles) != total:
+        raise ValidationError(f"{len(true_styles)} true styles for {total} samples")
+    if regional_mode and not mapped:
         raise ValidationError("regional style matching requires a semantic map per sample")
 
     # Global references are one-scope statistics: their score is one KL.
     targets = [ref.regional if regional_mode else ref.distribution for ref in styles]
     assigned = []
-    for counts in chain.from_iterable(_grid_counts(grids, maps if regional_mode else None)):
+    for counts in chain.from_iterable(_grid_counts(samples)):
         present, probs, masses = _label_rows(counts, smoothing_alpha)
         total = float(masses.sum())
         scores = []
@@ -208,7 +213,7 @@ class GuidanceReport:
 
 
 def _set_summary(
-    grids: TokenBatch | Sequence[TokenGrid],
+    grids: TokenBatch | Sequence[TokenGrid] | Sequence[GridRun],
     regions: SemanticGrid | list[SemanticGrid] | None,
     target: StyleReference,
     prefix: str,
@@ -266,8 +271,8 @@ def relative_reduction(guided: float, unguided: float) -> float:
 
 
 def guidance_report(
-    guided: TokenBatch | Sequence[TokenGrid],
-    unguided: TokenBatch | Sequence[TokenGrid],
+    guided: TokenBatch | Sequence[TokenGrid] | Sequence[GridRun],
+    unguided: TokenBatch | Sequence[TokenGrid] | Sequence[GridRun],
     target: StyleReference,
     regions: SemanticGrid | Sequence[SemanticGrid] | None = None,
     guided_seeds: Sequence[int] | None = None,
@@ -275,13 +280,15 @@ def guidance_report(
 ) -> GuidanceReport:
     """Quantify how much closer guided samples sit to the target style.
 
-    `regions` applies to both sets, enabling per-label breakdowns.
+    Each set is a batch, a list of grids or packed runs (`pack_grids`).
+    `regions`, one map for all grids or one per grid of each set, applies
+    to both sets, enabling per-label breakdowns.
     """
     if not guided or not unguided:
         raise ValidationError("guided and unguided sample sets must be non-empty")
     if not isinstance(regions, (SemanticGrid, type(None))):
         regions = list(regions)
-        for count in (len(guided), len(unguided)):
+        for count in map(grid_total, (guided, unguided)):
             if len(regions) != count:
                 raise ValidationError(f"{len(regions)} semantic maps for {count} samples")
     g = _set_summary(guided, regions, target, "guided", guided_seeds)

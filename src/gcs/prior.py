@@ -32,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MALFORMED_JSON, GridRun, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, grid_pairs, unique_keys,
+    MALFORMED_JSON, GridRun, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, pack_grids, unique_keys,
 )
-from .distributions import DEFAULT_ALPHA, ScopedDistributions, _blocks, _chunks, smoothed_rows
+from .distributions import DEFAULT_ALPHA, ScopedDistributions, _chunks, smoothed_rows
 from .formats import GRID_VOCAB_LIMIT
 
 # Largest states x codebook size a model file may declare; it sizes two matrices.
@@ -99,6 +99,12 @@ def validate_context_template(
     return tuple(result)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 array of `values`; a caller's writable array is copied."""
+    arr = np.asarray(values, np.int64)
+    return _readonly(arr.copy() if arr is values and arr.flags.writeable else arr)
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovGridPrior:
     """Count-based conditional next-token model.
@@ -109,7 +115,8 @@ class MarkovGridPrior:
     ``smoothed`` holds their additively smoothed rows plus, when
     smoothing_alpha > 0, one last row for zero observations that every
     context absent from the states shares.  With smoothing_alpha 0, reaching
-    an unseen context is an error.
+    an unseen context is an error.  A read-only int64 table is kept as it
+    is, a caller's writable array copied.
     """
 
     codebook_size: int
@@ -135,21 +142,18 @@ class MarkovGridPrior:
         if self.conditional and (self.label_count is None or self.label_count < 1):
             raise ValidationError("conditional model requires a positive label_count")
         slots = len(self.context)
-        counts = np.array(np.zeros((0, size)) if self.counts is None else self.counts, np.int64)
+        counts = _frozen(np.zeros((0, size)) if self.counts is None else self.counts)
         if counts.ndim != 2 or counts.shape[1] != size:
             raise ValidationError("count vector length mismatch")
-        if (counts < 0).any():
+        if counts.min(initial=0) < 0:
             raise ValidationError("next-token counts must be >= 0")
-        # A running int64 total turns negative where it first overflows.
-        overflow = (np.cumsum(counts, axis=1) < 0).any(axis=1)
-        if overflow.any():
-            raise ValidationError(
-                f"the next-token counts of state {np.argmax(overflow)} overflow int64 in total"
-            )
-        contexts = np.array(
-            np.zeros((0, slots)) if self.contexts is None else self.contexts, np.int64
-        )
-        labels = np.array(np.full(len(counts), -1) if self.labels is None else self.labels, np.int64)
+        # Float totals are within a factor 2 of the exact ones, which only
+        # the rows that could reach 2**63 sum exactly.
+        for state in np.flatnonzero(counts.sum(axis=1, dtype=np.float64) >= 2.0**62).tolist():
+            if sum(counts[state].tolist()) >= 2**63:
+                raise ValidationError(f"the next-token counts of state {state} overflow int64 in total")
+        contexts = _frozen(np.zeros((0, slots)) if self.contexts is None else self.contexts)
+        labels = _frozen(np.full(len(counts), -1) if self.labels is None else self.labels)
         if contexts.shape != (len(counts), slots) or not (
             (contexts >= BOUNDARY) & (contexts < size)
         ).all():
@@ -168,12 +172,12 @@ class MarkovGridPrior:
         keys = np.column_stack((contexts, labels))[np.lexsort((labels, *contexts.T))]
         if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise ValidationError("a (context, label) state appears more than once")
-        unseen = np.zeros((1 if alpha > 0 else 0, size), dtype=np.int64)
-        smoothed = smoothed_rows(np.vstack((counts, unseen)), alpha)
+        # The trained rows, then with smoothing the zero-count row every unseen context shares.
+        smoothed = smoothed_rows(counts, alpha, np.empty((len(counts) + (alpha > 0), size)))
         for name, value in zip(
-            ("counts", "contexts", "labels", "smoothed"), (counts, contexts, labels, smoothed)
+            ("counts", "contexts", "labels", "smoothed"), (counts, contexts, labels, _readonly(smoothed))
         ):
-            object.__setattr__(self, name, _readonly(value))
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _state_ids(self) -> dict:
@@ -318,37 +322,29 @@ def train_markov_prior(
     conditional: bool = False,
     smoothing_alpha: float = DEFAULT_ALPHA,
 ) -> MarkovGridPrior:
-    """Accumulate (context, label) -> next-token counts over a corpus: grids,
-    (grid, semantics) pairs, or a packed corpus (`load_grid_directory`'s
-    runs, counted straight from their arrays; a run's labels are its maps).
+    """Accumulate (context, label) -> next-token counts over a corpus: grids
+    or (grid, semantics) pairs, packed by `pack_grids` (maps kept only when
+    conditional), or a packed corpus such as `load_grid_directory`'s runs.
+    Either way it is counted straight from the runs' arrays, and a run's
+    labels are its maps.
 
     Purely deterministic: the tables depend only on the corpus content, not
     on iteration order.
     """
     context = validate_context_template(context)
-    packed = bool(corpus) and isinstance(corpus[0], GridRun)
-    if packed:
-        keys = [(run.grids.codebook_size, None if run.labels is None else run.label_count) for run in corpus]
-    else:
-        pairs = grid_pairs(corpus)
-        keys = [(grid.codebook_size, None if sem is None else sem.label_count) for grid, sem in pairs]
-    if not keys:
+    if not (corpus and isinstance(corpus[0], GridRun)):
+        corpus = pack_grids([it if conditional or isinstance(it, TokenGrid) else it[0] for it in corpus])
+    if not corpus:
         raise ValidationError("empty training corpus")
-    size, label_count = keys[0][0], keys[0][1] if conditional else None
-    for key_size, labels in keys:
-        if key_size != size:
+    size, label_count = corpus[0].grids.codebook_size, corpus[0].label_count if conditional else None
+    for run in corpus:
+        if run.grids.codebook_size != size:
             raise ValidationError("training corpus mixes codebook sizes")
-        if conditional:
-            if labels is None:
-                raise ValidationError(
-                    "conditional training requires a semantic map for every grid"
-                )
-            if labels != label_count:
-                raise ValidationError("training corpus mixes label counts")
-    # A list's maps are checked against their grids' shapes, and kept, when conditional.
-    maps = [sem for _, sem in pairs] if conditional and not packed else None
-    blocks = _blocks(corpus if packed else [grid for grid, _ in pairs], maps)[2]
-
+        if conditional and run.labels is None:
+            raise ValidationError("conditional training requires a semantic map for every grid")
+        if conditional and run.label_count != label_count:
+            raise ValidationError("training corpus mixes label counts")
+    blocks = [(run.grids.tokens, run.labels) for run in corpus]
     contexts, labels, counts = _count_states(blocks, context, conditional, size, label_count)
     return MarkovGridPrior(
         codebook_size=size,
@@ -387,14 +383,14 @@ def _count_states(
     size: int,
     label_count: int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contexts, labels and next-token counts of every state in the corpus.
+    """Contexts, labels and next-token counts of every state in the corpus,
+    as read-only arrays the model keeps without a copy.
 
     Each position becomes one mixed-radix code whose digits are its
     template tokens (plus one, so the boundary marker is 0), its label when
     conditional, and its token, added one digit at a time.  The corpus's
-    `_blocks` are coded in chunks of whole grids, about _CHUNK_POSITIONS
-    positions each: a packed run's slices as they are, a list's grids (and
-    maps) stacked.  np.unique counts a chunk's codes, and these sparse
+    (tokens, labels) run arrays are coded in slices of whole grids, about
+    _CHUNK_POSITIONS positions each.  np.unique counts a chunk's codes, and these sparse
     (code, count) runs are added into one sorted running total whenever
     they hold as many codes as it does.  Before a digit would overflow int64, the code so far
     is replaced by its rank among the codes the whole corpus has there (one
@@ -407,7 +403,6 @@ def _count_states(
 
     def codes(tokens, labels, digits: int) -> np.ndarray:
         """Codes of the first `digits` digits at each position of a chunk."""
-        tokens = np.asarray(tokens)
         code = np.zeros(tokens.size, dtype=np.int64)
         for i, radix in enumerate(radices[:digits]):
             if i in ranks:
@@ -416,7 +411,7 @@ def _count_states(
                 digit = _shifted_tokens(tokens, *context[i])
                 digit += 1
             elif i == slots and conditional:
-                digit = np.asarray(labels)
+                digit = labels
             else:
                 digit = tokens
             code *= radix
@@ -454,7 +449,7 @@ def _count_states(
             code = ranks[i + 1][code]
         code, digits[:, i] = np.divmod(code, radices[i])
     labels = digits[:, slots] if conditional else np.full(code.size, -1)
-    return digits[:, :slots] - 1, labels, counts
+    return _readonly(digits[:, :slots] - 1), _readonly(labels), _readonly(counts)
 
 
 def _add_runs(runs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -481,18 +476,17 @@ def save_model(path: str | Path, model: MarkovGridPrior) -> None:
         "tables": [],
     })
     order = np.lexsort((model.labels, *model.contexts.T[::-1]))
-    contexts, labels = model.contexts[order].tolist(), model.labels[order].tolist()
     # "tables" sorts last, so the head ends with its empty list: '[]\n}'.
     with open(path, "w") as out:
         out.write(head[:-4] + ("[" if order.size else "[]\n}\n"))
         for start in range(0, order.size, _SAVE_ENTRIES):
-            entries = []
-            for i in range(start, min(start + _SAVE_ENTRIES, order.size)):
-                row = model.counts[order[i]]
+            part, entries = order[start : start + _SAVE_ENTRIES], []
+            for i, context, label in zip(part.tolist(), model.contexts[part].tolist(), model.labels[part].tolist()):
+                row = model.counts[i]
                 tokens = np.flatnonzero(row > 0)
                 entries.append({
-                    "context": ["B" if t == BOUNDARY else t for t in contexts[i]],
-                    "label": None if labels[i] < 0 else labels[i],
+                    "context": ["B" if t == BOUNDARY else t for t in context],
+                    "label": None if label < 0 else label,
                     "counts": dict(zip(map(str, tokens.tolist()), row[tokens].tolist())),
                 })
             # A list's entries one level deeper: '[\n  {...},\n  {...}\n]' less its brackets.
@@ -536,7 +530,7 @@ def load_model(path: str | Path) -> MarkovGridPrior:
             smoothing_alpha=float(_typed(payload["smoothing_alpha"], int, float)),
             contexts=contexts,
             labels=labels,
-            counts=counts,
+            counts=_readonly(counts),
         )
     except MALFORMED_JSON as exc:
         raise ValidationError(f"{path}: malformed model JSON ({exc})") from exc

@@ -172,8 +172,5 @@ def draw_indices(population: int, count: int, seed: int) -> np.ndarray:
         raise ValueError("population must be positive")
     if count < 0:
         raise ValueError("count must be >= 0")
-    key = seed_key(seed)
-    raw = mix64_array(
-        np.uint64(key) + (np.arange(1, count + 1, dtype=np.uint64)) * np.uint64(GOLDEN)
-    )
+    raw = draws_u64_at(seed_key(seed), np.arange(count, dtype=np.uint64))[:, 0]
     return (raw % np.uint64(population)).astype(np.int64)

@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    MALFORMED_JSON, GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, _readonly, _typed, check_rows,
-    require_same_shape,
+    MALFORMED_JSON, GridRun, SemanticGrid, TokenGrid, ValidationError, _readonly, _typed, check_rows, pack_grids
 )
 from .formats import (
     GRID_VOCAB_LIMIT, dump_json, load_json, read_semantic_grid, read_token_grid, write_semantic_grid, write_token_grid
@@ -470,24 +469,20 @@ def iter_entries(
     base: Path, entries: list[dict], with_semantics: bool
 ) -> Iterator[tuple[TokenGrid, SemanticGrid | None]]:
     """Each manifest entry's token grid under base, and its "semantics" map
-    when asked, read one entry at a time; entries that name no such paths
-    raise ValidationError when reached."""
+    when asked, read one entry at a time.  Entries that are not a list raise
+    ValidationError at once, and an entry that names no such paths when
+    reached."""
     if not isinstance(entries, list):
         raise ValidationError(f"{base}: manifest entries must be a list")
-    for i, entry in enumerate(entries):
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("tokens"), str)
-            and isinstance(entry.get("semantics") or "", str)
-        ):
-            raise ValidationError(
-                f"{base}: manifest entry {i} must name its 'tokens' (and any 'semantics') file"
-            )
-        grid = read_token_grid(base / entry["tokens"])
-        semantics = None
-        if with_semantics and entry.get("semantics"):
-            semantics = read_semantic_grid(base / entry["semantics"])
-        yield grid, semantics
+    return (_read_entry(base, i, entry, with_semantics) for i, entry in enumerate(entries))
+
+
+def _read_entry(base: Path, i: int, entry, with_semantics: bool) -> tuple[TokenGrid, SemanticGrid | None]:
+    if not (isinstance(entry, dict) and isinstance(entry.get("tokens"), str)
+            and isinstance(entry.get("semantics") or "", str)):
+        raise ValidationError(f"{base}: manifest entry {i} must name its 'tokens' (and any 'semantics') file")
+    grid, semantics = read_token_grid(base / entry["tokens"]), with_semantics and entry.get("semantics")
+    return grid, read_semantic_grid(base / semantics) if semantics else None
 
 
 def load_corpus(
@@ -513,43 +508,17 @@ def load_exemplars(
 def load_grid_directory(
     directory: str | Path, with_semantics: bool = True, keep_semantics: bool | None = None
 ) -> list[GridRun]:
-    """A corpus directory's `grid_entries` under "scenes", packed: runs of
-    consecutive grids of one shape, codebook size and (kept) label count.
-
-    Each file is read and checked as `iter_entries` reads it, maps too with
-    `with_semantics`, and copied into its run's read-only arrays: tokens in
-    `np.min_scalar_type(-K)` (one byte each up to K = 128) and, with
-    `keep_semantics` (default `with_semantics`), labels in the label count's
-    smallest type.  An empty directory raises at once.
+    """A corpus directory's `grid_entries` under "scenes", packed by
+    `pack_grids` as `iter_entries` reads and checks each file, maps too
+    with `with_semantics`; the maps are kept with `keep_semantics` (default
+    `with_semantics`).  An empty directory raises at once.
     """
     entries = grid_entries(directory, "scenes")
     if entries == []:
         raise ValidationError(f"{directory}: no token grids found")
     keep = with_semantics if keep_semantics is None else keep_semantics
-    runs, key = [], None
-    for read, (grid, sem) in enumerate(iter_entries(Path(directory), entries, with_semantics)):
-        sem = sem if keep else None
-        if sem is not None:
-            require_same_shape(grid, sem)
-        found = (grid.tokens.shape, grid.codebook_size, sem and sem.label_count)
-        if found != key:
-            if key:
-                runs.append(_packed_run(key, tokens, labels, filled))
-            key, filled = found, 0
-            tokens = np.empty((len(entries) - read, *key[0]), np.min_scalar_type(-key[1]))
-            labels = sem and np.empty(tokens.shape, np.min_scalar_type(-key[2]))
-        tokens[filled] = grid.tokens
-        if sem is not None:
-            labels[filled] = sem.labels
-        filled += 1
-    runs.append(_packed_run(key, tokens, labels, filled))
-    return runs
-
-
-def _packed_run(key: tuple, tokens: np.ndarray, labels: np.ndarray | None, filled: int) -> GridRun:
-    """A run of the first `filled` grids read, copied out of arrays with room to spare."""
-    tokens, labels = (a if a is None or filled == len(a) else a[:filled].copy() for a in (tokens, labels))
-    return GridRun(TokenBatch(_readonly(tokens), key[1]), labels if labels is None else _readonly(labels), key[2])
+    pairs = iter_entries(Path(directory), entries, with_semantics)
+    return pack_grids(((grid, sem if keep else None) for grid, sem in pairs), len(entries))
 
 
 def default_landscape_config() -> BenchmarkConfig:

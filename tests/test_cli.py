@@ -513,6 +513,33 @@ def test_corpus_commands_hold_about_one_byte_per_token(tmp_path, capsys):
         assert growth <= 3, (name, growth)
 
 
+def test_evaluate_holds_about_one_byte_per_sample_token(tmp_path, capsys):
+    # Sample sets are read packed: from 200 to 800 32x32 samples per set,
+    # evaluate's traced peak grows by at most 4 bytes per added sample token
+    # (lists of int64 grids took about 10).
+    rng = np.random.default_rng(0)
+    style = tmp_path / "style.json"
+    write_stats(style, histogram_from_grid(random_grid(rng, 32, 32, 32), 0.5))
+    peaks = {}
+    for size in (200, 200, 800):  # the first pass warms one-time allocations
+        sets = tmp_path / str(size)
+        for name in ("guided", "plain"):
+            if not (sets / name).exists():
+                (sets / name).mkdir(parents=True)
+                for i in range(size):
+                    write_token_grid(sets / name / f"sample_{i:03d}.tgrd", random_grid(rng, 32, 32, 32))
+        tracemalloc.start()
+        try:
+            argv = f"evaluate --guided {sets}/guided --unguided {sets}/plain --style-stats {style} --out {sets}/r.json"
+            assert main(argv.split()) == 0
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    growth = (peaks[800] - peaks[200]) / (2 * 600 * 32 * 32)
+    assert growth <= 4, growth
+
+
 class TestSample:
     def test_unguided_baseline(self, trained, tmp_path, capsys):
         out = tmp_path / "samples"
@@ -1573,6 +1600,13 @@ def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
         except SystemExit as exc:
             rc = exc.code
         assert rc == 0, " ".join(argv)
+    # The library snippet reads what the walkthrough wrote, and computes its statistics.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(snippet, "README.md", "exec"), names)
+    assert names["dataset"] == read_stats("work/dataset.json")
+    assert names["style"] == read_stats("work/style.json")
 
 
 # sha256 of every artifact one guided CLI run writes on the `world` fixture:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gcs import prior
-from gcs.core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError
+from gcs.core import GridRun, SemanticGrid, TokenBatch, TokenGrid, ValidationError, pack_grids
 from gcs.distributions import histogram_from_grid
 from gcs.guidance import LikelihoodTable, global_likelihood_table
 from gcs.prior import (
@@ -57,7 +57,7 @@ def brute_force_counts(pairs, context, conditional):
 
 def chunk_sizes(pairs):
     """Grids per training chunk of a list corpus."""
-    blocks = prior._blocks([grid for grid, _ in pairs])[2]
+    blocks = [(run.grids.tokens, None) for run in pack_grids([grid for grid, _ in pairs])]
     return [len(tokens) for tokens, _ in prior._chunks(blocks, prior._CHUNK_POSITIONS)]
 
 
@@ -167,6 +167,28 @@ class TestConstruction:
                 codebook_size=4, context=LEFT, contexts=[[0], [1]], counts=[[1, 0, 0, 0], counts]
             )
         MarkovGridPrior(codebook_size=4, context=LEFT, contexts=[[0]], counts=[[2**63 - 1, 0, 0, 0]])
+
+    def test_construction_holds_one_new_state_matrix(self):
+        # Read-only int64 tables, as training hands them over, are kept as
+        # they are, and the overflow check and the smoothed rows take no
+        # further (states x K) array: the smoothed rows are the one new
+        # matrix.  A copy, a running sum and a stacked matrix took 3 more.
+        states, size = 20_000, 32
+        contexts = np.stack(np.unravel_index(np.arange(states), (size + 1,) * 4), axis=1) - 1
+        counts = np.random.default_rng(0).integers(0, 9, (states, size))
+        for table in (contexts, counts):
+            table.setflags(write=False)
+        tracemalloc.start()
+        try:
+            model = MarkovGridPrior(size, ((0, -1), (-1, 0), (-1, -1), (-1, 1)), contexts=contexts, counts=counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.counts is counts and model.contexts is contexts
+        assert peak < 1.5 * model.smoothed.nbytes, peak / model.smoothed.nbytes
+        writable = counts.copy()
+        copied = MarkovGridPrior(size, model.context, contexts=contexts, counts=writable)
+        assert copied.counts is not writable and np.array_equal(copied.smoothed, model.smoothed)
 
     def test_states_must_be_distinct(self):
         with pytest.raises(ValidationError, match="appears more than once"):
